@@ -15,7 +15,9 @@ percentages use one decimal everywhere.  With ``--no-timestamp`` the
 bytes are a pure function of config and input.
 
 Exit codes: 0 success, 2 input or usage error, 3 enumeration budget
-exceeded, 4 internal error.
+exceeded, 4 internal error.  Each command builds one enumeration budget
+(``--budget``, else the ``MEASURE_AUDIT_BUDGET`` variable, else 10**9
+states) and charges every enumeration it runs against it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,11 +52,8 @@ from .measures import (
 )
 from .properties import (
     ALL_PROPERTIES,
-    BINARY_DEFAULT_SPACE,
-    MULTICLASS_DEFAULT_SPACE,
-    audit_space_policy,
+    audit_grid,
     check_averaging_preservation,
-    check_property,
     parse_property,
 )
 from .baselines import METHODS, exact_baseline_expectation
@@ -88,6 +86,11 @@ def _parse_measures(text: str, default: tuple[str, ...]) -> list[str]:
             raise InputError(f"measure {canonical} listed twice")
         seen.append(canonical)
     return seen
+
+
+def _registry_default(m: int) -> tuple[str, ...]:
+    """Default measures of ``eval`` and ``baseline`` at m classes."""
+    return CANONICAL_IDS if m == 2 else MULTICLASS_IDS
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -138,7 +141,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         metavar="STATES",
-        help=f"enumeration budget (also settable via {BUDGET_ENV_VAR})",
+        help=f"enumeration budget of the whole command, in states (default: "
+        f"${BUDGET_ENV_VAR}, else 10**9)",
     )
     sub.add_argument(
         "--no-timestamp",
@@ -167,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--measures",
-        default="all",
-        help="comma-separated measure ids; 'all' for the full registry",
+        default="default",
+        help="comma-separated measure ids; 'all' for the full registry "
+        "(default: the full registry at m=2, the multiclass measures above)",
     )
     _add_common(p)
 
@@ -196,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="audit micro/macro/weighted preservation instead of base measures",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel audit threads")
     _add_common(p)
 
     p = commands.add_parser(
@@ -312,7 +316,7 @@ def _finish(report: dict, args) -> dict:
 # eval
 
 
-def _cmd_eval(args) -> dict:
+def _cmd_eval(args, budget: Budget) -> dict:
     if args.labels:
         fmt = args.format or "labels-csv"
         if fmt != "labels-csv":
@@ -339,7 +343,7 @@ def _cmd_eval(args) -> dict:
             "n": str(matrix.n),
             "m": matrix.m,
         }
-    measure_ids = _parse_measures(args.measures, CANONICAL_IDS)
+    measure_ids = _parse_measures(args.measures, _registry_default(matrix.m))
     results = []
     for mid in measure_ids:
         desc = parse_measure_id(mid)
@@ -391,23 +395,7 @@ def _csv_eval(report: dict) -> str:
 # audit
 
 
-def _space_for_cell(desc, prop: str, m: int, n_override: int | None):
-    policy = audit_space_policy(desc, prop, m=m)
-    if n_override is None:
-        return policy
-    generic = BINARY_DEFAULT_SPACE if m == 2 else MULTICLASS_DEFAULT_SPACE
-    widened = policy.n_max > generic.n_max
-    n_max = max(policy.n_max, n_override) if widened else n_override
-    return replace(
-        policy,
-        n_max=n_max,
-        mon_n_max=max(policy.edit_n_max, n_override) if widened else None,
-        dist_n_max=min(policy.dist_n_max, n_max),
-        cb_n_max=n_max,
-    )
-
-
-def _cmd_audit(args) -> dict:
+def _cmd_audit(args, budget: Budget) -> dict:
     properties = (
         list(ALL_PROPERTIES)
         if args.properties in ("all", "", None)
@@ -419,7 +407,7 @@ def _cmd_audit(args) -> dict:
         grid = []
         for scheme in SCHEMES:
             for prop in properties:
-                verdict = check_averaging_preservation(scheme, prop, eps=args.eps)
+                verdict = check_averaging_preservation(scheme, prop, None, args.eps, budget)
                 grid.append(verdict.to_dict())
         return {
             "command": "audit",
@@ -432,22 +420,9 @@ def _cmd_audit(args) -> dict:
     if m < 2:
         raise InputError("need at least two classes")
     measure_ids = _parse_measures(args.measures, CANONICAL_IDS)
-    cells = [(mid, prop) for mid in measure_ids for prop in properties]
-
-    def run(cell):
-        mid, prop = cell
-        desc = parse_measure_id(mid)
-        space = _space_for_cell(desc, prop, m, args.n_max)
-        budget = Budget(args.budget) if args.budget else None
-        return check_property(desc, prop, space, args.eps, budget)
-
-    if args.jobs and args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            verdicts = list(pool.map(run, cells))
-    else:
-        verdicts = [run(cell) for cell in cells]
+    verdicts = audit_grid(
+        measure_ids, properties, m, eps=args.eps, n_max=args.n_max, budget=budget
+    )
     return {
         "command": "audit",
         "mode": "properties",
@@ -527,7 +502,7 @@ def _csv_audit(report: dict) -> str:
 # distinguish
 
 
-def _cmd_distinguish(args) -> dict:
+def _cmd_distinguish(args, budget: Budget) -> dict:
     lo, hi = _parse_n_range(args.n)
     if hi > 12:
         raise InputError("sample sizes above 12 are not supported")
@@ -536,7 +511,6 @@ def _cmd_distinguish(args) -> dict:
     measure_ids = _parse_measures(args.measures, CONSISTENCY_IDS)
     if len(measure_ids) < 2:
         raise InputError("need at least two measures to distinguish")
-    budget = Budget(args.budget) if args.budget else None
     groups_by_n = {}
     for n in range(lo, hi + 1):
         groups = indistinguishable_groups(n, measure_ids, args.eps, budget)
@@ -582,12 +556,10 @@ def _csv_distinguish(report: dict) -> str:
 def _load_model_pairs(paths) -> tuple[list[str], list[LabelingPair]]:
     if len(paths) < 1:
         raise InputError("no model files given")
-    first_pass = [read_labels_csv(p) for p in paths]
+    parsed = [read_labels_csv(p) for p in paths]
     # Shared alphabet so every model's matrix indexes classes identically.
-    alphabet = _sorted_alphabet(
-        {name for pair in first_pass for name in pair.alphabet}
-    )
-    pairs = [read_labels_csv(p, alphabet=alphabet) for p in paths]
+    alphabet = _sorted_alphabet({name for pair in parsed for name in pair.alphabet})
+    pairs = [pair.with_alphabet(alphabet) for pair in parsed]
     truth = pairs[0].truth
     for path, pair in zip(paths, pairs):
         if pair.truth != truth:
@@ -615,7 +587,7 @@ def _default_for_m(m: int) -> tuple[str, ...]:
 # compare
 
 
-def _cmd_compare(args) -> dict:
+def _cmd_compare(args, budget: Budget) -> dict:
     names, pairs = _load_model_pairs(args.labels)
     if len(pairs) < 2:
         raise InputError("compare needs at least two model files")
@@ -698,7 +670,7 @@ def _csv_compare(report: dict) -> str:
 # rank
 
 
-def _cmd_rank(args) -> dict:
+def _cmd_rank(args, budget: Budget) -> dict:
     names, pairs = _load_model_pairs(args.labels)
     m = pairs[0].m
     measure_ids = _parse_measures(args.measures, _default_for_m(m))
@@ -755,17 +727,14 @@ def _csv_rank(report: dict) -> str:
 # baseline
 
 
-def _cmd_baseline(args) -> dict:
+def _cmd_baseline(args, budget: Budget) -> dict:
     a_sizes = _parse_sizes(args.a, "true")
     b_sizes = _parse_sizes(args.b, "predicted")
     if len(a_sizes) != len(b_sizes):
         raise InputError("true and predicted size vectors must have equal length")
     if sum(a_sizes) != sum(b_sizes):
         raise InputError("true and predicted sizes must sum to the same total")
-    m = len(a_sizes)
-    default = CANONICAL_IDS if m == 2 else MULTICLASS_IDS
-    measure_ids = _parse_measures(args.measures, default)
-    budget = Budget(args.budget) if args.budget else None
+    measure_ids = _parse_measures(args.measures, _registry_default(len(a_sizes)))
     results = []
     for mid in measure_ids:
         desc = parse_measure_id(mid)
@@ -872,8 +841,9 @@ def main(argv=None) -> int:
         print("error: --budget must be positive", file=sys.stderr)
         return 2
     try:
+        budget = Budget(args.budget)
         builder = _COMMANDS[args.command][0]
-        report = _finish(builder(args), args)
+        report = _finish(builder(args, budget), args)
         _emit(_render(report, args), args.out)
         return 0
     except (InputError, MeasureParseError, MeasureArityError) as exc:

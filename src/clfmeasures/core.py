@@ -12,8 +12,10 @@ Conventions used throughout the package:
   expected matrices under margin-preserving randomization.
 
 All objects are immutable and all enumeration functions are pure
-generators, so they are safe to call concurrently; streams can be
-partitioned by the ``prefix`` argument of :func:`enumerate_labelings`.
+generators.  :func:`enumerate_entries` is the one matrix enumerator:
+every space of confusion matrices the package audits or averages over
+is a filter, sort or cache of its output, so "the first counterexample
+in enumeration order" means the same order everywhere.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 
@@ -39,7 +41,11 @@ class Budget:
 
     def __init__(self, limit: int | None = None):
         if limit is None:
-            limit = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET_LIMIT))
+            raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET_LIMIT))
+            try:
+                limit = int(raw)
+            except ValueError:
+                raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
         if limit <= 0:
             raise ValueError("budget limit must be positive")
         self.limit = limit
@@ -289,32 +295,22 @@ def enumerate_labelings(
     m: int,
     class_sizes: Sequence[int] | None = None,
     require_all_classes: bool = False,
-    prefix: Sequence[int] = (),
     budget: Budget | None = None,
 ) -> Iterator[Labeling]:
     """All labelings of n elements into m classes, in lexicographic order.
 
     With ``class_sizes`` only labelings of those exact sizes are produced.
     ``require_all_classes`` keeps only labelings using every class.
-    ``prefix`` restricts the stream to labelings starting with it, which
-    lets callers partition the space across workers.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    prefix = tuple(prefix)
-    if len(prefix) > n or any(not 0 <= x < m for x in prefix):
-        raise ValueError("invalid prefix")
     if class_sizes is not None:
         class_sizes = tuple(class_sizes)
         if len(class_sizes) != m or sum(class_sizes) != n:
             raise ValueError("class sizes must have length m and sum to n")
-        remaining = list(class_sizes)
-        for x in prefix:
-            remaining[x] -= 1
-            if remaining[x] < 0:
-                return
         if require_all_classes and any(s == 0 for s in class_sizes):
             return
+        remaining = list(class_sizes)
 
         def rec_sized(partial: list[int]):
             if len(partial) == n:
@@ -330,7 +326,7 @@ def enumerate_labelings(
                     partial.pop()
                     remaining[c] += 1
 
-        yield from rec_sized(list(prefix))
+        yield from rec_sized([])
         return
 
     def rec(partial: list[int], seen: set[int]):
@@ -354,7 +350,50 @@ def enumerate_labelings(
                 seen.remove(c)
             partial.pop()
 
-    yield from rec(list(prefix), set(prefix))
+    yield from rec([], set())
+
+
+@lru_cache(maxsize=8192)
+def _row_fills(total: int, m: int, caps: tuple[int, ...] | None) -> tuple:
+    """``(row, caps left, multinomial(total, row))`` for every row of m
+    entries summing to ``total`` and within ``caps`` (None: no caps),
+    lexicographic."""
+    return tuple(
+        (
+            row,
+            None if caps is None else tuple(c - x for c, x in zip(caps, row)),
+            multinomial(total, row),
+        )
+        for row in compositions(total, m)
+        if caps is None or all(x <= c for x, c in zip(row, caps))
+    )
+
+
+def enumerate_entries(
+    a_sizes: Sequence[int], b_sizes: Sequence[int] | None = None
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+    """All integer matrices with row sums ``a_sizes`` (and column sums
+    ``b_sizes`` unless None), as ``(entries, multiplicity)`` pairs.
+
+    Matrices appear in row-major lexicographic order.  The multiplicity is
+    the number of predicted labelings producing the matrix against a
+    fixed true labeling of sizes ``a_sizes``, so multiplicities sum to
+    ``multinomial(n, b_sizes)``, or to ``m**n`` when ``b_sizes`` is None.
+    No argument validation: callers pass non-negative margins of equal
+    length and total.
+    """
+    a_sizes = tuple(a_sizes)
+    m = len(a_sizes)
+    caps = None if b_sizes is None else tuple(b_sizes)
+
+    def rec(i: int, row_caps, rows: tuple, mult: int):
+        for row, left, k in _row_fills(a_sizes[i], m, row_caps):
+            if i == m - 1:
+                yield rows + (row,), mult * k
+            else:
+                yield from rec(i + 1, left, rows + (row,), mult * k)
+
+    yield from rec(0, caps, (), 1)
 
 
 def enumerate_confusion_matrices(
@@ -381,27 +420,7 @@ def enumerate_confusion_matrices(
     if any(x < 0 for x in a_sizes + b_sizes):
         raise ValueError("margins must be non-negative")
 
-    rows: list[tuple[int, ...]] = []
-
-    def row_fills(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(caps) == 1:
-            if total <= caps[0]:
-                yield (total,)
-            return
-        for first in range(min(total, caps[0]) + 1):
-            for rest in row_fills(total - first, caps[1:]):
-                yield (first,) + rest
-
-    def rec(i: int, rem_b: tuple[int, ...], mult: int):
-        if i == m:
-            if budget is not None:
-                budget.charge()
-            yield ConfusionMatrix(tuple(rows)), mult
-            return
-        for row in row_fills(a_sizes[i], rem_b):
-            rows.append(row)
-            new_rem = tuple(r - x for r, x in zip(rem_b, row))
-            yield from rec(i + 1, new_rem, mult * multinomial(a_sizes[i], row))
-            rows.pop()
-
-    yield from rec(0, b_sizes, 1)
+    for entries, count in enumerate_entries(a_sizes, b_sizes):
+        if budget is not None:
+            budget.charge()
+        yield ConfusionMatrix(entries), count

@@ -57,6 +57,19 @@ class LabelingPair:
     def mapping(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.alphabet)}
 
+    def with_alphabet(self, alphabet: Sequence[str]) -> "LabelingPair":
+        """The same pair indexed by ``alphabet``, a superset of its own."""
+        alphabet = tuple(alphabet)
+        if alphabet == self.alphabet:
+            return self
+        index = {name: i for i, name in enumerate(alphabet)}
+        remap = [index[name] for name in self.alphabet]
+        return LabelingPair(
+            Labeling(tuple(remap[x] for x in self.truth.labels), len(alphabet)),
+            Labeling(tuple(remap[x] for x in self.pred.labels), len(alphabet)),
+            alphabet,
+        )
+
 
 def _sorted_alphabet(labels: set[str]) -> tuple[str, ...]:
     try:

@@ -30,6 +30,7 @@ from .core import (
     ConfusionMatrix,
     Labeling,
     build_confusion,
+    enumerate_entries,
     enumerate_labelings,
 )
 from .measures import (
@@ -140,15 +141,10 @@ def margin_matrices(n: int, a1: int) -> list[ConfusionMatrix]:
     classes non-empty, ordered by (hits, false alarms)."""
     if not 1 <= a1 <= n - 1:
         raise ValueError("true class sizes must both be positive")
-    a0 = n - a1
-    out = []
-    for c11 in range(a1 + 1):
-        for c01 in range(a0 + 1):
-            if 1 <= c11 + c01 <= n - 1:  # prediction must use both classes
-                out.append(
-                    ConfusionMatrix(((a0 - c01, c01), (a1 - c11, c11)))
-                )
-    return out
+    mats = [ConfusionMatrix(entries) for entries, _ in enumerate_entries((n - a1, a1))]
+    mats = [C for C in mats if 0 < C.b[1] < n]  # prediction uses both classes
+    mats.sort(key=lambda C: (C[1, 1], C[0, 1]))
+    return mats
 
 
 def margin_matrix_pairs(
@@ -506,13 +502,6 @@ def pairwise_inconsistency(
         inconsistent=inconsistent,
         eps_sensitive=sensitive,
     )
-
-
-def triplet_comparisons(
-    triplets: Sequence[Triplet],
-) -> list[tuple[ConfusionMatrix, ConfusionMatrix]]:
-    """Matrix-pair comparisons posed by a list of triplets."""
-    return [t.matrices() for t in triplets]
 
 
 # ---------------------------------------------------------------------------

@@ -465,10 +465,6 @@ CONSISTENCY_IDS = ("acc", "ba", "f:beta=1", "kappa", "ce", "gm:r=1", "cc", "sba"
 AUDIT_ONLY_IDS = ("netagree", "anyagree")
 
 
-def canonical_descriptors() -> list[MeasureDescriptor]:
-    return [parse_measure_id(mid) for mid in CANONICAL_IDS]
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -511,7 +507,7 @@ def evaluate(desc: MeasureDescriptor, C: ConfusionMatrix) -> Value:
     if desc.scheme is not None:
         from . import averaging
 
-        fn = binary_evaluator(replace(desc, scheme=None))
+        fn = binary_evaluator(desc)
         if desc.scheme == "micro":
             return averaging.micro_extend(fn, C)
         if desc.scheme == "macro":

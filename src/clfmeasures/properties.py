@@ -68,6 +68,7 @@ from .core import (
     Labeling,
     build_confusion,
     compositions,
+    enumerate_entries,
     expected_matrix,
     permute_classes,
     transpose,
@@ -153,15 +154,27 @@ MULTICLASS_DEFAULT_SPACE = AuditSpace(
 )
 
 
-def audit_space_policy(desc: MeasureDescriptor, prop: str, m: int = 2) -> AuditSpace:
+def audit_space_policy(
+    desc: MeasureDescriptor, prop: str, m: int = 2, n_max: int | None = None
+) -> AuditSpace:
     """Default audit bounds for one measure/property cell.
 
     The entropy measure gets a wider binary window for min/mon/smon: its
-    known violations at balanced margins need n up to 12.
+    known violations at balanced margins need n up to 12.  ``n_max``
+    overrides the generic sample-size bound; a wider window only ever
+    grows, and the labeling-triple bound never does.
     """
-    space = BINARY_DEFAULT_SPACE if m == 2 else MULTICLASS_DEFAULT_SPACE
+    generic = BINARY_DEFAULT_SPACE if m == 2 else MULTICLASS_DEFAULT_SPACE
+    space = generic
     if m == 2 and desc.base == "ce" and prop in (MIN, MON, SMON):
         space = replace(space, n_max=12, mon_n_max=12)
+    if n_max is not None:
+        if space.n_max > generic.n_max:
+            n_max = max(n_max, space.n_max)
+        space = replace(
+            space, n_max=n_max, mon_n_max=None, cb_n_max=n_max,
+            dist_n_max=min(space.dist_n_max, n_max),
+        )
     return space
 
 
@@ -196,12 +209,20 @@ def _fmt_matrix(C: ConfusionMatrix) -> list[list[str]]:
 
 
 class _Eval:
-    """Per-check memoized evaluator with orientation and comparison."""
+    """Per-check memoized evaluator with orientation and comparison.
 
-    def __init__(self, desc: MeasureDescriptor, eps: float):
+    ``budget`` (None: unlimited) is charged once per enumerated state.
+    """
+
+    def __init__(self, desc: MeasureDescriptor, eps: float, budget: Budget | None):
         self.desc = desc
         self.eps = eps
+        self.budget = budget
         self._memo: dict = {}
+
+    def charge(self, states: int = 1) -> None:
+        if self.budget is not None:
+            self.budget.charge(states)
 
     def raw(self, C: ConfusionMatrix):
         v = self._memo.get(C.entries)
@@ -230,26 +251,17 @@ class _Eval:
 @lru_cache(maxsize=4096)
 def _space_entries(m: int, n: int, min_row: int) -> tuple:
     """All m x m integer matrices with total n and row sums >= min_row."""
-    out = []
-    for a in compositions(n, m, min_part=min_row):
-        rows_acc: list[tuple[int, ...]] = []
-
-        def rec(i: int):
-            if i == m:
-                out.append(tuple(rows_acc))
-                return
-            for row in compositions(a[i], m):
-                rows_acc.append(row)
-                rec(i + 1)
-                rows_acc.pop()
-
-        rec(0)
-    return tuple(out)
+    return tuple(
+        entries
+        for a in compositions(n, m, min_part=min_row)
+        for entries, _ in enumerate_entries(a)
+    )
 
 
-def _iter_matrices(m: int, n_lo: int, n_hi: int, min_row: int = 1):
+def _iter_matrices(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int = 1):
     for n in range(max(n_lo, 1), n_hi + 1):
         for entries in _space_entries(m, n, min_row):
+            ev.charge()
             yield ConfusionMatrix(entries)
 
 
@@ -274,7 +286,7 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
     ref_val = None
     ref_C = None
     checked = 0
-    matrices = list(_iter_matrices(space.m, 1, space.n_max, space.min_row))
+    matrices = list(_iter_matrices(ev, space.m, 1, space.n_max, space.min_row))
     for C in matrices:
         if target(C):
             v = ev.oriented(C)
@@ -303,7 +315,7 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
 
 def _check_sym(ev: _Eval, space: AuditSpace):
     checked = 0
-    for C in _iter_matrices(space.m, 1, space.n_max, space.min_row):
+    for C in _iter_matrices(ev, space.m, 1, space.n_max, space.min_row):
         Ct = transpose(C)
         checked += 1
         if ev.cmp(ev.oriented(C), ev.oriented(Ct)) != 0:
@@ -314,7 +326,7 @@ def _check_sym(ev: _Eval, space: AuditSpace):
 def _check_csym(ev: _Eval, space: AuditSpace):
     perms = [p for p in itertools.permutations(range(space.m)) if p != tuple(range(space.m))]
     checked = 0
-    for C in _iter_matrices(space.m, 1, space.n_max, space.min_row):
+    for C in _iter_matrices(ev, space.m, 1, space.n_max, space.min_row):
         for p in perms:
             Cp = permute_classes(C, p)
             checked += 1
@@ -336,7 +348,7 @@ def _check_mon(ev: _Eval, space: AuditSpace):
     # Empty classes are legal start matrices here; only constant
     # labelings are excluded, and only on the unedited side.
     checked = 0
-    for C in _iter_matrices(space.m, 2, space.edit_n_max, min_row=0):
+    for C in _iter_matrices(ev, space.m, 2, space.edit_n_max, min_row=0):
         if _unary_margin(C):
             continue
         base = ev.oriented(C)
@@ -360,7 +372,7 @@ def _check_mon(ev: _Eval, space: AuditSpace):
 
 def _check_smon(ev: _Eval, space: AuditSpace):
     checked = 0
-    for C in _iter_matrices(space.m, 1, space.edit_n_max, min_row=0):
+    for C in _iter_matrices(ev, space.m, 1, space.edit_n_max, min_row=0):
         if _unary_margin(C):
             continue
         base = ev.oriented(C)
@@ -395,19 +407,20 @@ def _check_smon(ev: _Eval, space: AuditSpace):
 # baseline properties
 
 
-def _margin_grid(space: AuditSpace):
+def _margin_grid(ev: _Eval, space: AuditSpace):
     for n in range(space.cb_n_min, space.cb_n_max + 1):
         for a in compositions(n, space.m):
             for b in compositions(n, space.m, min_part=space.cb_min_col):
                 if is_unary(b):
                     continue
+                ev.charge()
                 yield n, a, b
 
 
 def _check_constant_over_margins(ev: _Eval, space: AuditSpace, value_of):
     ref = None
     checked = 0
-    for n, a, b in _margin_grid(space):
+    for n, a, b in _margin_grid(ev, space):
         val = value_of(a, b)
         checked += 1
         if ref is None:
@@ -422,22 +435,6 @@ def _check_constant_over_margins(ev: _Eval, space: AuditSpace, value_of):
             }
             return VIOLATED, witness, checked
     return SATISFIED, None, checked
-
-
-def _check_cb(ev: _Eval, space: AuditSpace, budget: Budget | None):
-    return _check_constant_over_margins(
-        ev,
-        space,
-        lambda a, b: exact_baseline_expectation(ev.desc, a, b, budget=budget),
-    )
-
-
-def _check_acb(ev: _Eval, space: AuditSpace, budget: Budget | None):
-    return _check_constant_over_margins(
-        ev,
-        space,
-        lambda a, b: evaluate(ev.desc, expected_matrix(a, b)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +470,7 @@ def _confirm_triangle(ev: _Eval, c_max, la, lb, lc, m: int) -> bool:
     return value_cmp(lhs, rhs, DIST_TOL) > 0
 
 
-def _check_dist(ev: _Eval, space: AuditSpace, eps: float):
+def _check_dist(ev: _Eval, space: AuditSpace):
     checked = 0
     for prereq, checker in ((SYM, _check_sym), (MAX, lambda e, s: _check_extremal(e, s, True))):
         status, witness, sub = checker(ev, space)
@@ -491,6 +488,7 @@ def _check_dist(ev: _Eval, space: AuditSpace, eps: float):
     c_max_f = as_float(c_max)
 
     for n in range(1, space.dist_n_max + 1):
+        ev.charge(space.m**n)
         labels = _labeling_array(space.m, n)
         L = labels.shape[0]
         tables, inverse = _pair_table_index(labels, space.m)
@@ -558,7 +556,10 @@ def check_property(
     """Audit one property of one measure over a bounded space.
 
     A ``satisfied`` verdict means no counterexample exists within the
-    space; a ``violated`` verdict carries a replayable witness.
+    space; a ``violated`` verdict carries a replayable witness.  ``budget``
+    is charged once per enumerated state: each matrix of a value or edit
+    space, each margin pair of ``cb``/``acb`` (plus the matrices of each
+    ``cb`` expectation), and ``m**n`` per labeling array of ``dist``.
     """
     if isinstance(desc, str):
         desc = parse_measure_id(desc)
@@ -567,7 +568,7 @@ def check_property(
         space = audit_space_policy(desc, prop, m=2)
     if desc.arity == "binary" and desc.scheme is None and space.m != 2:
         raise ValueError(f"{desc.measure_id} is binary-only; audit it at m=2")
-    ev = _Eval(desc, eps)
+    ev = _Eval(desc, eps, budget)
     if prop == MAX:
         status, witness, checked = _check_extremal(ev, space, at_max=True)
     elif prop == MIN:
@@ -581,11 +582,15 @@ def check_property(
     elif prop == SMON:
         status, witness, checked = _check_smon(ev, space)
     elif prop == CB:
-        status, witness, checked = _check_cb(ev, space, budget)
+        status, witness, checked = _check_constant_over_margins(
+            ev, space, lambda a, b: exact_baseline_expectation(desc, a, b, budget=budget)
+        )
     elif prop == ACB:
-        status, witness, checked = _check_acb(ev, space, budget)
+        status, witness, checked = _check_constant_over_margins(
+            ev, space, lambda a, b: evaluate(desc, expected_matrix(a, b))
+        )
     else:
-        status, witness, checked = _check_dist(ev, space, eps)
+        status, witness, checked = _check_dist(ev, space)
     return Verdict(desc.measure_id, prop, status, space.describe(), witness, checked)
 
 
@@ -601,30 +606,28 @@ def audit_grid(
     m: int = 2,
     space: AuditSpace | None = None,
     eps: float = DEFAULT_EPS,
-    jobs: int = 1,
+    n_max: int | None = None,
+    budget: Budget | None = None,
 ) -> list[Verdict]:
-    """Run the full measure-by-property audit grid.
+    """Run the measure-by-property audit grid, measure-major.
 
-    With the default binary space, verdicts are cached across calls.
-    ``jobs`` > 1 distributes cells over a thread pool; results are
-    assembled in deterministic order regardless.
+    Each cell runs over ``space``, or else over
+    ``audit_space_policy(desc, prop, m, n_max)``; one ``budget`` is
+    shared by every cell.  Verdicts of the default binary bounds are
+    cached across calls when ``eps`` is the default and no budget is
+    given.
     """
-    cells = [(mid, prop) for mid in measure_ids for prop in properties]
-
-    def run(cell):
-        mid, prop = cell
-        if m == 2 and space is None:
-            return _default_binary_verdict(mid, prop)
+    default = (m, space, n_max, eps, budget) == (2, None, None, DEFAULT_EPS, None)
+    verdicts = []
+    for mid in measure_ids:
         desc = parse_measure_id(mid)
-        sp = space if space is not None else audit_space_policy(desc, prop, m=m)
-        return check_property(desc, prop, sp, eps)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, cells))
-    return [run(cell) for cell in cells]
+        for prop in properties:
+            if default:
+                verdicts.append(_default_binary_verdict(mid, prop))
+                continue
+            sp = space if space is not None else audit_space_policy(desc, prop, m, n_max)
+            verdicts.append(check_property(desc, prop, sp, eps, budget))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +717,15 @@ def check_averaging_preservation(
     prop: str,
     spaces=None,
     eps: float = DEFAULT_EPS,
+    budget: Budget | None = None,
 ) -> PreservationVerdict:
     """Check whether one averaging scheme preserves one property.
 
     Every registry measure whose binary form has the property is averaged
     and re-audited over the given multiclass spaces; the first violation
-    settles the cell.
+    settles the cell.  ``budget`` is charged by those multiclass
+    re-audits only: the binary verdicts that pick the measures come from
+    the cross-call cache and are never charged.
     """
     prop = parse_property(prop)
     if spaces is None:
@@ -728,7 +734,7 @@ def check_averaging_preservation(
     for base in bases:
         averaged = with_scheme(base, scheme)
         for space in spaces:
-            verdict = check_property(averaged, prop, space, eps)
+            verdict = check_property(averaged, prop, space, eps, budget)
             if not verdict.satisfied:
                 return PreservationVerdict(
                     scheme,

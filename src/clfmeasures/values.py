@@ -215,10 +215,6 @@ def values_equal(a: Value, b: Value, eps: float = DEFAULT_EPS) -> bool:
     return value_cmp(a, b, eps) == 0
 
 
-def negate(v: Value):
-    return -v
-
-
 def value_sum(terms) -> Value:
     """Sum of values, exact whenever the terms allow it.
 

@@ -1,5 +1,6 @@
 """Matrices, labelings, and enumeration plumbing."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from clfmeasures.core import (
     compositions,
     confusion_matrix,
     enumerate_confusion_matrices,
+    enumerate_entries,
     enumerate_labelings,
     expected_matrix,
     multinomial,
@@ -206,6 +208,10 @@ class TestEnumeration:
             assert C.b == b
             assert cnt >= 1
 
+    def test_matrix_budget_charged_per_matrix(self):
+        with pytest.raises(EnumerationBudgetExceeded):
+            list(enumerate_confusion_matrices((2, 2), (2, 2), budget=Budget(2)))
+
     def test_budget_enforced(self):
         budget = Budget(3)
         with pytest.raises(EnumerationBudgetExceeded):
@@ -228,3 +234,59 @@ class TestLabeling:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Labeling((), 2)
+
+
+def _brute_force_entries(a):
+    """Every m x m matrix with row sums a, lexicographic, with
+    prod_i multinomial(a_i, row_i) as multiplicity."""
+    m = len(a)
+    ranges = [range(a[i] + 1) for i in range(m) for _ in range(m)]
+    out = []
+    for flat in itertools.product(*ranges):
+        rows = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(m))
+        if tuple(map(sum, rows)) != tuple(a):
+            continue
+        count = 1
+        for ai, row in zip(a, rows):
+            count *= multinomial(ai, row)
+        out.append((rows, count))
+    return out
+
+
+def _column_sums(entries):
+    return tuple(map(sum, zip(*entries)))
+
+
+class TestEnumerateEntries:
+    """The one matrix enumerator, against a brute-force product filter."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_brute_force(self, m):
+        for n in range(1, 6):
+            for a in compositions(n, m):
+                expected = _brute_force_entries(a)
+                assert list(enumerate_entries(a)) == expected, a
+                for b in compositions(n, m):
+                    fixed = [(e, k) for e, k in expected if _column_sums(e) == b]
+                    assert list(enumerate_entries(a, b)) == fixed, (a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_multiplicities_count_labelings(self, m):
+        for n in range(1, 6):
+            for a in compositions(n, m):
+                assert sum(k for _, k in enumerate_entries(a)) == m**n
+                for b in compositions(n, m):
+                    total = sum(k for _, k in enumerate_entries(a, b))
+                    assert total == multinomial(n, b)
+
+    def test_wrapper_keeps_order_and_counts(self):
+        a, b = (2, 1, 2), (1, 3, 1)
+        wrapped = [(C.entries, k) for C, k in enumerate_confusion_matrices(a, b)]
+        assert wrapped == list(enumerate_entries(a, b))
+
+    def test_zero_row(self):
+        assert list(enumerate_entries((0, 2), None)) == [
+            (((0, 0), (0, 2)), 1),
+            (((0, 0), (1, 1)), 2),
+            (((0, 0), (2, 0)), 1),
+        ]

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import clfmeasures
-from clfmeasures import ConfusionMatrix, InputError, read_labels_csv
-from clfmeasures.cli import main
+from clfmeasures import ALL_PROPERTIES, ConfusionMatrix, InputError, read_labels_csv
+from clfmeasures.cli import MULTICLASS_IDS, _load_model_pairs, main
 from clfmeasures.dataio import (
     matrix_to_csv,
     matrix_to_json,
@@ -220,6 +220,16 @@ class TestCliEval:
         code, _, err = run_cli(capsys, "eval", "--matrix", "does-not-exist.json")
         assert code == 2
 
+    def test_multiclass_labels_default_measures(self, capsys, tmp_path):
+        path = labels_file(tmp_path, rows=((0, 0), (1, 2), (2, 2), (2, 1)))
+        code, out, err = run_cli(
+            capsys, "eval", "--labels", str(path), "--output", "json", "--no-timestamp"
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["input"]["m"] == 3
+        assert [r["measure"] for r in report["results"]] == list(MULTICLASS_IDS)
+
     def test_out_file(self, capsys, matrix_file, tmp_path):
         target = tmp_path / "report.md"
         code, out, _ = run_cli(
@@ -371,6 +381,25 @@ class TestCliCompareRank:
         code, _, err = run_cli(capsys, "compare", "--labels", model_files[0])
         assert code == 2
 
+    def test_models_with_different_alphabets(self, tmp_path):
+        truth = ("2", "10", "2", "10", "2")
+        preds = {
+            "a.csv": ("2", "10", "2", "2", "2"),
+            "b.csv": ("2", "10", "10", "10", "2"),
+            "c.csv": ("7", "10", "2", "10", "2"),  # the only model predicting 7
+        }
+        paths = []
+        for name, pred in preds.items():
+            path = tmp_path / name
+            path.write_text("".join(f"{t},{p}\n" for t, p in zip(truth, pred)))
+            paths.append(str(path))
+        names, pairs = _load_model_pairs(paths)
+        assert names == ["a", "b", "c"]
+        shared = ("2", "7", "10")
+        for path, pair in zip(paths, pairs):
+            assert pair.alphabet == shared
+            assert pair == read_labels_csv(path, alphabet=shared)
+
 
 class TestCliBaseline:
     def test_constants(self, capsys):
@@ -416,6 +445,49 @@ class TestCliBaseline:
         code, _, err = run_cli(
             capsys, "baseline", "--a", "2,1", "--b", "2,1", "--budget", "0"
         )
+        assert code == 2
+
+
+#: One command per enumeration the CLI runs: every audit property, a
+#: preservation cell, the distinguishability pairs and both baseline routes.
+BUDGETED_COMMANDS = [
+    ("audit", "--measures", "cc", "--properties", prop) for prop in ALL_PROPERTIES
+] + [
+    ("audit", "--preservation", "--properties", "acb"),
+    ("distinguish", "--n", "2:4"),
+    ("baseline", "--a", "2,2", "--b", "2,2", "--method", "both"),
+]
+
+
+class TestBudgetEverywhere:
+    @pytest.mark.parametrize("argv", BUDGETED_COMMANDS, ids=" ".join)
+    def test_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--budget", "1")
+        assert code == 3, err
+        assert "budget" in err and not out
+
+    @pytest.mark.parametrize("argv", BUDGETED_COMMANDS, ids=" ".join)
+    def test_environment(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MEASURE_AUDIT_BUDGET", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, err
+        assert "budget" in err and not out
+
+    def test_flag_overrides_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEASURE_AUDIT_BUDGET", "1")
+        code, _, err = run_cli(
+            capsys, "baseline", "--a", "2,2", "--b", "2,2", "--budget", "100"
+        )
+        assert code == 0, err
+
+    def test_bad_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEASURE_AUDIT_BUDGET", "lots")
+        code, _, err = run_cli(capsys, "baseline", "--a", "2,2", "--b", "2,2")
+        assert code == 2
+        assert "MEASURE_AUDIT_BUDGET" in err
+
+    def test_jobs_option_is_gone(self, capsys):
+        code, _, _ = run_cli(capsys, "audit", "--jobs", "2")
         assert code == 2
 
 

@@ -360,6 +360,21 @@ class TestBudget:
         with pytest.raises(EnumerationBudgetExceeded):
             check_property("cc", "cb", budget=Budget(3))
 
+    def test_grid_shares_one_budget(self):
+        budget = Budget(10**6)
+        audit_grid(["acc"], ["sym", "csym"], budget=budget)
+        sym = check_property("acc", "sym").checked
+        assert budget.used == 2 * sym  # one charge per matrix, per cell
+
+
+class TestAuditGridEps:
+    def test_eps_reaches_the_cells(self):
+        # The cross-call cache holds default-eps verdicts only.
+        audit_grid(["cd"], ["max"])
+        loose = audit_grid(["cd"], ["max"], eps=0.5)
+        assert loose == [check_property("cd", "max", eps=0.5)]
+        assert not loose[0].satisfied
+
 
 def _random_matrix(draw, m, n_max):
     n = draw(st.integers(min_value=2, max_value=n_max))
