@@ -89,7 +89,7 @@ def _parse_measures(text: str, default: tuple[str, ...]) -> list[str]:
 
 
 def _registry_default(m: int) -> tuple[str, ...]:
-    """Default measures of ``eval`` and ``baseline`` at m classes."""
+    """Default measures of ``eval``, ``audit`` and ``baseline`` at m classes."""
     return CANONICAL_IDS if m == 2 else MULTICLASS_IDS
 
 
@@ -178,7 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = commands.add_parser("audit", help="property grid for the registry")
-    p.add_argument("--measures", default="all", help="measures to audit")
+    p.add_argument(
+        "--measures",
+        default="default",
+        help="comma-separated measure ids to audit; 'all' for the full registry "
+        "(default: the full registry at m=2, the multiclass measures above)",
+    )
     p.add_argument(
         "--properties",
         default="all",
@@ -419,7 +424,7 @@ def _cmd_audit(args, budget: Budget) -> dict:
     m = args.m if args.m else 2
     if m < 2:
         raise InputError("need at least two classes")
-    measure_ids = _parse_measures(args.measures, CANONICAL_IDS)
+    measure_ids = _parse_measures(args.measures, _registry_default(m))
     verdicts = audit_grid(
         measure_ids, properties, m, eps=args.eps, n_max=args.n_max, budget=budget
     )

@@ -25,6 +25,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import getitem
 from typing import Iterator, Sequence
 
 
@@ -92,7 +93,12 @@ class Labeling:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Square matrix of exact per-(true, predicted) class counts."""
+    """Square matrix of exact per-(true, predicted) class counts.
+
+    The margins ``n`` (total), ``a`` (row sums: true class sizes), ``b``
+    (column sums: predicted class sizes) and ``diagonal_sum`` are computed
+    together, in one pass, on first access.
+    """
 
     entries: tuple[tuple[int | Fraction, ...], ...]
 
@@ -102,30 +108,41 @@ class ConfusionMatrix:
             raise ValueError("entries must form a non-empty square matrix")
         if any(x < 0 for row in self.entries for x in row):
             raise ValueError("entries must be non-negative")
-        if sum(x for row in self.entries for x in row) <= 0:
+        if self.n <= 0:
             raise ValueError("matrix total must be positive")
+
+    @classmethod
+    def _trusted(cls, entries) -> "ConfusionMatrix":
+        """Wrap entries without validation.
+
+        Only for matrices the package builds itself from a valid matrix or
+        margin: a non-empty square tuple of tuples of non-negative exact
+        numbers with a positive total.
+        """
+        C = object.__new__(cls)
+        object.__setattr__(C, "entries", entries)
+        return C
+
+    def __getattr__(self, name):
+        # Reached only while the margins are not yet set.  Attributes are
+        # set, not written into ``__dict__``, which would give every
+        # instance a full dict of its own.
+        if name not in ("n", "a", "b", "diagonal_sum"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        e = self.entries
+        a = tuple(map(sum, e))
+        set_ = object.__setattr__
+        set_(self, "a", a)
+        set_(self, "b", tuple(map(sum, zip(*e))))
+        set_(self, "n", sum(a))
+        set_(self, "diagonal_sum", sum(map(getitem, e, range(len(e)))))
+        return getattr(self, name)
 
     @property
     def m(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def n(self) -> int | Fraction:
-        return sum(x for row in self.entries for x in row)
-
-    @cached_property
-    def a(self) -> tuple[int | Fraction, ...]:
-        """Row sums: true class sizes."""
-        return tuple(sum(row) for row in self.entries)
-
-    @cached_property
-    def b(self) -> tuple[int | Fraction, ...]:
-        """Column sums: predicted class sizes."""
-        return tuple(sum(col) for col in zip(*self.entries))
-
-    @cached_property
-    def diagonal_sum(self) -> int | Fraction:
-        return sum(self.entries[i][i] for i in range(self.m))
 
     def is_diagonal(self) -> bool:
         return all(
@@ -200,7 +217,8 @@ class BinaryCounts:
         return self.c10 + self.c00
 
     def to_matrix(self) -> ConfusionMatrix:
-        return ConfusionMatrix(((self.c00, self.c01), (self.c10, self.c11)))
+        # The counts were validated: non-negative with a positive total.
+        return ConfusionMatrix._trusted(((self.c00, self.c01), (self.c10, self.c11)))
 
 
 def binary_counts(C: ConfusionMatrix) -> BinaryCounts:
@@ -225,7 +243,7 @@ def build_confusion(true: Labeling, pred: Labeling) -> ConfusionMatrix:
 
 def transpose(C: ConfusionMatrix) -> ConfusionMatrix:
     """Swap the roles of the two labelings."""
-    return ConfusionMatrix(tuple(zip(*C.entries)))
+    return ConfusionMatrix._trusted(tuple(zip(*C.entries)))
 
 
 def permute_classes(C: ConfusionMatrix, perm: Sequence[int]) -> ConfusionMatrix:
@@ -236,9 +254,8 @@ def permute_classes(C: ConfusionMatrix, perm: Sequence[int]) -> ConfusionMatrix:
     """
     if sorted(perm) != list(range(C.m)):
         raise ValueError(f"not a permutation of 0..{C.m - 1}: {perm}")
-    return ConfusionMatrix(
-        tuple(tuple(C.entries[perm[i]][perm[j]] for j in range(C.m)) for i in range(C.m))
-    )
+    e = C.entries
+    return ConfusionMatrix._trusted(tuple(tuple(e[i][j] for j in perm) for i in perm))
 
 
 def one_vs_all(C: ConfusionMatrix, i: int) -> BinaryCounts:
@@ -423,4 +440,4 @@ def enumerate_confusion_matrices(
     for entries, count in enumerate_entries(a_sizes, b_sizes):
         if budget is not None:
             budget.charge()
-        yield ConfusionMatrix(entries), count
+        yield ConfusionMatrix._trusted(entries), count

@@ -141,7 +141,7 @@ def margin_matrices(n: int, a1: int) -> list[ConfusionMatrix]:
     classes non-empty, ordered by (hits, false alarms)."""
     if not 1 <= a1 <= n - 1:
         raise ValueError("true class sizes must both be positive")
-    mats = [ConfusionMatrix(entries) for entries, _ in enumerate_entries((n - a1, a1))]
+    mats = [ConfusionMatrix._trusted(e) for e, _ in enumerate_entries((n - a1, a1))]
     mats = [C for C in mats if 0 < C.b[1] < n]  # prediction uses both classes
     mats.sort(key=lambda C: (C[1, 1], C[0, 1]))
     return mats

@@ -22,10 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
+from math import isqrt
+from operator import mul
 
 import mpmath
 
+from . import averaging
 from .core import BinaryCounts, ConfusionMatrix, binary_counts, one_vs_all
 from .values import Root, Value, root_value, to_mpf, working_precision
 
@@ -42,17 +45,48 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+# Integer kernels: on all-int matrices (``type(C.n) is int``) the rational
+# measures are computed as one integer numerator and denominator and
+# turned into a Fraction once (binary measures test ``bc.n`` alike).  The Fraction code after each kernel serves
+# matrices with rational entries (expected and rate matrices) and gives the
+# same values; the tests check one against the other.
+
+
+def _recall_terms(C: ConfusionMatrix) -> list[tuple[int, int]]:
+    """``(c_ii, a_i)`` per class, or ``(b_i, n)`` for an empty true class."""
+    e, n = C.entries, C.n
+    return [(e[i][i], ai) if ai else (bi, n) for i, (ai, bi) in enumerate(zip(C.a, C.b))]
+
+
+def _precision_terms(C: ConfusionMatrix) -> list[tuple[int, int]]:
+    """``(c_ii, b_i)`` per class, or ``(a_i, n)`` for an empty predicted class."""
+    e, n = C.entries, C.n
+    return [(e[i][i], bi) if bi else (ai, n) for i, (ai, bi) in enumerate(zip(C.a, C.b))]
+
+
+def _int_ratio_mean(terms, count: int) -> Fraction:
+    """``sum(p / q for p, q in terms) / count`` as one Fraction."""
+    num, den = 0, 1
+    for p, q in terms:
+        num, den = num * q + p * den, den * q
+    return Fraction(num, den * count)
+
+
 # ---------------------------------------------------------------------------
 # multiclass-native measures
 
 
 def accuracy(C: ConfusionMatrix) -> Fraction:
     """Fraction of elements on the diagonal."""
+    if type(C.n) is int:
+        return Fraction(C.diagonal_sum, C.n)
     return _frac(C.diagonal_sum) / _frac(C.n)
 
 
 def balanced_accuracy(C: ConfusionMatrix) -> Fraction:
     """Mean per-true-class recall; empty true classes contribute b_i/n."""
+    if type(C.n) is int:
+        return _int_ratio_mean(_recall_terms(C), C.m)
     total = Fraction(0)
     for i in range(C.m):
         if C.a[i]:
@@ -67,6 +101,8 @@ def symmetric_balanced_accuracy(C: ConfusionMatrix) -> Fraction:
 
     Equals the average of balanced accuracy on C and on its transpose.
     """
+    if type(C.n) is int:
+        return _int_ratio_mean(_recall_terms(C) + _precision_terms(C), 2 * C.m)
     total = Fraction(0)
     for i in range(C.m):
         if C.a[i]:
@@ -82,6 +118,11 @@ def symmetric_balanced_accuracy(C: ConfusionMatrix) -> Fraction:
 
 def cohens_kappa(C: ConfusionMatrix) -> Fraction:
     """Agreement above chance, normalized by its maximum headroom."""
+    if type(C.n) is int:
+        n = C.n
+        chance = sum(map(mul, C.a, C.b))
+        den = n * n - chance
+        return Fraction(n * C.diagonal_sum - chance, den) if den else Fraction(1)
     n = _frac(C.n)
     chance = sum(_frac(ai) * _frac(bi) for ai, bi in zip(C.a, C.b))
     den = n * n - chance
@@ -112,6 +153,17 @@ def matthews_cc(C: ConfusionMatrix) -> Value:
         return Fraction(1) if ca == cb else Fraction(-1)
     if ca is not None or cb is not None:
         return Fraction(0)
+    if type(n) is int:
+        num = n * C.diagonal_sum - sum(map(mul, C.a, C.b))
+        if num == 0:
+            return Fraction(0)
+        nn = n * n
+        rad = (nn - sum(map(mul, C.b, C.b))) * (nn - sum(map(mul, C.a, C.a)))
+        # root_value(num / rad, rad, 2) without the rational round trip.
+        root = isqrt(rad)
+        if root * root == rad:
+            return Fraction(num, root)
+        return Root(Fraction(num, rad), Fraction(rad), 2)
     num = _frac(n) * _frac(C.diagonal_sum) - sum(
         _frac(ai) * _frac(bi) for ai, bi in zip(C.a, C.b)
     )
@@ -174,6 +226,12 @@ def f_beta(bc: BinaryCounts, beta=Fraction(1)) -> Fraction:
     beta = _frac(beta)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if type(bc.n) is int:
+        # Scaled by the squared denominator of beta: p = beta.numerator**2.
+        p, q = beta.numerator**2, beta.denominator**2
+        num = (p + q) * bc.c11
+        den = num + p * bc.c10 + q * bc.c01
+        return Fraction(num, den) if den else Fraction(1)
     w = 1 + beta * beta
     num = w * _frac(bc.c11)
     den = num + beta * beta * _frac(bc.c10) + _frac(bc.c01)
@@ -185,6 +243,9 @@ def f_beta(bc: BinaryCounts, beta=Fraction(1)) -> Fraction:
 
 def jaccard(bc: BinaryCounts) -> Fraction:
     """Overlap of the positive sets; empty-vs-empty counts as full overlap."""
+    if type(bc.n) is int:
+        den = bc.c11 + bc.c10 + bc.c01
+        return Fraction(bc.c11, den) if den else Fraction(1)
     den = _frac(bc.c11) + _frac(bc.c10) + _frac(bc.c01)
     if den == 0:
         return Fraction(1)
@@ -209,6 +270,9 @@ def generalized_means(bc: BinaryCounts, r) -> Value:
     """
     if r == 0:
         raise ValueError("r must be nonzero; the r->0 limit is matthews_cc")
+    r = _normalize_r(r)
+    if type(bc.n) is int and isinstance(r, int):
+        return _int_generalized_means(bc, r)
     n = _frac(bc.n)
     x = _frac(bc.a1) * _frac(bc.a0)
     y = _frac(bc.b1) * _frac(bc.b0)
@@ -218,7 +282,6 @@ def generalized_means(bc: BinaryCounts, r) -> Value:
     if x == 0 or y == 0:
         return Fraction(0)
     num = n * _frac(bc.c11) - _frac(bc.a1) * _frac(bc.b1)
-    r = _normalize_r(r)
     if not isinstance(r, int):
         with working_precision():
             rr = to_mpf(r)
@@ -238,8 +301,33 @@ def generalized_means(bc: BinaryCounts, r) -> Value:
     return root_value(num / v, v ** (s - 1), s)
 
 
+def _int_generalized_means(bc: BinaryCounts, r: int) -> Value:
+    """:func:`generalized_means` on integer counts and an integer r."""
+    n, a1, b1 = bc.n, bc.a1, bc.b1
+    x, y = a1 * (n - a1), b1 * (n - b1)
+    if x == 0 and y == 0:
+        return Fraction(1) if (bc.c11 == n or bc.c00 == n) else Fraction(-1)
+    if x == 0 or y == 0:
+        return Fraction(0)
+    num = n * bc.c11 - a1 * b1
+    s = abs(r)
+    total = x**s + y**s
+    if r > 0:
+        # num / u * u**((r-1)/r) with u = total / 2.
+        coeff, rad = Fraction(2 * num, total), Fraction(total ** (s - 1), 2 ** (s - 1))
+    else:
+        # num / v * v**((s-1)/s) with v = 2 * x**s * y**s / total.
+        prod = 2 * x**s * y**s
+        coeff, rad = Fraction(num * total, prod), Fraction(prod ** (s - 1), total ** (s - 1))
+    if s == 1:
+        return coeff
+    return root_value(coeff, rad, s)
+
+
 def net_agreement(bc: BinaryCounts) -> Fraction:
     """Agreements minus disagreements.  Unnormalized; audit use only."""
+    if type(bc.n) is int:
+        return Fraction(bc.c11 + bc.c00 - bc.c10 - bc.c01)
     return _frac(bc.c11) + _frac(bc.c00) - _frac(bc.c10) - _frac(bc.c01)
 
 
@@ -285,6 +373,11 @@ class MeasureDescriptor:
 
     def __str__(self) -> str:
         return self.measure_id
+
+    @cached_property
+    def binary_form(self):
+        """:func:`binary_evaluator` of this descriptor, resolved once."""
+        return binary_evaluator(self)
 
 
 def _base_descriptor(base: str, beta=None, r=None) -> MeasureDescriptor:
@@ -469,25 +562,26 @@ AUDIT_ONLY_IDS = ("netagree", "anyagree")
 # evaluation
 
 
+def _on_matrix(native, bc: BinaryCounts) -> Value:
+    return native(bc.to_matrix())
+
+
 def binary_evaluator(desc: MeasureDescriptor):
     """The measure's binary form as a function of BinaryCounts."""
+    # Partials rather than closures: the descriptor caches the result
+    # (``binary_form``) and must stay picklable.
     base = desc.base
     if base == "f":
-        beta = desc.beta
-
-        return lambda bc: f_beta(bc, beta)
+        return partial(f_beta, beta=desc.beta)
     if base == "jaccard":
         return jaccard
     if base == "gm":
-        r = desc.r
-
-        return lambda bc: generalized_means(bc, r)
+        return partial(generalized_means, r=desc.r)
     if base == "netagree":
         return net_agreement
     if base == "anyagree":
         return any_agreement
-    native = _NATIVE_EVALUATORS[base]
-    return lambda bc: native(bc.to_matrix())
+    return partial(_on_matrix, _NATIVE_EVALUATORS[base])
 
 
 _NATIVE_EVALUATORS = {
@@ -505,9 +599,7 @@ _NATIVE_EVALUATORS = {
 def evaluate(desc: MeasureDescriptor, C: ConfusionMatrix) -> Value:
     """Evaluate a measure described by ``desc`` on a confusion matrix."""
     if desc.scheme is not None:
-        from . import averaging
-
-        fn = binary_evaluator(desc)
+        fn = desc.binary_form
         if desc.scheme == "micro":
             return averaging.micro_extend(fn, C)
         if desc.scheme == "macro":
@@ -518,7 +610,7 @@ def evaluate(desc: MeasureDescriptor, C: ConfusionMatrix) -> Value:
             raise MeasureArityError(
                 f"{desc.measure_id} is binary-only; use an averaging scheme for m={C.m}"
             )
-        return binary_evaluator(desc)(binary_counts(C))
+        return desc.binary_form(binary_counts(C))
     return _NATIVE_EVALUATORS[desc.base](C)
 
 

@@ -262,10 +262,15 @@ def _iter_matrices(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int = 1):
     for n in range(max(n_lo, 1), n_hi + 1):
         for entries in _space_entries(m, n, min_row):
             ev.charge()
-            yield ConfusionMatrix(entries)
+            yield ConfusionMatrix._trusted(entries)
 
 
 def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix:
+    """C with one unit moved, removed or added.
+
+    Callers decrement only a positive cell of a matrix without a unary
+    margin, so the result is never empty and needs no validation.
+    """
     cells = [list(row) for row in C.entries]
     if decrement is not None:
         i, j = decrement
@@ -273,7 +278,7 @@ def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix
     if increment is not None:
         i, j = increment
         cells[i][j] += 1
-    return ConfusionMatrix(tuple(tuple(row) for row in cells))
+    return ConfusionMatrix._trusted(tuple(tuple(row) for row in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +346,7 @@ def _check_csym(ev: _Eval, space: AuditSpace):
 
 
 def _unary_margin(C: ConfusionMatrix) -> bool:
-    return any(x == C.n for x in C.a) or any(x == C.n for x in C.b)
+    return C.n in C.a or C.n in C.b
 
 
 def _check_mon(ev: _Eval, space: AuditSpace):

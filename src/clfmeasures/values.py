@@ -7,8 +7,13 @@ Measure results are one of three kinds:
   (correlation-style measures whose only irrationality is a single root),
 * ``mpmath.mpf`` for transcendental values (entropy and arccos based).
 
-Exact kinds compare exactly; once a float/mpf is involved, comparisons
-use an epsilon tolerance.  All helpers treat plain ints as Fractions.
+Exact kinds compare exactly, on Python ints: two rationals by
+cross-multiplying numerators and denominators, and a :class:`Root` by
+raising both sides to the least common root index and cross-multiplying
+the integer numerators and denominators of coefficient and radicand.
+No intermediate Fraction is built.  Once a float/mpf is involved,
+comparisons use an epsilon tolerance at :data:`WORKING_DPS` digits.  All
+helpers treat plain ints as Fractions.
 """
 
 from __future__ import annotations
@@ -140,14 +145,13 @@ def root_value(coeff, radicand, index: int) -> ExactValue:
     return Root(coeff, radicand, index)
 
 
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
-def _parts(v: ExactValue) -> tuple[Fraction, Fraction, int]:
+def _int_parts(v: ExactValue) -> tuple[int, int, int, int, int]:
+    """``(p, q, u, w, k)`` of ``v = (p/q) * (u/w)**(1/k)``, all ints, with
+    ``q``, ``w`` > 0 and ``u`` > 0 (rationals have ``u = w = k = 1``)."""
     if isinstance(v, Root):
-        return v.coeff, v.radicand, v.index
-    return Fraction(v), Fraction(1), 1
+        c, r = v.coeff, v.radicand
+        return c.numerator, c.denominator, r.numerator, r.denominator, v.index
+    return v.numerator, v.denominator, 1, 1, 1
 
 
 def is_exact(v: Value) -> bool:
@@ -155,21 +159,27 @@ def is_exact(v: Value) -> bool:
 
 
 def exact_cmp(a: ExactValue, b: ExactValue) -> int:
-    """Exact three-way comparison of rational / root values."""
-    ca, ra, ka = _parts(a)
-    cb, rb, kb = _parts(b)
-    sa, sb = _sign(ca), _sign(cb)
+    """Exact three-way comparison of rational / root values.
+
+    Both sides are raised to the least common root index and compared by
+    integer cross-multiplication; no intermediate rationals are built.
+    """
+    pa, qa, ua, wa, ka = _int_parts(a)
+    pb, qb, ub, wb, kb = _int_parts(b)
+    sa = (pa > 0) - (pa < 0)
+    sb = (pb > 0) - (pb < 0)
     if sa != sb:
         return -1 if sa < sb else 1
     if sa == 0:
         return 0
     # Same sign: compare |a|**L vs |b|**L with L = lcm of the indices.
     big = lcm(ka, kb)
-    pa = abs(ca) ** big * ra ** (big // ka)
-    pb = abs(cb) ** big * rb ** (big // kb)
-    if pa == pb:
+    ea, eb = big // ka, big // kb
+    lhs = abs(pa) ** big * ua**ea * qb**big * wb**eb
+    rhs = abs(pb) ** big * ub**eb * qa**big * wa**ea
+    if lhs == rhs:
         return 0
-    return sa if pa > pb else -sa
+    return sa if lhs > rhs else -sa
 
 
 def to_mpf(v: Value) -> mpmath.mpf:
@@ -200,8 +210,15 @@ def working_precision():
     return mp.workdps(max(mp.dps, WORKING_DPS))
 
 
+_RATIONAL_TYPES = frozenset((int, Fraction))
+
+
 def value_cmp(a: Value, b: Value, eps: float = DEFAULT_EPS) -> int:
     """Three-way comparison; exact when both operands are exact."""
+    if type(a) in _RATIONAL_TYPES and type(b) in _RATIONAL_TYPES:
+        x = a.numerator * b.denominator
+        y = b.numerator * a.denominator
+        return (x > y) - (x < y)
     if is_exact(a) and is_exact(b):
         return exact_cmp(a, b)
     with working_precision():

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -298,6 +299,15 @@ class TestCliAudit:
         (cell,) = json.loads(out)["grid"]
         assert cell["status"] == "violated"
 
+    def test_multiclass_default_measures(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "audit", "--m", "3", "--properties", "max", "--n-max", "3",
+            "--output", "json", "--no-timestamp",
+        )
+        assert code == 0, err
+        assert json.loads(out)["measures"] == list(MULTICLASS_IDS)
+
     def test_markdown_grid(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -307,6 +317,32 @@ class TestCliAudit:
         assert code == 0
         assert "✓" in out and "✗" in out
         assert "## counterexamples" in out
+
+
+class TestGoldenReports:
+    """The exact report bytes of a few fixed commands.
+
+    Any change to a verdict, a witness, a value or its rendering changes
+    the digest; update a digest only together with a deliberate change of
+    the output, and say which.
+    """
+
+    DIGESTS = {
+        ("audit", "--n-max", "4"):
+            "5c732aaf3169dd9708fe87b1cd8f3f22787dca195cce7a1831c1af89dbb328e6",
+        ("audit", "--m", "3", "--measures", "acc,ba,kappa,cc", "--n-max", "3"):
+            "595467ee7c6a7538c6574d281232bd737e761b42bb5b85d8de94bdd3c5da6d62",
+        ("audit", "--preservation", "--properties", "min"):
+            "001e3c832611717469983513deb703cf715d3bb0842ba3ba7a514d6b4a5a3899",
+        ("baseline", "--a", "3,3,2", "--b", "2,3,3", "--method", "both"):
+            "fcde2afd4964832474e28dc7ba38dcd1cd2a7b5ca840c9c6f2d61e2f41374c08",
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
+    def test_json_bytes(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--output", "json", "--no-timestamp")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
 
 
 class TestCliDistinguish:
