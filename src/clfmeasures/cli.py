@@ -9,10 +9,12 @@ Subcommands, one per report family:
 * ``rank``        rank model predictions under each measure
 * ``baseline``    exact expectation under margin-preserving randomization
 
-Reports are emitted as markdown (default), JSON, or CSV.  JSON carries
-exact values as fraction/root strings next to float renderings;
-percentages use one decimal everywhere.  With ``--no-timestamp`` the
-bytes are a pure function of config and input.
+Reports are emitted as markdown (default), JSON, or CSV.  JSON is the
+report a command builds; CSV writes the rows of its one row model, and
+markdown lays out the same rows.  JSON carries exact values as
+fraction/root strings next to float renderings; percentages use one
+decimal everywhere.  With ``--no-timestamp`` the bytes are a pure
+function of config and input.
 
 Exit codes: 0 success, 2 input or usage error, 3 enumeration budget
 exceeded, 4 internal error.  Each command builds one enumeration budget
@@ -23,7 +25,9 @@ states) and charges every enumeration it runs against it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -119,6 +123,16 @@ def _parse_sizes(text: str, what: str) -> tuple[int, ...]:
     return sizes
 
 
+def _parse_eps(text: str) -> float:
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(eps) or eps < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return eps
+
+
 def _detect_matrix_format(path: str) -> str:
     return "matrix-csv" if Path(path).suffix.lower() == ".csv" else "matrix-json"
 
@@ -133,7 +147,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="FILE", help="write the report to FILE")
     sub.add_argument(
         "--eps",
-        type=float,
+        type=_parse_eps,
         default=DEFAULT_EPS,
         help="comparison tolerance for float-valued measures (default 1e-12)",
     )
@@ -290,6 +304,12 @@ def _table(headers, rows) -> str:
     return "\n".join([head, sep, *body])
 
 
+def _value_table(headers, rows) -> str:
+    """A markdown table with the exact values of the ``value`` column in code spans."""
+    k = headers.index("value")
+    return _table(headers, [(*row[:k], f"`{row[k]}`", *row[k + 1:]) for row in rows])
+
+
 def _csv_lines(headers, rows) -> str:
     import csv as _csv
     import io
@@ -365,35 +385,23 @@ def _cmd_eval(args, budget: Budget) -> dict:
     return {"command": "eval", "input": input_info, "results": results}
 
 
-def _md_eval(report: dict) -> str:
+def _rows_eval(report: dict):
+    return ["measure", "value", "float", "arithmetic"], [
+        (r["measure"], r["value"], _float_str(r["float"]), r["arithmetic"])
+        for r in report["results"]
+    ]
+
+
+def _md_eval(report: dict, headers, rows) -> list[str]:
     info = report["input"]
-    lines = ["# eval", ""]
-    lines.append(f"- input: `{info['path']}` ({info['format']})")
-    lines.append(f"- n = {info['n']}, m = {info['m']}")
+    lines = [
+        f"- input: `{info['path']}` ({info['format']})",
+        f"- n = {info['n']}, m = {info['m']}",
+    ]
     if "label_mapping" in info:
         mapping = ", ".join(f"{k} -> {v}" for k, v in info["label_mapping"].items())
         lines.append(f"- label mapping: {mapping}")
-    lines.append("")
-    lines.append(
-        _table(
-            ["measure", "value", "float", "arithmetic"],
-            [
-                (r["measure"], f"`{r['value']}`", _float_str(r["float"]), r["arithmetic"])
-                for r in report["results"]
-            ],
-        )
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _csv_eval(report: dict) -> str:
-    return _csv_lines(
-        ["measure", "value", "float", "arithmetic"],
-        [
-            (r["measure"], r["value"], _float_str(r["float"]), r["arithmetic"])
-            for r in report["results"]
-        ],
-    )
+    return lines + ["", _value_table(headers, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +432,8 @@ def _cmd_audit(args, budget: Budget) -> dict:
     m = args.m if args.m else 2
     if m < 2:
         raise InputError("need at least two classes")
+    if args.n_max is not None and args.n_max < m:
+        raise InputError(f"--n-max must be at least m = {m}, got {args.n_max}")
     measure_ids = _parse_measures(args.measures, _registry_default(m))
     verdicts = audit_grid(
         measure_ids, properties, m, eps=args.eps, n_max=args.n_max, budget=budget
@@ -438,69 +448,46 @@ def _cmd_audit(args, budget: Budget) -> dict:
     }
 
 
-_MARK = {"satisfied": "✓", "violated": "✗"}
-_PRESERVE_MARK = {"preserved": "✓", "not_preserved": "✗"}
+_MARK = {"satisfied": "✓", "violated": "✗", "preserved": "✓", "not_preserved": "✗"}
 
 
-def _md_audit(report: dict) -> str:
-    lines = ["# audit", ""]
+def _rows_audit(report: dict):
     if report["mode"] == "preservation":
-        lines.append("Preservation of binary properties under averaging.")
-        lines.append("")
-        props = report["properties"]
-        cell = {(g["scheme"], g["property"]): g for g in report["grid"]}
-        rows = [
-            [scheme] + [_PRESERVE_MARK[cell[(scheme, p)]["status"]] for p in props]
-            for scheme in report["schemes"]
+        return ["scheme", "property", "status", "witness_measure"], [
+            (g["scheme"], g["property"], g["status"], g["witness_measure"] or "")
+            for g in report["grid"]
         ]
-        lines.append(_table(["scheme"] + props, rows))
-        failures = [g for g in report["grid"] if g["status"] == "not_preserved"]
-        if failures:
-            lines.append("")
-            lines.append("## counterexamples")
-            lines.append("")
-            for g in failures:
-                inner = g["inner"]
-                lines.append(
-                    f"- **{g['scheme']} / {g['property']}** via `{g['witness_measure']}`: "
-                    f"`{json.dumps(inner['witness'], sort_keys=True)}`"
-                )
-        return "\n".join(lines) + "\n"
-    lines.append(f"Property audit at m = {report['m']}.")
-    lines.append("")
-    props = report["properties"]
-    cell = {(g["measure"], g["property"]): g for g in report["grid"]}
-    rows = [
-        [mid] + [_MARK[cell[(mid, p)]["status"]] for p in props]
-        for mid in report["measures"]
+    return ["measure", "property", "status"], [
+        (g["measure"], g["property"], g["status"]) for g in report["grid"]
     ]
-    lines.append(_table(["measure"] + props, rows))
-    violated = [g for g in report["grid"] if g["status"] == "violated"]
-    if violated:
-        lines.append("")
-        lines.append("## counterexamples")
-        lines.append("")
-        for g in violated:
-            lines.append(
-                f"- **{g['measure']} / {g['property']}**: "
-                f"`{json.dumps(g['witness'], sort_keys=True)}`"
-            )
-    return "\n".join(lines) + "\n"
 
 
-def _csv_audit(report: dict) -> str:
+def _md_audit(report: dict, headers, rows) -> list[str]:
     if report["mode"] == "preservation":
-        return _csv_lines(
-            ["scheme", "property", "status", "witness_measure"],
-            [
-                (g["scheme"], g["property"], g["status"], g["witness_measure"] or "")
-                for g in report["grid"]
-            ],
-        )
-    return _csv_lines(
-        ["measure", "property", "status"],
-        [(g["measure"], g["property"], g["status"]) for g in report["grid"]],
-    )
+        lines = ["Preservation of binary properties under averaging."]
+        keys = report["schemes"]
+        failures = [
+            f"- **{g['scheme']} / {g['property']}** via `{g['witness_measure']}`: "
+            f"`{json.dumps(g['inner']['witness'], sort_keys=True)}`"
+            for g in report["grid"]
+            if g["status"] == "not_preserved"
+        ]
+    else:
+        lines = [f"Property audit at m = {report['m']}."]
+        keys = report["measures"]
+        failures = [
+            f"- **{g['measure']} / {g['property']}**: "
+            f"`{json.dumps(g['witness'], sort_keys=True)}`"
+            for g in report["grid"]
+            if g["status"] == "violated"
+        ]
+    props = report["properties"]
+    mark = {(key, prop): _MARK[status] for key, prop, status, *_ in rows}
+    grid = [[key] + [mark[key, p] for p in props] for key in keys]
+    lines += ["", _table([headers[0]] + props, grid)]
+    if failures:
+        lines += ["", "## counterexamples", "", *failures]
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -528,30 +515,29 @@ def _cmd_distinguish(args, budget: Budget) -> dict:
     }
 
 
-def _md_distinguish(report: dict) -> str:
-    lines = ["# distinguish", ""]
-    lines.append(
+def _rows_distinguish(report: dict):
+    return ["n", "group", "members"], [
+        (n_str, idx, ";".join(group))
+        for n_str, groups in report["groups"].items()
+        for idx, group in enumerate(groups)
+    ]
+
+
+def _md_distinguish(report: dict, headers, rows) -> list[str]:
+    shown = {}
+    for n_str, _, members in rows:
+        shown.setdefault(n_str, [])
+        if ";" in members:
+            shown[n_str].append("{" + members.replace(";", ", ") + "}")
+    return [
         "Measures sharing a cell rank every prediction pair identically "
-        "at that sample size."
-    )
-    lines.append("")
-    rows = []
-    for n_str, groups in report["groups"].items():
-        multi = [g for g in groups if len(g) > 1]
-        shown = (
-            "; ".join("{" + ", ".join(g) + "}" for g in multi) if multi else "-"
-        )
-        rows.append((n_str, shown))
-    lines.append(_table(["n", "order-identical groups"], rows))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_distinguish(report: dict) -> str:
-    rows = []
-    for n_str, groups in report["groups"].items():
-        for idx, group in enumerate(groups):
-            rows.append((n_str, idx, ";".join(group)))
-    return _csv_lines(["n", "group", "members"], rows)
+        "at that sample size.",
+        "",
+        _table(
+            ["n", "order-identical groups"],
+            [(n_str, "; ".join(multi) or "-") for n_str, multi in shown.items()],
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -616,59 +602,38 @@ def _cmd_compare(args, budget: Budget) -> dict:
     }
 
 
-def _md_compare(report: dict) -> str:
-    lines = ["# compare", ""]
-    lines.append(
-        f"- models: {', '.join(report['models'])} "
-        f"(n = {report['n']}, m = {report['m']})"
-    )
-    lines.append(f"- model pairs compared: {report['model_pairs']}")
-    lines.append("")
-    lines.append("Share of model pairs ranked differently (%):")
-    lines.append("")
-    ids = report["measures"]
-    percent = {
-        tuple(entry["pair"]): entry["percent"]
-        for entry in report["pairwise"]["pairs"]
-    }
-
-    def cell(i: int, j: int) -> str:
-        if i == j:
-            return "-"
-        pair = (ids[i], ids[j]) if (ids[i], ids[j]) in percent else (ids[j], ids[i])
-        return percent[pair]
-
-    rows = [
-        [ids[i]] + [cell(i, j) for j in range(len(ids))] for i in range(len(ids))
+def _rows_compare(report: dict):
+    pairwise = report["pairwise"]
+    headers = ["measure_1", "measure_2", "inconsistent", "comparisons", "percent", "eps_sensitive"]
+    return headers, [
+        (*entry["pair"], entry["inconsistent"], pairwise["comparisons"],
+         entry["percent"], entry["eps_sensitive"])
+        for entry in pairwise["pairs"]
     ]
-    lines.append(_table([""] + list(ids), rows))
-    sensitive = [e for e in report["pairwise"]["pairs"] if e["eps_sensitive"]]
+
+
+def _md_compare(report: dict, headers, rows) -> list[str]:
+    ids = report["measures"]
+    percent = {}
+    for m1, m2, _, _, pct, _ in rows:
+        percent[m1, m2] = percent[m2, m1] = pct
+    square = [[a] + ["-" if a == b else percent[a, b] for b in ids] for a in ids]
+    lines = [
+        f"- models: {', '.join(report['models'])} (n = {report['n']}, m = {report['m']})",
+        f"- model pairs compared: {report['model_pairs']}",
+        "",
+        "Share of model pairs ranked differently (%):",
+        "",
+        _table([""] + list(ids), square),
+    ]
+    sensitive = [
+        f"- {m1} vs {m2}: {flips} of {total}"
+        for m1, m2, _, total, _, flips in rows
+        if flips
+    ]
     if sensitive:
-        lines.append("")
-        lines.append("Comparisons whose verdict flips between eps/10 and 10*eps:")
-        for entry in sensitive:
-            lines.append(
-                f"- {entry['pair'][0]} vs {entry['pair'][1]}: "
-                f"{entry['eps_sensitive']} of {report['pairwise']['comparisons']}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _csv_compare(report: dict) -> str:
-    return _csv_lines(
-        ["measure_1", "measure_2", "inconsistent", "comparisons", "percent", "eps_sensitive"],
-        [
-            (
-                entry["pair"][0],
-                entry["pair"][1],
-                entry["inconsistent"],
-                report["pairwise"]["comparisons"],
-                entry["percent"],
-                entry["eps_sensitive"],
-            )
-            for entry in report["pairwise"]["pairs"]
-        ],
-    )
+        lines += ["", "Comparisons whose verdict flips between eps/10 and 10*eps:", *sensitive]
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -696,36 +661,22 @@ def _cmd_rank(args, budget: Budget) -> dict:
     }
 
 
-def _md_rank(report: dict) -> str:
-    lines = ["# rank", ""]
-    lines.append(
-        f"- models: {', '.join(report['models'])} "
-        f"(n = {report['n']}, m = {report['m']})"
-    )
-    for ranking in report["rankings"]:
-        lines.append("")
-        lines.append(f"## {ranking['measure']}")
-        lines.append("")
-        lines.append(
-            _table(
-                ["rank", "model", "value", "float"],
-                [
-                    (e["rank"], e["name"], f"`{e['value']}`", _float_str(e["value_float"]))
-                    for e in ranking["ranking"]
-                ],
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _rows_rank(report: dict):
+    return ["measure", "rank", "model", "value", "float"], [
+        (ranking["measure"], e["rank"], e["name"], e["value"], _float_str(e["value_float"]))
+        for ranking in report["rankings"]
+        for e in ranking["ranking"]
+    ]
 
 
-def _csv_rank(report: dict) -> str:
-    rows = []
-    for ranking in report["rankings"]:
-        for e in ranking["ranking"]:
-            rows.append(
-                (ranking["measure"], e["rank"], e["name"], e["value"], _float_str(e["value_float"]))
-            )
-    return _csv_lines(["measure", "rank", "model", "value", "float"], rows)
+def _md_rank(report: dict, headers, rows) -> list[str]:
+    lines = [
+        f"- models: {', '.join(report['models'])} (n = {report['n']}, m = {report['m']})"
+    ]
+    for measure, group in itertools.groupby(rows, key=lambda row: row[0]):
+        table = _value_table(headers[1:], [row[1:] for row in group])
+        lines += ["", f"## {measure}", "", table]
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -771,42 +722,28 @@ def _cmd_baseline(args, budget: Budget) -> dict:
     }
 
 
-def _md_baseline(report: dict) -> str:
-    lines = ["# baseline", ""]
-    lines.append(
+def _rows_baseline(report: dict):
+    return ["measure", "value", "float", "arithmetic", "routes_agree"], [
+        (r["measure"], r["value"], _float_str(r["float"]), r["arithmetic"],
+         r.get("routes_agree", ""))
+        for r in report["results"]
+    ]
+
+
+def _md_baseline(report: dict, headers, rows) -> list[str]:
+    intro = (
         f"Expected values over uniformly random predictions with class sizes "
         f"b = {tuple(report['b'])}, truth sizes a = {tuple(report['a'])} "
         f"(method: {report['method']})."
     )
-    lines.append("")
-    headers = ["measure", "value", "float", "arithmetic"]
-    has_agree = any("routes_agree" in r for r in report["results"])
-    if has_agree:
-        headers.append("routes agree")
-    rows = []
-    for r in report["results"]:
-        row = [r["measure"], f"`{r['value']}`", _float_str(r["float"]), r["arithmetic"]]
-        if has_agree:
-            row.append("yes" if r.get("routes_agree") else "NO")
-        rows.append(row)
-    lines.append(_table(headers, rows))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_baseline(report: dict) -> str:
-    return _csv_lines(
-        ["measure", "value", "float", "arithmetic", "routes_agree"],
-        [
-            (
-                r["measure"],
-                r["value"],
-                _float_str(r["float"]),
-                r["arithmetic"],
-                r.get("routes_agree", ""),
-            )
-            for r in report["results"]
-        ],
-    )
+    if any(row[4] != "" for row in rows):
+        table = _value_table(
+            headers[:4] + ["routes agree"],
+            [(*row[:4], "yes" if row[4] else "NO") for row in rows],
+        )
+    else:
+        table = _value_table(headers[:4], [row[:4] for row in rows])
+    return [intro, "", table]
 
 
 # ---------------------------------------------------------------------------
@@ -814,25 +751,27 @@ def _csv_baseline(report: dict) -> str:
 
 
 _COMMANDS = {
-    "eval": (_cmd_eval, _md_eval, _csv_eval),
-    "audit": (_cmd_audit, _md_audit, _csv_audit),
-    "distinguish": (_cmd_distinguish, _md_distinguish, _csv_distinguish),
-    "compare": (_cmd_compare, _md_compare, _csv_compare),
-    "rank": (_cmd_rank, _md_rank, _csv_rank),
-    "baseline": (_cmd_baseline, _md_baseline, _csv_baseline),
+    "eval": (_cmd_eval, _rows_eval, _md_eval),
+    "audit": (_cmd_audit, _rows_audit, _md_audit),
+    "distinguish": (_cmd_distinguish, _rows_distinguish, _md_distinguish),
+    "compare": (_cmd_compare, _rows_compare, _md_compare),
+    "rank": (_cmd_rank, _rows_rank, _md_rank),
+    "baseline": (_cmd_baseline, _rows_baseline, _md_baseline),
 }
 
 
 def _render(report: dict, args) -> str:
+    """The report as JSON, or as its rows: CSV verbatim, markdown laid out."""
     if args.output == "json":
         return json.dumps(report, indent=2) + "\n"
-    _, md, csv_fn = _COMMANDS[report["command"]]
+    _, rows_of, layout = _COMMANDS[report["command"]]
+    headers, rows = rows_of(report)
     if args.output == "csv":
-        return csv_fn(report)
-    text = md(report)
+        return _csv_lines(headers, rows)
+    lines = [f"# {report['command']}", "", *layout(report, headers, rows)]
     if "generated" in report:
-        text += f"\n*generated: {report['generated']}*\n"
-    return text
+        lines += ["", f"*generated: {report['generated']}*"]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

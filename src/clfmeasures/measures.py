@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import isqrt
+from math import isfinite, isqrt
 from operator import mul
 
 import mpmath
@@ -442,6 +442,8 @@ def _base_descriptor(base: str, beta=None, r=None) -> MeasureDescriptor:
         r = _normalize_r(1 if r is None else r)
         if r == 0:
             raise MeasureParseError("gm needs a nonzero r (r->0 limit is cc)")
+        if abs(r) > GM_R_MAX:
+            raise MeasureParseError(f"gm needs |r| <= {GM_R_MAX}")
         return MeasureDescriptor(
             f"gm:r={r}", "gm", f"GM(r={r})", "binary", SIMILARITY,
             isinstance(r, int), r=r,
@@ -486,6 +488,12 @@ def with_scheme(desc: MeasureDescriptor, scheme: str) -> MeasureDescriptor:
     )
 
 
+#: Largest |r| accepted for ``gm``.  The exact value raises the margin
+#: variances to the power r: on two 100k-count matrices that took 0.18 s
+#: at r=64 and 80 s at r=256.
+GM_R_MAX = 64
+
+
 def _parse_number(text: str):
     try:
         return int(text)
@@ -493,12 +501,17 @@ def _parse_number(text: str):
         pass
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise MeasureParseError(f"zero denominator in numeric parameter {text!r}") from None
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise MeasureParseError(f"cannot parse numeric parameter {text!r}") from None
+    if not isfinite(value):
+        raise MeasureParseError(f"numeric parameter {text!r} is not finite")
+    return value
 
 
 @lru_cache(maxsize=None)

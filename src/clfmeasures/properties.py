@@ -99,6 +99,9 @@ ALL_PROPERTIES = (MAX, MIN, SYM, CSYM, DIST, MON, SMON, CB, ACB)
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 
+#: Smallest sample size of the ``cb``/``acb`` margin grid.
+CB_N_MIN = 2
+
 #: Float slack for the vectorized triangle scan; candidate violations are
 #: confirmed in exact or high-precision arithmetic before being reported.
 DIST_TOL = 1e-9
@@ -116,20 +119,18 @@ class AuditSpace:
     """Bounds of one exhaustive audit.
 
     ``n_max`` bounds the value-comparison spaces, ``mon_n_max`` the edit
-    walks, ``dist_n_max`` the labeling-triple space, and ``cb_n_min`` /
-    ``cb_n_max`` the margin grid of the baseline properties.  ``min_row``
-    is the true-class-size floor of the value-comparison spaces and
-    ``cb_min_col`` the predicted-class-size floor of the margin grid,
-    both discussed in the module docstring.
+    walks, ``dist_n_max`` the labeling-triple space, and ``cb_n_max`` the
+    margin grid of the baseline properties, which starts at n = 2.  The
+    value-comparison spaces demand every true class size be at least 1;
+    ``cb_min_col`` is the predicted-class-size floor of the margin grid.
+    Both floors are discussed in the module docstring.
     """
 
     m: int = 2
     n_max: int = 8
     mon_n_max: int | None = None
     dist_n_max: int = 6
-    cb_n_min: int = 2
     cb_n_max: int = 8
-    min_row: int = 1
     cb_min_col: int = 0
 
     @property
@@ -142,15 +143,15 @@ class AuditSpace:
             "n_max": self.n_max,
             "mon_n_max": self.edit_n_max,
             "dist_n_max": self.dist_n_max,
-            "cb_n": [self.cb_n_min, self.cb_n_max],
-            "min_row": self.min_row,
+            "cb_n": [CB_N_MIN, self.cb_n_max],
+            "min_row": 1,
             "cb_min_col": self.cb_min_col,
         }
 
 
 BINARY_DEFAULT_SPACE = AuditSpace()
 MULTICLASS_DEFAULT_SPACE = AuditSpace(
-    m=3, n_max=6, mon_n_max=9, dist_n_max=6, cb_n_min=2, cb_n_max=6
+    m=3, n_max=6, mon_n_max=9, dist_n_max=6, cb_n_max=6
 )
 
 
@@ -291,7 +292,7 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
     ref_val = None
     ref_C = None
     checked = 0
-    matrices = list(_iter_matrices(ev, space.m, 1, space.n_max, space.min_row))
+    matrices = list(_iter_matrices(ev, space.m, 1, space.n_max))
     for C in matrices:
         if target(C):
             v = ev.oriented(C)
@@ -315,97 +316,93 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
 
 
 # ---------------------------------------------------------------------------
-# symmetry
+# neighbour properties: symmetry and monotonicity
+
+
+def _scan(ev: _Eval, starts, moves, worse):
+    """Compare each start matrix C with its neighbours.
+
+    ``moves(C)`` gives C's neighbours as ``(Ct, kind, extra)``.  Each is
+    one check; the first with ``worse(cmp(oriented(Ct), oriented(C)))``
+    is the witness ``kind`` over ``[C, Ct]`` with the ``extra`` fields.
+    sym and csym pass ``bool``: any difference is a violation.
+    """
+    checked = 0
+    for C in starts:
+        base = ev.oriented(C)
+        for Ct, kind, extra in moves(C):
+            checked += 1
+            if worse(ev.cmp(ev.oriented(Ct), base)):
+                return VIOLATED, ev.witness(kind, [C, Ct], **extra), checked
+    return SATISFIED, None, checked
 
 
 def _check_sym(ev: _Eval, space: AuditSpace):
-    checked = 0
-    for C in _iter_matrices(ev, space.m, 1, space.n_max, space.min_row):
-        Ct = transpose(C)
-        checked += 1
-        if ev.cmp(ev.oriented(C), ev.oriented(Ct)) != 0:
-            return VIOLATED, ev.witness("transpose_differs", [C, Ct]), checked
-    return SATISFIED, None, checked
+    starts = _iter_matrices(ev, space.m, 1, space.n_max)
+    return _scan(ev, starts, lambda C: [(transpose(C), "transpose_differs", {})], bool)
 
 
 def _check_csym(ev: _Eval, space: AuditSpace):
-    perms = [p for p in itertools.permutations(range(space.m)) if p != tuple(range(space.m))]
-    checked = 0
-    for C in _iter_matrices(ev, space.m, 1, space.n_max, space.min_row):
-        for p in perms:
-            Cp = permute_classes(C, p)
-            checked += 1
-            if ev.cmp(ev.oriented(C), ev.oriented(Cp)) != 0:
-                w = ev.witness("class_permutation_differs", [C, Cp], permutation=list(p))
-                return VIOLATED, w, checked
-    return SATISFIED, None, checked
+    perms = list(itertools.permutations(range(space.m)))[1:]  # all but the identity
 
+    def moves(C):
+        kind = "class_permutation_differs"
+        return [(permute_classes(C, p), kind, {"permutation": list(p)}) for p in perms]
 
-# ---------------------------------------------------------------------------
-# monotonicity
+    return _scan(ev, _iter_matrices(ev, space.m, 1, space.n_max), moves, bool)
 
 
 def _unary_margin(C: ConfusionMatrix) -> bool:
     return C.n in C.a or C.n in C.b
 
 
-def _check_mon(ev: _Eval, space: AuditSpace):
+def _edit_starts(ev: _Eval, space: AuditSpace, n_lo: int):
     # Empty classes are legal start matrices here; only constant
     # labelings are excluded, and only on the unedited side.
-    checked = 0
-    for C in _iter_matrices(ev, space.m, 2, space.edit_n_max, min_row=0):
-        if _unary_margin(C):
-            continue
-        base = ev.oriented(C)
-        m = space.m
-        for i in range(m):
-            for j in range(m):
-                if i == j or C[i, j] < 1:
-                    continue
-                for t in (i, j):
-                    Ct = _edit(C, decrement=(i, j), increment=(t, t))
-                    checked += 1
-                    if ev.cmp(ev.oriented(Ct), base) < 0:
-                        w = ev.witness(
-                            "improvement_penalized",
-                            [C, Ct],
-                            edit={"decrement": [i, j], "increment": [t, t]},
-                        )
-                        return VIOLATED, w, checked
-    return SATISFIED, None, checked
+    for C in _iter_matrices(ev, space.m, n_lo, space.edit_n_max, min_row=0):
+        if not _unary_margin(C):
+            yield C
+
+
+def _edit_moves(kind: str, edits):
+    """Moves applying each ``(decrement, increment)`` edit whose
+    decremented cell of C is positive.
+
+    Witness fields are built once per check; a check reports at most one
+    witness.
+    """
+    table = [
+        (dec, inc, {"edit": {k: list(v) for k, v in (("decrement", dec), ("increment", inc)) if v}})
+        for dec, inc in edits
+    ]
+    return lambda C: [
+        (_edit(C, dec, inc), kind, extra)
+        for dec, inc, extra in table
+        if dec is None or C.entries[dec[0]][dec[1]] >= 1
+    ]
+
+
+def _check_mon(ev: _Eval, space: AuditSpace):
+    # Resolve one disagreement: move a unit of cell (i, j) to the
+    # diagonal cell of its row or of its column.
+    off_diagonal = itertools.permutations(range(space.m), 2)
+    moves = _edit_moves("improvement_penalized", [
+        ((i, j), (t, t)) for i, j in off_diagonal for t in (i, j)
+    ])
+    return _scan(ev, _edit_starts(ev, space, 2), moves, lambda side: side < 0)
 
 
 def _check_smon(ev: _Eval, space: AuditSpace):
-    checked = 0
-    for C in _iter_matrices(ev, space.m, 1, space.edit_n_max, min_row=0):
-        if _unary_margin(C):
-            continue
-        base = ev.oriented(C)
-        m = space.m
-        if not C.is_diagonal():
-            for i in range(m):
-                Ct = _edit(C, increment=(i, i))
-                checked += 1
-                if ev.cmp(ev.oriented(Ct), base) <= 0:
-                    w = ev.witness(
-                        "extra_agreement_not_rewarded", [C, Ct], edit={"increment": [i, i]}
-                    )
-                    return VIOLATED, w, checked
-        if not C.is_zero_diagonal():
-            for i in range(m):
-                for j in range(m):
-                    if i == j or C[i, j] < 1:
-                        continue
-                    Ct = _edit(C, decrement=(i, j))
-                    checked += 1
-                    if ev.cmp(ev.oriented(Ct), base) <= 0:
-                        w = ev.witness(
-                            "removed_confusion_not_rewarded",
-                            [C, Ct],
-                            edit={"decrement": [i, j]},
-                        )
-                        return VIOLATED, w, checked
-    return SATISFIED, None, checked
+    m = space.m
+    add = _edit_moves("extra_agreement_not_rewarded", [(None, (i, i)) for i in range(m)])
+    remove = _edit_moves("removed_confusion_not_rewarded", [
+        (ij, None) for ij in itertools.permutations(range(m), 2)
+    ])
+
+    def moves(C):
+        return ([] if C.is_diagonal() else add(C)) + ([] if C.is_zero_diagonal() else remove(C))
+
+    return _scan(ev, _edit_starts(ev, space, 1), moves, lambda side: side <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +410,7 @@ def _check_smon(ev: _Eval, space: AuditSpace):
 
 
 def _margin_grid(ev: _Eval, space: AuditSpace):
-    for n in range(space.cb_n_min, space.cb_n_max + 1):
+    for n in range(CB_N_MIN, space.cb_n_max + 1):
         for a in compositions(n, space.m):
             for b in compositions(n, space.m, min_part=space.cb_min_col):
                 if is_unary(b):

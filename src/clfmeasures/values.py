@@ -112,7 +112,11 @@ class Root:
         return exact_cmp(self, other) >= 0
 
     def __float__(self) -> float:
-        return float(self.coeff) * float(self.radicand) ** (1.0 / self.index)
+        try:
+            return float(self.coeff) * float(self.radicand) ** (1.0 / self.index)
+        except OverflowError:  # radicand beyond the float range, as in gm at large r
+            with working_precision():
+                return float(to_mpf(self))
 
     def __repr__(self) -> str:
         return f"Root({self.coeff!r}, {self.radicand!r}, {self.index})"

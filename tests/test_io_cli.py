@@ -14,6 +14,7 @@ import pytest
 import clfmeasures
 from clfmeasures import ALL_PROPERTIES, ConfusionMatrix, InputError, read_labels_csv
 from clfmeasures.cli import MULTICLASS_IDS, _load_model_pairs, main
+from clfmeasures.measures import MeasureParseError, parse_measure_id
 from clfmeasures.dataio import (
     matrix_to_csv,
     matrix_to_json,
@@ -318,6 +319,50 @@ class TestCliAudit:
         assert "✓" in out and "✗" in out
         assert "## counterexamples" in out
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--n-max", "1"), ("--n-max", "0"), ("--n-max", "-3"), ("--m", "3", "--n-max", "2")],
+        ids=" ".join,
+    )
+    def test_n_max_below_m(self, capsys, bounds):
+        code, _, err = run_cli(
+            capsys, "audit", *bounds, "--measures", "acc", "--properties", "max"
+        )
+        assert code == 2, err
+        assert "--n-max must be at least m" in err
+
+
+@pytest.mark.parametrize("eps", ["-5", "inf", "nan"])
+def test_eps_must_be_finite_and_non_negative(capsys, eps):
+    code, _, err = run_cli(
+        capsys, "audit", f"--eps={eps}", "--measures", "cd", "--properties", "max",
+        "--n-max", "3",
+    )
+    assert code == 2
+    assert "--eps: must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "measure_id", ["f:beta=1/0", "gm:r=1/0", "f:beta=inf", "gm:r=nan", "gm:r=inf", "gm:r=1e400"]
+)
+def test_bad_measure_number_exits_2(capsys, matrix_file, measure_id):
+    # Parse first: the CLI would evaluate a measure id the parser accepts.
+    with pytest.raises(MeasureParseError):
+        parse_measure_id(measure_id)
+    code, _, err = run_cli(capsys, "eval", "--matrix", matrix_file, "--measures", measure_id)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_gm_large_r_has_a_float(capsys, matrix_file):
+    code, out, err = run_cli(
+        capsys, "eval", "--matrix", matrix_file, "--measures", "gm:r=16",
+        "--output", "json", "--no-timestamp",
+    )
+    assert code == 0, err
+    (gm,) = json.loads(out)["results"]
+    assert gm["float"] == pytest.approx(0.4069133585534509)
+
 
 class TestGoldenReports:
     """The exact report bytes of a few fixed commands.
@@ -343,6 +388,132 @@ class TestGoldenReports:
         code, out, err = run_cli(capsys, *argv, "--output", "json", "--no-timestamp")
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+
+
+GOLDEN_TRUTH = (0, 0, 0, 1, 1, 1, 1, 1, 0, 1)
+GOLDEN_MODELS = {
+    "model_0.csv": (1, 1, 0, 1, 1, 1, 0, 1, 0, 1),
+    "model_1.csv": (1, 0, 0, 0, 1, 1, 0, 0, 1, 0),
+    "model_2.csv": (0, 1, 1, 1, 1, 1, 1, 1, 1, 0),
+    "model_3.csv": (0, 1, 0, 0, 1, 1, 0, 1, 1, 1),
+}
+GOLDEN_PETS = (
+    ("cat", "cat"), ("dog", "cat"), ("cat", "dog"), ("fox", "fox"),
+    ("dog", "dog"), ("fox", "cat"), ("cat", "cat"),
+)
+MODEL_NAMES = tuple(GOLDEN_MODELS)
+
+
+class TestGoldenRenderings:
+    """The exact bytes of every command in every report format.
+
+    The inputs are written from the fixed rows above and named by
+    relative paths, because the ``eval`` markdown prints the input path.
+    The compare inputs use ``--eps 0.05`` so that some ``ce``/``cd``
+    verdicts flip between eps/10 and 10*eps.  Update a digest only
+    together with a deliberate change of the output, and say which.
+    """
+
+    COMMANDS = {
+        "eval-matrix": ("eval", "--matrix", "matrix.json"),
+        "eval-labels": ("eval", "--labels", "pets.csv"),
+        "audit": (
+            "audit", "--n-max", "3", "--measures", "acc,f:beta=1,ba,cc",
+            "--properties", "max,min,sym,dist,mon,smon,cb",
+        ),
+        "audit-m3": (
+            "audit", "--m", "3", "--measures", "acc,kappa",
+            "--properties", "csym,mon,acb", "--n-max", "3",
+        ),
+        "audit-preservation": ("audit", "--preservation", "--properties", "min,acb"),
+        "distinguish": ("distinguish", "--n", "2:4"),
+        "compare": (
+            "compare", "--labels", *MODEL_NAMES,
+            "--measures", "acc,ba,ce,cd,f:beta=1", "--eps", "0.05",
+        ),
+        "rank": ("rank", "--labels", *MODEL_NAMES),
+        "baseline": ("baseline", "--a", "3,3,2", "--b", "2,3,3", "--method", "both"),
+        "baseline-binary": ("baseline", "--a", "2,3", "--b", "3,2"),
+    }
+
+    DIGESTS = {
+        ("eval-matrix", "markdown"):
+            "8ab75b0227c766c046357816f9e5504fd133d2feb3d0e6c23051176a5f0e99c6",
+        ("eval-matrix", "csv"):
+            "94e67dddbfd46117c8ac261d27faff44c394fecf50d582b7497121207b98031b",
+        ("eval-matrix", "json"):
+            "7d1e7df58c84cf9519c50cbba7f4888ba45a914e5345538ce9ca8a11891bef3d",
+        ("eval-labels", "markdown"):
+            "86cd3c9d00838c63eecbf8988526b1a895bbee220110271e825c2f5af76370b5",
+        ("eval-labels", "csv"):
+            "72ab68dadf069dc0f2cef5fd8199b6305b93528252e571a76ec442bb8f861c6e",
+        ("eval-labels", "json"):
+            "79acbc85887f1ffb2b02f1f411e14f791d510c8b962fea85d447daba837e5e92",
+        ("audit", "markdown"):
+            "a930a72b77c7ccdfe11386cf92e8efdbd7ea8890e42402e3822f78f91d6ca22b",
+        ("audit", "csv"):
+            "76df63747c4d5b0abfe913772b2536d685f3b729e769fa5ca040fc0251cba6ef",
+        ("audit", "json"):
+            "5a46411dc5a45e304ea3731b40d7f832f2972c9da0274ca4728b5324002ec7ea",
+        ("audit-m3", "markdown"):
+            "ecad0b9c16fc9f604c9489b06796a65328254d8c897522ff948e156647ed6a53",
+        ("audit-m3", "csv"):
+            "4cac06a86fdf4f28a2fca4b7760067f3ba6937068f37959178d8d22655922562",
+        ("audit-m3", "json"):
+            "64531ceb6500ae1c88b40a520bd50a50345de0472d38354235a34c216b7542a1",
+        ("audit-preservation", "markdown"):
+            "de3e1c316c8eb5bc9692139bc835b92d04b62795a8ed6ec40539014cf917508e",
+        ("audit-preservation", "csv"):
+            "53b466c9229e91976f7c4afabb59038966772ea14675e965e6828e843e78ec94",
+        ("audit-preservation", "json"):
+            "c48305f83e099fe9ecfa1d904045bbc41531e1289472e1f84a649fefe3dd1a7e",
+        ("distinguish", "markdown"):
+            "2db03681f5136bc22cb4dc18e80f002e5743da049fc14be678049430afdf1444",
+        ("distinguish", "csv"):
+            "0a2d4eb5d2857dbf8aa7723545ff7c29026561c88be9c97606014254e64642b4",
+        ("distinguish", "json"):
+            "911d0de0ab2d7d0599ca6f36b70736d93318161ff624a3bf7518ffd1b5d49357",
+        ("compare", "markdown"):
+            "5286f669fee79f4ac22a23dacc8a1927d6958e59d278fcd34518a6ae877c95c9",
+        ("compare", "csv"):
+            "7650703ce526dc785979b67424c80cc67be0a2b6a3cccf86415118cfbd2887b9",
+        ("compare", "json"):
+            "c454bd04b3e0788c6bdd2a2d7733eb2f593529ef499c3550add4e702993a79d1",
+        ("rank", "markdown"):
+            "d57ba4ea3c11d333d17b618053b86e8c40f251eae5f1a6e937d9454c3b5ad09a",
+        ("rank", "csv"):
+            "ba0f0419e86e0351049cbf6e3760e96aa3b16bc252c5ef66c4ade205a9f4ab56",
+        ("rank", "json"):
+            "735de3a68c6fab7513d243531a8502f938b7fec6ad4f30289f181e1cd82021d2",
+        ("baseline", "markdown"):
+            "dc629f629464f20c0d3074a1a39292ac1605046fb927746bed872e987fbab7ae",
+        ("baseline", "csv"):
+            "952d1bf8a9caa08995ca902d846d1007b7111ca89ffe776ad338a62fb3804541",
+        ("baseline", "json"):
+            "fcde2afd4964832474e28dc7ba38dcd1cd2a7b5ca840c9c6f2d61e2f41374c08",
+        ("baseline-binary", "markdown"):
+            "131ba4a204c1cfa35667cbbbc5c6b7099aa8da2dafb76dfa92710fad15f3add0",
+        ("baseline-binary", "csv"):
+            "67d84e3c584d53ff3ce187d9c22be719d36dd573d7b29472671202cda312db1c",
+        ("baseline-binary", "json"):
+            "319770d912284847b7b7fbe74d7c13046551ebb7b59cb3f177411946ca33b83f",
+    }
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        (tmp_path / "matrix.json").write_text(matrix_to_json(MATRIX))
+        labels_file(tmp_path, "pets.csv", rows=GOLDEN_PETS)
+        for name, pred in GOLDEN_MODELS.items():
+            labels_file(tmp_path, name, rows=tuple(zip(GOLDEN_TRUTH, pred)))
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("fmt", ("markdown", "csv", "json"))
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_bytes(self, capsys, inputs, name, fmt):
+        argv = self.COMMANDS[name]
+        code, out, err = run_cli(capsys, *argv, "--output", fmt, "--no-timestamp")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, fmt]
 
 
 class TestCliDistinguish:

@@ -254,6 +254,19 @@ class TestParseGrammar:
         with pytest.raises(MeasureParseError):
             parse_measure_id("acc:micro:macro")
 
+    @pytest.mark.parametrize(
+        "measure_id",
+        ["f:beta=1/0", "gm:r=1/0", "f:beta=inf", "f:beta=-inf", "gm:r=nan", "gm:r=inf",
+         "gm:r=1e400", "gm:r=-65", "gm:r=129/2"],
+    )
+    def test_non_finite_or_unbounded_numbers_rejected(self, measure_id):
+        with pytest.raises(MeasureParseError):
+            parse_measure_id(measure_id)
+
+    @pytest.mark.parametrize("r, expected", [("64", 64), ("-64", -64), ("127/2", Fraction(127, 2))])
+    def test_gm_r_bound_is_inclusive(self, r, expected):
+        assert parse_measure_id(f"gm:r={r}").r == expected
+
     def test_gm_zero_r_rejected(self):
         with pytest.raises(MeasureParseError):
             parse_measure_id("gm:r=0")

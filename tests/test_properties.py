@@ -63,7 +63,7 @@ BINARY_REFERENCE = {
 # space finds (verified against the wider space; the acceptance suite
 # re-runs the default-space cells that matter for reported results).
 MULTICLASS_SPACE = AuditSpace(
-    m=3, n_max=5, mon_n_max=5, dist_n_max=5, cb_n_min=2, cb_n_max=5
+    m=3, n_max=5, mon_n_max=5, dist_n_max=5, cb_n_max=5
 )
 MULTICLASS_REFERENCE = {
     "cc":    _marks("Y n Y Y n n n Y Y"),

@@ -178,6 +178,11 @@ class TestRenderings:
         big = Fraction(10**400, 2 * 10**400)
         assert as_float(big) == 0.5
 
+    def test_as_float_root_with_radicand_beyond_float_range(self):
+        # gm at r=16 on a 10-count matrix has a radicand near 10**334.
+        v = root_value(Fraction(1, 10**20), Fraction(10**400 + 1), 16)
+        assert as_float(v) == pytest.approx(10**5, rel=1e-12)
+
     def test_to_mpf_root(self):
         with mp.workdps(40):
             x = to_mpf(root_value(Fraction(1, 6), 6, 2))
