@@ -1,10 +1,13 @@
 """Exact evaluation and axiomatic auditing of classification measures.
 
 The package works on integer confusion matrices (rows index the true
-class, columns the predicted class) and keeps arithmetic exact wherever
-the measure allows: rationals stay ``Fraction``, single square roots
-stay symbolic, and only genuinely transcendental measures fall back to
-high-precision floats.
+class, columns the predicted class).  Every measure takes a
+:class:`ConfusionMatrix`; the binary ones read a 2x2 matrix
+``((c00, c01), (c10, c11))`` with class 1 as the positive class, built
+with ``confusion_matrix([[c00, c01], [c10, c11]])``.  Arithmetic stays
+exact wherever the measure allows: rationals stay ``Fraction``, single
+square roots stay symbolic, and only genuinely transcendental measures
+fall back to high-precision floats.
 
 Entry points by module:
 
@@ -30,12 +33,10 @@ from .values import (
     values_equal,
 )
 from .core import (
-    BinaryCounts,
     Budget,
     ConfusionMatrix,
     EnumerationBudgetExceeded,
     Labeling,
-    binary_counts,
     build_confusion,
     confusion_matrix,
     enumerate_confusion_matrices,
@@ -95,7 +96,6 @@ __all__ = [
     "AUDIT_ONLY_IDS",
     "AuditSpace",
     "BaselineOrderReport",
-    "BinaryCounts",
     "Budget",
     "CANONICAL_IDS",
     "CONSISTENCY_IDS",
@@ -116,7 +116,6 @@ __all__ = [
     "as_float",
     "audit_grid",
     "baseline_order",
-    "binary_counts",
     "build_confusion",
     "check_averaging_preservation",
     "check_gm_normalizer_conditions",

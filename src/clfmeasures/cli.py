@@ -417,6 +417,20 @@ def _cmd_audit(args, budget: Budget) -> dict:
     if not properties:
         raise InputError("empty property list")
     if args.preservation:
+        ignored = [
+            flag
+            for flag, given in (
+                ("--measures", args.measures != "default"),
+                ("--binary", args.binary),
+                ("--m", args.m is not None),
+                ("--n-max", args.n_max is not None),
+            )
+            if given
+        ]
+        if ignored:
+            raise InputError(
+                f"--preservation audits fixed spaces; it does not take {', '.join(ignored)}"
+            )
         grid = []
         for scheme in SCHEMES:
             for prop in properties:

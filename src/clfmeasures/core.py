@@ -9,7 +9,10 @@ Conventions used throughout the package:
 * row sums ``a`` are the true class sizes, column sums ``b`` the predicted
   class sizes, and ``n`` the total count;
 * entries are exact (int or Fraction).  Rational entries arise from
-  expected matrices under margin-preserving randomization.
+  expected matrices under margin-preserving randomization;
+* the one matrix type serves every measure: a binary problem is the 2x2
+  matrix ``((c00, c01), (c10, c11))`` with class 1 as the positive
+  class, and :func:`one_vs_all` reduces a multiclass matrix to one.
 
 All objects are immutable and all enumeration functions are pure
 generators.  :func:`enumerate_entries` is the one matrix enumerator:
@@ -20,6 +23,7 @@ in enumeration order" means the same order everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -160,6 +164,22 @@ class ConfusionMatrix:
         return self.entries[i][j]
 
 
+def _with_margins(entries, a, b, n, diagonal_sum) -> ConfusionMatrix:
+    """Wrap entries whose margins the caller already knows, unchecked.
+
+    Same contract as :meth:`ConfusionMatrix._trusted`; the margins must
+    equal, in value and type, what the matrix would compute from
+    ``entries``.
+    """
+    C = ConfusionMatrix._trusted(entries)
+    set_ = object.__setattr__
+    set_(C, "a", a)
+    set_(C, "b", b)
+    set_(C, "n", n)
+    set_(C, "diagonal_sum", diagonal_sum)
+    return C
+
+
 def confusion_matrix(rows: Sequence[Sequence]) -> ConfusionMatrix:
     """Build a ConfusionMatrix from any nested sequence of exact numbers."""
 
@@ -175,57 +195,6 @@ def confusion_matrix(rows: Sequence[Sequence]) -> ConfusionMatrix:
         raise TypeError(f"unsupported entry type {type(x).__name__}")
 
     return ConfusionMatrix(tuple(tuple(norm(x) for x in row) for row in rows))
-
-
-@dataclass(frozen=True)
-class BinaryCounts:
-    """The four binary counts (true/false positives and negatives).
-
-    Order is (c11, c10, c01, c00): hits on class 1, misses of class 1,
-    false alarms, hits on class 0.  Class 1 plays the positive role.
-    """
-
-    c11: int | Fraction
-    c10: int | Fraction
-    c01: int | Fraction
-    c00: int | Fraction
-
-    def __post_init__(self):
-        if any(c < 0 for c in (self.c11, self.c10, self.c01, self.c00)):
-            raise ValueError("counts must be non-negative")
-        if self.n <= 0:
-            raise ValueError("total count must be positive")
-
-    @property
-    def n(self) -> int | Fraction:
-        return self.c11 + self.c10 + self.c01 + self.c00
-
-    @property
-    def a1(self) -> int | Fraction:
-        return self.c11 + self.c10
-
-    @property
-    def a0(self) -> int | Fraction:
-        return self.c01 + self.c00
-
-    @property
-    def b1(self) -> int | Fraction:
-        return self.c11 + self.c01
-
-    @property
-    def b0(self) -> int | Fraction:
-        return self.c10 + self.c00
-
-    def to_matrix(self) -> ConfusionMatrix:
-        # The counts were validated: non-negative with a positive total.
-        return ConfusionMatrix._trusted(((self.c00, self.c01), (self.c10, self.c11)))
-
-
-def binary_counts(C: ConfusionMatrix) -> BinaryCounts:
-    """The binary counts of a 2x2 matrix, with class 1 as positive."""
-    if C.m != 2:
-        raise ValueError(f"expected a 2x2 matrix, got m={C.m}")
-    return BinaryCounts(C[1, 1], C[1, 0], C[0, 1], C[0, 0])
 
 
 def build_confusion(true: Labeling, pred: Labeling) -> ConfusionMatrix:
@@ -258,15 +227,20 @@ def permute_classes(C: ConfusionMatrix, perm: Sequence[int]) -> ConfusionMatrix:
     return ConfusionMatrix._trusted(tuple(tuple(e[i][j] for j in perm) for i in perm))
 
 
-def one_vs_all(C: ConfusionMatrix, i: int) -> BinaryCounts:
-    """Collapse to the binary problem "class i against the rest"."""
+def one_vs_all(C: ConfusionMatrix, i: int) -> ConfusionMatrix:
+    """Collapse to the binary problem "class i against the rest".
+
+    The result is the 2x2 matrix ``((tn, fp), (fn, tp))``: class 1 is
+    class i, the positive class of the binary measures.
+    """
     if not 0 <= i < C.m:
         raise ValueError(f"class index {i} out of range for m={C.m}")
-    tp = C[i, i]
-    fn = C.a[i] - tp
-    fp = C.b[i] - tp
-    tn = C.n - C.a[i] - C.b[i] + tp
-    return BinaryCounts(tp, fn, fp, tn)
+    n, ai, bi = C.n, C.a[i], C.b[i]
+    tp = C.entries[i][i]
+    tn = n - ai - bi + tp
+    return _with_margins(
+        ((tn, bi - tp), (ai - tp, tp)), (n - ai, ai), (n - bi, bi), n, tn + tp
+    )
 
 
 def expected_matrix(a_sizes: Sequence[int], b_sizes: Sequence[int]) -> ConfusionMatrix:
@@ -277,10 +251,17 @@ def expected_matrix(a_sizes: Sequence[int], b_sizes: Sequence[int]) -> Confusion
     if len(a_sizes) != len(b_sizes):
         raise ValueError("class size vectors must have equal length")
     n = sum(a_sizes)
-    if n <= 0 or n != sum(b_sizes):
+    if n <= 0 or n != sum(b_sizes) or any(x < 0 for x in a_sizes + b_sizes):
         raise ValueError("class sizes must be non-negative with equal positive totals")
-    return ConfusionMatrix(
-        tuple(tuple(Fraction(ai * bj, n) for bj in b_sizes) for ai in a_sizes)
+    # Entries are Fractions, so the margins are too: row i sums to a_i,
+    # column j to b_j.
+    entries = tuple(tuple(Fraction(ai * bj, n) for bj in b_sizes) for ai in a_sizes)
+    return _with_margins(
+        entries,
+        tuple(map(Fraction, a_sizes)),
+        tuple(map(Fraction, b_sizes)),
+        Fraction(n),
+        sum(map(getitem, entries, range(len(entries)))),
     )
 
 
@@ -311,63 +292,40 @@ def enumerate_labelings(
     n: int,
     m: int,
     class_sizes: Sequence[int] | None = None,
-    require_all_classes: bool = False,
     budget: Budget | None = None,
 ) -> Iterator[Labeling]:
     """All labelings of n elements into m classes, in lexicographic order.
 
     With ``class_sizes`` only labelings of those exact sizes are produced.
-    ``require_all_classes`` keeps only labelings using every class.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    if class_sizes is not None:
-        class_sizes = tuple(class_sizes)
-        if len(class_sizes) != m or sum(class_sizes) != n:
-            raise ValueError("class sizes must have length m and sum to n")
-        if require_all_classes and any(s == 0 for s in class_sizes):
-            return
-        remaining = list(class_sizes)
-
-        def rec_sized(partial: list[int]):
-            if len(partial) == n:
-                if budget is not None:
-                    budget.charge()
-                yield Labeling(tuple(partial), m)
-                return
-            for c in range(m):
-                if remaining[c] > 0:
-                    remaining[c] -= 1
-                    partial.append(c)
-                    yield from rec_sized(partial)
-                    partial.pop()
-                    remaining[c] += 1
-
-        yield from rec_sized([])
+    if class_sizes is None:
+        for labels in itertools.product(range(m), repeat=n):
+            if budget is not None:
+                budget.charge()
+            yield Labeling(labels, m)
         return
+    class_sizes = tuple(class_sizes)
+    if len(class_sizes) != m or sum(class_sizes) != n:
+        raise ValueError("class sizes must have length m and sum to n")
+    remaining = list(class_sizes)
 
-    def rec(partial: list[int], seen: set[int]):
+    def rec(partial: list[int]):
         if len(partial) == n:
-            if require_all_classes and len(seen) != m:
-                return
             if budget is not None:
                 budget.charge()
             yield Labeling(tuple(partial), m)
             return
-        # Prune when the remaining slots cannot cover the unseen classes.
-        if require_all_classes and m - len(seen) > n - len(partial):
-            return
         for c in range(m):
-            partial.append(c)
-            added = c not in seen
-            if added:
-                seen.add(c)
-            yield from rec(partial, seen)
-            if added:
-                seen.remove(c)
-            partial.pop()
+            if remaining[c] > 0:
+                remaining[c] -= 1
+                partial.append(c)
+                yield from rec(partial)
+                partial.pop()
+                remaining[c] += 1
 
-    yield from rec([], set())
+    yield from rec([])
 
 
 @lru_cache(maxsize=8192)

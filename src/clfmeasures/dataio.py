@@ -85,12 +85,11 @@ def _read_text(path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def read_labels_csv(path, alphabet: Sequence[str] | None = None) -> LabelingPair:
+def read_labels_csv(path) -> LabelingPair:
     """Parse a two-column (true, pred) CSV into an aligned labeling pair.
 
-    With an explicit ``alphabet``, labels outside it are an error and the
-    class order follows the declaration; otherwise the alphabet is
-    inferred from the data.
+    The alphabet is inferred from the data; :meth:`LabelingPair.with_alphabet`
+    re-indexes the pair by a larger one.
     """
     rows = [row for row in csv.reader(_read_text(path).splitlines()) if row]
     if rows and [c.strip().lower() for c in rows[0]] == ["true", "pred"]:
@@ -104,16 +103,7 @@ def read_labels_csv(path, alphabet: Sequence[str] | None = None) -> LabelingPair
                 f"{path}: row {lineno} has {len(row)} fields, expected 2 (true,pred)"
             )
         pairs.append((row[0].strip(), row[1].strip()))
-    seen = {x for pair in pairs for x in pair}
-    if alphabet is None:
-        names = _sorted_alphabet(seen)
-    else:
-        names = tuple(str(x) for x in alphabet)
-        if len(set(names)) != len(names):
-            raise InputError("alphabet contains duplicate labels")
-        unknown = sorted(seen - set(names))
-        if unknown:
-            raise InputError(f"{path}: labels {unknown} not in the declared alphabet")
+    names = _sorted_alphabet({x for pair in pairs for x in pair})
     index = {name: i for i, name in enumerate(names)}
     m = len(names)
     truth = Labeling(tuple(index[t] for t, _ in pairs), m)

@@ -305,7 +305,8 @@ def distinguishing_triplet_bruteforce(
     """
     d1, d2 = _descriptor(m1), _descriptor(m2)
     memo = _ValueMemo()
-    labelings = list(enumerate_labelings(n, 2, require_all_classes=True))
+    # Both classes in use: drop the two constant labelings.
+    labelings = [l for l in enumerate_labelings(n, 2) if 0 < sum(l.labels) < n]
     for truth in labelings:
         for i, p1 in enumerate(labelings):
             C1 = build_confusion(truth, p1)

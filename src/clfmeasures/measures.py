@@ -1,9 +1,11 @@
 """Classification performance measures over confusion matrices.
 
-Multiclass-native measures take a :class:`ConfusionMatrix`; binary-only
-measures take :class:`BinaryCounts`.  Every measure returns an exact value
-(Fraction or Root) except the entropy- and angle-based ones, which return
-high-precision floats.
+Every measure takes a :class:`ConfusionMatrix`.  Binary-only measures
+read a 2x2 matrix ``((c00, c01), (c10, c11))`` with class 1 as the
+positive class; :func:`evaluate` applies them to larger matrices only
+through an averaging scheme, on the one-vs-all 2x2 matrices.  Every
+measure returns an exact value (Fraction or Root) except the entropy- and
+angle-based ones, which return high-precision floats.
 
 Singular configurations (empty classes, constant labelings) are resolved
 so that every measure stays total and chance-level behaviour is preserved:
@@ -29,7 +31,7 @@ from operator import mul
 import mpmath
 
 from . import averaging
-from .core import BinaryCounts, ConfusionMatrix, binary_counts, one_vs_all
+from .core import ConfusionMatrix
 from .values import Root, Value, root_value, to_mpf, working_precision
 
 
@@ -47,7 +49,7 @@ def _frac(x) -> Fraction:
 
 # Integer kernels: on all-int matrices (``type(C.n) is int``) the rational
 # measures are computed as one integer numerator and denominator and
-# turned into a Fraction once (binary measures test ``bc.n`` alike).  The Fraction code after each kernel serves
+# turned into a Fraction once.  The Fraction code after each kernel serves
 # matrices with rational entries (expected and rate matrices) and gives the
 # same values; the tests check one against the other.
 
@@ -221,35 +223,37 @@ def chordal_distance(C: ConfusionMatrix) -> mpmath.mpf:
 # binary-only measures
 
 
-def f_beta(bc: BinaryCounts, beta=Fraction(1)) -> Fraction:
+def f_beta(C: ConfusionMatrix, beta=Fraction(1)) -> Fraction:
     """Weighted harmonic mean of precision and recall on the positive class."""
     beta = _frac(beta)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if type(bc.n) is int:
+    (_, c01), (c10, c11) = C.entries
+    if type(C.n) is int:
         # Scaled by the squared denominator of beta: p = beta.numerator**2.
         p, q = beta.numerator**2, beta.denominator**2
-        num = (p + q) * bc.c11
-        den = num + p * bc.c10 + q * bc.c01
+        num = (p + q) * c11
+        den = num + p * c10 + q * c01
         return Fraction(num, den) if den else Fraction(1)
     w = 1 + beta * beta
-    num = w * _frac(bc.c11)
-    den = num + beta * beta * _frac(bc.c10) + _frac(bc.c01)
+    num = w * _frac(c11)
+    den = num + beta * beta * _frac(c10) + _frac(c01)
     if den == 0:
         # No positives anywhere: perfect agreement on an all-negative set.
         return Fraction(1)
     return num / den
 
 
-def jaccard(bc: BinaryCounts) -> Fraction:
+def jaccard(C: ConfusionMatrix) -> Fraction:
     """Overlap of the positive sets; empty-vs-empty counts as full overlap."""
-    if type(bc.n) is int:
-        den = bc.c11 + bc.c10 + bc.c01
-        return Fraction(bc.c11, den) if den else Fraction(1)
-    den = _frac(bc.c11) + _frac(bc.c10) + _frac(bc.c01)
+    (_, c01), (c10, c11) = C.entries
+    if type(C.n) is int:
+        den = c11 + c10 + c01
+        return Fraction(c11, den) if den else Fraction(1)
+    den = _frac(c11) + _frac(c10) + _frac(c01)
     if den == 0:
         return Fraction(1)
-    return _frac(bc.c11) / den
+    return _frac(c11) / den
 
 
 def _normalize_r(r):
@@ -261,7 +265,7 @@ def _normalize_r(r):
     return r
 
 
-def generalized_means(bc: BinaryCounts, r) -> Value:
+def generalized_means(C: ConfusionMatrix, r) -> Value:
     """Covariance-style agreement normalized by a power mean of the two
     margin variances.  ``r`` is the power-mean exponent (nonzero; the
     r -> 0 limit is the correlation coefficient).
@@ -271,22 +275,28 @@ def generalized_means(bc: BinaryCounts, r) -> Value:
     if r == 0:
         raise ValueError("r must be nonzero; the r->0 limit is matthews_cc")
     r = _normalize_r(r)
-    if type(bc.n) is int and isinstance(r, int):
-        return _int_generalized_means(bc, r)
-    n = _frac(bc.n)
-    x = _frac(bc.a1) * _frac(bc.a0)
-    y = _frac(bc.b1) * _frac(bc.b0)
+    if type(C.n) is int and isinstance(r, int):
+        return _int_generalized_means(C, r)
+    (c00, _), (_, c11) = C.entries
+    (a0, a1), (b0, b1) = C.a, C.b
+    n = _frac(C.n)
+    x = _frac(a1) * _frac(a0)
+    y = _frac(b1) * _frac(b0)
     if x == 0 and y == 0:
         # Both labelings constant: sign of the (dis)agreement.
-        return Fraction(1) if (bc.c11 == bc.n or bc.c00 == bc.n) else Fraction(-1)
+        return Fraction(1) if (c11 == C.n or c00 == C.n) else Fraction(-1)
     if x == 0 or y == 0:
         return Fraction(0)
-    num = n * _frac(bc.c11) - _frac(bc.a1) * _frac(bc.b1)
+    num = n * _frac(c11) - _frac(a1) * _frac(b1)
     if not isinstance(r, int):
         with working_precision():
+            # The power mean exp(log1p(mean of expm1(r ln v)) / r): no
+            # v**r - 1 cancels, so a tiny r keeps every digit and the
+            # r -> 0 limit is the geometric mean.
             rr = to_mpf(r)
-            xr, yr = to_mpf(x) ** rr, to_mpf(y) ** rr
-            mean = ((xr + yr) / 2) ** (1 / rr)
+            xr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(x)))
+            yr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(y)))
+            mean = mpmath.exp(mpmath.log1p((xr_m1 + yr_m1) / 2) / rr)
             return to_mpf(num) / mean
     if r > 0:
         u = (x**r + y**r) / 2
@@ -301,15 +311,16 @@ def generalized_means(bc: BinaryCounts, r) -> Value:
     return root_value(num / v, v ** (s - 1), s)
 
 
-def _int_generalized_means(bc: BinaryCounts, r: int) -> Value:
-    """:func:`generalized_means` on integer counts and an integer r."""
-    n, a1, b1 = bc.n, bc.a1, bc.b1
+def _int_generalized_means(C: ConfusionMatrix, r: int) -> Value:
+    """:func:`generalized_means` on an integer matrix and an integer r."""
+    (c00, _), (_, c11) = C.entries
+    n, a1, b1 = C.n, C.a[1], C.b[1]
     x, y = a1 * (n - a1), b1 * (n - b1)
     if x == 0 and y == 0:
-        return Fraction(1) if (bc.c11 == n or bc.c00 == n) else Fraction(-1)
+        return Fraction(1) if (c11 == n or c00 == n) else Fraction(-1)
     if x == 0 or y == 0:
         return Fraction(0)
-    num = n * bc.c11 - a1 * b1
+    num = n * c11 - a1 * b1
     s = abs(r)
     total = x**s + y**s
     if r > 0:
@@ -324,16 +335,17 @@ def _int_generalized_means(bc: BinaryCounts, r: int) -> Value:
     return root_value(coeff, rad, s)
 
 
-def net_agreement(bc: BinaryCounts) -> Fraction:
+def net_agreement(C: ConfusionMatrix) -> Fraction:
     """Agreements minus disagreements.  Unnormalized; audit use only."""
-    if type(bc.n) is int:
-        return Fraction(bc.c11 + bc.c00 - bc.c10 - bc.c01)
-    return _frac(bc.c11) + _frac(bc.c00) - _frac(bc.c10) - _frac(bc.c01)
+    (c00, c01), (c10, c11) = C.entries
+    if type(C.n) is int:
+        return Fraction(c11 + c00 - c10 - c01)
+    return _frac(c11) + _frac(c00) - _frac(c10) - _frac(c01)
 
 
-def any_agreement(bc: BinaryCounts) -> Fraction:
+def any_agreement(C: ConfusionMatrix) -> Fraction:
     """Indicator of at least one agreement.  Audit use only."""
-    return Fraction(1) if _frac(bc.c11) + _frac(bc.c00) > 0 else Fraction(0)
+    return Fraction(1) if C.diagonal_sum > 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +387,15 @@ class MeasureDescriptor:
         return self.measure_id
 
     @cached_property
-    def binary_form(self):
-        """:func:`binary_evaluator` of this descriptor, resolved once."""
-        return binary_evaluator(self)
+    def kernel(self):
+        """The function of a ConfusionMatrix this descriptor evaluates
+        (on each one-vs-all 2x2 matrix when it has a scheme)."""
+        # Partials rather than closures: the descriptor must stay picklable.
+        if self.base == "f":
+            return partial(f_beta, beta=self.beta)
+        if self.base == "gm":
+            return partial(generalized_means, r=self.r)
+        return _KERNELS[self.base]
 
 
 def _base_descriptor(base: str, beta=None, r=None) -> MeasureDescriptor:
@@ -575,29 +593,8 @@ AUDIT_ONLY_IDS = ("netagree", "anyagree")
 # evaluation
 
 
-def _on_matrix(native, bc: BinaryCounts) -> Value:
-    return native(bc.to_matrix())
-
-
-def binary_evaluator(desc: MeasureDescriptor):
-    """The measure's binary form as a function of BinaryCounts."""
-    # Partials rather than closures: the descriptor caches the result
-    # (``binary_form``) and must stay picklable.
-    base = desc.base
-    if base == "f":
-        return partial(f_beta, beta=desc.beta)
-    if base == "jaccard":
-        return jaccard
-    if base == "gm":
-        return partial(generalized_means, r=desc.r)
-    if base == "netagree":
-        return net_agreement
-    if base == "anyagree":
-        return any_agreement
-    return partial(_on_matrix, _NATIVE_EVALUATORS[base])
-
-
-_NATIVE_EVALUATORS = {
+#: The kernel of each base measure; ``f`` and ``gm`` also take beta / r.
+_KERNELS = {
     "acc": accuracy,
     "ba": balanced_accuracy,
     "sba": symmetric_balanced_accuracy,
@@ -606,25 +603,27 @@ _NATIVE_EVALUATORS = {
     "ce": confusion_entropy,
     "cd": correlation_distance,
     "cdprime": chordal_distance,
+    "f": f_beta,
+    "jaccard": jaccard,
+    "gm": generalized_means,
+    "netagree": net_agreement,
+    "anyagree": any_agreement,
 }
+
+_EXTENDERS = {scheme: f"{scheme}_extend" for scheme in SCHEMES}
 
 
 def evaluate(desc: MeasureDescriptor, C: ConfusionMatrix) -> Value:
     """Evaluate a measure described by ``desc`` on a confusion matrix."""
     if desc.scheme is not None:
-        fn = desc.binary_form
-        if desc.scheme == "micro":
-            return averaging.micro_extend(fn, C)
-        if desc.scheme == "macro":
-            return averaging.macro_extend(fn, C)
-        return averaging.weighted_extend(fn, C)
-    if desc.arity == "binary":
-        if C.m != 2:
-            raise MeasureArityError(
-                f"{desc.measure_id} is binary-only; use an averaging scheme for m={C.m}"
-            )
-        return desc.binary_form(binary_counts(C))
-    return _NATIVE_EVALUATORS[desc.base](C)
+        # Looked up on the module on each call, so wrappers installed
+        # there (tracing) see every extension.
+        return getattr(averaging, _EXTENDERS[desc.scheme])(desc.kernel, C)
+    if desc.arity == "binary" and C.m != 2:
+        raise MeasureArityError(
+            f"{desc.measure_id} is binary-only; use an averaging scheme for m={C.m}"
+        )
+    return desc.kernel(C)
 
 
 def oriented(desc: MeasureDescriptor, value: Value) -> Value:

@@ -122,9 +122,39 @@ class Root:
         return f"Root({self.coeff!r}, {self.radicand!r}, {self.index})"
 
     def __str__(self) -> str:
+        coeff, radicand = _fraction_str(self.coeff), _fraction_str(self.radicand)
         if self.index == 2:
-            return f"({self.coeff})*sqrt({self.radicand})"
-        return f"({self.coeff})*({self.radicand})^(1/{self.index})"
+            return f"({coeff})*sqrt({radicand})"
+        return f"({coeff})*({radicand})^(1/{self.index})"
+
+
+#: Decimal digits per chunk when rendering a large int: below 640, the
+#: smallest int-to-str limit the interpreter accepts, so ``str`` never
+#: refuses a chunk whatever the limit is set to.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_str(x: int) -> str:
+    """``str(x)``, also for ints with more digits than the interpreter's
+    int-to-str limit (as the radicands of gm at large |r| have)."""
+    if -_CHUNK < x < _CHUNK:
+        return str(x)
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    chunks = []
+    while x >= _CHUNK:
+        x, low = divmod(x, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(x))
+    return sign + "".join(reversed(chunks))
+
+
+def _fraction_str(q: Fraction) -> str:
+    """``str(q)`` through :func:`_int_str`."""
+    if q.denominator == 1:
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def root_value(coeff, radicand, index: int) -> ExactValue:
@@ -296,9 +326,9 @@ def scale(v: Value, q) -> Value:
 def value_str(v: Value) -> str:
     """Compact exact-aware rendering, used by reports."""
     if isinstance(v, int):
-        return str(v)
+        return _int_str(v)
     if isinstance(v, Fraction):
-        return str(v)
+        return _fraction_str(v)
     if isinstance(v, Root):
         return str(v)
     return mpmath.nstr(to_mpf(v), 17)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clfmeasures.core import BinaryCounts, confusion_matrix, one_vs_all
+from clfmeasures.core import confusion_matrix, one_vs_all
 from clfmeasures.averaging import micro_counts
 from clfmeasures.measures import evaluate, parse_measure_id
 from clfmeasures.values import values_equal
@@ -19,14 +19,13 @@ def ev(measure_id, C):
 
 class TestMicroCounts:
     def test_pooled_counts(self):
-        bc = micro_counts(THREE)
-        assert bc == BinaryCounts(4, 2, 2, 10)
-        assert bc.n == 18  # m*n: each element counted once per class
+        B = micro_counts(THREE)
+        assert B == confusion_matrix([[10, 2], [2, 4]])
+        assert B.n == 18  # m*n: each element counted once per class
 
     def test_binary_micro_is_identity_on_counts(self):
         C = confusion_matrix([[4, 1], [2, 3]])
-        bc = micro_counts(C)
-        assert bc == BinaryCounts(7, 3, 3, 7)
+        assert micro_counts(C) == confusion_matrix([[7, 3], [3, 7]])
 
 
 class TestMicroValues:
@@ -57,9 +56,9 @@ class TestMacro:
         # one-vs-all F1 per class: 2tp / (2tp + fn + fp)
         per_class = []
         for i in range(3):
-            bc = one_vs_all(THREE, i)
-            num = 2 * bc.c11
-            den = num + bc.c10 + bc.c01
+            B = one_vs_all(THREE, i)
+            num = 2 * B[1, 1]
+            den = num + B[1, 0] + B[0, 1]
             per_class.append(Fraction(num, den) if den else Fraction(1))
         expect = sum(per_class) / 3
         assert ev("f:beta=1:macro", THREE) == expect
@@ -67,7 +66,7 @@ class TestMacro:
     def test_macro_acc_by_hand(self):
         per_class = [
             Fraction(
-                one_vs_all(THREE, i).c11 + one_vs_all(THREE, i).c00, THREE.n
+                one_vs_all(THREE, i)[1, 1] + one_vs_all(THREE, i)[0, 0], THREE.n
             )
             for i in range(3)
         ]
@@ -91,9 +90,9 @@ class TestWeighted:
         # a = (0,4,2): class 0 contributes nothing, weights 4/6 and 2/6
         per = [one_vs_all(C, i) for i in range(3)]
         f1 = []
-        for bc in per:
-            num = 2 * bc.c11
-            den = num + bc.c10 + bc.c01
+        for B in per:
+            num = 2 * B[1, 1]
+            den = num + B[1, 0] + B[0, 1]
             f1.append(Fraction(num, den) if den else Fraction(1))
         expect = Fraction(4, 6) * f1[1] + Fraction(2, 6) * f1[2]
         assert ev("f:beta=1:weighted", C) == expect

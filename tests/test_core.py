@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfmeasures.core import (
-    BinaryCounts,
     Budget,
     ConfusionMatrix,
     EnumerationBudgetExceeded,
     Labeling,
-    binary_counts,
     build_confusion,
     compositions,
     confusion_matrix,
@@ -27,6 +26,7 @@ from clfmeasures.core import (
     permute_classes,
     transpose,
 )
+from clfmeasures.averaging import micro_counts
 
 
 class TestConfusionMatrix:
@@ -67,25 +67,6 @@ class TestConfusionMatrix:
         assert not C.is_diagonal() and not C.is_zero_diagonal()
 
 
-class TestBinaryCounts:
-    def test_matrix_layout(self):
-        # class 1 is the positive class: entries [[c00, c01], [c10, c11]]
-        bc = BinaryCounts(3, 2, 1, 4)
-        C = bc.to_matrix()
-        assert C.entries == ((4, 1), (2, 3))
-        assert binary_counts(C) == bc
-
-    def test_margins(self):
-        bc = BinaryCounts(3, 2, 1, 4)
-        assert bc.n == 10
-        assert bc.a1 == 5 and bc.a0 == 5
-        assert bc.b1 == 4 and bc.b0 == 6
-
-    def test_binary_counts_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            binary_counts(confusion_matrix([[1]]))
-
-
 class TestTransforms:
     def test_transpose_involution(self):
         C = confusion_matrix([[4, 1, 0], [2, 3, 1], [0, 0, 5]])
@@ -108,11 +89,12 @@ class TestTransforms:
 
     def test_one_vs_all(self):
         C = confusion_matrix([[0, 1, 0], [0, 0, 1], [2, 0, 0]])
-        assert one_vs_all(C, 0) == BinaryCounts(0, 1, 2, 1)
+        # class 1 of the 2x2 is class i: ((tn, fp), (fn, tp))
+        assert one_vs_all(C, 0) == confusion_matrix([[1, 2], [1, 0]])
         # counts always rebuild the full total
         for i in range(3):
-            bc = one_vs_all(C, i)
-            assert bc.n == C.n
+            B = one_vs_all(C, i)
+            assert B.n == C.n
 
     def test_expected_matrix(self):
         E = expected_matrix((2, 1), (1, 2))
@@ -122,6 +104,57 @@ class TestTransforms:
         )
         assert E.a == (2, 1)
         assert E.b == (1, 2)
+
+    @pytest.mark.parametrize(
+        "a, b", [((3, -1), (1, 1)), ((1, 1), (3, -1)), ((2, 0), (-1, 3))]
+    )
+    def test_expected_matrix_rejects_negative_sizes(self, a, b):
+        with pytest.raises(ValueError):
+            expected_matrix(a, b)
+
+
+def _margins(C):
+    """``(a, b, n, diagonal_sum)`` with the type of every number."""
+    typed = lambda x: (x, type(x))  # noqa: E731
+    return (
+        tuple(map(typed, C.a)),
+        tuple(map(typed, C.b)),
+        typed(C.n),
+        typed(C.diagonal_sum),
+    )
+
+
+def _sample_matrices(m, kind, rng):
+    """Square matrices of side m with int, Fraction or mixed entries,
+    including empty rows and columns and integral Fractions."""
+    pick = {
+        "int": lambda: rng.choice((0, 0, 1, 2, 5)),
+        "fraction": lambda: Fraction(rng.choice((0, 0, 1, 3, 4)), rng.choice((1, 2, 3))),
+        "mixed": lambda: rng.choice((0, 2, Fraction(0), Fraction(3), Fraction(1, 2))),
+    }[kind]
+    for _ in range(12):
+        rows = [[pick() for _ in range(m)] for _ in range(m)]
+        if sum(map(sum, rows)) > 0:
+            yield confusion_matrix(rows)
+
+
+class TestPresetMargins:
+    """Reductions preset the margins they know; a matrix rebuilt from the
+    same entries computes them, and both must agree in value and type."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_reductions_match_recomputed_margins(self, m, kind):
+        rng = random.Random(f"{m}-{kind}")
+        for C in _sample_matrices(m, kind, rng):
+            reduced = [one_vs_all(C, i) for i in range(m)] + [micro_counts(C)]
+            for B in reduced:
+                assert _margins(B) == _margins(ConfusionMatrix(B.entries)), C.entries
+
+    def test_expected_matrix_margins(self):
+        for a, b in [((2, 1), (1, 2)), ((0, 3, 1), (2, 2, 0)), ((5,), (5,))]:
+            E = expected_matrix(a, b)
+            assert _margins(E) == _margins(ConfusionMatrix(E.entries))
 
 
 class TestBuildConfusion:
@@ -186,10 +219,6 @@ class TestEnumeration:
         got = list(enumerate_labelings(5, 2, class_sizes=(2, 3)))
         assert len(got) == multinomial(5, (2, 3))
         assert all(l.labels.count(0) == 2 and l.labels.count(1) == 3 for l in got)
-
-    def test_labelings_require_all_classes(self):
-        got = list(enumerate_labelings(3, 2, require_all_classes=True))
-        assert len(got) == 2**3 - 2
 
     def test_matrix_multiplicities_cover_all_labelings(self):
         # summed multiplicities must count every prediction labeling

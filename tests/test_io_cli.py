@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 import clfmeasures
-from clfmeasures import ALL_PROPERTIES, ConfusionMatrix, InputError, read_labels_csv
+from clfmeasures import (
+    ALL_PROPERTIES,
+    ConfusionMatrix,
+    InputError,
+    confusion_matrix,
+    evaluate,
+    read_labels_csv,
+)
 from clfmeasures.cli import MULTICLASS_IDS, _load_model_pairs, main
 from clfmeasures.measures import MeasureParseError, parse_measure_id
 from clfmeasures.dataio import (
@@ -64,14 +71,9 @@ class TestLabelsCsv:
 
     def test_explicit_alphabet(self, tmp_path):
         path = labels_file(tmp_path, rows=(("a", "a"), ("a", "b")))
-        pair = read_labels_csv(path, alphabet=("a", "b", "c"))
+        pair = read_labels_csv(path).with_alphabet(("a", "b", "c"))
         assert pair.m == 3
         assert pair.matrix().m == 3
-
-    def test_label_outside_alphabet(self, tmp_path):
-        path = labels_file(tmp_path, rows=(("a", "z"),))
-        with pytest.raises(InputError):
-            read_labels_csv(path, alphabet=("a", "b"))
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -320,6 +322,16 @@ class TestCliAudit:
         assert "## counterexamples" in out
 
     @pytest.mark.parametrize(
+        "flag",
+        [("--measures", "acc"), ("--m", "7"), ("--n-max", "1"), ("--binary",)],
+        ids=lambda f: f[0],
+    )
+    def test_preservation_rejects_ignored_flags(self, capsys, flag):
+        code, _, err = run_cli(capsys, "audit", "--preservation", *flag, "--properties", "min")
+        assert code == 2, err
+        assert f"does not take {flag[0]}" in err
+
+    @pytest.mark.parametrize(
         "bounds",
         [("--n-max", "1"), ("--n-max", "0"), ("--n-max", "-3"), ("--m", "3", "--n-max", "2")],
         ids=" ".join,
@@ -352,6 +364,34 @@ def test_bad_measure_number_exits_2(capsys, matrix_file, measure_id):
     code, _, err = run_cli(capsys, "eval", "--matrix", matrix_file, "--measures", measure_id)
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "rows, measure_id",
+    [
+        ([[4, 1], [2, 3]], "gm:r=64"),
+        ([[4, 1], [2, 3]], "gm:r=-40"),
+        ([[40000, 10000], [20000, 30000]], "gm:r=24"),
+    ],
+    ids=["n10-r64", "n10-r-40", "n100000-r24"],
+)
+def test_gm_radicand_past_int_str_limit(capsys, tmp_path, int_str_limit, rows, measure_id):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run_cli(
+        capsys, "eval", "--matrix", str(path), "--measures", measure_id,
+        "--output", "json", "--no-timestamp",
+    )
+    assert code == 0, err
+    (result,) = json.loads(out)["results"]
+    coeff, radicand = result["value"].removeprefix("(").split(")*(")
+    radicand, index = radicand.split(")^(1/")
+    int_str_limit(0)
+    expect = evaluate(parse_measure_id(measure_id), confusion_matrix(rows))
+    assert len(radicand) > 4300
+    assert (Fraction(coeff), Fraction(radicand), int(index.rstrip(")"))) == (
+        expect.coeff, expect.radicand, expect.index
+    )
 
 
 def test_gm_large_r_has_a_float(capsys, matrix_file):
@@ -605,7 +645,8 @@ class TestCliCompareRank:
         shared = ("2", "7", "10")
         for path, pair in zip(paths, pairs):
             assert pair.alphabet == shared
-            assert pair == read_labels_csv(path, alphabet=shared)
+            assert pair.truth.labels == tuple(shared.index(t) for t in truth)
+            assert pair.pred.labels == tuple(shared.index(p) for p in preds[Path(path).name])
 
 
 class TestCliBaseline:

@@ -19,7 +19,7 @@ from clfmeasures.measures import (
     parse_measure_id,
     with_scheme,
 )
-from clfmeasures.values import Root, root_value, value_str, values_equal
+from clfmeasures.values import Root, root_value, to_mpf, value_str, values_equal
 
 REFERENCE = confusion_matrix([[4, 1], [2, 3]])  # c11=3 c10=2 c01=1 c00=4
 
@@ -164,6 +164,31 @@ class TestIdentities:
             assert values_equal(g, c, eps=1e-6), C.entries
             checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("r", ["1e-30", "-1e-30", "1e-400"])
+    def test_gm_tiny_r_keeps_precision(self, r):
+        for rows in ([[4, 1], [2, 3]], [[7, 0], [2, 1]], [[1, 5], [6, 2]]):
+            C = confusion_matrix(rows)
+            with mp.workdps(40):
+                g = to_mpf(ev(f"gm:r={r}", C))
+                c = to_mpf(ev("cc", C))
+                assert abs(g - c) < 1e-20, rows
+            assert -1 <= g <= 1, rows
+
+    @pytest.mark.parametrize(
+        "r", [Fraction(1, 1000), Fraction(1, 2), Fraction(5, 2), -0.5], ids=str
+    )
+    def test_gm_fractional_r_matches_power_mean(self, r):
+        # Against ((x**r + y**r) / 2)**(1/r) at 60 digits.
+        (c00, c01), (c10, c11) = rows = [[4, 1], [2, 3]]
+        n, a1, b1 = 10, c10 + c11, c01 + c11
+        x, y = a1 * (n - a1), b1 * (n - b1)
+        got = ev(f"gm:r={r}", confusion_matrix(rows))
+        with mp.workdps(60):
+            rr = to_mpf(r)
+            mean = ((mpmath.mpf(x) ** rr + mpmath.mpf(y) ** rr) / 2) ** (1 / rr)
+            expect = (n * c11 - a1 * b1) / mean
+            assert abs(to_mpf(got) - expect) < 1e-25
 
     @pytest.mark.parametrize("alpha", [2, 3, 5])
     @pytest.mark.parametrize("mid", sorted(CANONICAL_IDS))

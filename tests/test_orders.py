@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clfmeasures import BinaryCounts, evaluate, parse_measure_id
+from clfmeasures import confusion_matrix, evaluate, parse_measure_id
 from clfmeasures.orders import (
     RateTriple,
     baseline_order,
@@ -65,7 +65,7 @@ class TestRatePlumbing:
     def test_measures_scale_free_on_rates(self):
         # Rates are counts divided by n, so rate evaluation must agree
         # with count evaluation measure by measure.
-        C = BinaryCounts(3, 2, 1, 4).to_matrix()
+        C = confusion_matrix([[4, 1], [2, 3]])
         n = C.n
         p_ab = Fraction(C[1, 1], n)
         p_a = Fraction(C.a[1], n)

@@ -174,6 +174,21 @@ class TestRenderings:
         assert value_str(root_value(Fraction(1, 6), 6, 2)) == "(1/6)*sqrt(6)"
         assert "^(1/3)" in value_str(root_value(1, 2, 3))
 
+    def test_value_str_past_int_str_limit(self, int_str_limit):
+        # More digits than the interpreter's limit lets str() convert.
+        big = 7 * 10**5000 + 123
+        values = [
+            big,
+            -big,
+            Fraction(big, 3),
+            Fraction(1, big),
+            root_value(Fraction(2, 3), Fraction(big, 5), 7),
+            -root_value(Fraction(1), Fraction(big + 1), 2),
+        ]
+        rendered = [value_str(v) for v in values]
+        int_str_limit(0)
+        assert rendered == [str(v) for v in values]
+
     def test_as_float_avoids_intermediate_overflow(self):
         big = Fraction(10**400, 2 * 10**400)
         assert as_float(big) == 0.5
