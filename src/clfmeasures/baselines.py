@@ -11,23 +11,40 @@ through either of two independent routes:
 
 Both routes must agree; the second is slower and exists to corroborate
 the first.
+
+Each route reduces a margin pair to a table of ``(C, count)`` pairs: the
+matrices route holds each compatible matrix with its multiplicity, the
+labelings route each distinct matrix that ``build_confusion`` makes of
+the enumerated labelings, with the number of labelings that made it.
+The most recently used tables are kept per process (at most
+:data:`TABLE_MATRICES` matrices in all), so the measures evaluated on one
+margin pair share one enumeration.  A budget is charged as if every call
+enumerated: one state per matrix or per labeling, charged while the
+table is built and replayed in one charge when a kept table is reused.
+
+Each value enters the sum once, scaled by its count.  That changes no
+exact sum.  A sum that has to be rounded (a float-valued measure) could
+change, so the labelings route then sums ``count`` copies of each value:
+the same terms as one value per labeling.
 """
 
 from __future__ import annotations
 
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from typing import Sequence
 
 from .core import (
     Budget,
+    ConfusionMatrix,
     Labeling,
     build_confusion,
     enumerate_confusion_matrices,
     enumerate_labelings,
     multinomial,
 )
-from .measures import MeasureDescriptor, evaluate
-from .values import Value, scale, value_sum
+from .measures import MeasureDescriptor, check_arity, evaluate
+from .values import Value, is_exact, scale, value_sum
 
 METHODS = ("matrices", "labelings")
 
@@ -44,6 +61,48 @@ def canonical_labeling(sizes: Sequence[int]) -> Labeling:
     for cls, s in enumerate(sizes):
         labels.extend([cls] * s)
     return Labeling(tuple(labels), len(sizes))
+
+
+#: Most matrices the kept tables hold together.
+TABLE_MATRICES = 1024
+
+#: (a_sizes, b_sizes, method) -> (table, states charged per use), least
+#: recently used first; ``_held`` counts their matrices.
+_tables: OrderedDict = OrderedDict()
+_held = 0
+
+
+def _build_table(a_sizes, b_sizes, method, budget) -> tuple:
+    if method == "matrices":
+        return tuple(enumerate_confusion_matrices(a_sizes, b_sizes, budget))
+    truth = canonical_labeling(a_sizes)
+    counts = Counter(
+        build_confusion(truth, pred).entries
+        for pred in enumerate_labelings(
+            len(truth), len(a_sizes), class_sizes=b_sizes, budget=budget
+        )
+    )
+    return tuple((ConfusionMatrix._trusted(e), k) for e, k in counts.items())
+
+
+def _table(a_sizes, b_sizes, method, budget) -> tuple:
+    """The ``(C, count)`` table of one margin pair and route."""
+    global _held
+    key = (a_sizes, b_sizes, method)
+    if key in _tables:
+        _tables.move_to_end(key)
+        table, states = _tables[key]
+        if budget is not None:
+            budget.charge(states)
+        return table
+    table = _build_table(a_sizes, b_sizes, method, budget)
+    states = len(table) if method == "matrices" else multinomial(sum(a_sizes), b_sizes)
+    _tables[key] = table, states
+    _held += len(table)
+    while _held > TABLE_MATRICES:
+        old, _ = _tables.popitem(last=False)[1]
+        _held -= len(old)
+    return table
 
 
 def exact_baseline_expectation(
@@ -74,18 +133,12 @@ def exact_baseline_expectation(
         )
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_arity(desc, len(a_sizes))  # before a table is enumerated for nothing
 
-    total = multinomial(n, b_sizes)
-    if method == "matrices":
-        terms = [
-            scale(evaluate(desc, C), count)
-            for C, count in enumerate_confusion_matrices(a_sizes, b_sizes, budget)
-        ]
-    else:
-        truth = canonical_labeling(a_sizes)
-        m = len(a_sizes)
-        terms = [
-            evaluate(desc, build_confusion(truth, pred))
-            for pred in enumerate_labelings(n, m, class_sizes=b_sizes, budget=budget)
-        ]
-    return scale(value_sum(terms), Fraction(1, total))
+    table = _table(a_sizes, b_sizes, method, budget)
+    weighted = [(evaluate(desc, C), count) for C, count in table]
+    total = value_sum([scale(v, count) for v, count in weighted])
+    if method == "labelings" and not is_exact(total):
+        # A rounded sum depends on its terms: one value per labeling.
+        total = value_sum([v for v, count in weighted for _ in range(count)])
+    return scale(total, Fraction(1, multinomial(n, b_sizes)))

@@ -207,7 +207,9 @@ def build_confusion(true: Labeling, pred: Labeling) -> ConfusionMatrix:
     cells = [[0] * m for _ in range(m)]
     for t, p in zip(true.labels, pred.labels):
         cells[t][p] += 1
-    return ConfusionMatrix(tuple(tuple(row) for row in cells))
+    # Valid labelings are non-empty with labels in range, so the counts
+    # form a valid matrix.
+    return ConfusionMatrix._trusted(tuple(tuple(row) for row in cells))
 
 
 def transpose(C: ConfusionMatrix) -> ConfusionMatrix:

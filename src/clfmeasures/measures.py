@@ -613,16 +613,22 @@ _KERNELS = {
 _EXTENDERS = {scheme: f"{scheme}_extend" for scheme in SCHEMES}
 
 
+def check_arity(desc: MeasureDescriptor, m: int) -> None:
+    """Raise :class:`MeasureArityError` if ``desc`` has no value at m classes."""
+    if desc.arity == "binary" and m != 2:
+        raise MeasureArityError(
+            f"{desc.measure_id} is binary-only; use an averaging scheme for m={m}"
+        )
+
+
 def evaluate(desc: MeasureDescriptor, C: ConfusionMatrix) -> Value:
     """Evaluate a measure described by ``desc`` on a confusion matrix."""
     if desc.scheme is not None:
         # Looked up on the module on each call, so wrappers installed
         # there (tracing) see every extension.
         return getattr(averaging, _EXTENDERS[desc.scheme])(desc.kernel, C)
-    if desc.arity == "binary" and C.m != 2:
-        raise MeasureArityError(
-            f"{desc.measure_id} is binary-only; use an averaging scheme for m={C.m}"
-        )
+    if desc.arity == "binary":
+        check_arity(desc, C.m)
     return desc.kernel(C)
 
 

@@ -18,6 +18,19 @@ Richardson extrapolation, evaluated at exact rational abscissae under
 high-precision arithmetic; round-off is driven far below the vanishing
 threshold, so the verdicts are clean.
 
+The probe evaluates on the integer lattice rather than on rate matrices.
+At each grid point one scale ``D`` clears the denominators of ``p_a``,
+``p_b``, the product point and the half step, and every abscissa is
+evaluated on the int matrix ``D`` times its rates (:func:`lattice_matrix`),
+so the integer kernels of the measures run.  Scale invariance gives the
+same values as on the rates (:func:`rate_matrix` stays the reference),
+and one ``D`` per point gives every root-valued abscissa the same
+radicand, so the stencil sums of ``cc`` and ``gm`` stay exact.  The
+audit-only measures are not scale-free and are refused.  Grid margins
+and the step scale must be rationals (int or Fraction): a float is not
+the rational it stands for, and float abscissae round away the small
+differences the probe measures.
+
 :func:`check_gm_normalizer_conditions` verifies the six conditions on a
 normalizer s(p_a, p_b) under which s * (p_ab - p_a*p_b) retains the full
 chance-correction property set, instantiated for the power-mean
@@ -30,11 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import Callable, Sequence
 
 from mpmath import mp
 
-from .core import ConfusionMatrix
+from .core import ConfusionMatrix, _with_margins
 from .measures import evaluate, parse_measure_id
 from .values import Value, as_float, root_value, scale, value_cmp, value_sum
 
@@ -110,6 +125,25 @@ def rate_evaluator(measure) -> Callable[[Fraction, Fraction, Fraction], Value]:
     return f
 
 
+def lattice_matrix(
+    p_ab: Fraction, p_a: Fraction, p_b: Fraction, n: int
+) -> ConfusionMatrix:
+    """``n`` times :func:`rate_matrix`: the int matrix of total ``n``.
+
+    Unchecked: ``n`` must be a positive multiple of the denominators of
+    the three rates, and ``p_ab`` feasible for the margins.
+    """
+
+    def count(q: Fraction) -> int:
+        return q.numerator * (n // q.denominator)
+
+    a1, b1, c11 = count(p_a), count(p_b), count(p_ab)
+    c00 = n - a1 - b1 + c11
+    return _with_margins(
+        ((c00, b1 - c11), (a1 - c11, c11)), (n - a1, a1), (n - b1, b1), n, c00 + c11
+    )
+
+
 # ---------------------------------------------------------------------------
 # baseline order
 
@@ -183,9 +217,15 @@ def _richardson(coarse: Value, fine: Value) -> Value:
     return value_sum([scale(fine, Fraction(4, 3)), scale(coarse, Fraction(-1, 3))])
 
 
-def _derivative_estimates(
-    f, p_a: Fraction, p_b: Fraction, orders: Sequence[int], h_scale: Fraction
-) -> dict[int, float]:
+def _rational(x, what: str) -> Fraction:
+    if isinstance(x, Rational) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"{what} must be a rational (int or Fraction), got {x!r}")
+
+
+def _stencil(desc, p_a: Fraction, p_b: Fraction, h_scale: Fraction):
+    """Step ``h`` and the evaluations at ``p_a*p_b + j*h/2``, j = -4..4,
+    computed on first use on one integer lattice."""
     lo, hi = feasible_joint_interval(p_a, p_b)
     if hi <= lo:
         raise ValueError(f"degenerate joint range at margins ({p_a}, {p_b})")
@@ -198,14 +238,19 @@ def _derivative_estimates(
             f"stencil leaves the feasible range at margins ({p_a}, {p_b}); "
             "use a smaller h_scale"
         )
-    # One shared table of evaluations at x0 + j*h/2, j = -4..4.
+    D = lcm(p_a.denominator, p_b.denominator, x0.denominator, half.denominator)
     cache: dict[int, Value] = {}
 
     def at(j: int) -> Value:
         if j not in cache:
-            cache[j] = f(x0 + j * half, p_a, p_b)
+            cache[j] = evaluate(desc, lattice_matrix(x0 + j * half, p_a, p_b, D))
         return cache[j]
 
+    return h, at
+
+
+def _derivative_estimates(h: Fraction, at, orders: Sequence[int]) -> dict[int, float]:
+    half = h / 2
     out: dict[int, float] = {}
     for l in orders:
         weights = _STENCILS[l]
@@ -231,29 +276,40 @@ def baseline_order(
     the baseline value is one constant across the grid and the
     derivative estimates of orders 2..k stay below ``zero_tol`` at every
     grid point.  ``order`` is 0 when even the baseline is not constant.
+    Audit-only measures, and grid margins or an ``h_scale`` that are not
+    rationals, raise ``ValueError``.
     """
     desc = parse_measure_id(measure) if isinstance(measure, str) else measure
+    if desc.audit_only:
+        raise ValueError(
+            f"{desc.measure_id} is audit-only: it is not scale-free, so it has "
+            "no value on rates"
+        )
     if not 1 <= l_max <= MAX_PROBE_ORDER:
         raise ValueError(f"l_max must be in 1..{MAX_PROBE_ORDER}")
+    h_scale = _rational(h_scale, "h_scale")
+    if h_scale <= 0:
+        raise ValueError(f"h_scale must be positive, got {h_scale}")
     if grid is None:
         grid = default_rate_grid()
     if not grid:
         raise ValueError("empty rate grid")
+    grid = [tuple(_rational(p, "grid margin") for p in pair) for pair in grid]
     for p_a, p_b in grid:
         if not (0 < p_a < 1 and 0 < p_b < 1):
             raise ValueError(f"grid margins must be interior, got ({p_a}, {p_b})")
-    f = rate_evaluator(desc)
     orders = range(2, l_max + 1)
     worst: dict[int, tuple[float, RatePair]] = {l: (-1.0, grid[0]) for l in orders}
     base_first: float | None = None
     base_spread = 0.0
     with mp.workdps(dps):
         for p_a, p_b in grid:
-            v0 = as_float(f(p_a * p_b, p_a, p_b))
+            h, at = _stencil(desc, p_a, p_b, h_scale)
+            v0 = as_float(at(0))
             if base_first is None:
                 base_first = v0
             base_spread = max(base_spread, abs(v0 - base_first))
-            ests = _derivative_estimates(f, p_a, p_b, orders, h_scale)
+            ests = _derivative_estimates(h, at, orders)
             for l, est in ests.items():
                 if est > worst[l][0]:
                     worst[l] = (est, (p_a, p_b))
@@ -292,16 +348,28 @@ def _margin_variance(p: Fraction) -> Fraction:
     return p * (1 - p)
 
 
+def _nonzero_int(r) -> int:
+    """``r`` as an int; a non-integer or zero ``r`` raises ``ValueError``."""
+    try:
+        k = int(r)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != r:
+        raise ValueError(f"r must be an integer, got {r!r}")
+    if k == 0:
+        raise ValueError("r must be nonzero")
+    return k
+
+
 def gm_normalizer(r: int) -> Callable[[Fraction, Fraction], Value]:
     """The power-mean normalizer s(p_a, p_b) of the generalized means.
 
     s is the reciprocal of the r-power mean of the two margin variances
     x = p_a(1-p_a) and y = p_b(1-p_b); the measure itself is
-    s * (p_ab - p_a*p_b).  Exact (Fraction or Root) for integer r.
+    s * (p_ab - p_a*p_b).  Exact (Fraction or Root); ``r`` must be a
+    nonzero integer.
     """
-    r = int(r)
-    if r == 0:
-        raise ValueError("r must be nonzero")
+    r = _nonzero_int(r)
 
     def s(p_a, p_b) -> Value:
         x = _margin_variance(Fraction(p_a))
@@ -451,11 +519,10 @@ def check_gm_normalizer_conditions(
        margins; elsewhere strict.  Exact rational arithmetic.
 
     A finite-difference probe of ds/dp_a against its closed form guards
-    the rational derivative algebra used by conditions 5 and 6.
+    the rational derivative algebra used by conditions 5 and 6.  ``r``
+    must be a nonzero integer.
     """
-    r = int(r)
-    if r == 0:
-        raise ValueError("r must be nonzero")
+    r = _nonzero_int(r)
     s = gm_normalizer(r)
     qs = [Fraction(k, steps) for k in range(1, steps)]
     grid = default_rate_grid(steps)

@@ -5,14 +5,23 @@ from fractions import Fraction
 
 import pytest
 
+from clfmeasures import baselines
 from clfmeasures.baselines import (
     canonical_labeling,
     exact_baseline_expectation,
     is_unary,
 )
-from clfmeasures.core import compositions
-from clfmeasures.measures import parse_measure_id
-from clfmeasures.values import is_exact, values_equal
+from clfmeasures.core import (
+    Budget,
+    EnumerationBudgetExceeded,
+    build_confusion,
+    compositions,
+    enumerate_entries,
+    enumerate_labelings,
+    multinomial,
+)
+from clfmeasures.measures import MeasureArityError, evaluate, parse_measure_id
+from clfmeasures.values import is_exact, scale, value_sum, values_equal
 
 CONSTANT_ZERO = ("cc", "kappa", "gm:r=-2", "gm:r=-1", "gm:r=1", "gm:r=2")
 CONSTANT_INV_M = ("ba", "sba")
@@ -132,3 +141,112 @@ class TestExactness:
         v = expect("cc", (4, 3), (5, 2))
         assert is_exact(v)
         assert v == 0
+
+
+def _drop_tables():
+    baselines._tables.clear()
+    baselines._held = 0
+
+
+@pytest.fixture
+def no_tables():
+    """Start and end with no kept tables."""
+    _drop_tables()
+    yield
+    _drop_tables()
+
+
+MARGINS = [((3, 2), (1, 4)), ((2, 2, 1), (1, 2, 2)), ((4, 0, 1), (2, 2, 1))]
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("a, b", MARGINS)
+    @pytest.mark.parametrize("method", ("matrices", "labelings"))
+    def test_budget_same_on_miss_and_hit(self, no_tables, a, b, method):
+        states = (
+            sum(1 for _ in enumerate_entries(a, b))
+            if method == "matrices"
+            else multinomial(sum(a), b)
+        )
+        used = []
+        for mid in ("cc", "cc", "ba"):  # miss, hit, hit by another measure
+            budget = Budget(10**6)
+            exact_baseline_expectation(parse_measure_id(mid), a, b, method, budget)
+            used.append(budget.used)
+            assert (a, b, method) in baselines._tables
+        assert used == [states] * 3
+
+    @pytest.mark.parametrize("method", ("matrices", "labelings"))
+    def test_exceeded_budget_on_miss_and_hit(self, no_tables, method):
+        a, b = (3, 3), (3, 3)
+        desc = parse_measure_id("kappa")
+        with pytest.raises(EnumerationBudgetExceeded):
+            exact_baseline_expectation(desc, a, b, method, Budget(2))
+        assert not baselines._tables  # an interrupted build keeps nothing
+        exact_baseline_expectation(desc, a, b, method)
+        with pytest.raises(EnumerationBudgetExceeded):
+            exact_baseline_expectation(desc, a, b, method, Budget(2))
+
+    @pytest.mark.parametrize("method", ("matrices", "labelings"))
+    def test_binary_only_refused_before_enumerating(self, no_tables, method):
+        budget = Budget(10**9)
+        with pytest.raises(MeasureArityError):
+            exact_baseline_expectation(
+                parse_measure_id("f:beta=1"), (30, 30, 30), (30, 30, 30), method, budget
+            )
+        assert budget.used == 0 and not baselines._tables
+
+    def test_routes_keep_separate_tables(self, no_tables):
+        desc = parse_measure_id("acc")
+        for method in ("matrices", "labelings"):
+            exact_baseline_expectation(desc, (2, 1), (1, 2), method)
+        assert set(baselines._tables) == {
+            ((2, 1), (1, 2), "matrices"),
+            ((2, 1), (1, 2), "labelings"),
+        }
+
+    def test_labelings_table_counts_labelings(self, no_tables):
+        a, b = (2, 2, 1), (1, 2, 2)
+        exact_baseline_expectation(parse_measure_id("acc"), a, b, "labelings")
+        table, states = baselines._tables[a, b, "labelings"]
+        assert states == sum(k for _, k in table) == multinomial(5, b)
+        assert {C.entries: k for C, k in table} == dict(enumerate_entries(a, b))
+
+    def test_bounded(self, no_tables, monkeypatch):
+        monkeypatch.setattr(baselines, "TABLE_MATRICES", 20)
+        desc = parse_measure_id("cc")
+        for a in compositions(6, 2):
+            for b in compositions(6, 2):
+                if not is_unary(b):
+                    v = exact_baseline_expectation(desc, a, b)
+                    assert v == 0
+                    held = sum(len(t) for t, _ in baselines._tables.values())
+                    assert held == baselines._held <= 20
+        assert baselines._tables  # the most recent tables are kept
+
+    def test_kept_values_match_fresh(self, no_tables):
+        # Every measure of one margin pair reads the same table; each
+        # must equal its value from a freshly built table.
+        ids = ("acc", "ce", "cd", "cdprime", "gm:r=1/2", "f:beta=1:weighted")
+        ids += ("cc:macro",)
+        a, b = (4, 2), (3, 3)
+        for method in ("matrices", "labelings"):
+            warm = [expect(mid, a, b, method) for mid in ids]
+            cold = []
+            for mid in ids:
+                _drop_tables()
+                cold.append(expect(mid, a, b, method))
+            assert [repr(v) for v in warm] == [repr(v) for v in cold]
+
+    def test_rounded_labelings_sum_has_one_term_per_labeling(self, no_tables):
+        # Scaling each distinct value by its count would round differently.
+        a, b = (5, 2), (3, 4)
+        desc = parse_measure_id("gm:r=1/2")
+        got = exact_baseline_expectation(desc, a, b, "labelings")
+        truth = canonical_labeling(a)
+        terms = [
+            evaluate(desc, build_confusion(truth, pred))
+            for pred in enumerate_labelings(7, 2, class_sizes=b)
+        ]
+        want = scale(value_sum(terms), Fraction(1, multinomial(7, b)))
+        assert repr(got) == repr(want)

@@ -4,8 +4,8 @@
   which take the Fraction branch of every measure;
 * ``value_cmp``/``exact_cmp`` against the comparison by Fraction powers
   they replaced, kept here as a reference;
-* matrices built without validation (edits, enumerations, transposes and
-  class permutations) against validated ones.
+* matrices built without validation (edits, enumerations, transposes,
+  class permutations and labeling counts) against validated ones.
 """
 
 import itertools
@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 from clfmeasures import properties
 from clfmeasures.core import (
     ConfusionMatrix,
+    Labeling,
+    build_confusion,
     enumerate_confusion_matrices,
+    enumerate_labelings,
     permute_classes,
     transpose,
 )
@@ -182,3 +185,9 @@ def test_enumerated_and_transformed_matrices_are_valid():
             assert Cp.entries == tuple(tuple(e[p[i]][p[j]] for j in range(3)) for i in range(3))
     for C, _ in enumerate_confusion_matrices((2, 0, 3), (1, 3, 1)):
         assert_like_validated(C)
+
+
+def test_counted_labelings_are_valid():
+    for truth in (Labeling((0, 0, 1, 2, 2), 3), Labeling((1,) * 5, 3)):
+        for pred in enumerate_labelings(5, 3):
+            assert_like_validated(build_confusion(truth, pred))

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from clfmeasures import (
     evaluate,
     read_labels_csv,
 )
+from clfmeasures.baselines import METHODS, exact_baseline_expectation
 from clfmeasures.cli import MULTICLASS_IDS, _load_model_pairs, main
 from clfmeasures.measures import MeasureParseError, parse_measure_id
 from clfmeasures.dataio import (
@@ -474,6 +476,10 @@ class TestGoldenRenderings:
         "rank": ("rank", "--labels", *MODEL_NAMES),
         "baseline": ("baseline", "--a", "3,3,2", "--b", "2,3,3", "--method", "both"),
         "baseline-binary": ("baseline", "--a", "2,3", "--b", "3,2"),
+        "baseline-labelings": (
+            "baseline", "--a", "5,2", "--b", "3,4", "--method", "labelings",
+            "--measures", "ce,cd,cdprime,gm:r=1/2,f:beta=1:weighted",
+        ),
     }
 
     DIGESTS = {
@@ -537,6 +543,12 @@ class TestGoldenRenderings:
             "67d84e3c584d53ff3ce187d9c22be719d36dd573d7b29472671202cda312db1c",
         ("baseline-binary", "json"):
             "319770d912284847b7b7fbe74d7c13046551ebb7b59cb3f177411946ca33b83f",
+        ("baseline-labelings", "markdown"):
+            "43b3da5e83a819e3eae7ad5bf81423ae4d59ef51b5c8bd5f25dafba6cb692ea3",
+        ("baseline-labelings", "csv"):
+            "9f174741f9c886fac58a703c3f1f4057bbbef29d838bf11005f1fcbcfee0825a",
+        ("baseline-labelings", "json"):
+            "ba21391913c8828b6dddc28f2d85d0c4919ea5136a85b9cbcde2f1663e8f3404",
     }
 
     @pytest.fixture
@@ -727,6 +739,41 @@ class TestBudgetEverywhere:
             capsys, "baseline", "--a", "2,2", "--b", "2,2", "--budget", "100"
         )
         assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--a", "30,30", "--b", "30,30", "--method", "labelings"),
+            ("--a", "30,30", "--b", "30,30", "--method", "both"),
+            ("--a", "30,30,30", "--b", "30,30,30", "--method", "matrices"),
+        ],
+        ids=" ".join,
+    )
+    def test_huge_baseline_stops_early(self, capsys, argv):
+        # C(60, 30) labelings and 123,256 3x3 matrices: only an enumeration
+        # that stops at the budget returns within seconds.
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "baseline", *argv, "--budget", "1000")
+        assert code == 3, err
+        assert "budget" in err and not out
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize(
+        "argv, a, b",
+        [
+            (("audit", "--measures", "cc", "--properties", "cb"), (0, 2), (1, 1)),
+            (("baseline", "--a", "2,2", "--b", "2,2", "--method", "both"), (2, 2), (2, 2)),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x[0], str) else None,
+    )
+    def test_kept_tables_still_charged(self, capsys, argv, a, b):
+        # Warm the expectation tables the command reads first: reading
+        # kept tables must still charge the budget.
+        for method in METHODS:
+            exact_baseline_expectation(parse_measure_id("cc"), a, b, method)
+        code, out, err = run_cli(capsys, *argv, "--budget", "1")
+        assert code == 3, err
+        assert "budget" in err and not out
 
     def test_bad_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("MEASURE_AUDIT_BUDGET", "lots")

@@ -1,10 +1,19 @@
 """Baseline flatness orders and the power-mean normalizer conditions."""
 
+import hashlib
+import json
+import re
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from clfmeasures import confusion_matrix, evaluate, parse_measure_id
+from clfmeasures.core import ConfusionMatrix
+from clfmeasures.measures import AUDIT_ONLY_IDS, SCHEMES
 from clfmeasures.orders import (
     RateTriple,
     baseline_order,
@@ -12,6 +21,7 @@ from clfmeasures.orders import (
     default_rate_grid,
     feasible_joint_interval,
     gm_normalizer,
+    lattice_matrix,
     normalizer_partial_pa,
     rate_evaluator,
     rate_matrix,
@@ -137,6 +147,212 @@ class TestBaselineOrder:
         assert len(d["derivatives"]) == 1
 
 
+def _lattice_ids() -> tuple:
+    """Every registry and probe id with a value on rates: all but the
+    audit-only ones, plus ``gm`` at more exponents."""
+    native = ("acc", "ba", "sba", "kappa", "cc", "ce", "cd", "cdprime")
+    binary = ("f:beta=1", "f:beta=2", "f:beta=1/3", "jaccard")
+    gm = tuple(f"gm:r={r}" for r in ("1", "-1", "2", "-2", "3", "1/2"))
+    averaged = tuple(
+        f"{mid}:{scheme}"
+        for mid in ("f:beta=1", "f:beta=2", "jaccard", "gm:r=1", "gm:r=-2")
+        + ("cc", "kappa")
+        for scheme in SCHEMES
+    )
+    return native + binary + gm + averaged
+
+
+@st.composite
+def interior_rates(draw):
+    """``(p_ab, p_a, p_b, n)``: a feasible rate triple with interior
+    margins, and a multiple ``n`` of its least common denominator."""
+    den = draw(st.integers(2, 60))
+    p_a = Fraction(draw(st.integers(1, den - 1)), den)
+    p_b = Fraction(draw(st.integers(1, den - 1)), draw(st.sampled_from((den, 7, 12))))
+    assume(0 < p_b < 1)
+    lo, hi = feasible_joint_interval(p_a, p_b)
+    p_ab = lo + (hi - lo) * Fraction(draw(st.integers(0, 20)), 20)
+    base = lcm(p_a.denominator, p_b.denominator, p_ab.denominator)
+    return p_ab, p_a, p_b, base * draw(st.integers(1, 3))
+
+
+class TestLatticePath:
+    """The int matrices of the flatness probe against the rate matrices."""
+
+    @given(interior_rates())
+    @example((Fraction(3, 8) * Fraction(5, 8), Fraction(3, 8), Fraction(5, 8), 64))
+    @example((Fraction(0), Fraction(1, 2), Fraction(1, 2), 2))  # empty diagonal cell
+    @settings(max_examples=40, deadline=None)
+    def test_values_equal_rate_oracle(self, rates):
+        p_ab, p_a, p_b, n = rates
+        C = lattice_matrix(p_ab, p_a, p_b, n)
+        assert type(C.n) is int and C.n == n
+        R = rate_matrix(p_ab, p_a, p_b)
+        assert C.entries == tuple(tuple(n * x for x in row) for row in R.entries)
+        for mid in _lattice_ids():
+            desc = parse_measure_id(mid)
+            on_rates = rate_evaluator(desc)(p_ab, p_a, p_b)
+            assert value_cmp(evaluate(desc, C), on_rates) == 0, mid
+
+    def test_margins_match_recomputed(self):
+        C = lattice_matrix(Fraction(1, 12), Fraction(1, 3), Fraction(1, 4), 24)
+        fresh = ConfusionMatrix(C.entries)
+        assert (C.a, C.b, C.n, C.diagonal_sum) == (
+            fresh.a, fresh.b, fresh.n, fresh.diagonal_sum
+        )
+
+
+class TestBaselineOrderPinned:
+    """``baseline_order(...).to_dict()`` at two grids, ``l_max=4``, as
+    computed on the rate matrices before the probe moved to the integer
+    lattice: sha256 of the sorted-key JSON at ``default_rate_grid(6)``
+    and ``(11)``."""
+
+    DIGESTS = {
+        "acc": (
+            "3406db6d754e4b42d054c4cd55bbb8bb7586e5f3ff791acc00fa0c8ef2d1cd1e",
+            "e38c34f52513b764f6768e17afa1c68b4d4e0d6f498180ee550686c3915a32bb",
+        ),
+        "ba": (
+            "88dcb9d56c2fe05ffdb327bd22adc8aa107c11ceeddcdcc7cfc41450c7979605",
+            "9c415f514b068669d8419013c8ba5a6f65bb321e7969c1baa3a46245ef571a0c",
+        ),
+        "sba": (
+            "075b003742a044d41863a501da6bbb3eca1947daeeddab546c0c6136acd4b2e6",
+            "9429cc64152650c314eef4358b8f1c52411dcfe92c7b353a40137134ce380e85",
+        ),
+        "kappa": (
+            "c31be33af3d2bddf890fd5da1864fb12c8682d62ddf97f09a4e52b550187d89a",
+            "1ef9b7b7480507d2845abb7f44d83f4d10f1313770e90af6b06019e9583b1bbc",
+        ),
+        "cc": (
+            "96967444c0de60cdfd56ce2b84a8755e603cf6d9a2e1aab2ab84bda91fe8d282",
+            "a8d0bca2bb470df4684d86a65192399be189cf0d73b93548e1d55a9b68704e91",
+        ),
+        "ce": (
+            "51e920a3826d1647fcf4a32d230ee26059beb6d8f3b8c05537dcc98a22310507",
+            "44e1275975fd68bbcbf40aa2fba4cd1b3693aa6c5591d3d9a12e8f5faeb524cc",
+        ),
+        "cd": (
+            "090362aa7e47b3a357b5dbbf75d96a5f4a8f8e8a8b22da08fd0594573d21e072",
+            "7f2e5218c309ef10a9abb2599070aa9b6846130dd0091f69c8bc43ab80972f9e",
+        ),
+        "cdprime": (
+            "3472fd54cb9cd337edc8873bfd3edb3dcaa1bf557464be51a3b903092160f4e9",
+            "5d548a05fd35a31fffb90a00580b724ab4885ab46c86262ae01f0108bd1b28ec",
+        ),
+        "f:beta=1": (
+            "3b29f08a5ab9ba8fb7f3851a31ce5458bd3603c678059886a3836fb5b394c844",
+            "b255312c25d93c5c46c007d731ba0725708e33c32d0d0924a2ffcda69bc56f8d",
+        ),
+        "f:beta=2": (
+            "5a8b2312733d71b2d015eb210d62c9d6d7c515323fe4916bda408b07c2898261",
+            "7e6eb15f99f136e31c390ceb612111f10251ba416d2e2c2892f98c301cde4165",
+        ),
+        "f:beta=1/3": (
+            "d68b429c079daccc2aea3eacca51fc26f94d17fe3f8bdf0301fe6153fc2cf4de",
+            "661d026530a2b223f1a96b1a43fae99dd548f158672617b322a01cf6ed3fb9c8",
+        ),
+        "jaccard": (
+            "6dffab5ba504e0dd623ae49c0bf1bccad0d48d5d8cfdd0de7cd2d5a3074216b5",
+            "15b4ccf4d0d889756ea680fd8e75181b13a9c8f3ce473e05f3b54740b996b068",
+        ),
+        "gm:r=1": (
+            "e1515cd4952b6eee260ed48aa799f58d48d61afd473c372c9ae09d5bf8c0e758",
+            "9967c867316db2a268277809dbe5cd1d8a6480446ef763991afbb60291f465f1",
+        ),
+        "gm:r=2": (
+            "084ff75777309b5f56c61fafbc98f897314011fa4eb7d7330026851c3912a196",
+            "1be0d1c13bf62d49a6f6c4ea331d83be17f9bc83eb443761cb0d2739c0260ed5",
+        ),
+        "gm:r=3": (
+            "78e3a1436ee17573e14a7105ea03d0e4f0cb41ffa32f6c37c2486d8d9e6901f5",
+            "2e6cd18cde4fabb2f63b2ee628fe4aac84011555dc222284ef226436371ed317",
+        ),
+        "gm:r=-1": (
+            "0c187043c5bc6a8cd3c2cf8381342d5c1eb9aa1e2bf8dc81fc9a0e61c16a7a4b",
+            "1affa9fe98afbfaa7d56d3c573928206b0a5258e8f52d54a7bf5bcc0e0b981bb",
+        ),
+        "gm:r=-2": (
+            "d98bcd2133e04212132752d9bf4aa17a5089522d151e8940a6ee20e6f42efbdf",
+            "25a80563cfd8c5f9c89c1da9a2b9352e26f53aa3b7149f2f2dabca16d1210b56",
+        ),
+        "gm:r=1/2": (
+            "9c19c399e5c9ad538c8338d2f90b6fcfc57db99f783ff4c4e9653cf0c08823aa",
+            "1567eb761aff114d73d9e059d074a583c89f6852260f6514a21a7180b6c70cda",
+        ),
+        "cc:macro": (
+            "0f4094608d78632c3f56c56f712d037ef9e3d048ebe1c282c1cf8f7eae9b67b5",
+            "5cda0677174d8cef17a54921ecfb845e03c10e64dd0c32d5c3fba4f96512dc9a",
+        ),
+        "kappa:weighted": (
+            "bc2be96f5a9ca0ea540ad32a4ec4c459829a2d66a2449b0649bdd6b554e7a0d9",
+            "2f6dc5460ac78d853fe1c2f0817cec8b68ee47c49b34e4fbd70bcce1811629bb",
+        ),
+        "f:beta=1:micro": (
+            "be91a825384c360829d3131384ab28800154c1ecc392e67323f6bd1e2431491a",
+            "e4f34986e64e99b2706c428fea0e0c62846c61ccff5b23d55df1516b114f7feb",
+        ),
+        "gm:r=1:macro": (
+            "b77ac6d77f671f65c23836b8de36d2545dba88f318acae7d59d4367745df7049",
+            "64feb74165352f31600bc828e203e76f5498b6d11edaadcac88b2c77b945868b",
+        ),
+    }
+
+    @pytest.mark.parametrize("mid", list(DIGESTS))
+    def test_report_bytes(self, mid):
+        for steps, want in zip((6, 11), self.DIGESTS[mid]):
+            d = baseline_order(mid, l_max=4, grid=default_rate_grid(steps)).to_dict()
+            got = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+            assert got == want, (mid, steps)
+
+
+class TestBaselineOrderInputs:
+    @pytest.mark.parametrize("mid", AUDIT_ONLY_IDS)
+    def test_audit_only_refused(self, mid):
+        with pytest.raises(ValueError, match="audit-only"):
+            baseline_order(mid, l_max=2, grid=default_rate_grid(4))
+
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ([(0.5, Fraction(1, 10))], "0.5"),
+            ([(HALF, 0.1)], "0.1"),
+            ([(QUARTER, HALF), (Fraction(3, 10), 0.1)], "0.1"),
+            ([(HALF, "1/10")], "'1/10'"),
+        ],
+    )
+    def test_float_margins_refused(self, grid, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            baseline_order("cc", l_max=3, grid=grid)
+
+    @pytest.mark.parametrize("h_scale", [1e-4, Decimal("0.0001")])
+    def test_inexact_h_scale_refused(self, h_scale):
+        with pytest.raises(ValueError, match=re.escape(repr(h_scale))):
+            baseline_order("cc", grid=[(HALF, Fraction(1, 10))], h_scale=h_scale)
+
+    def test_nonpositive_h_scale_refused(self):
+        with pytest.raises(ValueError, match="positive"):
+            baseline_order("cc", grid=[(HALF, Fraction(1, 10))], h_scale=0)
+
+    @pytest.mark.parametrize(
+        "mid, p_a, p_b",
+        [("cc", HALF, Fraction(1, 10)), ("kappa", Fraction(3, 10), Fraction(1, 10))],
+    )
+    def test_affine_measures_reach_order_three(self, mid, p_a, p_b):
+        # cc and kappa are affine in p_ab at fixed margins; the float
+        # margins 0.5/0.3 and 0.1 once read as order 2 at these points.
+        rep = baseline_order(mid, l_max=3, grid=[(p_a, p_b)])
+        assert rep.order == 3
+        assert all(p.max_abs == 0.0 for p in rep.probes)
+
+    def test_fraction_h_scale_accepted(self):
+        rep = baseline_order(
+            "cc", l_max=2, grid=[(HALF, Fraction(1, 10))], h_scale=Fraction(1, 100)
+        )
+        assert rep.order == 2
+
+
 class TestGmNormalizer:
     def test_equal_margins_value(self):
         # At p_a = p_b the power mean degenerates to the common margin
@@ -181,6 +397,18 @@ class TestGmNormalizer:
     def test_conditions_reject_r_zero(self):
         with pytest.raises(ValueError):
             check_gm_normalizer_conditions(0)
+
+    @pytest.mark.parametrize("r", [1.5, Fraction(1, 2), -0.25, float("inf"), "2"])
+    def test_non_integer_r_refused(self, r):
+        with pytest.raises(ValueError, match="integer"):
+            gm_normalizer(r)
+        with pytest.raises(ValueError, match="integer"):
+            check_gm_normalizer_conditions(r, steps=4)
+
+    def test_integral_r_of_other_types_accepted(self):
+        assert check_gm_normalizer_conditions(2.0, steps=4, fd_check=False)["r"] == 2
+        rep = check_gm_normalizer_conditions(Fraction(-2), steps=4, fd_check=False)
+        assert rep["r"] == -2
 
     def test_condition_reports_serialize(self):
         rep = check_gm_normalizer_conditions(1, steps=6, fd_check=False)
