@@ -134,11 +134,20 @@ def exact_baseline_expectation(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     check_arity(desc, len(a_sizes))  # before a table is enumerated for nothing
+    return _expectation(lambda C: evaluate(desc, C), a_sizes, b_sizes, method, budget)
 
+
+def _expectation(value_of, a_sizes: tuple, b_sizes: tuple, method: str, budget) -> Value:
+    """The expectation of ``value_of`` over one margin pair's table.
+
+    Arguments are those of :func:`exact_baseline_expectation`, already
+    validated; the property audit passes its row evaluator's memoized
+    value function.
+    """
     table = _table(a_sizes, b_sizes, method, budget)
-    weighted = [(evaluate(desc, C), count) for C, count in table]
+    weighted = [(value_of(C), count) for C, count in table]
     total = value_sum([scale(v, count) for v, count in weighted])
     if method == "labelings" and not is_exact(total):
         # A rounded sum depends on its terms: one value per labeling.
         total = value_sum([v for v, count in weighted for _ in range(count)])
-    return scale(total, Fraction(1, multinomial(n, b_sizes)))
+    return scale(total, Fraction(1, multinomial(sum(a_sizes), b_sizes)))

@@ -443,7 +443,7 @@ def _cmd_audit(args, budget: Budget) -> dict:
             "properties": properties,
             "grid": grid,
         }
-    m = args.m if args.m else 2
+    m = 2 if args.m is None else args.m
     if m < 2:
         raise InputError("need at least two classes")
     if args.n_max is not None and args.n_max < m:

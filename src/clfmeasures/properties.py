@@ -50,6 +50,15 @@ degenerate sub-problem is deliberately not chance-level).
 
 Verdicts carry replayable witnesses: matrices are rendered as exact
 entry strings and values through :func:`clfmeasures.values.value_str`.
+
+Values are memoized per row of the audit grid: :func:`audit_grid` runs
+every property of one measure on one evaluator, and
+:func:`check_averaging_preservation` every space of one averaged measure,
+so a matrix shared by several checks (and by the ``cb`` expectation
+tables) is evaluated once.  An averaged measure also memoizes its binary
+kernel on the entries of the int one-vs-all and micro 2x2 matrices.  The
+memo is dropped with its row; nothing is kept for the life of the
+process but the verdicts of the default binary bounds.
 """
 
 from __future__ import annotations
@@ -61,7 +70,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .baselines import exact_baseline_expectation, is_unary
+from . import averaging
+from .baselines import _expectation, is_unary
 from .core import (
     Budget,
     ConfusionMatrix,
@@ -210,9 +220,18 @@ def _fmt_matrix(C: ConfusionMatrix) -> list[list[str]]:
 
 
 class _Eval:
-    """Per-check memoized evaluator with orientation and comparison.
+    """Row evaluator: one measure's memoized values, with orientation and
+    comparison.
 
-    ``budget`` (None: unlimited) is charged once per enumerated state.
+    One instance serves every property audited for its measure (a row of
+    the audit grid) and is dropped when the row is done, so no value
+    outlives the audit or crosses a change of working precision.  Values
+    are memoized on the entries of the int matrices the checks
+    enumerate.  A descriptor with a scheme also memoizes its binary
+    kernel on the 2x2 entries of int one-vs-all and micro matrices, which
+    recur across the matrices of a space; non-int matrices bypass that
+    memo.  ``budget`` (None: unlimited) is charged once per enumerated
+    state.
     """
 
     def __init__(self, desc: MeasureDescriptor, eps: float, budget: Budget | None):
@@ -220,6 +239,7 @@ class _Eval:
         self.eps = eps
         self.budget = budget
         self._memo: dict = {}
+        self._value = _row_value(desc)
 
     def charge(self, states: int = 1) -> None:
         if self.budget is not None:
@@ -228,7 +248,7 @@ class _Eval:
     def raw(self, C: ConfusionMatrix):
         v = self._memo.get(C.entries)
         if v is None:
-            v = evaluate(self.desc, C)
+            v = self._value(C)
             self._memo[C.entries] = v
         return v
 
@@ -247,6 +267,32 @@ class _Eval:
             "value_floats": [as_float(v) for v in values],
             **extra,
         }
+
+
+def _row_value(desc: MeasureDescriptor):
+    """The unmemoized value function of a row evaluator for ``desc``.
+
+    A closure over the kernel memo only, never over the evaluator: the
+    evaluator then sits in no reference cycle and is freed as soon as
+    its row is done.
+    """
+    if desc.scheme is None:
+        return lambda C: evaluate(desc, C)
+    kernel = desc.kernel
+    memo: dict = {}
+
+    def memo_kernel(C: ConfusionMatrix):
+        if type(C.n) is not int:
+            return kernel(C)
+        v = memo.get(C.entries)
+        if v is None:
+            v = memo[C.entries] = kernel(C)
+        return v
+
+    # Looked up on the module on each call, as measures.evaluate does,
+    # so wrappers installed there see every extension.
+    extend = f"{desc.scheme}_extend"
+    return lambda C: getattr(averaging, extend)(memo_kernel, C)
 
 
 @lru_cache(maxsize=4096)
@@ -451,14 +497,21 @@ def _pair_table_index(labels: np.ndarray, m: int):
     """Map every ordered labeling pair to its confusion table.
 
     Returns (tables, inverse) with ``tables`` the distinct m*m count
-    vectors and ``inverse`` of shape (L, L) indexing into them.
+    vectors in lexicographic order and ``inverse`` of shape (L, L)
+    indexing into them.
     """
     onehot = (labels[:, :, None] == np.arange(m)[None, None, :]).astype(np.float32)
     joint = np.einsum("pki,qkj->pqij", onehot, onehot)
-    L = labels.shape[0]
-    flat = joint.reshape(L * L, m * m).astype(np.int32)
-    tables, inverse = np.unique(flat, axis=0, return_inverse=True)
-    return tables, inverse.reshape(L, L)
+    L, n = labels.shape
+    flat = joint.reshape(L * L, m * m).astype(np.int64)
+    # One key per table, its cells as digits in base n + 1, most
+    # significant first: keys sort as the tables do lexicographically.
+    # Python ints (object dtype) take over where int64 would overflow.
+    dtype = np.int64 if (n + 1) ** (m * m) <= np.iinfo(np.int64).max else object
+    weights = np.array([(n + 1) ** k for k in range(m * m - 1, -1, -1)], dtype=dtype)
+    keys = flat.astype(dtype, copy=False) @ weights
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return flat[first], inverse.reshape(L, L)
 
 
 def _confirm_triangle(ev: _Eval, c_max, la, lb, lc, m: int) -> bool:
@@ -495,9 +548,10 @@ def _check_dist(ev: _Eval, space: AuditSpace):
         L = labels.shape[0]
         tables, inverse = _pair_table_index(labels, space.m)
         vals = np.empty(len(tables), dtype=np.float64)
-        for k, tab in enumerate(tables):
-            C = ConfusionMatrix(tuple(tuple(int(x) for x in tab[i * space.m:(i + 1) * space.m])
-                                      for i in range(space.m)))
+        for k, tab in enumerate(tables.tolist()):
+            C = ConfusionMatrix._trusted(
+                tuple(tuple(tab[i * space.m:(i + 1) * space.m]) for i in range(space.m))
+            )
             vals[k] = as_float(ev.oriented(C))
         D = c_max_f - vals[inverse]
         checked += L * L
@@ -568,9 +622,14 @@ def check_property(
     prop = parse_property(prop)
     if space is None:
         space = audit_space_policy(desc, prop, m=2)
+    return _run(_Eval(desc, eps, budget), prop, space)
+
+
+def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
+    """Audit the parsed property ``prop`` of ``ev``'s measure on ``ev``."""
+    desc = ev.desc
     if desc.arity == "binary" and desc.scheme is None and space.m != 2:
         raise ValueError(f"{desc.measure_id} is binary-only; audit it at m=2")
-    ev = _Eval(desc, eps, budget)
     if prop == MAX:
         status, witness, checked = _check_extremal(ev, space, at_max=True)
     elif prop == MIN:
@@ -585,7 +644,7 @@ def check_property(
         status, witness, checked = _check_smon(ev, space)
     elif prop == CB:
         status, witness, checked = _check_constant_over_margins(
-            ev, space, lambda a, b: exact_baseline_expectation(desc, a, b, budget=budget)
+            ev, space, lambda a, b: _expectation(ev.raw, a, b, "matrices", ev.budget)
         )
     elif prop == ACB:
         status, witness, checked = _check_constant_over_margins(
@@ -596,10 +655,26 @@ def check_property(
     return Verdict(desc.measure_id, prop, status, space.describe(), witness, checked)
 
 
-@lru_cache(maxsize=None)
-def _default_binary_verdict(measure_id: str, prop: str) -> Verdict:
-    desc = parse_measure_id(measure_id)
-    return check_property(desc, prop, audit_space_policy(desc, prop, m=2))
+#: Verdicts of the default binary bounds, kept for the life of the
+#: process: (measure id, property) -> Verdict.
+_default_verdicts: dict = {}
+
+
+def _default_binary_verdict(measure_id: str, prop: str, ev: _Eval | None = None) -> Verdict:
+    """The cached verdict of one cell at the default binary bounds.
+
+    A missing cell is computed on ``ev``, the row evaluator of
+    ``measure_id`` at the default ``eps`` without a budget, or on a new
+    one.
+    """
+    key = (measure_id, prop)
+    verdict = _default_verdicts.get(key)
+    if verdict is None:
+        if ev is None:
+            ev = _Eval(parse_measure_id(measure_id), DEFAULT_EPS, None)
+        space = audit_space_policy(ev.desc, prop, m=2)
+        verdict = _default_verdicts[key] = _run(ev, parse_property(prop), space)
+    return verdict
 
 
 def audit_grid(
@@ -615,20 +690,21 @@ def audit_grid(
 
     Each cell runs over ``space``, or else over
     ``audit_space_policy(desc, prop, m, n_max)``; one ``budget`` is
-    shared by every cell.  Verdicts of the default binary bounds are
-    cached across calls when ``eps`` is the default and no budget is
-    given.
+    shared by every cell, and the cells of one measure share one row
+    evaluator.  Verdicts of the default binary bounds are cached across
+    calls when ``eps`` is the default and no budget is given.
     """
     default = (m, space, n_max, eps, budget) == (2, None, None, DEFAULT_EPS, None)
     verdicts = []
     for mid in measure_ids:
         desc = parse_measure_id(mid)
+        ev = _Eval(desc, eps, budget)
         for prop in properties:
             if default:
-                verdicts.append(_default_binary_verdict(mid, prop))
+                verdicts.append(_default_binary_verdict(mid, prop, ev))
                 continue
             sp = space if space is not None else audit_space_policy(desc, prop, m, n_max)
-            verdicts.append(check_property(desc, prop, sp, eps, budget))
+            verdicts.append(_run(ev, parse_property(prop), sp))
     return verdicts
 
 
@@ -734,9 +810,9 @@ def check_averaging_preservation(
         spaces = preservation_spaces(prop)
     bases = _preservation_bases(prop)
     for base in bases:
-        averaged = with_scheme(base, scheme)
+        ev = _Eval(with_scheme(base, scheme), eps, budget)
         for space in spaces:
-            verdict = check_property(averaged, prop, space, eps, budget)
+            verdict = _run(ev, prop, space)
             if not verdict.satisfied:
                 return PreservationVerdict(
                     scheme,
@@ -762,7 +838,8 @@ def corroborate_impossibility(measure_ids=CANONICAL_IDS) -> dict:
     per_measure = {}
     all_consistent = True
     for mid in measure_ids:
-        verdicts = {p: _default_binary_verdict(mid, p) for p in (MON, DIST, CB)}
+        ev = _Eval(parse_measure_id(mid), DEFAULT_EPS, None)
+        verdicts = {p: _default_binary_verdict(mid, p, ev) for p in (MON, DIST, CB)}
         has_all = all(v.satisfied for v in verdicts.values())
         if has_all:
             all_consistent = False

@@ -345,6 +345,14 @@ class TestCliAudit:
         assert code == 2, err
         assert "--n-max must be at least m" in err
 
+    @pytest.mark.parametrize("m", ["0", "1", "-3"])
+    def test_fewer_than_two_classes(self, capsys, m):
+        code, _, err = run_cli(
+            capsys, "audit", "--m", m, "--measures", "acc", "--properties", "max"
+        )
+        assert code == 2, err
+        assert "need at least two classes" in err
+
 
 @pytest.mark.parametrize("eps", ["-5", "inf", "nan"])
 def test_eps_must_be_finite_and_non_negative(capsys, eps):

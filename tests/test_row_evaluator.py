@@ -1,0 +1,156 @@
+"""The row evaluator: one memo per audited measure, shared by its cells.
+
+``audit_grid`` and ``check_averaging_preservation`` run every property
+of one measure on one evaluator; these tests hold them to fresh
+per-cell ``check_property`` calls, pin that a matrix is evaluated once
+per row, and that no evaluator outlives the call that made it.  The
+``dist`` pair index is held to the row-wise ``np.unique`` it replaced.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+
+from clfmeasures import (
+    AuditSpace,
+    Budget,
+    EnumerationBudgetExceeded,
+    audit_grid,
+    check_averaging_preservation,
+    check_property,
+    parse_measure_id,
+)
+from clfmeasures import baselines, properties
+from clfmeasures.cli import MULTICLASS_IDS
+from clfmeasures.measures import CANONICAL_IDS, SCHEMES, with_scheme
+from clfmeasures.properties import ALL_PROPERTIES, audit_space_policy
+
+
+def _per_cell(measure_ids, props, m, n_max, budget=None):
+    out = []
+    for mid in measure_ids:
+        desc = parse_measure_id(mid)
+        for prop in props:
+            space = audit_space_policy(desc, prop, m, n_max)
+            out.append(check_property(desc, prop, space, budget=budget))
+    return out
+
+
+def _dicts(verdicts):
+    return [v.to_dict() for v in verdicts]
+
+
+class TestAgainstFreshCells:
+    def test_binary_registry(self):
+        got = audit_grid(CANONICAL_IDS, ALL_PROPERTIES, n_max=5)
+        assert _dicts(got) == _dicts(_per_cell(CANONICAL_IDS, ALL_PROPERTIES, 2, 5))
+
+    def test_multiclass_registry(self):
+        got = audit_grid(MULTICLASS_IDS, ALL_PROPERTIES, m=3, n_max=4)
+        assert _dicts(got) == _dicts(_per_cell(MULTICLASS_IDS, ALL_PROPERTIES, 3, 4))
+
+    def test_averaged_registry(self):
+        ids = [
+            with_scheme(parse_measure_id(mid), scheme).measure_id
+            for mid in CANONICAL_IDS
+            for scheme in SCHEMES
+        ]
+        props = ("min", "mon", "smon", "cb", "acb")
+        got = audit_grid(ids, props, m=3, n_max=3)
+        assert _dicts(got) == _dicts(_per_cell(ids, props, 3, 3))
+
+    @pytest.mark.parametrize("limit", [1, 40, 700, 5_000, 10**6])
+    def test_budgeted(self, limit):
+        ids, props = ("kappa", "cc:macro"), ("max", "cb", "mon", "dist", "acb")
+
+        def outcome(run):
+            budget = Budget(limit)
+            try:
+                result = _dicts(run(budget))
+            except EnumerationBudgetExceeded:
+                result = "exceeded"
+            return result, budget.used
+
+        grid = outcome(lambda b: audit_grid(ids, props, m=3, n_max=4, budget=b))
+        cells = outcome(lambda b: _per_cell(ids, props, 3, 4, budget=b))
+        assert grid == cells
+
+    def test_preservation_spaces_share_one_row(self):
+        spaces = (
+            AuditSpace(m=3, n_max=3, mon_n_max=3, dist_n_max=3, cb_n_max=3, cb_min_col=1),
+            AuditSpace(m=4, n_max=4, mon_n_max=4, dist_n_max=3, cb_n_max=4, cb_min_col=1),
+        )
+        for scheme, prop in (("weighted", "mon"), ("macro", "cb"), ("micro", "sym")):
+            got = check_averaging_preservation(scheme, prop, spaces)
+            for base in got.bases_checked:
+                averaged = with_scheme(parse_measure_id(base), scheme)
+                fresh = [check_property(averaged, prop, s) for s in spaces]
+                first_bad = next((v for v in fresh if not v.satisfied), None)
+                if base == got.witness_measure:
+                    assert got.inner == first_bad
+                    break
+                assert first_bad is None
+
+
+def test_each_int_matrix_is_evaluated_once(monkeypatch):
+    seen = []
+    evaluate = properties.evaluate
+
+    def recording(desc, C):
+        if all(type(x) is int for row in C.entries for x in row):
+            seen.append(C.entries)
+        return evaluate(desc, C)
+
+    for module in (properties, baselines):
+        monkeypatch.setattr(module, "evaluate", recording)
+    audit_grid(["cd"], ALL_PROPERTIES, n_max=5)
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+def _live_evaluators() -> int:
+    return sum(isinstance(x, properties._Eval) for x in gc.get_objects())
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: audit_grid(["cd", "cc"], ALL_PROPERTIES, n_max=4),
+        lambda: audit_grid(["cc:weighted", "acc"], ("mon", "cb", "dist"), m=3, n_max=3),
+        lambda: check_averaging_preservation(
+            "macro", "cb", [AuditSpace(m=3, n_max=3, cb_n_max=3, cb_min_col=1)]
+        ),
+    ],
+    ids=["binary", "multiclass", "preservation"],
+)
+def test_no_evaluator_outlives_its_call(run):
+    gc.collect()
+    run()
+    # No collection here: each row must be freed by reference counting
+    # as soon as it is done, not at some later collection.
+    assert _live_evaluators() == 0
+
+
+def _reference_pair_table_index(labels, m):
+    """The former row-wise ``np.unique(axis=0)`` index."""
+    onehot = (labels[:, :, None] == np.arange(m)[None, None, :]).astype(np.float32)
+    joint = np.einsum("pki,qkj->pqij", onehot, onehot)
+    L = labels.shape[0]
+    flat = joint.reshape(L * L, m * m).astype(np.int32)
+    tables, inverse = np.unique(flat, axis=0, return_inverse=True)
+    return tables, inverse.reshape(L, L)
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [(m, n) for m in (2, 3) for n in range(1, 6)] + [(2, 6), (6, 3)],
+)
+def test_pair_table_index_matches_row_unique(m, n):
+    # (6, 3) has 4**36 > 2**63 possible keys: the Python-int key path.
+    labels = properties._labeling_array(m, n)
+    tables, inverse = properties._pair_table_index(labels, m)
+    ref_tables, ref_inverse = _reference_pair_table_index(labels, m)
+    assert np.array_equal(tables, ref_tables)
+    assert np.array_equal(inverse, ref_inverse)
+
