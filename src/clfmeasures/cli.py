@@ -203,11 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"comma-separated properties (default all: {','.join(ALL_PROPERTIES)})",
     )
-    scope = p.add_mutually_exclusive_group()
-    scope.add_argument(
-        "--binary", action="store_true", help="audit binary forms, m=2 (default)"
-    )
-    scope.add_argument("--m", type=int, metavar="M", help="audit at M classes")
+    p.add_argument("--m", type=int, metavar="M", help="audit at M classes (default 2)")
     p.add_argument(
         "--n-max",
         type=int,
@@ -421,7 +417,6 @@ def _cmd_audit(args, budget: Budget) -> dict:
             flag
             for flag, given in (
                 ("--measures", args.measures != "default"),
-                ("--binary", args.binary),
                 ("--m", args.m is not None),
                 ("--n-max", args.n_max is not None),
             )

@@ -311,23 +311,25 @@ def enumerate_labelings(
     class_sizes = tuple(class_sizes)
     if len(class_sizes) != m or sum(class_sizes) != n:
         raise ValueError("class sizes must have length m and sum to n")
-    remaining = list(class_sizes)
-
-    def rec(partial: list[int]):
-        if len(partial) == n:
-            if budget is not None:
-                budget.charge()
-            yield Labeling(tuple(partial), m)
+    if min(class_sizes) < 0:
+        raise ValueError("class sizes must be non-negative")
+    labels = [c for c, size in enumerate(class_sizes) for _ in range(size)]
+    while True:
+        if budget is not None:
+            budget.charge()
+        yield Labeling(tuple(labels), m)
+        # Next permutation of the multiset: bump the last ascent, then
+        # put the tail after it in ascending order.
+        i = n - 2
+        while i >= 0 and labels[i] >= labels[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for c in range(m):
-            if remaining[c] > 0:
-                remaining[c] -= 1
-                partial.append(c)
-                yield from rec(partial)
-                partial.pop()
-                remaining[c] += 1
-
-    yield from rec([])
+        j = n - 1
+        while labels[j] <= labels[i]:
+            j -= 1
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1:] = labels[:i:-1]
 
 
 @lru_cache(maxsize=8192)

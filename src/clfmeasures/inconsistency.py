@@ -16,6 +16,12 @@ comparing matrix pairs that share row sums, a few hundred pairs instead
 of a billion triplets; a direct enumeration over labeling triplets is
 kept for cross-validation at small n.  Witnesses are reported as
 concrete triplets either way.
+
+Every call that compares many matrices holds one
+:class:`clfmeasures.measures.Evaluator` per measure, so each matrix is
+evaluated at most once per measure and call; nothing is kept between
+calls.  A budget is charged once per matrix pair for each measure pair
+compared.
 """
 
 from __future__ import annotations
@@ -35,11 +41,12 @@ from .core import (
 )
 from .measures import (
     CONSISTENCY_IDS,
+    Evaluator,
     MeasureDescriptor,
     evaluate_oriented,
     parse_measure_id,
 )
-from .values import DEFAULT_EPS, Value, as_float, value_cmp, value_str
+from .values import DEFAULT_EPS, as_float, value_cmp, value_str
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -94,22 +101,9 @@ def _descriptor(measure) -> MeasureDescriptor:
     return parse_measure_id(measure) if isinstance(measure, str) else measure
 
 
-class _ValueMemo:
-    """Per-run cache of oriented measure values keyed by matrix entries."""
-
-    def __init__(self):
-        self._vals: dict[tuple, Value] = {}
-
-    def value(self, desc: MeasureDescriptor, C: ConfusionMatrix) -> Value:
-        key = (desc.measure_id, C.entries)
-        if key not in self._vals:
-            self._vals[key] = evaluate_oriented(desc, C)
-        return self._vals[key]
-
-    def relation(
-        self, desc, C1: ConfusionMatrix, C2: ConfusionMatrix, eps: float
-    ) -> int:
-        return value_cmp(self.value(desc, C1), self.value(desc, C2), eps)
+def _relation(ev: Evaluator, C1: ConfusionMatrix, C2: ConfusionMatrix, eps: float) -> int:
+    """-1/0/+1 as ``ev``'s measure ranks C1 below/equal to/above C2."""
+    return value_cmp(ev.oriented(C1), ev.oriented(C2), eps)
 
 
 def relation_sign(
@@ -215,42 +209,42 @@ class DistinguishingWitness:
         }
 
 
+def _first_difference(
+    ev1: Evaluator, ev2: Evaluator, n: int, eps: float, budget: Budget | None
+):
+    """``(C1, C2, relation_1, relation_2)`` for the first shared-margin
+    matrix pair the two measures rank differently, or None."""
+    for C1, C2 in margin_matrix_pairs(n, budget):
+        r1 = _relation(ev1, C1, C2, eps)
+        r2 = _relation(ev2, C1, C2, eps)
+        if r1 != r2:
+            return C1, C2, r1, r2
+    return None
+
+
 def distinguishing_pair(
-    m1,
-    m2,
-    n: int,
-    eps: float = DEFAULT_EPS,
-    budget: Budget | None = None,
-    memo: _ValueMemo | None = None,
+    m1, m2, n: int, eps: float = DEFAULT_EPS, budget: Budget | None = None
 ) -> DistinguishingWitness | None:
     """First shared-margin matrix pair on which the measures disagree."""
-    d1, d2 = _descriptor(m1), _descriptor(m2)
-    memo = memo or _ValueMemo()
-    for C1, C2 in margin_matrix_pairs(n, budget):
-        r1 = memo.relation(d1, C1, C2, eps)
-        r2 = memo.relation(d2, C1, C2, eps)
-        if r1 != r2:
-            return DistinguishingWitness(
-                measure_1=d1.measure_id,
-                measure_2=d2.measure_id,
-                n=n,
-                matrix_1=C1,
-                matrix_2=C2,
-                relation_1=r1,
-                relation_2=r2,
-                triplet=realize_triplet(C1, C2),
-                values={
-                    d1.measure_id: (
-                        value_str(memo.value(d1, C1)),
-                        value_str(memo.value(d1, C2)),
-                    ),
-                    d2.measure_id: (
-                        value_str(memo.value(d2, C1)),
-                        value_str(memo.value(d2, C2)),
-                    ),
-                },
-            )
-    return None
+    ev1, ev2 = Evaluator(_descriptor(m1)), Evaluator(_descriptor(m2))
+    diff = _first_difference(ev1, ev2, n, eps, budget)
+    if diff is None:
+        return None
+    C1, C2, r1, r2 = diff
+    return DistinguishingWitness(
+        measure_1=ev1.desc.measure_id,
+        measure_2=ev2.desc.measure_id,
+        n=n,
+        matrix_1=C1,
+        matrix_2=C2,
+        relation_1=r1,
+        relation_2=r2,
+        triplet=realize_triplet(C1, C2),
+        values={
+            ev.desc.measure_id: (value_str(ev.oriented(C1)), value_str(ev.oriented(C2)))
+            for ev in (ev1, ev2)
+        },
+    )
 
 
 def indistinguishable_at(
@@ -272,22 +266,20 @@ def indistinguishable_groups(
     well-defined partition even if pairwise indistinguishability failed
     to be transitive (on this registry it is transitive at every n).
     """
-    descs = [_descriptor(m) for m in measures]
-    memo = _ValueMemo()
-    pair_ok: dict[tuple[int, int], bool] = {}
-    for i, j in combinations(range(len(descs)), 2):
-        pair_ok[(i, j)] = (
-            distinguishing_pair(descs[i], descs[j], n, eps, budget, memo) is None
-        )
+    evs = [Evaluator(_descriptor(m)) for m in measures]
+    pair_ok = {
+        (i, j): _first_difference(evs[i], evs[j], n, eps, budget) is None
+        for i, j in combinations(range(len(evs)), 2)
+    }
     groups: list[list[int]] = []
-    for i in range(len(descs)):
+    for i in range(len(evs)):
         for group in groups:
             if all(pair_ok[(min(i, j), max(i, j))] for j in group):
                 group.append(i)
                 break
         else:
             groups.append([i])
-    return tuple(tuple(descs[i].measure_id for i in group) for group in groups)
+    return tuple(tuple(evs[i].desc.measure_id for i in group) for group in groups)
 
 
 def distinguishing_triplet_bruteforce(
@@ -303,8 +295,7 @@ def distinguishing_triplet_bruteforce(
     exponential in n, intended as the small-n oracle for the matrix-pair
     reduction.
     """
-    d1, d2 = _descriptor(m1), _descriptor(m2)
-    memo = _ValueMemo()
+    ev1, ev2 = Evaluator(_descriptor(m1)), Evaluator(_descriptor(m2))
     # Both classes in use: drop the two constant labelings.
     labelings = [l for l in enumerate_labelings(n, 2) if 0 < sum(l.labels) < n]
     for truth in labelings:
@@ -314,7 +305,7 @@ def distinguishing_triplet_bruteforce(
                 if budget is not None:
                     budget.charge()
                 C2 = build_confusion(truth, p2)
-                if memo.relation(d1, C1, C2, eps) != memo.relation(d2, C1, C2, eps):
+                if _relation(ev1, C1, C2, eps) != _relation(ev2, C1, C2, eps):
                     return Triplet(truth, p1, p2)
     return None
 
@@ -436,9 +427,6 @@ class PairwiseReport:
     def rate(self, m1, m2) -> Fraction:
         return Fraction(self.count(m1, m2), self.comparisons)
 
-    def percent(self, m1, m2) -> str:
-        return f"{float(100 * self.rate(m1, m2)):.1f}"
-
     def to_dict(self) -> dict:
         return {
             "measures": list(self.measures),
@@ -479,7 +467,7 @@ def pairwise_inconsistency(
     sizes = {C.m for pair in comparisons for C in pair}
     if len(sizes) != 1:
         raise ValueError(f"comparisons mix class counts: {sorted(sizes)}")
-    memo = _ValueMemo()
+    evs = [Evaluator(d) for d in descs]
     eps_levels = (eps / 10, eps, eps * 10)
     ids = tuple(d.measure_id for d in descs)
     inconsistent = {
@@ -487,9 +475,7 @@ def pairwise_inconsistency(
     }
     sensitive = dict.fromkeys(inconsistent, 0)
     for C1, C2 in comparisons:
-        rels = [
-            tuple(memo.relation(d, C1, C2, e) for e in eps_levels) for d in descs
-        ]
+        rels = [tuple(_relation(ev, C1, C2, e) for e in eps_levels) for ev in evs]
         for i, j in combinations(range(len(descs)), 2):
             key = (ids[i], ids[j])
             if rels[i][1] != rels[j][1]:

@@ -641,3 +641,54 @@ def oriented(desc: MeasureDescriptor, value: Value) -> Value:
 
 def evaluate_oriented(desc: MeasureDescriptor, C: ConfusionMatrix) -> Value:
     return oriented(desc, evaluate(desc, C))
+
+
+class Evaluator:
+    """One measure's values, memoized on the entries of the matrix.
+
+    :meth:`value` is the value :func:`evaluate` gives, and :meth:`oriented`
+    flips it as :func:`oriented` does.  A descriptor with a scheme also
+    memoizes its binary kernel on the 2x2 entries of int one-vs-all and
+    micro matrices, which recur across the matrices of a space; non-int
+    matrices bypass that memo.  Nothing is shared between instances: an
+    evaluator lives as long as the computation that holds it.
+    """
+
+    def __init__(self, desc: MeasureDescriptor):
+        self.desc = desc
+        self._memo: dict = {}
+        self._compute = _unmemoized_value(desc)
+
+    def value(self, C: ConfusionMatrix) -> Value:
+        v = self._memo.get(C.entries)
+        if v is None:
+            v = self._memo[C.entries] = self._compute(C)
+        return v
+
+    def oriented(self, C: ConfusionMatrix) -> Value:
+        return oriented(self.desc, self.value(C))
+
+
+def _unmemoized_value(desc: MeasureDescriptor):
+    """The value function an :class:`Evaluator` memoizes.
+
+    A closure over the kernel memo only, never over the evaluator: the
+    evaluator then sits in no reference cycle and is freed by reference
+    counting as soon as its holder drops it.
+    """
+    if desc.scheme is None:
+        return lambda C: evaluate(desc, C)
+    kernel = desc.kernel
+    memo: dict = {}
+
+    def memo_kernel(C: ConfusionMatrix) -> Value:
+        if type(C.n) is not int:
+            return kernel(C)
+        v = memo.get(C.entries)
+        if v is None:
+            v = memo[C.entries] = kernel(C)
+        return v
+
+    # Looked up on the module on each call, as evaluate does.
+    extend = _EXTENDERS[desc.scheme]
+    return lambda C: getattr(averaging, extend)(memo_kernel, C)

@@ -267,15 +267,13 @@ def baseline_order(
     l_max: int = 3,
     grid: Sequence[RatePair] | None = None,
     h_scale: Fraction = DEFAULT_H_SCALE,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    dps: int = ORDER_DPS,
 ) -> BaselineOrderReport:
     """Probe the flatness of a binary measure at the independence point.
 
     Returns a report whose ``order`` is the largest k <= l_max such that
     the baseline value is one constant across the grid and the
-    derivative estimates of orders 2..k stay below ``zero_tol`` at every
-    grid point.  ``order`` is 0 when even the baseline is not constant.
+    derivative estimates of orders 2..k stay below ``DEFAULT_ZERO_TOL``
+    at every grid point.  ``order`` is 0 when even the baseline is not constant.
     Audit-only measures, and grid margins or an ``h_scale`` that are not
     rationals, raise ``ValueError``.
     """
@@ -302,7 +300,7 @@ def baseline_order(
     worst: dict[int, tuple[float, RatePair]] = {l: (-1.0, grid[0]) for l in orders}
     base_first: float | None = None
     base_spread = 0.0
-    with mp.workdps(dps):
+    with mp.workdps(ORDER_DPS):
         for p_a, p_b in grid:
             h, at = _stencil(desc, p_a, p_b, h_scale)
             v0 = as_float(at(0))
@@ -314,10 +312,10 @@ def baseline_order(
                 if est > worst[l][0]:
                     worst[l] = (est, (p_a, p_b))
     probes = tuple(
-        DerivativeProbe(l, worst[l][0], worst[l][1], worst[l][0] < zero_tol)
+        DerivativeProbe(l, worst[l][0], worst[l][1], worst[l][0] < DEFAULT_ZERO_TOL)
         for l in orders
     )
-    constant = base_spread < zero_tol
+    constant = base_spread < DEFAULT_ZERO_TOL
     order = 0
     saturated = False
     if constant:
@@ -491,8 +489,6 @@ def _minus(v: Value) -> Value:
 def check_gm_normalizer_conditions(
     r: int,
     steps: int = 20,
-    strict_margin: float = DEFAULT_STRICT_MARGIN,
-    dps: int = ORDER_DPS,
     fd_check: bool = True,
 ) -> dict:
     """Check the six normalizer conditions for the power-mean family.
@@ -506,9 +502,9 @@ def check_gm_normalizer_conditions(
     2. s(p, p) = s(p, 1-p) = 1/(p(1-p)) (exact).
     3. s stays below max(1/(p_a p_b), 1/((1-p_a)(1-p_b))); the bound is
        only asserted away from complementary margins, where it is not
-       required.  Strict by at least ``strict_margin``.
+       required.  Strict by at least ``DEFAULT_STRICT_MARGIN``.
     4. s stays below max(1/(p_a(1-p_b)), 1/((1-p_a)p_b)) away from equal
-       margins, strict by at least ``strict_margin``.
+       margins, strict by at least ``DEFAULT_STRICT_MARGIN``.
     5. The scaling derivative (p_a d/dp_a + p_b d/dp_b) log s lies in
        its admissible band.  For power means it is the weight-averaged
        combination of the band's upper-edge terms, so it touches the
@@ -537,7 +533,7 @@ def check_gm_normalizer_conditions(
     fd_worst = 0.0
     delta = Fraction(1, 10**7)
 
-    with mp.workdps(dps):
+    with mp.workdps(ORDER_DPS):
         for p in qs:
             target = 1 / _margin_variance(p)
             c2.exact_equality(
@@ -567,7 +563,7 @@ def check_gm_normalizer_conditions(
                 )
                 margin3 = as_float(value_sum([bound3, _minus(s_val)]))
                 c3.strict_margin(
-                    margin3, strict_margin, p_a, p_b, "same-sign bound violated"
+                    margin3, DEFAULT_STRICT_MARGIN, p_a, p_b, "same-sign bound violated"
                 )
             if p_b != p_a:
                 bound4 = max(
@@ -575,7 +571,7 @@ def check_gm_normalizer_conditions(
                 )
                 margin4 = as_float(value_sum([bound4, _minus(s_val)]))
                 c4.strict_margin(
-                    margin4, strict_margin, p_a, p_b, "cross-sign bound violated"
+                    margin4, DEFAULT_STRICT_MARGIN, p_a, p_b, "cross-sign bound violated"
                 )
 
             w_x, w_y = _power_weights(p_a, p_b, r)
@@ -591,7 +587,7 @@ def check_gm_normalizer_conditions(
             else:
                 c5.strict_margin(
                     float(min(g5 - lo5, hi5 - g5)),
-                    strict_margin,
+                    DEFAULT_STRICT_MARGIN,
                     p_a,
                     p_b,
                     "band not strict off equal margins",
@@ -612,7 +608,7 @@ def check_gm_normalizer_conditions(
             else:
                 c6.strict_margin(
                     float(min(g6 - lo6, hi6 - g6)),
-                    strict_margin,
+                    DEFAULT_STRICT_MARGIN,
                     p_a,
                     p_b,
                     "band not strict off complementary margins",
@@ -640,7 +636,7 @@ def check_gm_normalizer_conditions(
     return {
         "r": r,
         "grid_steps": steps,
-        "strict_margin": strict_margin,
+        "strict_margin": DEFAULT_STRICT_MARGIN,
         "conditions": conditions,
         "all_hold": all_hold,
         "partial_check": partial,

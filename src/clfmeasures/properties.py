@@ -51,26 +51,25 @@ degenerate sub-problem is deliberately not chance-level).
 Verdicts carry replayable witnesses: matrices are rendered as exact
 entry strings and values through :func:`clfmeasures.values.value_str`.
 
-Values are memoized per row of the audit grid: :func:`audit_grid` runs
-every property of one measure on one evaluator, and
+Values are memoized per row of the audit grid, on one
+:class:`clfmeasures.measures.Evaluator` per measure: :func:`audit_grid`
+runs every property of one measure on it, and
 :func:`check_averaging_preservation` every space of one averaged measure,
 so a matrix shared by several checks (and by the ``cb`` expectation
-tables) is evaluated once.  An averaged measure also memoizes its binary
-kernel on the entries of the int one-vs-all and micro 2x2 matrices.  The
-memo is dropped with its row; nothing is kept for the life of the
-process but the verdicts of the default binary bounds.
+tables) is evaluated once.  The row evaluator adds only the comparison
+tolerance, the enumeration budget and witness rendering.  The memo is
+dropped with its row; nothing is kept for the life of the process but
+the verdicts of the default binary bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from . import averaging
 from .baselines import _expectation, is_unary
 from .core import (
     Budget,
@@ -86,9 +85,10 @@ from .core import (
 from .measures import (
     AUDIT_ONLY_IDS,
     CANONICAL_IDS,
+    Evaluator,
     MeasureDescriptor,
+    check_arity,
     evaluate,
-    oriented,
     parse_measure_id,
     with_scheme,
 )
@@ -219,47 +219,30 @@ def _fmt_matrix(C: ConfusionMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in C.entries]
 
 
-class _Eval:
-    """Row evaluator: one measure's memoized values, with orientation and
-    comparison.
+class _Eval(Evaluator):
+    """Row evaluator: one measure's memoized values, with comparison,
+    budget and witnesses.
 
     One instance serves every property audited for its measure (a row of
     the audit grid) and is dropped when the row is done, so no value
-    outlives the audit or crosses a change of working precision.  Values
-    are memoized on the entries of the int matrices the checks
-    enumerate.  A descriptor with a scheme also memoizes its binary
-    kernel on the 2x2 entries of int one-vs-all and micro matrices, which
-    recur across the matrices of a space; non-int matrices bypass that
-    memo.  ``budget`` (None: unlimited) is charged once per enumerated
-    state.
+    outlives the audit or crosses a change of working precision.
+    ``budget`` (None: unlimited) is charged once per enumerated state.
     """
 
     def __init__(self, desc: MeasureDescriptor, eps: float, budget: Budget | None):
-        self.desc = desc
+        super().__init__(desc)
         self.eps = eps
         self.budget = budget
-        self._memo: dict = {}
-        self._value = _row_value(desc)
 
     def charge(self, states: int = 1) -> None:
         if self.budget is not None:
             self.budget.charge(states)
 
-    def raw(self, C: ConfusionMatrix):
-        v = self._memo.get(C.entries)
-        if v is None:
-            v = self._value(C)
-            self._memo[C.entries] = v
-        return v
-
-    def oriented(self, C: ConfusionMatrix):
-        return oriented(self.desc, self.raw(C))
-
     def cmp(self, u, v) -> int:
         return value_cmp(u, v, self.eps)
 
     def witness(self, kind: str, matrices, **extra) -> dict:
-        values = [self.raw(C) for C in matrices]
+        values = [self.value(C) for C in matrices]
         return {
             "kind": kind,
             "matrices": [_fmt_matrix(C) for C in matrices],
@@ -267,32 +250,6 @@ class _Eval:
             "value_floats": [as_float(v) for v in values],
             **extra,
         }
-
-
-def _row_value(desc: MeasureDescriptor):
-    """The unmemoized value function of a row evaluator for ``desc``.
-
-    A closure over the kernel memo only, never over the evaluator: the
-    evaluator then sits in no reference cycle and is freed as soon as
-    its row is done.
-    """
-    if desc.scheme is None:
-        return lambda C: evaluate(desc, C)
-    kernel = desc.kernel
-    memo: dict = {}
-
-    def memo_kernel(C: ConfusionMatrix):
-        if type(C.n) is not int:
-            return kernel(C)
-        v = memo.get(C.entries)
-        if v is None:
-            v = memo[C.entries] = kernel(C)
-        return v
-
-    # Looked up on the module on each call, as measures.evaluate does,
-    # so wrappers installed there see every extension.
-    extend = f"{desc.scheme}_extend"
-    return lambda C: getattr(averaging, extend)(memo_kernel, C)
 
 
 @lru_cache(maxsize=4096)
@@ -622,14 +579,16 @@ def check_property(
     prop = parse_property(prop)
     if space is None:
         space = audit_space_policy(desc, prop, m=2)
+    check_arity(desc, space.m)
     return _run(_Eval(desc, eps, budget), prop, space)
 
 
 def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
-    """Audit the parsed property ``prop`` of ``ev``'s measure on ``ev``."""
+    """Audit the parsed property ``prop`` of ``ev``'s measure on ``ev``.
+
+    The caller has checked that the measure has a value at ``space.m``.
+    """
     desc = ev.desc
-    if desc.arity == "binary" and desc.scheme is None and space.m != 2:
-        raise ValueError(f"{desc.measure_id} is binary-only; audit it at m=2")
     if prop == MAX:
         status, witness, checked = _check_extremal(ev, space, at_max=True)
     elif prop == MIN:
@@ -644,7 +603,7 @@ def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
         status, witness, checked = _check_smon(ev, space)
     elif prop == CB:
         status, witness, checked = _check_constant_over_margins(
-            ev, space, lambda a, b: _expectation(ev.raw, a, b, "matrices", ev.budget)
+            ev, space, lambda a, b: _expectation(ev.value, a, b, "matrices", ev.budget)
         )
     elif prop == ACB:
         status, witness, checked = _check_constant_over_margins(
@@ -692,12 +651,15 @@ def audit_grid(
     ``audit_space_policy(desc, prop, m, n_max)``; one ``budget`` is
     shared by every cell, and the cells of one measure share one row
     evaluator.  Verdicts of the default binary bounds are cached across
-    calls when ``eps`` is the default and no budget is given.
+    calls when ``eps`` is the default and no budget is given.  A
+    binary-only measure at m > 2 is refused before any cell runs.
     """
     default = (m, space, n_max, eps, budget) == (2, None, None, DEFAULT_EPS, None)
+    rows = [(mid, parse_measure_id(mid)) for mid in measure_ids]
+    for _, desc in rows:
+        check_arity(desc, m if space is None else space.m)
     verdicts = []
-    for mid in measure_ids:
-        desc = parse_measure_id(mid)
+    for mid, desc in rows:
         ev = _Eval(desc, eps, budget)
         for prop in properties:
             if default:

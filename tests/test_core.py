@@ -220,6 +220,45 @@ class TestEnumeration:
         assert len(got) == multinomial(5, (2, 3))
         assert all(l.labels.count(0) == 2 and l.labels.count(1) == 3 for l in got)
 
+    @staticmethod
+    def _recursive_labelings(n, m, class_sizes):
+        """The former recursive enumeration, kept as the reference order."""
+        remaining = list(class_sizes)
+
+        def rec(partial):
+            if len(partial) == n:
+                yield tuple(partial)
+                return
+            for c in range(m):
+                if remaining[c] > 0:
+                    remaining[c] -= 1
+                    partial.append(c)
+                    yield from rec(partial)
+                    partial.pop()
+                    remaining[c] += 1
+
+        return list(rec([]))
+
+    def test_labelings_with_class_sizes_match_recursion(self):
+        for m in (1, 2, 3):
+            for n in range(1, 8):
+                for sizes in compositions(n, m):
+                    budget = Budget(10**6)
+                    got = [l.labels for l in enumerate_labelings(n, m, sizes, budget)]
+                    assert got == self._recursive_labelings(n, m, sizes), sizes
+                    assert budget.used == len(got) == multinomial(n, sizes)
+
+    def test_labelings_with_class_sizes_budget(self):
+        sizes = (2, 1, 2)
+        count = multinomial(5, sizes)
+        assert len(list(enumerate_labelings(5, 3, sizes, Budget(count)))) == count
+        with pytest.raises(EnumerationBudgetExceeded):
+            list(enumerate_labelings(5, 3, sizes, Budget(count - 1)))
+
+    def test_labelings_with_negative_class_size(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(enumerate_labelings(2, 2, class_sizes=(3, -1)))
+
     def test_matrix_multiplicities_cover_all_labelings(self):
         # summed multiplicities must count every prediction labeling
         for a, b in [((2, 3), None), ((2, 2, 2), None), ((1, 2, 3), None)]:

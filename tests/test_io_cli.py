@@ -325,7 +325,7 @@ class TestCliAudit:
 
     @pytest.mark.parametrize(
         "flag",
-        [("--measures", "acc"), ("--m", "7"), ("--n-max", "1"), ("--binary",)],
+        [("--measures", "acc"), ("--m", "7"), ("--n-max", "1")],
         ids=lambda f: f[0],
     )
     def test_preservation_rejects_ignored_flags(self, capsys, flag):
@@ -352,6 +352,19 @@ class TestCliAudit:
         )
         assert code == 2, err
         assert "need at least two classes" in err
+
+    def test_binary_flag_is_gone(self, capsys):
+        code, _, err = run_cli(capsys, "audit", "--binary", "--measures", "acc")
+        assert code == 2, err
+        assert "unrecognized arguments: --binary" in err
+
+    def test_binary_only_refused_before_any_audit(self, capsys):
+        # The budget would run out while auditing acc, the first measure.
+        code, _, err = run_cli(
+            capsys, "audit", "--m", "3", "--measures", "acc,f:beta=1", "--budget", "1"
+        )
+        assert code == 2, err
+        assert "binary-only" in err
 
 
 @pytest.mark.parametrize("eps", ["-5", "inf", "nan"])
@@ -431,6 +444,8 @@ class TestGoldenReports:
             "001e3c832611717469983513deb703cf715d3bb0842ba3ba7a514d6b4a5a3899",
         ("baseline", "--a", "3,3,2", "--b", "2,3,3", "--method", "both"):
             "fcde2afd4964832474e28dc7ba38dcd1cd2a7b5ca840c9c6f2d61e2f41374c08",
+        ("distinguish", "--n", "2:12", "--full"):
+            "ddc0bc63357b6130a20a9509bd51f03c6fa15c0e6f695c2c8a8f26281e796584",
     }
 
     @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)

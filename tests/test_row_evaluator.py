@@ -1,10 +1,11 @@
-"""The row evaluator: one memo per audited measure, shared by its cells.
+"""The memoized evaluator: one memo per measure, shared by its uses.
 
 ``audit_grid`` and ``check_averaging_preservation`` run every property
-of one measure on one evaluator; these tests hold them to fresh
+of one measure on one row evaluator; these tests hold them to fresh
 per-cell ``check_property`` calls, pin that a matrix is evaluated once
-per row, and that no evaluator outlives the call that made it.  The
-``dist`` pair index is held to the row-wise ``np.unique`` it replaced.
+per row (and once per measure in ``indistinguishable_groups``), and that
+no evaluator outlives the call that made it.  The ``dist`` pair index is
+held to the row-wise ``np.unique`` it replaced.
 """
 
 import gc
@@ -21,8 +22,10 @@ from clfmeasures import (
     check_property,
     parse_measure_id,
 )
-from clfmeasures import baselines, properties
+from clfmeasures import baselines, measures, properties
 from clfmeasures.cli import MULTICLASS_IDS
+from clfmeasures.core import ConfusionMatrix
+from clfmeasures.inconsistency import indistinguishable_groups, pairwise_inconsistency
 from clfmeasures.measures import CANONICAL_IDS, SCHEMES, with_scheme
 from clfmeasures.properties import ALL_PROPERTIES, audit_space_policy
 
@@ -93,24 +96,43 @@ class TestAgainstFreshCells:
                 assert first_bad is None
 
 
-def test_each_int_matrix_is_evaluated_once(monkeypatch):
-    seen = []
-    evaluate = properties.evaluate
+def _record_evaluations(monkeypatch, seen):
+    """Record ``(measure id, entries)`` of every int matrix evaluated."""
+    evaluate = measures.evaluate
 
     def recording(desc, C):
         if all(type(x) is int for row in C.entries for x in row):
-            seen.append(C.entries)
+            seen.append((desc.measure_id, C.entries))
         return evaluate(desc, C)
 
-    for module in (properties, baselines):
+    for module in (measures, properties, baselines):
         monkeypatch.setattr(module, "evaluate", recording)
+
+
+def test_each_int_matrix_is_evaluated_once(monkeypatch):
+    seen = []
+    _record_evaluations(monkeypatch, seen)
     audit_grid(["cd"], ALL_PROPERTIES, n_max=5)
     assert seen
     assert len(seen) == len(set(seen))
 
 
+def test_groups_evaluate_each_matrix_once_per_measure(monkeypatch):
+    seen = []
+    _record_evaluations(monkeypatch, seen)
+    indistinguishable_groups(10)
+    assert len({mid for mid, _ in seen}) == 8
+    assert len(seen) == len(set(seen))
+
+
 def _live_evaluators() -> int:
-    return sum(isinstance(x, properties._Eval) for x in gc.get_objects())
+    return sum(isinstance(x, measures.Evaluator) for x in gc.get_objects())
+
+
+def _comparisons():
+    pairs = [((4, 1), (2, 3)), ((3, 2), (1, 4)), ((5, 0), (0, 5))]
+    C = [ConfusionMatrix(e) for e in pairs]
+    return [(C[0], C[1]), (C[1], C[2]), (C[0], C[2])]
 
 
 @pytest.mark.parametrize(
@@ -121,8 +143,10 @@ def _live_evaluators() -> int:
         lambda: check_averaging_preservation(
             "macro", "cb", [AuditSpace(m=3, n_max=3, cb_n_max=3, cb_min_col=1)]
         ),
+        lambda: indistinguishable_groups(8),
+        lambda: pairwise_inconsistency(["acc", "ce", "cc:macro"], _comparisons()),
     ],
-    ids=["binary", "multiclass", "preservation"],
+    ids=["binary", "multiclass", "preservation", "groups", "pairwise"],
 )
 def test_no_evaluator_outlives_its_call(run):
     gc.collect()
