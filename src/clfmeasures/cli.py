@@ -361,7 +361,7 @@ def _cmd_eval(args, budget: Budget) -> dict:
         input_info = {
             "path": str(path),
             "format": fmt,
-            "n": str(matrix.n),
+            "n": value_str(matrix.n),
             "m": matrix.m,
         }
     measure_ids = _parse_measures(args.measures, _registry_default(matrix.m))

@@ -76,8 +76,8 @@ class Labeling:
             raise ValueError("need at least one class")
         if not self.labels:
             raise ValueError("labeling must be non-empty")
-        bad = [x for x in self.labels if not 0 <= x < self.m]
-        if bad:
+        if min(self.labels) < 0 or max(self.labels) >= self.m:
+            bad = [x for x in self.labels if not 0 <= x < self.m]
             raise ValueError(f"labels out of range for m={self.m}: {bad[:5]}")
 
     def __len__(self) -> int:

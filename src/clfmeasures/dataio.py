@@ -9,8 +9,9 @@ Three formats are supported:
   mapping travels with the parsed pair so reports can show original
   names.
 * ``matrix-json``: a JSON array of array rows.  Entries are integers or
-  exact fraction strings like ``"2/3"``; floats are accepted only when
-  integral.  A JSON object with a ``"matrix"`` key is also accepted.
+  exact fraction strings like ``"2/3"`` or ``"25e-2"`` (decimal exponent
+  at most :data:`MAX_EXPONENT` in magnitude); floats are accepted only
+  when integral.  A JSON object with a ``"matrix"`` key is also accepted.
 * ``matrix-csv``: the same entries as comma-separated rows.
 
 Writers emit exactly what the readers accept, and the round trip is
@@ -20,7 +21,9 @@ exact: fractions never pass through binary floating point.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +32,13 @@ from typing import Sequence
 from .core import ConfusionMatrix, Labeling, build_confusion
 
 FORMATS = ("labels-csv", "matrix-json", "matrix-csv")
+
+#: Largest magnitude of the decimal exponent of a fraction string such as
+#: ``"1e300"``.  ``Fraction`` builds ``10**exponent`` exactly, so a string
+#: like ``"1e999999999"`` does not finish in a minute.  4300 matches the
+#: interpreter's default limit of 4,300 digits on integer strings.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 class InputError(ValueError):
@@ -65,15 +75,17 @@ class LabelingPair:
         index = {name: i for i, name in enumerate(alphabet)}
         remap = [index[name] for name in self.alphabet]
         return LabelingPair(
-            Labeling(tuple(remap[x] for x in self.truth.labels), len(alphabet)),
-            Labeling(tuple(remap[x] for x in self.pred.labels), len(alphabet)),
+            Labeling(tuple(map(remap.__getitem__, self.truth.labels)), len(alphabet)),
+            Labeling(tuple(map(remap.__getitem__, self.pred.labels)), len(alphabet)),
             alphabet,
         )
 
 
 def _sorted_alphabet(labels: set[str]) -> tuple[str, ...]:
     try:
-        return tuple(sorted(labels, key=int))
+        # Names of one integer ("1", "01", "+1") sort by their text, so the
+        # order never depends on the set's iteration order.
+        return tuple(sorted(labels, key=lambda name: (int(name), name)))
     except ValueError:
         return tuple(sorted(labels))
 
@@ -83,6 +95,8 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_labels_csv(path) -> LabelingPair:
@@ -91,24 +105,42 @@ def read_labels_csv(path) -> LabelingPair:
     The alphabet is inferred from the data; :meth:`LabelingPair.with_alphabet`
     re-indexes the pair by a larger one.
     """
-    rows = [row for row in csv.reader(_read_text(path).splitlines()) if row]
-    if rows and [c.strip().lower() for c in rows[0]] == ["true", "pred"]:
-        rows = rows[1:]
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    pairs = []
+    # Rows are streamed: only the two raw field strings of each row are
+    # kept, so the reader's row lists are freed as they go and never pile
+    # up into collector passes.
+    rows = filter(None, csv.reader(_read_text(path).splitlines()))
+    first = next(rows, None)
+    if first is not None and [c.strip().lower() for c in first] != ["true", "pred"]:
+        rows = itertools.chain((first,), rows)
+    true, pred = [], []
     for lineno, row in enumerate(rows, 1):
         if len(row) != 2:
             raise InputError(
                 f"{path}: row {lineno} has {len(row)} fields, expected 2 (true,pred)"
             )
-        pairs.append((row[0].strip(), row[1].strip()))
-    names = _sorted_alphabet({x for pair in pairs for x in pair})
+        true.append(row[0])
+        pred.append(row[1])
+    if not true:
+        raise InputError(f"{path}: no data rows")
+    stripped = {raw: raw.strip() for raw in {*true, *pred}}
+    names = _sorted_alphabet(set(stripped.values()))
     index = {name: i for i, name in enumerate(names)}
+    code = {raw: index[name] for raw, name in stripped.items()}
     m = len(names)
-    truth = Labeling(tuple(index[t] for t, _ in pairs), m)
-    pred = Labeling(tuple(index[p] for _, p in pairs), m)
-    return LabelingPair(truth, pred, names)
+    return LabelingPair(
+        Labeling(tuple(map(code.__getitem__, true)), m),
+        Labeling(tuple(map(code.__getitem__, pred)), m),
+        names,
+    )
+
+
+def _exponent_beyond_bound(text: str) -> bool:
+    """Whether ``text`` ends in a decimal exponent above :data:`MAX_EXPONENT`."""
+    match = _EXPONENT.search(text)
+    if match is None:
+        return False
+    digits = match[1].replace("_", "").lstrip("0")
+    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT
 
 
 def _parse_entry(raw, where: str):
@@ -123,6 +155,10 @@ def _parse_entry(raw, where: str):
             )
         value = int(raw)
     elif isinstance(raw, str):
+        if _exponent_beyond_bound(raw):
+            raise InputError(
+                f"{where}: entry {raw!r} has a decimal exponent beyond {MAX_EXPONENT}"
+            )
         try:
             value = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -158,10 +194,13 @@ def _matrix_from_rows(rows, source: str) -> ConfusionMatrix:
 
 
 def read_matrix_json(path) -> ConfusionMatrix:
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
     if isinstance(doc, dict):
         if "matrix" not in doc:
             raise InputError(f"{path}: JSON object lacks a \"matrix\" key")

@@ -299,6 +299,14 @@ class TestLabeling:
         with pytest.raises(ValueError):
             Labeling((0, 2), 2)
 
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [((0, 2), "[2]"), ((-1, 0, 5, 1, 2, 3, 4, 6, 7), "[-1, 5, 2, 3, 4]")],
+    )
+    def test_out_of_range_message(self, labels, bad):
+        with pytest.raises(ValueError, match=rf"^labels out of range for m=2: \{bad}$"):
+            Labeling(labels, 2)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Labeling((), 2)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from clfmeasures import (
     read_labels_csv,
 )
 from clfmeasures.baselines import METHODS, exact_baseline_expectation
+from clfmeasures.inconsistency import pairwise_inconsistency
 from clfmeasures.cli import MULTICLASS_IDS, _load_model_pairs, main
 from clfmeasures.measures import MeasureParseError, parse_measure_id
 from clfmeasures.dataio import (
@@ -42,6 +45,22 @@ def labels_file(tmp_path, name="labels.csv", header=True, rows=((0, 1), (1, 1), 
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def generated_models(tmp_path, m, count, rows, seed):
+    """Write ``count`` labels files of ``rows`` rows over ``m`` classes.
+
+    Every file shares one truth; model ``k`` keeps the true class with
+    probability 0.9 - 0.15 k and otherwise draws any class.
+    """
+    rng = random.Random(seed)
+    truth = [rng.randrange(m) for _ in range(rows)]
+    paths = []
+    for k in range(count):
+        rate = 0.9 - 0.15 * k
+        pred = [t if rng.random() < rate else rng.randrange(m) for t in truth]
+        paths.append(str(labels_file(tmp_path, f"gen_{k}.csv", rows=zip(truth, pred))))
+    return paths
 
 
 class TestLabelsCsv:
@@ -89,6 +108,16 @@ class TestLabelsCsv:
         with pytest.raises(InputError):
             read_labels_csv(path)
 
+    @pytest.mark.parametrize("option", ("--labels", "--matrix"))
+    def test_invalid_utf8_names_the_file(self, capsys, tmp_path, option):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("true,pred\ncaf\xe9,1\n".encode("latin-1"))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
+            read_labels_csv(path)
+        code, _, err = run_cli(capsys, "eval", option, str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
 
 class TestMatrixFiles:
     def test_json_round_trip_exact(self, tmp_path):
@@ -130,6 +159,33 @@ class TestMatrixFiles:
         path.write_text("[[1.5, 0], [0, 2]]")
         with pytest.raises(InputError):
             read_matrix_json(path)
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(InputError, match="nested too deeply"):
+            read_matrix_json(path)
+        code, _, err = run_cli(capsys, "eval", "--matrix", str(path))
+        assert code == 2
+        assert err == f"error: {path}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("fmt", ("matrix-json", "matrix-csv"))
+    def test_decimal_exponent_bound(self, tmp_path, fmt):
+        path = tmp_path / "m"
+
+        def corner(entry):
+            if fmt == "matrix-json":
+                path.write_text(json.dumps([[entry, 0], [0, 1]]))
+            else:
+                path.write_text(f"{entry},0\n0,1\n")
+            return parse_inputs(path, fmt)[0, 0]
+
+        assert corner("1e4300") == 10**4300
+        assert corner("25E-4_300") == Fraction(25, 10**4300)
+        assert corner("1e0000000000000000000000003") == 1000
+        for entry in ("1e4301", "1e-4301", "1E+999999999", "2.5e" + "9" * 5000):
+            with pytest.raises(InputError, match="decimal exponent beyond 4300"):
+                corner(entry)
 
     def test_write_matrix_formats(self, tmp_path):
         for fmt, reader in (("matrix-json", read_matrix_json), ("matrix-csv", read_matrix_csv)):
@@ -454,6 +510,24 @@ class TestGoldenReports:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
 
+    #: (command, classes, models, rows, seed) of generated labels files.
+    GENERATED = {
+        ("compare", 3, 3, 3000, 11):
+            "de733a36f3a3e961e7aac7b77fd208989f4b1e7f60f36eba84674b161f010fdf",
+        ("rank", 2, 4, 3000, 12):
+            "db9c836cc531fe5d6c5bd7f64dad143e7877cf5a0f6a5065bc4d82c852ad6308",
+    }
+
+    @pytest.mark.parametrize("case", list(GENERATED), ids=str)
+    def test_generated_labels_json_bytes(self, capsys, tmp_path, case):
+        command, m, count, rows, seed = case
+        paths = generated_models(tmp_path, m, count, rows, seed)
+        code, out, err = run_cli(
+            capsys, command, "--labels", *paths, "--output", "json", "--no-timestamp"
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GENERATED[case]
+
 
 GOLDEN_TRUTH = (0, 0, 0, 1, 1, 1, 1, 1, 0, 1)
 GOLDEN_MODELS = {
@@ -683,6 +757,41 @@ class TestCliCompareRank:
             assert pair.truth.labels == tuple(shared.index(t) for t in truth)
             assert pair.pred.labels == tuple(shared.index(p) for p in preds[Path(path).name])
 
+    def test_compare_with_a_class_one_model_never_predicts(self, capsys, tmp_path):
+        rng = random.Random(5)
+        truth = [rng.choice(("2", "10")) for _ in range(60)]
+        preds = {
+            "a.csv": [t if rng.random() < 0.8 else "2" for t in truth],
+            "b.csv": [rng.choice(("2", "10")) for _ in truth],
+            "c.csv": [rng.choice(("2", "7", "10")) for _ in truth],
+        }
+        paths = [
+            str(labels_file(tmp_path, name, rows=tuple(zip(truth, pred))))
+            for name, pred in preds.items()
+        ]
+        code, out, err = run_cli(
+            capsys, "compare", "--labels", *paths, "--output", "json", "--no-timestamp"
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        shared = ("2", "7", "10")
+        matrices = []
+        for path in paths:
+            own = read_labels_csv(path)
+            cells = [[0] * len(shared) for _ in shared]
+            for i, t in enumerate(own.alphabet):
+                for j, p in enumerate(own.alphabet):
+                    cells[shared.index(t)][shared.index(p)] = own.matrix()[i, j]
+            matrices.append(ConfusionMatrix(tuple(map(tuple, cells))))
+        assert read_labels_csv(paths[0]).alphabet == ("2", "10")
+        expected = pairwise_inconsistency(
+            report["measures"],
+            [(matrices[i], matrices[j]) for i in range(3) for j in range(i + 1, 3)],
+            report["pairwise"]["eps"],
+        )
+        assert report["m"] == 3
+        assert report["pairwise"] == json.loads(json.dumps(expected.to_dict()))
+
 
 class TestCliBaseline:
     def test_constants(self, capsys):
@@ -851,6 +960,34 @@ def test_console_script(matrix_file):
         [*argv, "eval"], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 2, proc.stderr
+
+
+def test_huge_exponent_exits_2_at_once(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('[["1e999999999", 1], [0, 1]]')
+    argv, env = console_script()
+    proc = subprocess.run(
+        [*argv, "eval", "--matrix", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"error: {path} row 1: entry '1e999999999' has a decimal exponent beyond 4300\n"
+    )
+
+
+def test_total_past_int_str_limit_renders(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('[["1e4300", 1], [0, 1]]')
+    code, out, err = run_cli(
+        capsys, "eval", "--matrix", str(path), "--measures", "acc",
+        "--output", "json", "--no-timestamp",
+    )
+    assert code == 0, err
+    assert json.loads(out)["input"]["n"] == "1" + "0" * 4299 + "2"
 
 
 def test_usage_error_exit_code(capsys):
