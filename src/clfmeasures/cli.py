@@ -57,8 +57,8 @@ from .measures import (
 from .properties import (
     ALL_PROPERTIES,
     audit_grid,
-    check_averaging_preservation,
     parse_property,
+    preservation_grid,
 )
 from .baselines import METHODS, exact_baseline_expectation
 from .measures import SCHEMES
@@ -203,7 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"comma-separated properties (default all: {','.join(ALL_PROPERTIES)})",
     )
-    p.add_argument("--m", type=int, metavar="M", help="audit at M classes (default 2)")
+    p.add_argument(
+        "--m",
+        type=int,
+        metavar="M",
+        help="audit at M classes (default 2).  Default windows: n <= 8 at M = 2 "
+        "(n <= 12 for ce's min/mon/smon); n <= 6 and edit walks to n <= 9 at "
+        "M = 3; n <= 4 from M = 4 on, with value spaces to n <= M",
+    )
     p.add_argument(
         "--n-max",
         type=int,
@@ -426,17 +433,13 @@ def _cmd_audit(args, budget: Budget) -> dict:
             raise InputError(
                 f"--preservation audits fixed spaces; it does not take {', '.join(ignored)}"
             )
-        grid = []
-        for scheme in SCHEMES:
-            for prop in properties:
-                verdict = check_averaging_preservation(scheme, prop, None, args.eps, budget)
-                grid.append(verdict.to_dict())
+        grid = preservation_grid(SCHEMES, properties, args.eps, budget)
         return {
             "command": "audit",
             "mode": "preservation",
             "schemes": list(SCHEMES),
             "properties": properties,
-            "grid": grid,
+            "grid": [verdict.to_dict() for verdict in grid],
         }
     m = 2 if args.m is None else args.m
     if m < 2:

@@ -51,6 +51,25 @@ degenerate sub-problem is deliberately not chance-level).
 Verdicts carry replayable witnesses: matrices are rendered as exact
 entry strings and values through :func:`clfmeasures.values.value_str`.
 
+The ``csym``, ``mon`` and ``smon`` scans run one sample size (level) at a
+time over the orbits of the level under relabeling the classes, each
+orbit represented by its first member in space order.  Their moves
+commute with relabeling, so the checks of every member of an orbit are
+the representative's checks relabeled.  A level is scanned one
+representative per orbit when, on the row, every orbit of the levels
+its moves reach carries one *identical* value
+(:func:`clfmeasures.values.value_identical`: the same type and the same
+representation, not merely equal within ``eps``); each comparison then
+comes out alike for every member, ties included, and each check of the
+representative counts orbit-size times in ``checked``.  Otherwise, and
+on a violation, the level is rescanned matrix by matrix in space order,
+so ``checked``, the witness and the budget charged are always those of
+the scan of every matrix; a reduced level charges its matrices when it
+finishes.  So ``csym`` makes one identity test per matrix and compares
+only the representatives with their relabelings.  Binary ``f``,
+``jaccard`` and ``ce`` are the rows of the default grids whose orbits
+are not identical.
+
 Values are memoized per row of the audit grid, on one
 :class:`clfmeasures.measures.Evaluator` per measure: :func:`audit_grid`
 runs every property of one measure on it, and
@@ -92,7 +111,14 @@ from .measures import (
     parse_measure_id,
     with_scheme,
 )
-from .values import DEFAULT_EPS, as_float, value_cmp, value_str, value_sum
+from .values import (
+    DEFAULT_EPS,
+    as_float,
+    value_cmp,
+    value_identical,
+    value_str,
+    value_sum,
+)
 
 MAX = "max"
 MIN = "min"
@@ -165,6 +191,19 @@ MULTICLASS_DEFAULT_SPACE = AuditSpace(
 )
 
 
+def _generic_space(m: int) -> AuditSpace:
+    """Default bounds at m classes.
+
+    From m = 4 on, the m = 4 preservation windows (n <= 4), except that a
+    value-comparison space needs n >= m to hold a diagonal matrix.
+    """
+    if m == 2:
+        return BINARY_DEFAULT_SPACE
+    if m == 3:
+        return MULTICLASS_DEFAULT_SPACE
+    return AuditSpace(m=m, n_max=max(m, 4), mon_n_max=4, dist_n_max=4, cb_n_max=4)
+
+
 def audit_space_policy(
     desc: MeasureDescriptor, prop: str, m: int = 2, n_max: int | None = None
 ) -> AuditSpace:
@@ -175,7 +214,7 @@ def audit_space_policy(
     overrides the generic sample-size bound; a wider window only ever
     grows, and the labeling-triple bound never does.
     """
-    generic = BINARY_DEFAULT_SPACE if m == 2 else MULTICLASS_DEFAULT_SPACE
+    generic = _generic_space(m)
     space = generic
     if m == 2 and desc.base == "ce" and prop in (MIN, MON, SMON):
         space = replace(space, n_max=12, mon_n_max=12)
@@ -233,6 +272,25 @@ class _Eval(Evaluator):
         super().__init__(desc)
         self.eps = eps
         self.budget = budget
+        self._identical_levels: dict = {}
+
+    def orbits_identical(self, m: int, n: int, min_row: int) -> bool:
+        """Whether every orbit of the level has one identical value on
+        all its members (:func:`clfmeasures.values.value_identical`).
+
+        Decided on the first call per level and kept with the row.
+        """
+        key = (m, n, min_row)
+        same = self._identical_levels.get(key)
+        if same is None:
+            same = self._identical_levels[key] = all(
+                map(self._orbit_identical, _orbit_index(m, n, min_row))
+            )
+        return same
+
+    def _orbit_identical(self, orbit) -> bool:
+        first, *rest = (self.value(ConfusionMatrix._trusted(e)) for e in orbit)
+        return all(value_identical(v, first) for v in rest)
 
     def charge(self, states: int = 1) -> None:
         if self.budget is not None:
@@ -260,6 +318,30 @@ def _space_entries(m: int, n: int, min_row: int) -> tuple:
         for a in compositions(n, m, min_part=min_row)
         for entries, _ in enumerate_entries(a)
     )
+
+
+@lru_cache(maxsize=4096)
+def _orbit_index(m: int, n: int, min_row: int) -> tuple:
+    """The orbits of ``_space_entries(m, n, min_row)`` under relabeling
+    the classes (simultaneous row and column permutation).
+
+    One tuple of members per orbit, in space order, so the first member
+    is the orbit's representative; orbits come in the space order of their
+    representatives.  Members are the space's own entry tuples.
+    """
+    level = _space_entries(m, n, min_row)
+    position = {e: k for k, e in enumerate(level)}
+    perms = list(itertools.permutations(range(m)))
+    marked = [False] * len(level)
+    orbits = []
+    for k, e in enumerate(level):
+        if marked[k]:
+            continue
+        members = sorted({position[tuple(tuple(e[i][j] for j in p) for i in p)] for p in perms})
+        for x in members:
+            marked[x] = True
+        orbits.append(tuple(level[x] for x in members))
+    return tuple(orbits)
 
 
 def _iter_matrices(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int = 1):
@@ -325,23 +407,60 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
 def _scan(ev: _Eval, starts, moves, worse):
     """Compare each start matrix C with its neighbours.
 
-    ``moves(C)`` gives C's neighbours as ``(Ct, kind, extra)``.  Each is
-    one check; the first with ``worse(cmp(oriented(Ct), oriented(C)))``
-    is the witness ``kind`` over ``[C, Ct]`` with the ``extra`` fields.
-    sym and csym pass ``bool``: any difference is a violation.
+    ``starts`` gives ``(C, weight)`` pairs, where C stands for ``weight``
+    matrices whose checks come out as C's do.  ``moves(C)`` gives C's
+    neighbours as ``(Ct, kind, extra)``.  Each counts ``weight`` checks;
+    the first with ``worse(cmp(oriented(Ct), oriented(C)))`` is the
+    witness ``kind`` over ``[C, Ct]`` with the ``extra`` fields.  sym and
+    csym pass ``bool``: any difference is a violation.
     """
     checked = 0
-    for C in starts:
+    for C, weight in starts:
         base = ev.oriented(C)
         for Ct, kind, extra in moves(C):
-            checked += 1
+            checked += weight
             if worse(ev.cmp(ev.oriented(Ct), base)):
                 return VIOLATED, ev.witness(kind, [C, Ct], **extra), checked
     return SATISFIED, None, checked
 
 
+def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, moves, worse,
+                 reach=(0,)):
+    """:func:`_scan` over the levels ``n_lo..n_hi`` of starts passing
+    ``keep``, one representative per class-permutation orbit.
+
+    ``moves`` must commute with relabeling the classes and lead from
+    level n to the levels ``n + d``, d in ``reach``.  Level n is scanned
+    reduced when its orbits and those of the levels it reaches each carry
+    one identical value on the row: then every member's checks come out
+    as its representative's, so the representative weighs the orbit size.
+    A reduced level is charged when it finishes.  Otherwise, or on a
+    violation, the level is rescanned matrix by matrix in space order, so
+    ``checked`` and the witness are those of the full scan.
+    """
+    checked = 0
+    for n in range(max(n_lo, 1), n_hi + 1):
+        starts = [
+            (C, len(orbit))
+            for orbit in _orbit_index(m, n, min_row)
+            if keep(C := ConfusionMatrix._trusted(orbit[0]))
+        ]
+        if starts and all(ev.orbits_identical(m, n + d, min_row) for d in reach):
+            status, _, sub = _scan(ev, starts, moves, worse)
+            if status == SATISFIED:
+                ev.charge(len(_space_entries(m, n, min_row)))
+                checked += sub
+                continue
+        full = ((C, 1) for C in _iter_matrices(ev, m, n, n, min_row) if keep(C))
+        status, witness, sub = _scan(ev, full, moves, worse)
+        checked += sub
+        if status == VIOLATED:
+            return status, witness, checked
+    return SATISFIED, None, checked
+
+
 def _check_sym(ev: _Eval, space: AuditSpace):
-    starts = _iter_matrices(ev, space.m, 1, space.n_max)
+    starts = ((C, 1) for C in _iter_matrices(ev, space.m, 1, space.n_max))
     return _scan(ev, starts, lambda C: [(transpose(C), "transpose_differs", {})], bool)
 
 
@@ -352,19 +471,13 @@ def _check_csym(ev: _Eval, space: AuditSpace):
         kind = "class_permutation_differs"
         return [(permute_classes(C, p), kind, {"permutation": list(p)}) for p in perms]
 
-    return _scan(ev, _iter_matrices(ev, space.m, 1, space.n_max), moves, bool)
+    return _scan_orbits(ev, space.m, 1, space.n_max, 1, lambda C: True, moves, bool)
 
 
-def _unary_margin(C: ConfusionMatrix) -> bool:
-    return C.n in C.a or C.n in C.b
-
-
-def _edit_starts(ev: _Eval, space: AuditSpace, n_lo: int):
-    # Empty classes are legal start matrices here; only constant
-    # labelings are excluded, and only on the unedited side.
-    for C in _iter_matrices(ev, space.m, n_lo, space.edit_n_max, min_row=0):
-        if not _unary_margin(C):
-            yield C
+def _no_unary_margin(C: ConfusionMatrix) -> bool:
+    # Empty classes are legal start matrices of the edit walks; only
+    # constant labelings are excluded, and only on the unedited side.
+    return C.n not in C.a and C.n not in C.b
 
 
 def _edit_moves(kind: str, edits):
@@ -392,7 +505,9 @@ def _check_mon(ev: _Eval, space: AuditSpace):
     moves = _edit_moves("improvement_penalized", [
         ((i, j), (t, t)) for i, j in off_diagonal for t in (i, j)
     ])
-    return _scan(ev, _edit_starts(ev, space, 2), moves, lambda side: side < 0)
+    return _scan_orbits(
+        ev, space.m, 2, space.edit_n_max, 0, _no_unary_margin, moves, lambda side: side < 0
+    )
 
 
 def _check_smon(ev: _Eval, space: AuditSpace):
@@ -405,7 +520,10 @@ def _check_smon(ev: _Eval, space: AuditSpace):
     def moves(C):
         return ([] if C.is_diagonal() else add(C)) + ([] if C.is_zero_diagonal() else remove(C))
 
-    return _scan(ev, _edit_starts(ev, space, 1), moves, lambda side: side <= 0)
+    return _scan_orbits(
+        ev, m, 1, space.edit_n_max, 0, _no_unary_margin, moves, lambda side: side <= 0,
+        reach=(-1, 0, 1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -619,21 +737,22 @@ def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
 _default_verdicts: dict = {}
 
 
-def _default_binary_verdict(measure_id: str, prop: str, ev: _Eval | None = None) -> Verdict:
-    """The cached verdict of one cell at the default binary bounds.
+def _default_binary_verdicts(measure_id: str, props) -> list[Verdict]:
+    """The cached verdicts of one measure's cells at the default binary
+    bounds.
 
-    A missing cell is computed on ``ev``, the row evaluator of
-    ``measure_id`` at the default ``eps`` without a budget, or on a new
-    one.
+    Missing cells are computed on one row evaluator at the default
+    ``eps`` without a budget, dropped on return.
     """
-    key = (measure_id, prop)
-    verdict = _default_verdicts.get(key)
-    if verdict is None:
-        if ev is None:
-            ev = _Eval(parse_measure_id(measure_id), DEFAULT_EPS, None)
-        space = audit_space_policy(ev.desc, prop, m=2)
-        verdict = _default_verdicts[key] = _run(ev, parse_property(prop), space)
-    return verdict
+    keys = [(measure_id, parse_property(prop)) for prop in props]
+    ev = None
+    for key in keys:
+        if key not in _default_verdicts:
+            if ev is None:
+                ev = _Eval(parse_measure_id(measure_id), DEFAULT_EPS, None)
+            space = audit_space_policy(ev.desc, key[1], m=2)
+            _default_verdicts[key] = _run(ev, key[1], space)
+    return [_default_verdicts[key] for key in keys]
 
 
 def audit_grid(
@@ -660,11 +779,11 @@ def audit_grid(
         check_arity(desc, m if space is None else space.m)
     verdicts = []
     for mid, desc in rows:
+        if default:
+            verdicts += _default_binary_verdicts(mid, properties)
+            continue
         ev = _Eval(desc, eps, budget)
         for prop in properties:
-            if default:
-                verdicts.append(_default_binary_verdict(mid, prop, ev))
-                continue
             sp = space if space is not None else audit_space_policy(desc, prop, m, n_max)
             verdicts.append(_run(ev, parse_property(prop), sp))
     return verdicts
@@ -739,16 +858,19 @@ class PreservationVerdict:
 _PROBE_PROPERTIES = {"netagree": (SMON,), "anyagree": (MIN,)}
 
 
-def _preservation_bases(prop: str) -> list[MeasureDescriptor]:
+def _preservation_pool(prop: str) -> list[str]:
     # Probes come first so that the cells they were built for are
     # witnessed by them rather than by whichever registry measure
     # happens to degrade earlier in canonical order.
     ids = [mid for mid in AUDIT_ONLY_IDS if prop in _PROBE_PROPERTIES.get(mid, ())]
-    ids += list(CANONICAL_IDS)
+    return ids + list(CANONICAL_IDS)
+
+
+def _preservation_bases(prop: str) -> list[MeasureDescriptor]:
     return [
         parse_measure_id(mid)
-        for mid in ids
-        if _default_binary_verdict(mid, prop).satisfied
+        for mid in _preservation_pool(prop)
+        if _default_binary_verdicts(mid, (prop,))[0].satisfied
     ]
 
 
@@ -789,6 +911,27 @@ def check_averaging_preservation(
     )
 
 
+def preservation_grid(
+    schemes, props, eps: float, budget: Budget | None
+) -> list[PreservationVerdict]:
+    """:func:`check_averaging_preservation` for every scheme and property,
+    scheme-major.
+
+    The binary verdicts that pick the bases of every property are filled
+    first, measure-major: one row evaluator per base measure serves all
+    its missing cells and is dropped before the next measure.
+    """
+    props = [parse_property(prop) for prop in props]
+    pools = {prop: _preservation_pool(prop) for prop in props}
+    for mid in AUDIT_ONLY_IDS + CANONICAL_IDS:
+        _default_binary_verdicts(mid, [prop for prop in props if mid in pools[prop]])
+    return [
+        check_averaging_preservation(scheme, prop, None, eps, budget)
+        for scheme in schemes
+        for prop in props
+    ]
+
+
 # ---------------------------------------------------------------------------
 # joint impossibility
 
@@ -800,8 +943,7 @@ def corroborate_impossibility(measure_ids=CANONICAL_IDS) -> dict:
     per_measure = {}
     all_consistent = True
     for mid in measure_ids:
-        ev = _Eval(parse_measure_id(mid), DEFAULT_EPS, None)
-        verdicts = {p: _default_binary_verdict(mid, p, ev) for p in (MON, DIST, CB)}
+        verdicts = dict(zip((MON, DIST, CB), _default_binary_verdicts(mid, (MON, DIST, CB))))
         has_all = all(v.satisfied for v in verdicts.values())
         if has_all:
             all_consistent = False

@@ -266,6 +266,18 @@ def values_equal(a: Value, b: Value, eps: float = DEFAULT_EPS) -> bool:
     return value_cmp(a, b, eps) == 0
 
 
+def value_identical(a: Value, b: Value) -> bool:
+    """Whether ``a`` and ``b`` are one value in one representation: the
+    same type, and for a :class:`Root` the same coefficient, radicand and
+    index.  :func:`value_cmp` then treats them alike against any value, at
+    any ``eps``."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is Root:
+        return (a.coeff, a.radicand, a.index) == (b.coeff, b.radicand, b.index)
+    return a == b
+
+
 def value_sum(terms) -> Value:
     """Sum of values, exact whenever the terms allow it.
 

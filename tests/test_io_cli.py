@@ -369,6 +369,31 @@ class TestCliAudit:
         assert code == 0, err
         assert json.loads(out)["measures"] == list(MULTICLASS_IDS)
 
+    def test_m4_audits_four_classes(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "audit", "--m", "4", "--measures", "acc", "--properties", "csym",
+            "--n-max", "4", "--output", "json", "--no-timestamp",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        (cell,) = report["grid"]
+        assert report["m"] == cell["space"]["m"] == 4
+        # 4**4 matrices with one element per true class, 23 relabelings each
+        assert cell["checked"] == 23 * 4**4
+
+    def test_m4_default_windows(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "audit", "--m", "4", "--measures", "acc", "--properties", "max,mon",
+            "--output", "json", "--no-timestamp",
+        )
+        assert code == 0, err
+        for cell in json.loads(out)["grid"]:
+            assert cell["status"] == "satisfied"
+            assert cell["space"]["m"] == 4
+            assert cell["space"]["n_max"] == cell["space"]["mon_n_max"] == 4
+
     def test_markdown_grid(self, capsys):
         code, out, _ = run_cli(
             capsys,
