@@ -563,9 +563,9 @@ def _load_model_pairs(paths) -> tuple[list[str], list[LabelingPair]]:
     # Shared alphabet so every model's matrix indexes classes identically.
     alphabet = _sorted_alphabet({name for pair in parsed for name in pair.alphabet})
     pairs = [pair.with_alphabet(alphabet) for pair in parsed]
-    truth = pairs[0].truth
-    for path, pair in zip(paths, pairs):
-        if pair.truth != truth:
+    truth = pairs[0].truth_codes()
+    for path, pair in zip(paths[1:], pairs[1:]):
+        if pair.truth_codes() != truth:
             raise InputError(
                 f"{path}: true column differs from {paths[0]}; "
                 "all models must be scored against one truth"
@@ -657,11 +657,7 @@ def _cmd_rank(args, budget: Budget) -> dict:
     m = pairs[0].m
     measure_ids = _parse_measures(args.measures, _default_for_m(m))
     rankings = rank_models(
-        measure_ids,
-        pairs[0].truth,
-        [pair.pred for pair in pairs],
-        names=names,
-        eps=args.eps,
+        measure_ids, None, [pair.matrix() for pair in pairs], names=names, eps=args.eps
     )
     return {
         "command": "rank",

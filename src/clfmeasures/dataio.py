@@ -7,15 +7,19 @@ Three formats are supported:
   alphabet is sorted (numerically when every label parses as an integer,
   lexicographically otherwise) and mapped to 0-based class indices.  The
   mapping travels with the parsed pair so reports can show original
-  names.
+  names.  Rows are counted per distinct row text, and only the distinct
+  rows are split and decoded: a parsed pair keeps one count per distinct
+  (true, pred) class pair and a one-byte row id per element (four bytes
+  past 256 distinct rows).
 * ``matrix-json``: a JSON array of array rows.  Entries are integers or
   exact fraction strings like ``"2/3"`` or ``"25e-2"`` (decimal exponent
   at most :data:`MAX_EXPONENT` in magnitude); floats are accepted only
   when integral.  A JSON object with a ``"matrix"`` key is also accepted.
 * ``matrix-csv``: the same entries as comma-separated rows.
 
-Writers emit exactly what the readers accept, and the round trip is
-exact: fractions never pass through binary floating point.
+Files are UTF-8; one leading byte-order mark is dropped.  Writers emit
+exactly what the readers accept, and the round trip is exact: fractions
+never pass through binary floating point.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ import csv
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from array import array
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .core import ConfusionMatrix, Labeling, build_confusion
+from .core import ConfusionMatrix, Labeling
 
 FORMATS = ("labels-csv", "matrix-json", "matrix-csv")
 
@@ -45,24 +51,81 @@ class InputError(ValueError):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
-@dataclass(frozen=True)
 class LabelingPair:
-    """A parsed (truth, prediction) pair with its label alphabet."""
+    """A (truth, prediction) pair with its label alphabet, held as counts.
 
-    truth: Labeling
-    pred: Labeling
-    alphabet: tuple[str, ...]
+    ``rows`` are the distinct (true class, predicted class) pairs in order
+    of first occurrence, ``counts`` how often each occurs, and ``ids`` the
+    index into ``rows`` of every element: ``bytes`` while there are at
+    most 256 distinct rows, else an ``array("I")``.  The matrix is built
+    from the counts, the two labelings only on first access.
+    """
 
-    @property
-    def n(self) -> int:
-        return len(self.truth)
+    def __init__(self, truth: Labeling, pred: Labeling, alphabet: Sequence[str]):
+        if truth.m != pred.m:
+            raise ValueError(f"class count mismatch: {truth.m} vs {pred.m}")
+        if len(truth) != len(pred):
+            raise ValueError(f"length mismatch: {len(truth)} vs {len(pred)}")
+        keys = list(zip(truth.labels, pred.labels))
+        self._set(*_tally(keys, Counter(keys), _same), tuple(alphabet), truth.m)
+        self.truth = truth
+        self.pred = pred
 
-    @property
-    def m(self) -> int:
-        return self.truth.m
+    @classmethod
+    def _from_counts(cls, rows, counts, ids, alphabet, m) -> "LabelingPair":
+        pair = object.__new__(cls)
+        pair._set(rows, counts, ids, alphabet, m)
+        return pair
+
+    def _set(self, rows, counts, ids, alphabet, m) -> None:
+        self.rows = rows
+        self.counts = counts
+        self.ids = ids
+        self.alphabet = alphabet
+        self.m = m
+        self.n = sum(counts)
+
+    @cached_property
+    def truth(self) -> Labeling:
+        return Labeling(tuple(self._column(0)), self.m)
+
+    @cached_property
+    def pred(self) -> Labeling:
+        return Labeling(tuple(self._column(1)), self.m)
+
+    def truth_codes(self) -> bytes | tuple[int, ...]:
+        """The true class of every element: ``bytes`` while m <= 256."""
+        return self._column(0)
+
+    def _column(self, k: int) -> bytes | tuple[int, ...]:
+        table = [row[k] for row in self.rows]
+        if self.m > 256:
+            return tuple(map(table.__getitem__, self.ids))
+        if type(self.ids) is bytes:
+            return self.ids.translate(bytes(table).ljust(256, b"\0"))
+        return bytes(map(table.__getitem__, self.ids))
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelingPair):
+            return NotImplemented
+        # ``rows`` and ``ids`` are a function of the two label sequences.
+        return (self.alphabet, self.m, self.rows, self.ids) == (
+            other.alphabet, other.m, other.rows, other.ids
+        )
+
+    def __hash__(self):
+        return hash((self.alphabet, self.m, self.rows, self.counts))
+
+    def __repr__(self):
+        return f"LabelingPair(n={self.n}, m={self.m}, alphabet={self.alphabet!r})"
 
     def matrix(self) -> ConfusionMatrix:
-        return build_confusion(self.truth, self.pred)
+        cells = [[0] * self.m for _ in range(self.m)]
+        for (t, p), count in zip(self.rows, self.counts):
+            cells[t][p] += count
+        # Codes lie in 0..m-1 and every count is positive, so the cells
+        # form a valid matrix.
+        return ConfusionMatrix._trusted(tuple(map(tuple, cells)))
 
     def mapping(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.alphabet)}
@@ -74,11 +137,33 @@ class LabelingPair:
             return self
         index = {name: i for i, name in enumerate(alphabet)}
         remap = [index[name] for name in self.alphabet]
-        return LabelingPair(
-            Labeling(tuple(map(remap.__getitem__, self.truth.labels)), len(alphabet)),
-            Labeling(tuple(map(remap.__getitem__, self.pred.labels)), len(alphabet)),
-            alphabet,
-        )
+        rows = tuple((remap[t], remap[p]) for t, p in self.rows)
+        return LabelingPair._from_counts(rows, self.counts, self.ids, alphabet, len(alphabet))
+
+
+def _same(key):
+    return key
+
+
+def _tally(keys: list, counts: Counter, row_of) -> tuple:
+    """``rows``, ``counts`` and ``ids`` of a :class:`LabelingPair`.
+
+    ``keys`` holds one hashable key per element, ``counts`` is
+    ``Counter(keys)`` (so it lists the distinct keys in order of first
+    occurrence), and ``row_of`` maps a distinct key to its (true, pred)
+    class pair.  Keys of one class pair share a row.
+    """
+    index: dict = {}
+    totals: list[int] = []
+    key_row = {}
+    for key, count in counts.items():
+        i = key_row[key] = index.setdefault(row_of(key), len(index))
+        if i < len(totals):
+            totals[i] += count
+        else:
+            totals.append(count)
+    ids = map(key_row.__getitem__, keys)
+    return tuple(index), tuple(totals), bytes(ids) if len(index) <= 256 else array("I", ids)
 
 
 def _sorted_alphabet(labels: set[str]) -> tuple[str, ...]:
@@ -92,45 +177,83 @@ def _sorted_alphabet(labels: set[str]) -> tuple[str, ...]:
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def read_labels_csv(path) -> LabelingPair:
-    """Parse a two-column (true, pred) CSV into an aligned labeling pair.
+def _is_header(row) -> bool:
+    return [c.strip().lower() for c in row] == ["true", "pred"]
 
-    The alphabet is inferred from the data; :meth:`LabelingPair.with_alphabet`
-    re-indexes the pair by a larger one.
+
+def _split_lines(lines: list[str]) -> list[list[str]]:
+    return list(csv.reader(lines))
+
+
+def _row_keys(text: str):
+    """The non-blank rows of a labels file as hashable keys, header
+    dropped, and the function giving the fields of a list of keys.
+
+    Without a quote character every line is one row, so the line is its
+    key and only distinct lines need splitting.  A quoted field may hold
+    a comma or span lines, so then the reader's rows are the keys.
     """
-    # Rows are streamed: only the two raw field strings of each row are
-    # kept, so the reader's row lists are freed as they go and never pile
-    # up into collector passes.
-    rows = filter(None, csv.reader(_read_text(path).splitlines()))
+    lines = text.splitlines()
+    if '"' in text:
+        keys = [tuple(row) for row in csv.reader(lines) if row]
+        fields = list
+    else:
+        keys = list(filter(None, lines))
+        fields = _split_lines
+    if keys and _is_header(fields(keys[:1])[0]):
+        del keys[0]
+    return keys, fields
+
+
+def _raise_first_bad_row(path, text: str) -> None:
+    """Walk the rows in file order and raise what the first malformed one
+    gives: the reader's ``csv.Error`` or a row without two fields."""
+    rows = filter(None, csv.reader(text.splitlines()))
     first = next(rows, None)
-    if first is not None and [c.strip().lower() for c in first] != ["true", "pred"]:
+    if first is not None and not _is_header(first):
         rows = itertools.chain((first,), rows)
-    true, pred = [], []
     for lineno, row in enumerate(rows, 1):
         if len(row) != 2:
             raise InputError(
                 f"{path}: row {lineno} has {len(row)} fields, expected 2 (true,pred)"
             )
-        true.append(row[0])
-        pred.append(row[1])
-    if not true:
+
+
+def read_labels_csv(path) -> LabelingPair:
+    """Parse a two-column (true, pred) CSV into an aligned labeling pair.
+
+    Rows are counted per distinct text; only distinct rows are split and
+    decoded.  The alphabet is inferred from the data;
+    :meth:`LabelingPair.with_alphabet` re-indexes the pair by a larger one.
+    """
+    text = _read_text(path)
+    try:
+        keys, fields = _row_keys(text)
+        counts = Counter(keys)
+        distinct = list(counts)
+        rows = fields(distinct)
+    except csv.Error:
+        _raise_first_bad_row(path, text)
+        raise
+    if any(len(row) != 2 for row in rows):
+        _raise_first_bad_row(path, text)
+    if not rows:
         raise InputError(f"{path}: no data rows")
-    stripped = {raw: raw.strip() for raw in {*true, *pred}}
+    stripped = {raw: raw.strip() for row in rows for raw in row}
     names = _sorted_alphabet(set(stripped.values()))
     index = {name: i for i, name in enumerate(names)}
-    code = {raw: index[name] for raw, name in stripped.items()}
-    m = len(names)
-    return LabelingPair(
-        Labeling(tuple(map(code.__getitem__, true)), m),
-        Labeling(tuple(map(code.__getitem__, pred)), m),
-        names,
+    row_of = {
+        key: (index[stripped[t]], index[stripped[p]]) for key, (t, p) in zip(distinct, rows)
+    }
+    return LabelingPair._from_counts(
+        *_tally(keys, counts, row_of.__getitem__), names, len(names)
     )
 
 

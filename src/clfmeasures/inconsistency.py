@@ -539,6 +539,9 @@ def rank_models(
 ) -> list[MeasureRanking]:
     """Rank predictions against one truth under each measure.
 
+    With ``truth`` None, ``predictions`` are the predictions' confusion
+    matrices against the truth, already counted.
+
     Competition ranking: tied models share the best rank of the tie, and
     the next model's rank counts everyone above it.  Entries come out
     sorted by rank, input order within ties.
@@ -546,20 +549,22 @@ def rank_models(
     if not predictions:
         raise ValueError("no predictions given")
     preds = list(predictions)
-    m = None
-    if not isinstance(truth, Labeling):
-        flat = list(truth)
-        for p in preds:
-            flat.extend(p.labels if isinstance(p, Labeling) else p)
-        m = max(flat) + 1
-    truth_lab = _as_labeling(truth, m)
-    pred_labs = [_as_labeling(p, truth_lab.m) for p in preds]
+    if truth is None:
+        matrices = preds
+    else:
+        m = None
+        if not isinstance(truth, Labeling):
+            flat = list(truth)
+            for p in preds:
+                flat.extend(p.labels if isinstance(p, Labeling) else p)
+            m = max(flat) + 1
+        truth_lab = _as_labeling(truth, m)
+        matrices = [build_confusion(truth_lab, _as_labeling(p, truth_lab.m)) for p in preds]
     if names is None:
-        names = [f"model_{i + 1}" for i in range(len(pred_labs))]
+        names = [f"model_{i + 1}" for i in range(len(matrices))]
     names = list(names)
-    if len(names) != len(pred_labs):
+    if len(names) != len(matrices):
         raise ValueError("names and predictions differ in length")
-    matrices = [build_confusion(truth_lab, p) for p in pred_labs]
     out = []
     for measure in measures:
         desc = _descriptor(measure)

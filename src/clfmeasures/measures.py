@@ -186,7 +186,7 @@ def confusion_entropy(C: ConfusionMatrix) -> mpmath.mpf:
     if m < 2:
         raise MeasureArityError("confusion entropy needs at least two classes")
     with working_precision():
-        total = mpmath.mpf(0)
+        terms = []
         for j in range(m):
             mass = _frac(C.a[j]) + _frac(C.b[j])
             if mass == 0:
@@ -196,7 +196,11 @@ def confusion_entropy(C: ConfusionMatrix) -> mpmath.mpf:
                     continue
                 for c in (C[j, i], C[i, j]):
                     if c:
-                        total += to_mpf(c) * mpmath.log(to_mpf(_frac(c) / mass))
+                        terms.append(to_mpf(c) * mpmath.log(to_mpf(_frac(c) / mass)))
+        # fsum adds the terms exactly and rounds once, so the value does not
+        # depend on their order: relabeling the classes gives an identical
+        # value, not one a rounding apart.
+        total = mpmath.fsum(terms)
         base = 2 * m - 2
         return -total / (2 * to_mpf(_frac(C.n)) * mpmath.log(base))
 

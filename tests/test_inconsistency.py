@@ -13,6 +13,7 @@ from clfmeasures import (
     parse_measure_id,
     value_cmp,
 )
+from clfmeasures.core import Labeling, build_confusion
 from clfmeasures.inconsistency import (
     CONSISTENT,
     INCONSISTENT,
@@ -275,6 +276,12 @@ class TestRankModels:
         rankings = rank_models(["cc", "cd"], self.TRUTH, self.PREDS)
         orders = [[e.name for e in r.entries] for r in rankings]
         assert orders[0] == orders[1]
+
+    def test_counted_matrices_rank_as_their_labelings(self):
+        truth = Labeling(self.TRUTH, 2)
+        matrices = [build_confusion(truth, Labeling(p, 2)) for p in self.PREDS]
+        ids = ["acc", "ba", "cc", "cd"]
+        assert rank_models(ids, None, matrices) == rank_models(ids, self.TRUTH, self.PREDS)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -108,6 +108,28 @@ class TestLabelsCsv:
         with pytest.raises(InputError):
             read_labels_csv(path)
 
+    @pytest.mark.parametrize("output", ("markdown", "json", "csv"))
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, output):
+        plain = labels_file(tmp_path, "plain.csv", rows=((0, 1), (1, 1), (1, 0)))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for path in (plain, marked):
+            code, out, err = run_cli(
+                capsys, "eval", "--labels", str(path), "--output", output, "--no-timestamp"
+            )
+            assert code == 0, err
+            reports.append(out.replace(str(path), "<path>"))
+        assert reports[0] == reports[1]
+        assert read_labels_csv(marked).n == 3
+
+    @pytest.mark.parametrize("name, text", [("m.json", "[[4, 1], [2, 3]]"), ("m.csv", "4,1\n2,3\n")])
+    def test_byte_order_mark_in_matrix_files(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        fmt = "matrix-json" if name.endswith(".json") else "matrix-csv"
+        assert parse_inputs(path, fmt) == MATRIX
+
     @pytest.mark.parametrize("option", ("--labels", "--matrix"))
     def test_invalid_utf8_names_the_file(self, capsys, tmp_path, option):
         path = tmp_path / "latin1.csv"
@@ -985,6 +1007,26 @@ def test_console_script(matrix_file):
         [*argv, "eval"], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 2, proc.stderr
+
+
+def test_python_dash_m(matrix_file):
+    src = str(Path(clfmeasures.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "clfmeasures", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    proc = run("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "compare" in proc.stdout
+    proc = run("eval", "--matrix", matrix_file, "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    assert "# eval" in proc.stdout
+    assert run("eval").returncode == 2
 
 
 def test_huge_exponent_exits_2_at_once(tmp_path):

@@ -1,20 +1,26 @@
-"""The streaming labels-CSV parser against the row-walk parser it replaced.
+"""The count-based labels-CSV parser against the row-walk parser.
 
-``_row_walk_read_labels_csv`` is the earlier ``read_labels_csv``, kept
+``_row_walk_read_labels_csv`` is an earlier ``read_labels_csv``, kept
 verbatim as the reference: it keeps every reader row and every
-(true, pred) tuple alive before it indexes the labels.  The streaming
-parser must give the same pair, or the same error message, on every text.
+(true, pred) tuple alive and builds the two labelings row by row.  The
+count-based parser must give the same pair, or the same error message,
+on every text, and the pair's matrix, sizes, lazily built labelings and
+re-indexed forms must be those of the reference labelings.
 """
 
 import csv
 import gc
+import json
 import random
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clfmeasures.core import Labeling
+from clfmeasures import cli
+from clfmeasures.core import Labeling, build_confusion
 from clfmeasures.dataio import (
     InputError,
     LabelingPair,
@@ -102,10 +108,81 @@ def text_file(tmp_path_factory):
 @example("01,1\n+1,1\n")
 @example("true,pred\n,\n")
 @example('true,pred\n""\n')
+@example("1,2\n 1,2\n2,1\n1 ,2\n")
+@example('a,b\n"a",b\n"a", b\n')
 def test_streaming_parser_matches_row_walk(text_file, text):
     text_file.write_bytes(text.encode("utf-8"))
     expected = _outcome(_row_walk_read_labels_csv, text_file)
-    assert _outcome(read_labels_csv, text_file) == expected
+    pair = _outcome(read_labels_csv, text_file)
+    assert pair == expected
+    if isinstance(expected, LabelingPair):
+        _assert_same_pair(pair, expected.truth, expected.pred, expected.alphabet)
+        _assert_same_pair(pair, *_reindexed(expected, (*expected.alphabet, "zz", "0")))
+
+
+def _reindexed(expected: LabelingPair, extra) -> tuple:
+    """``expected``'s labelings and alphabet indexed by a superset."""
+    alphabet = _sorted_alphabet({*expected.alphabet, *extra})
+    remap = [alphabet.index(name) for name in expected.alphabet]
+    return (
+        Labeling(tuple(remap[x] for x in expected.truth.labels), len(alphabet)),
+        Labeling(tuple(remap[x] for x in expected.pred.labels), len(alphabet)),
+        alphabet,
+    )
+
+
+def _assert_same_pair(parsed: LabelingPair, truth: Labeling, pred: Labeling, alphabet):
+    """``parsed``, re-indexed by ``alphabet``, against the reference labelings."""
+    pair = parsed.with_alphabet(alphabet)
+    assert pair.alphabet == alphabet
+    assert (pair.n, pair.m) == (len(truth), truth.m)
+    assert pair.matrix() == build_confusion(truth, pred)
+    assert pair.truth == truth and pair.pred == pred
+    assert tuple(pair.truth_codes()) == truth.labels
+    reference = LabelingPair(truth, pred, alphabet)
+    assert pair == reference and hash(pair) == hash(reference)
+    if pair.alphabet != parsed.alphabet:
+        assert pair != parsed
+
+
+@pytest.mark.parametrize("m", [20, 300])
+def test_more_than_256_distinct_rows(tmp_path, m):
+    """Over 256 distinct rows the row ids take four bytes; over 256
+    classes the class codes are ints, not bytes."""
+    rng = random.Random(m)
+    names = [f"c{k}" for k in range(m)]
+    rows = [(rng.choice(names), rng.choice(names)) for _ in range(3000)]
+    path = tmp_path / "wide.csv"
+    path.write_text("true,pred\n" + "".join(f"{t},{p}\n" for t, p in rows))
+    pair = read_labels_csv(path)
+    expected = _row_walk_read_labels_csv(path)
+    assert len(pair.rows) > 256 and isinstance(pair.ids, array)
+    assert pair == expected
+    assert isinstance(pair.truth_codes(), bytes if m <= 256 else tuple)
+    _assert_same_pair(pair, expected.truth, expected.pred, expected.alphabet)
+    _assert_same_pair(pair, *_reindexed(expected, ("a", "zz")))
+
+
+@pytest.mark.parametrize(
+    "first, rows, error",
+    [
+        ("0,1", ("{big},1", "1"), csv.Error),
+        ("0,1", ("1", "{big},1"), InputError),
+        ('"0",1', ("{big},1", "1"), csv.Error),
+        ('"0",1', ("1", "{big},1"), InputError),
+    ],
+)
+def test_first_malformed_row_wins(tmp_path, first, rows, error):
+    """Rows are read in file order, quoted or not: a short row before a
+    field over the reader's size limit is reported as the short row, and
+    the reverse."""
+    big = "x" * (csv.field_size_limit() + 1)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(("true,pred", first, *rows)).format(big=big) + "\n")
+    with pytest.raises(error) as info:
+        read_labels_csv(path)
+    if error is InputError:
+        assert str(info.value) == f"{path}: row 2 has 1 fields, expected 2 (true,pred)"
 
 
 def test_integer_names_of_one_value_sort_by_text(tmp_path):
@@ -142,3 +219,57 @@ def test_parse_starts_no_full_collection(tmp_path):
         gc.set_threshold(*saved)
     assert pair.n == 100_000
     assert starts[2] == 0, starts
+
+
+def _write_models(tmp_path, names, count, rows, seed) -> list[str]:
+    """``count`` labels files sharing one truth over ``names``; model k
+    keeps the true name with probability 0.9 - 0.2 k."""
+    rng = random.Random(seed)
+    truth = [rng.choice(names) for _ in range(rows)]
+    paths = []
+    for k in range(count):
+        rate = 0.9 - 0.2 * k
+        path = tmp_path / f"{names[0]}_{k}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("true", "pred"))
+            writer.writerows(
+                (t, t if rng.random() < rate else rng.choice(names)) for t in truth
+            )
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("output", ["json", "csv", "markdown"])
+def test_reports_match_reports_of_row_walk_pairs(tmp_path, monkeypatch, capsys, output):
+    binary = _write_models(tmp_path, ("0", "1"), 3, 400, seed=11)
+    # Names with a comma and a quote take the reader's quoted path.
+    multi = _write_models(tmp_path, ("x", "a,b", 'say "hi"', "10"), 3, 400, seed=12)
+    stranger = _write_models(tmp_path, ("1", "0"), 1, 400, seed=13)[0]
+    commands = [
+        ("eval", "--labels", binary[0]),
+        ("eval", "--labels", multi[1]),
+        ("compare", "--labels", *binary),
+        ("compare", "--labels", *multi),
+        ("rank", "--labels", *binary),
+        ("rank", "--labels", *multi),
+        ("rank", "--labels", *binary, stranger),
+    ]
+
+    def reports():
+        out = []
+        for argv in commands:
+            code = cli.main([*argv, "--output", output, "--no-timestamp"])
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    got = reports()
+    monkeypatch.setattr(cli, "read_labels_csv", _row_walk_read_labels_csv)
+    assert reports() == got
+    assert [code for code, _, _ in got] == [0] * 6 + [2]
+    assert got[-1][2] == (
+        f"error: {stranger}: true column differs from {binary[0]}; "
+        "all models must be scored against one truth\n"
+    )
+    if output == "json":
+        assert json.loads(got[3][1])["m"] == 4

@@ -181,3 +181,11 @@ def test_preservation_spaces_match_full_scan(monkeypatch, desc, prop):
         monkeypatch, lambda: _Eval(desc, DEFAULT_EPS, None), (prop,), preservation_spaces(prop)
     )
     assert reduced == full
+
+
+def test_ce_is_identical_on_its_orbits():
+    """ce sums its terms exactly, so relabeling the classes gives an
+    identical value and its rows take the reduced scans."""
+    ev = _Eval(parse_measure_id("ce"), DEFAULT_EPS, None)
+    assert all(ev.orbits_identical(2, n, 1) for n in range(1, 13))
+    assert all(ev.orbits_identical(3, n, 1) for n in range(1, 7))
