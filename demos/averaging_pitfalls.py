@@ -13,6 +13,7 @@ from clfmeasures import (
     as_float,
     check_averaging_preservation,
     evaluate,
+    one_vs_all,
     parse_measure_id,
     value_str,
 )
@@ -42,18 +43,9 @@ def main():
     for name, C in (("before", before), ("after", after)):
         parts = []
         for k in range(C.m):
-            sub = binarize(C, k)
+            sub = one_vs_all(C, k)
             parts.append(f"class{k}: {value_str(evaluate(cc, sub))} (w={C.a[k]}/{C.n})")
         print(f"{name}: " + "; ".join(parts))
-
-
-def binarize(C, k):
-    """One-vs-rest collapse of class k, positives in the (1,1) cell."""
-    tp = C[k, k]
-    fn = C.a[k] - tp
-    fp = C.b[k] - tp
-    tn = C.n - tp - fn - fp
-    return ConfusionMatrix(((tn, fp), (fn, tp)))
 
 
 if __name__ == "__main__":

@@ -110,6 +110,13 @@ class ConfusionMatrix:
         m = len(self.entries)
         if m < 1 or any(len(row) != m for row in self.entries):
             raise ValueError("entries must form a non-empty square matrix")
+        for row in self.entries:
+            for x in row:
+                if type(x) is not int and type(x) is not Fraction:
+                    raise ValueError(
+                        f"entry {x!r} is a {type(x).__name__}, not an int or a Fraction;"
+                        " confusion_matrix() converts integral floats and rational strings"
+                    )
         if any(x < 0 for row in self.entries for x in row):
             raise ValueError("entries must be non-negative")
         if self.n <= 0:

@@ -47,26 +47,26 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-# Integer kernels: on all-int matrices (``type(C.n) is int``) the rational
-# measures are computed as one integer numerator and denominator and
-# turned into a Fraction once.  The Fraction code after each kernel serves
-# matrices with rational entries (expected and rate matrices) and gives the
-# same values; the tests check one against the other.
+# One body per rational measure: its numerator and denominator are
+# computed in the entries' own type (int, or Fraction for expected and
+# rate matrices) and one Fraction is built at the end.  ``Fraction(p, q)``
+# normalizes ints and Fractions alike, so equal entries of either type give
+# one value in one representation.
 
 
-def _recall_terms(C: ConfusionMatrix) -> list[tuple[int, int]]:
+def _recall_terms(C: ConfusionMatrix) -> list[tuple]:
     """``(c_ii, a_i)`` per class, or ``(b_i, n)`` for an empty true class."""
     e, n = C.entries, C.n
     return [(e[i][i], ai) if ai else (bi, n) for i, (ai, bi) in enumerate(zip(C.a, C.b))]
 
 
-def _precision_terms(C: ConfusionMatrix) -> list[tuple[int, int]]:
+def _precision_terms(C: ConfusionMatrix) -> list[tuple]:
     """``(c_ii, b_i)`` per class, or ``(a_i, n)`` for an empty predicted class."""
     e, n = C.entries, C.n
     return [(e[i][i], bi) if bi else (ai, n) for i, (ai, bi) in enumerate(zip(C.a, C.b))]
 
 
-def _int_ratio_mean(terms, count: int) -> Fraction:
+def _ratio_mean(terms, count: int) -> Fraction:
     """``sum(p / q for p, q in terms) / count`` as one Fraction."""
     num, den = 0, 1
     for p, q in terms:
@@ -80,22 +80,12 @@ def _int_ratio_mean(terms, count: int) -> Fraction:
 
 def accuracy(C: ConfusionMatrix) -> Fraction:
     """Fraction of elements on the diagonal."""
-    if type(C.n) is int:
-        return Fraction(C.diagonal_sum, C.n)
-    return _frac(C.diagonal_sum) / _frac(C.n)
+    return Fraction(C.diagonal_sum, C.n)
 
 
 def balanced_accuracy(C: ConfusionMatrix) -> Fraction:
     """Mean per-true-class recall; empty true classes contribute b_i/n."""
-    if type(C.n) is int:
-        return _int_ratio_mean(_recall_terms(C), C.m)
-    total = Fraction(0)
-    for i in range(C.m):
-        if C.a[i]:
-            total += _frac(C[i, i]) / _frac(C.a[i])
-        else:
-            total += _frac(C.b[i]) / _frac(C.n)
-    return total / C.m
+    return _ratio_mean(_recall_terms(C), C.m)
 
 
 def symmetric_balanced_accuracy(C: ConfusionMatrix) -> Fraction:
@@ -103,35 +93,16 @@ def symmetric_balanced_accuracy(C: ConfusionMatrix) -> Fraction:
 
     Equals the average of balanced accuracy on C and on its transpose.
     """
-    if type(C.n) is int:
-        return _int_ratio_mean(_recall_terms(C) + _precision_terms(C), 2 * C.m)
-    total = Fraction(0)
-    for i in range(C.m):
-        if C.a[i]:
-            total += _frac(C[i, i]) / _frac(C.a[i])
-        else:
-            total += _frac(C.b[i]) / _frac(C.n)
-        if C.b[i]:
-            total += _frac(C[i, i]) / _frac(C.b[i])
-        else:
-            total += _frac(C.a[i]) / _frac(C.n)
-    return total / (2 * C.m)
+    return _ratio_mean(_recall_terms(C) + _precision_terms(C), 2 * C.m)
 
 
 def cohens_kappa(C: ConfusionMatrix) -> Fraction:
     """Agreement above chance, normalized by its maximum headroom."""
-    if type(C.n) is int:
-        n = C.n
-        chance = sum(map(mul, C.a, C.b))
-        den = n * n - chance
-        return Fraction(n * C.diagonal_sum - chance, den) if den else Fraction(1)
-    n = _frac(C.n)
-    chance = sum(_frac(ai) * _frac(bi) for ai, bi in zip(C.a, C.b))
+    n = C.n
+    chance = sum(map(mul, C.a, C.b))
     den = n * n - chance
-    if den == 0:
-        # Happens only when both labelings are the same constant.
-        return Fraction(1)
-    return (n * _frac(C.diagonal_sum) - chance) / den
+    # den is 0 only when both labelings are the same constant.
+    return Fraction(n * C.diagonal_sum - chance, den) if den else Fraction(1)
 
 
 def _constant_class(sizes, n) -> int | None:
@@ -155,24 +126,18 @@ def matthews_cc(C: ConfusionMatrix) -> Value:
         return Fraction(1) if ca == cb else Fraction(-1)
     if ca is not None or cb is not None:
         return Fraction(0)
-    if type(n) is int:
-        num = n * C.diagonal_sum - sum(map(mul, C.a, C.b))
-        if num == 0:
-            return Fraction(0)
-        nn = n * n
-        rad = (nn - sum(map(mul, C.b, C.b))) * (nn - sum(map(mul, C.a, C.a)))
-        # root_value(num / rad, rad, 2) without the rational round trip.
-        root = isqrt(rad)
-        if root * root == rad:
-            return Fraction(num, root)
-        return Root(Fraction(num, rad), Fraction(rad), 2)
-    num = _frac(n) * _frac(C.diagonal_sum) - sum(
-        _frac(ai) * _frac(bi) for ai, bi in zip(C.a, C.b)
-    )
-    rad = (_frac(n) ** 2 - sum(_frac(bi) ** 2 for bi in C.b)) * (
-        _frac(n) ** 2 - sum(_frac(ai) ** 2 for ai in C.a)
-    )
-    return root_value(num / rad, rad, 2)
+    num = n * C.diagonal_sum - sum(map(mul, C.a, C.b))
+    if num == 0:
+        return Fraction(0)
+    nn = n * n
+    rad = (nn - sum(map(mul, C.b, C.b))) * (nn - sum(map(mul, C.a, C.a)))
+    if type(rad) is not int:
+        return root_value(Fraction(num, rad), rad, 2)
+    # root_value(num / rad, rad, 2) without the rational round trip.
+    root = isqrt(rad)
+    if root * root == rad:
+        return Fraction(num, root)
+    return Root(Fraction(num, rad), Fraction(rad), 2)
 
 
 def confusion_entropy(C: ConfusionMatrix) -> mpmath.mpf:
@@ -233,31 +198,21 @@ def f_beta(C: ConfusionMatrix, beta=Fraction(1)) -> Fraction:
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     (_, c01), (c10, c11) = C.entries
-    if type(C.n) is int:
-        # Scaled by the squared denominator of beta: p = beta.numerator**2.
-        p, q = beta.numerator**2, beta.denominator**2
-        num = (p + q) * c11
-        den = num + p * c10 + q * c01
-        return Fraction(num, den) if den else Fraction(1)
-    w = 1 + beta * beta
-    num = w * _frac(c11)
-    den = num + beta * beta * _frac(c10) + _frac(c01)
-    if den == 0:
-        # No positives anywhere: perfect agreement on an all-negative set.
-        return Fraction(1)
-    return num / den
+    # (1 + beta**2) c11 / ((1 + beta**2) c11 + beta**2 c10 + c01), scaled by
+    # the squared denominator of beta: p = beta.numerator**2.
+    p, q = beta.numerator**2, beta.denominator**2
+    num = (p + q) * c11
+    den = num + p * c10 + q * c01
+    # den is 0 with no positives anywhere: perfect agreement on an
+    # all-negative set.
+    return Fraction(num, den) if den else Fraction(1)
 
 
 def jaccard(C: ConfusionMatrix) -> Fraction:
     """Overlap of the positive sets; empty-vs-empty counts as full overlap."""
     (_, c01), (c10, c11) = C.entries
-    if type(C.n) is int:
-        den = c11 + c10 + c01
-        return Fraction(c11, den) if den else Fraction(1)
-    den = _frac(c11) + _frac(c10) + _frac(c01)
-    if den == 0:
-        return Fraction(1)
-    return _frac(c11) / den
+    den = c11 + c10 + c01
+    return Fraction(c11, den) if den else Fraction(1)
 
 
 def _normalize_r(r):
@@ -279,19 +234,15 @@ def generalized_means(C: ConfusionMatrix, r) -> Value:
     if r == 0:
         raise ValueError("r must be nonzero; the r->0 limit is matthews_cc")
     r = _normalize_r(r)
-    if type(C.n) is int and isinstance(r, int):
-        return _int_generalized_means(C, r)
     (c00, _), (_, c11) = C.entries
-    (a0, a1), (b0, b1) = C.a, C.b
-    n = _frac(C.n)
-    x = _frac(a1) * _frac(a0)
-    y = _frac(b1) * _frac(b0)
+    n, a1, b1 = C.n, C.a[1], C.b[1]
+    x, y = a1 * (n - a1), b1 * (n - b1)
     if x == 0 and y == 0:
         # Both labelings constant: sign of the (dis)agreement.
-        return Fraction(1) if (c11 == C.n or c00 == C.n) else Fraction(-1)
+        return Fraction(1) if (c11 == n or c00 == n) else Fraction(-1)
     if x == 0 or y == 0:
         return Fraction(0)
-    num = n * _frac(c11) - _frac(a1) * _frac(b1)
+    num = n * c11 - a1 * b1
     if not isinstance(r, int):
         with working_precision():
             # The power mean exp(log1p(mean of expm1(r ln v)) / r): no
@@ -302,36 +253,14 @@ def generalized_means(C: ConfusionMatrix, r) -> Value:
             yr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(y)))
             mean = mpmath.exp(mpmath.log1p((xr_m1 + yr_m1) / 2) / rr)
             return to_mpf(num) / mean
-    if r > 0:
-        u = (x**r + y**r) / 2
-        if r == 1:
-            return num / u
-        return root_value(num / u, u ** (r - 1), r)
-    # Negative r: the power mean is v**(1/s) with v the "harmonic" combination.
-    s = -r
-    v = 2 * x**s * y**s / (x**s + y**s)
-    if s == 1:
-        return num / v
-    return root_value(num / v, v ** (s - 1), s)
-
-
-def _int_generalized_means(C: ConfusionMatrix, r: int) -> Value:
-    """:func:`generalized_means` on an integer matrix and an integer r."""
-    (c00, _), (_, c11) = C.entries
-    n, a1, b1 = C.n, C.a[1], C.b[1]
-    x, y = a1 * (n - a1), b1 * (n - b1)
-    if x == 0 and y == 0:
-        return Fraction(1) if (c11 == n or c00 == n) else Fraction(-1)
-    if x == 0 or y == 0:
-        return Fraction(0)
-    num = n * c11 - a1 * b1
     s = abs(r)
     total = x**s + y**s
     if r > 0:
         # num / u * u**((r-1)/r) with u = total / 2.
         coeff, rad = Fraction(2 * num, total), Fraction(total ** (s - 1), 2 ** (s - 1))
     else:
-        # num / v * v**((s-1)/s) with v = 2 * x**s * y**s / total.
+        # Negative r: the power mean is v**(1/s), and num / v * v**((s-1)/s)
+        # with v = 2 * x**s * y**s / total.
         prod = 2 * x**s * y**s
         coeff, rad = Fraction(num * total, prod), Fraction(prod ** (s - 1), total ** (s - 1))
     if s == 1:
@@ -342,9 +271,7 @@ def _int_generalized_means(C: ConfusionMatrix, r: int) -> Value:
 def net_agreement(C: ConfusionMatrix) -> Fraction:
     """Agreements minus disagreements.  Unnormalized; audit use only."""
     (c00, c01), (c10, c11) = C.entries
-    if type(C.n) is int:
-        return Fraction(c11 + c00 - c10 - c01)
-    return _frac(c11) + _frac(c00) - _frac(c10) - _frac(c01)
+    return Fraction(c11 + c00 - c10 - c01)
 
 
 def any_agreement(C: ConfusionMatrix) -> Fraction:

@@ -22,10 +22,11 @@ The probe evaluates on the integer lattice rather than on rate matrices.
 At each grid point one scale ``D`` clears the denominators of ``p_a``,
 ``p_b``, the product point and the half step, and every abscissa is
 evaluated on the int matrix ``D`` times its rates (:func:`lattice_matrix`),
-so the integer kernels of the measures run.  Scale invariance gives the
-same values as on the rates (:func:`rate_matrix` stays the reference),
-and one ``D`` per point gives every root-valued abscissa the same
-radicand, so the stencil sums of ``cc`` and ``gm`` stay exact.  The
+so the kernels run on int entries, their cheapest input.  Scale
+invariance gives the same values as on the rates (:func:`rate_matrix`
+stays the reference), and one ``D`` per point gives every root-valued
+abscissa the same radicand, so the stencil sums of ``cc`` and ``gm``
+stay exact.  The
 audit-only measures are not scale-free and are refused.  Grid margins
 and the step scale must be rationals (int or Fraction): a float is not
 the rational it stands for, and float abscissae round away the small

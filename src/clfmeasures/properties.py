@@ -66,9 +66,9 @@ on a violation, the level is rescanned matrix by matrix in space order,
 so ``checked``, the witness and the budget charged are always those of
 the scan of every matrix; a reduced level charges its matrices when it
 finishes.  So ``csym`` makes one identity test per matrix and compares
-only the representatives with their relabelings.  Binary ``f``,
-``jaccard`` and ``ce`` are the rows of the default grids whose orbits
-are not identical.
+only the representatives with their relabelings.  Binary ``f`` and
+``jaccard`` are the rows of the default grids whose orbits are not
+identical.
 
 Values are memoized per row of the audit grid, on one
 :class:`clfmeasures.measures.Evaluator` per measure: :func:`audit_grid`
@@ -77,8 +77,13 @@ runs every property of one measure on it, and
 so a matrix shared by several checks (and by the ``cb`` expectation
 tables) is evaluated once.  The row evaluator adds only the comparison
 tolerance, the enumeration budget and witness rendering.  The memo is
-dropped with its row; nothing is kept for the life of the process but
-the verdicts of the default binary bounds.
+dropped with its row.  Kept for the life of the process are the verdicts
+of the default binary bounds (``_default_verdicts``), the audit levels
+and their orbits (``_space_entries``, ``_orbit_index``, bounded LRU
+caches of entry tuples), the row fills of the enumerator
+(``core._row_fills``), the chance-expectation tables of
+``baselines._tables`` (at most ``TABLE_MATRICES`` matrices) and the
+parsed descriptors of ``measures.parse_measure_id``.
 """
 
 from __future__ import annotations

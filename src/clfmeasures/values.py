@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Union
 
 import mpmath
@@ -230,8 +230,13 @@ def to_mpf(v: Value) -> mpmath.mpf:
 
 
 def as_float(v: Value) -> float:
+    """The nearest float; a rational beyond the float range gives +-inf,
+    as a :class:`Root` does."""
     if isinstance(v, Fraction):
-        return v.numerator / v.denominator
+        try:
+            return v.numerator / v.denominator
+        except OverflowError:
+            return inf if v > 0 else -inf
     return float(v)
 
 

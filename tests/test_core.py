@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,21 @@ class TestConfusionMatrix:
         assert C[0, 0] == 2
         assert C[0, 1] == Fraction(1, 2)
         assert C.n == 4
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((0.1, 0.2), (0.3, 0.4)),
+            ((2.0, 1), (0, 1)),
+            ((True, False), (False, True)),
+            ((1, 0), (0, True)),
+            ((Decimal(1), 0), (0, 1)),
+        ],
+        ids=["floats", "integral-float", "bools", "one-bool", "decimal"],
+    )
+    def test_constructor_refuses_inexact_entry_types(self, entries):
+        with pytest.raises(ValueError, match="not an int or a Fraction.*confusion_matrix"):
+            ConfusionMatrix(entries)
 
     def test_diagonal_predicates(self):
         assert confusion_matrix([[2, 0], [0, 3]]).is_diagonal()

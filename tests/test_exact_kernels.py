@@ -1,7 +1,12 @@
-"""The integer fast paths against the general code they shortcut.
+"""The kernels and fast paths against written-out references.
 
-* measures on all-int matrices against the same entries as Fractions,
-  which take the Fraction branch of every measure;
+* every measure id on int matrices, on the same entries as Fractions and
+  on rational matrices (expected matrices, int matrices scaled by
+  non-integer rationals, mixed int and Fraction entries), against the
+  reference kernels below.  They state each rational measure term by
+  term in Fraction arithmetic, where a kernel forms one numerator and
+  denominator in the entries' own type; the values must agree in type
+  and representation;
 * ``value_cmp``/``exact_cmp`` against the comparison by Fraction powers
   they replaced, kept here as a reference;
 * matrices built without validation (edits, enumerations, transposes,
@@ -10,24 +15,48 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
+import mpmath
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clfmeasures import properties
+from clfmeasures import averaging, properties
 from clfmeasures.core import (
     ConfusionMatrix,
     Labeling,
     build_confusion,
+    compositions,
+    confusion_matrix,
     enumerate_confusion_matrices,
+    enumerate_entries,
     enumerate_labelings,
+    expected_matrix,
     permute_classes,
     transpose,
 )
-from clfmeasures.measures import AUDIT_ONLY_IDS, SCHEMES, evaluate, parse_measure_id
+from clfmeasures.measures import (
+    AUDIT_ONLY_IDS,
+    SCHEMES,
+    _constant_class,
+    _normalize_r,
+    any_agreement,
+    confusion_entropy,
+    evaluate,
+    parse_measure_id,
+)
 from clfmeasures.properties import AuditSpace, check_property
-from clfmeasures.values import Root, exact_cmp, root_value, value_cmp, value_str
+from clfmeasures.values import (
+    Root,
+    exact_cmp,
+    root_value,
+    to_mpf,
+    value_cmp,
+    value_str,
+    working_precision,
+)
 
 MULTICLASS_NATIVE = ("acc", "ba", "sba", "kappa", "cc", "ce", "cd", "cdprime")
 BINARY_ONLY = (
@@ -44,6 +73,190 @@ AVERAGED = tuple(
 
 def registry_ids(m: int) -> tuple:
     return MULTICLASS_NATIVE + AVERAGED + (BINARY_ONLY if m == 2 else ())
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: each rational measure in Fraction arithmetic
+
+
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def ref_accuracy(C):
+    return _frac(C.diagonal_sum) / _frac(C.n)
+
+
+def ref_balanced_accuracy(C):
+    total = Fraction(0)
+    for i in range(C.m):
+        if C.a[i]:
+            total += _frac(C[i, i]) / _frac(C.a[i])
+        else:
+            total += _frac(C.b[i]) / _frac(C.n)
+    return total / C.m
+
+
+def ref_symmetric_balanced_accuracy(C):
+    total = Fraction(0)
+    for i in range(C.m):
+        if C.a[i]:
+            total += _frac(C[i, i]) / _frac(C.a[i])
+        else:
+            total += _frac(C.b[i]) / _frac(C.n)
+        if C.b[i]:
+            total += _frac(C[i, i]) / _frac(C.b[i])
+        else:
+            total += _frac(C.a[i]) / _frac(C.n)
+    return total / (2 * C.m)
+
+
+def ref_cohens_kappa(C):
+    n = _frac(C.n)
+    chance = sum(_frac(ai) * _frac(bi) for ai, bi in zip(C.a, C.b))
+    den = n * n - chance
+    if den == 0:
+        # Happens only when both labelings are the same constant.
+        return Fraction(1)
+    return (n * _frac(C.diagonal_sum) - chance) / den
+
+
+def ref_matthews_cc(C):
+    n = C.n
+    ca = _constant_class(C.a, n)
+    cb = _constant_class(C.b, n)
+    if ca is not None and cb is not None:
+        return Fraction(1) if ca == cb else Fraction(-1)
+    if ca is not None or cb is not None:
+        return Fraction(0)
+    num = _frac(n) * _frac(C.diagonal_sum) - sum(
+        _frac(ai) * _frac(bi) for ai, bi in zip(C.a, C.b)
+    )
+    rad = (_frac(n) ** 2 - sum(_frac(bi) ** 2 for bi in C.b)) * (
+        _frac(n) ** 2 - sum(_frac(ai) ** 2 for ai in C.a)
+    )
+    return root_value(num / rad, rad, 2)
+
+
+def _ref_cc_as_mpf(C):
+    x = to_mpf(ref_matthews_cc(C))
+    return max(mpmath.mpf(-1), min(mpmath.mpf(1), x))
+
+
+def ref_correlation_distance(C):
+    with working_precision():
+        return mpmath.acos(_ref_cc_as_mpf(C)) / mpmath.pi
+
+
+def ref_chordal_distance(C):
+    with working_precision():
+        return mpmath.sqrt(2 * (1 - _ref_cc_as_mpf(C)))
+
+
+def ref_f_beta(C, beta=Fraction(1)):
+    beta = _frac(beta)
+    (_, c01), (c10, c11) = C.entries
+    w = 1 + beta * beta
+    num = w * _frac(c11)
+    den = num + beta * beta * _frac(c10) + _frac(c01)
+    if den == 0:
+        # No positives anywhere: perfect agreement on an all-negative set.
+        return Fraction(1)
+    return num / den
+
+
+def ref_jaccard(C):
+    (_, c01), (c10, c11) = C.entries
+    den = _frac(c11) + _frac(c10) + _frac(c01)
+    if den == 0:
+        return Fraction(1)
+    return _frac(c11) / den
+
+
+def ref_generalized_means(C, r):
+    r = _normalize_r(r)
+    (c00, _), (_, c11) = C.entries
+    (a0, a1), (b0, b1) = C.a, C.b
+    n = _frac(C.n)
+    x = _frac(a1) * _frac(a0)
+    y = _frac(b1) * _frac(b0)
+    if x == 0 and y == 0:
+        # Both labelings constant: sign of the (dis)agreement.
+        return Fraction(1) if (c11 == C.n or c00 == C.n) else Fraction(-1)
+    if x == 0 or y == 0:
+        return Fraction(0)
+    num = n * _frac(c11) - _frac(a1) * _frac(b1)
+    if not isinstance(r, int):
+        with working_precision():
+            # The power mean exp(log1p(mean of expm1(r ln v)) / r): no
+            # v**r - 1 cancels, so a tiny r keeps every digit and the
+            # r -> 0 limit is the geometric mean.
+            rr = to_mpf(r)
+            xr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(x)))
+            yr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(y)))
+            mean = mpmath.exp(mpmath.log1p((xr_m1 + yr_m1) / 2) / rr)
+            return to_mpf(num) / mean
+    if r > 0:
+        u = (x**r + y**r) / 2
+        if r == 1:
+            return num / u
+        return root_value(num / u, u ** (r - 1), r)
+    # Negative r: the power mean is v**(1/s) with v the "harmonic" combination.
+    s = -r
+    v = 2 * x**s * y**s / (x**s + y**s)
+    if s == 1:
+        return num / v
+    return root_value(num / v, v ** (s - 1), s)
+
+
+def ref_net_agreement(C):
+    (c00, c01), (c10, c11) = C.entries
+    return _frac(c11) + _frac(c00) - _frac(c10) - _frac(c01)
+
+
+#: ``ce`` and ``anyagree`` never had a second formula; they are their own
+#: reference.
+REFERENCE_KERNELS = {
+    "acc": ref_accuracy,
+    "ba": ref_balanced_accuracy,
+    "sba": ref_symmetric_balanced_accuracy,
+    "kappa": ref_cohens_kappa,
+    "cc": ref_matthews_cc,
+    "ce": confusion_entropy,
+    "cd": ref_correlation_distance,
+    "cdprime": ref_chordal_distance,
+    "f": ref_f_beta,
+    "jaccard": ref_jaccard,
+    "gm": ref_generalized_means,
+    "netagree": ref_net_agreement,
+    "anyagree": any_agreement,
+}
+
+
+def reference_value(desc, C):
+    kernel = REFERENCE_KERNELS[desc.base]
+    if desc.base == "f":
+        kernel = partial(kernel, beta=desc.beta)
+    elif desc.base == "gm":
+        kernel = partial(kernel, r=desc.r)
+    if desc.scheme is None:
+        return kernel(C)
+    return getattr(averaging, f"{desc.scheme}_extend")(kernel, C)
+
+
+def assert_like_reference(C):
+    """Every registry id gives on ``C`` the reference's value, in the
+    same type and representation."""
+    for mid in registry_ids(C.m):
+        desc = parse_measure_id(mid)
+        got, want = evaluate(desc, C), reference_value(desc, C)
+        assert type(got) is type(want), (mid, C.entries)
+        assert repr(got) == repr(want), (mid, C.entries)
+        assert value_str(got) == value_str(want), (mid, C.entries)
+
+
+def as_fractions(entries):
+    return tuple(tuple(Fraction(x) for x in row) for row in entries)
 
 
 @st.composite
@@ -71,14 +284,75 @@ def int_matrices(draw, m_max=5, n_max=50):
 @settings(max_examples=100, deadline=None)
 def test_int_matrices_evaluate_like_fraction_matrices(entries):
     C_int = ConfusionMatrix(entries)
-    C_frac = ConfusionMatrix(tuple(tuple(Fraction(x) for x in row) for row in entries))
+    C_frac = ConfusionMatrix(as_fractions(entries))
     assert type(C_int.n) is int and type(C_frac.n) is Fraction
-    for mid in registry_ids(len(entries)):
-        desc = parse_measure_id(mid)
-        fast, oracle = evaluate(desc, C_int), evaluate(desc, C_frac)
-        assert type(fast) is type(oracle), mid
-        assert value_str(fast) == value_str(oracle), mid
-        assert repr(fast) == repr(oracle), mid
+    assert_like_reference(C_int)
+    assert_like_reference(C_frac)
+
+
+@st.composite
+def margins(draw, m: int, n: int) -> tuple:
+    """A composition of n into m non-negative parts."""
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+    return tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [n]))
+
+
+@st.composite
+def expected_matrices(draw, m_max=5, n_max=30):
+    m = draw(st.integers(2, m_max))
+    n = draw(st.integers(1, n_max))
+    return expected_matrix(draw(margins(m, n)), draw(margins(m, n)))
+
+
+@st.composite
+def scaled_matrices(draw):
+    """An int matrix times a non-integer rational."""
+    q = draw(
+        st.fractions(min_value=Fraction(1, 60), max_value=60, max_denominator=60).filter(
+            lambda q: q.denominator > 1
+        )
+    )
+    return ConfusionMatrix(tuple(tuple(x * q for x in row) for row in draw(int_matrices())))
+
+
+@st.composite
+def mixed_matrices(draw):
+    """An int matrix with some entries replaced by Fractions (int-valued or not)."""
+    return ConfusionMatrix(
+        tuple(
+            tuple(
+                x if draw(st.booleans()) else Fraction(x, draw(st.integers(1, 4)))
+                for x in row
+            )
+            for row in draw(int_matrices())
+        )
+    )
+
+
+@given(st.one_of(expected_matrices(), scaled_matrices(), mixed_matrices()))
+@example(expected_matrix((2, 1), (1, 2)))
+@example(expected_matrix((3, 0), (3, 0)))  # both labelings constant and equal
+@example(expected_matrix((0, 3, 1), (2, 0, 2)))  # empty classes
+@example(confusion_matrix([[1, "7/3", 0], ["1/5", 2, 1], [0, 1, "9/4"]]))
+@example(confusion_matrix([["1/2", "3/4"], ["2/3", "5"]]))
+@settings(max_examples=150, deadline=None)
+def test_rational_matrices_evaluate_like_reference(C):
+    assert_like_reference(C)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m, n_max", [(2, 10), (3, 5)])
+def test_every_small_matrix_evaluates_like_reference(m, n_max):
+    """Every matrix of the size, as ints and as Fractions, and every
+    expected matrix of its margins."""
+    for n in range(1, n_max + 1):
+        grid = list(compositions(n, m))
+        for a in grid:
+            for entries, _ in enumerate_entries(a):
+                assert_like_reference(ConfusionMatrix(entries))
+                assert_like_reference(ConfusionMatrix(as_fractions(entries)))
+            for b in grid:
+                assert_like_reference(expected_matrix(a, b))
 
 
 def reference_cmp(a, b) -> int:

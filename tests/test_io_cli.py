@@ -1057,6 +1057,21 @@ def test_total_past_int_str_limit_renders(capsys, tmp_path):
     assert json.loads(out)["input"]["n"] == "1" + "0" * 4299 + "2"
 
 
+@pytest.mark.parametrize("output", ["json", "csv", "markdown"])
+def test_value_beyond_float_range_renders(capsys, tmp_path, output):
+    path = tmp_path / "big.json"
+    path.write_text('[["1e400","1"],["2","3e400"]]\n')
+    code, out, err = run_cli(
+        capsys, "eval", "--matrix", str(path), "--measures", "netagree",
+        "--output", output, "--no-timestamp",
+    )
+    assert code == 0, err
+    assert "3" + "9" * 399 + "7" in out  # the exact netagree value
+    if output == "json":
+        (result,) = json.loads(out)["results"]
+        assert result["float"] == float("inf")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["eval"]) == 2  # neither --matrix nor --labels
     capsys.readouterr()

@@ -62,6 +62,11 @@ def _outcome(read, path):
 # that need quoting: a comma, a doubled quote, line breaks.
 INT_NAMES = ("0", "1", "2", "10", "01", "+1", "-3", "007")
 STR_NAMES = ("cat", "Dog", "a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "", "true", "pred")
+# The line breaks of ``str.splitlines`` beyond "\n" and "\r\n".  Both
+# parsers split the text into lines as ``splitlines`` does, so each of
+# these ends a line, also inside a quoted field.
+SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r")
+STR_NAMES += tuple(f"x{brk}y" for brk in SPLITLINES_BREAKS)
 HEADERS = (None, "true,pred", " TRUE , Pred ", '"true","pred"', "true,pred,extra")
 
 
@@ -87,7 +92,7 @@ def labels_texts(draw):
             continue
         width = draw(st.sampled_from((2, 2, 2, 2, 2, 1, 3)))
         lines.append(",".join(_field(draw, names) for _ in range(width)))
-    eol = draw(st.sampled_from(("\n", "\r\n")))
+    eol = draw(st.sampled_from(("\n", "\r\n") + SPLITLINES_BREAKS))
     return eol.join(lines) + draw(st.sampled_from(("", eol, eol + eol)))
 
 
@@ -110,6 +115,15 @@ def text_file(tmp_path_factory):
 @example('true,pred\n""\n')
 @example("1,2\n 1,2\n2,1\n1 ,2\n")
 @example('a,b\n"a",b\n"a", b\n')
+@example('true,pred\x0b1,2\x0b2,1\x0b"x\x0by",2\x0b')
+@example('true,pred\x0c1,2\x0c2,1\x0c"x\x0cy",2\x0c')
+@example('true,pred\x1c1,2\x1c2,1\x1c"x\x1cy",2\x1c')
+@example('true,pred\x1d1,2\x1d2,1\x1d"x\x1dy",2\x1d')
+@example('true,pred\x1e1,2\x1e2,1\x1e"x\x1ey",2\x1e')
+@example('true,pred\x851,2\x852,1\x85"x\x85y",2\x85')
+@example('true,pred\u20281,2\u20282,1\u2028"x\u2028y",2\u2028')
+@example('true,pred\u20291,2\u20292,1\u2029"x\u2029y",2\u2029')
+@example('true,pred\r1,2\r2,1\r"x\ry",2\r')
 def test_streaming_parser_matches_row_walk(text_file, text):
     text_file.write_bytes(text.encode("utf-8"))
     expected = _outcome(_row_walk_read_labels_csv, text_file)

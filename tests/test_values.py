@@ -193,6 +193,11 @@ class TestRenderings:
         big = Fraction(10**400, 2 * 10**400)
         assert as_float(big) == 0.5
 
+    def test_as_float_rational_beyond_float_range_is_infinite(self):
+        assert as_float(Fraction(10**400, 3)) == float("inf")
+        assert as_float(Fraction(-(10**400), 3)) == float("-inf")
+        assert as_float(Fraction(1, 10**400)) == 0.0
+
     def test_as_float_root_with_radicand_beyond_float_range(self):
         # gm at r=16 on a 10-count matrix has a radicand near 10**334.
         v = root_value(Fraction(1, 10**20), Fraction(10**400 + 1), 16)
