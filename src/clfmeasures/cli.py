@@ -699,27 +699,20 @@ def _cmd_baseline(args, budget: Budget) -> dict:
     if sum(a_sizes) != sum(b_sizes):
         raise InputError("true and predicted sizes must sum to the same total")
     measure_ids = _parse_measures(args.measures, _registry_default(len(a_sizes)))
+    method = "matrices" if args.method == "both" else args.method
     results = []
     for mid in measure_ids:
         desc = parse_measure_id(mid)
+        v = exact_baseline_expectation(desc, a_sizes, b_sizes, method, budget)
+        entry = {
+            "measure": desc.measure_id,
+            "value": value_str(v),
+            "float": as_float(v),
+            "arithmetic": _arith_class(v),
+        }
         if args.method == "both":
-            v1 = exact_baseline_expectation(desc, a_sizes, b_sizes, "matrices", budget)
             v2 = exact_baseline_expectation(desc, a_sizes, b_sizes, "labelings", budget)
-            entry = {
-                "measure": desc.measure_id,
-                "value": value_str(v1),
-                "float": as_float(v1),
-                "arithmetic": _arith_class(v1),
-                "routes_agree": values_equal(v1, v2, args.eps),
-            }
-        else:
-            v = exact_baseline_expectation(desc, a_sizes, b_sizes, args.method, budget)
-            entry = {
-                "measure": desc.measure_id,
-                "value": value_str(v),
-                "float": as_float(v),
-                "arithmetic": _arith_class(v),
-            }
+            entry["routes_agree"] = values_equal(v, v2, args.eps)
         results.append(entry)
     return {
         "command": "baseline",
@@ -768,10 +761,22 @@ _COMMANDS = {
 }
 
 
+def _json_safe(obj):
+    """``obj`` with each non-finite float replaced by None: JSON has no
+    token for infinity or NaN, so such a value is written as ``null``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return obj
+
+
 def _render(report: dict, args) -> str:
     """The report as JSON, or as its rows: CSV verbatim, markdown laid out."""
     if args.output == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps(_json_safe(report), indent=2) + "\n"
     _, rows_of, layout = _COMMANDS[report["command"]]
     headers, rows = rows_of(report)
     if args.output == "csv":

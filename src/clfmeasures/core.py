@@ -28,7 +28,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import getitem
 from typing import Iterator, Sequence
 
@@ -86,13 +86,6 @@ class Labeling:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def class_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.m
-        for x in self.labels:
-            sizes[x] += 1
-        return tuple(sizes)
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,7 @@ def read_matrix_json(path) -> ConfusionMatrix:
     text = _read_text(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply") from exc

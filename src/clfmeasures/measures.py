@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import isfinite, isqrt
 from operator import mul
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -224,6 +225,22 @@ def _normalize_r(r):
     return r
 
 
+def power_mean_ratio(num, x, y, r: int) -> Value:
+    """``num / M_r(x, y)``, exact, for x, y > 0 and a nonzero integer r.
+
+    With s = |r|, M_r is ``u**(1/s)`` for u the mean of ``x**s`` and
+    ``y**s`` (r > 0) or the reciprocal of the mean of their reciprocals
+    (r < 0), so the ratio is ``(num / u) * u**((s-1)/s)``.
+    """
+    s = abs(r)
+    xs, ys = x**s, y**s
+    top, bottom = (xs + ys, 2) if r > 0 else (2 * xs * ys, xs + ys)  # u = top / bottom
+    coeff = Fraction(num * bottom, top)
+    if s == 1:
+        return coeff
+    return root_value(coeff, Fraction(top ** (s - 1), bottom ** (s - 1)), s)
+
+
 def generalized_means(C: ConfusionMatrix, r) -> Value:
     """Covariance-style agreement normalized by a power mean of the two
     margin variances.  ``r`` is the power-mean exponent (nonzero; the
@@ -243,29 +260,17 @@ def generalized_means(C: ConfusionMatrix, r) -> Value:
     if x == 0 or y == 0:
         return Fraction(0)
     num = n * c11 - a1 * b1
-    if not isinstance(r, int):
-        with working_precision():
-            # The power mean exp(log1p(mean of expm1(r ln v)) / r): no
-            # v**r - 1 cancels, so a tiny r keeps every digit and the
-            # r -> 0 limit is the geometric mean.
-            rr = to_mpf(r)
-            xr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(x)))
-            yr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(y)))
-            mean = mpmath.exp(mpmath.log1p((xr_m1 + yr_m1) / 2) / rr)
-            return to_mpf(num) / mean
-    s = abs(r)
-    total = x**s + y**s
-    if r > 0:
-        # num / u * u**((r-1)/r) with u = total / 2.
-        coeff, rad = Fraction(2 * num, total), Fraction(total ** (s - 1), 2 ** (s - 1))
-    else:
-        # Negative r: the power mean is v**(1/s), and num / v * v**((s-1)/s)
-        # with v = 2 * x**s * y**s / total.
-        prod = 2 * x**s * y**s
-        coeff, rad = Fraction(num * total, prod), Fraction(prod ** (s - 1), total ** (s - 1))
-    if s == 1:
-        return coeff
-    return root_value(coeff, rad, s)
+    if isinstance(r, int):
+        return power_mean_ratio(num, x, y, r)
+    with working_precision():
+        # The power mean exp(log1p(mean of expm1(r ln v)) / r): no
+        # v**r - 1 cancels, so a tiny r keeps every digit and the
+        # r -> 0 limit is the geometric mean.
+        rr = to_mpf(r)
+        xr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(x)))
+        yr_m1 = mpmath.expm1(rr * mpmath.log(to_mpf(y)))
+        mean = mpmath.exp(mpmath.log1p((xr_m1 + yr_m1) / 2) / rr)
+        return to_mpf(num) / mean
 
 
 def net_agreement(C: ConfusionMatrix) -> Fraction:
@@ -285,9 +290,6 @@ def any_agreement(C: ConfusionMatrix) -> Fraction:
 SIMILARITY = "similarity"
 DISSIMILARITY = "dissimilarity"
 
-_BASELINE_ZERO = ("const", Fraction(0))
-_BASELINE_INV_M = ("inv_m",)
-
 
 @dataclass(frozen=True)
 class MeasureDescriptor:
@@ -295,9 +297,7 @@ class MeasureDescriptor:
 
     ``exact`` says whether values support exact comparison; averaged forms
     of root-valued measures lose exactness because unlike radicals are
-    summed numerically.  ``c_max``/``c_min`` are the best/worst attainable
-    values where the measure has them; ``baseline`` tags the constant
-    expected under margin-preserving randomization (None if not constant).
+    summed numerically.
     """
 
     measure_id: str
@@ -309,9 +309,6 @@ class MeasureDescriptor:
     beta: Fraction | None = None
     r: int | float | None = None
     scheme: str | None = None  # None | "micro" | "macro" | "weighted"
-    c_max: Value | None = None
-    c_min: Value | None = None
-    baseline: tuple | None = None
     audit_only: bool = False
 
     def __str__(self) -> str:
@@ -321,94 +318,67 @@ class MeasureDescriptor:
     def kernel(self):
         """The function of a ConfusionMatrix this descriptor evaluates
         (on each one-vs-all 2x2 matrix when it has a scheme)."""
+        kernel = _BASES[self.base].kernel
         # Partials rather than closures: the descriptor must stay picklable.
         if self.base == "f":
-            return partial(f_beta, beta=self.beta)
+            return partial(kernel, beta=self.beta)
         if self.base == "gm":
-            return partial(generalized_means, r=self.r)
-        return _KERNELS[self.base]
+            return partial(kernel, r=self.r)
+        return kernel
+
+
+class _Base(NamedTuple):
+    label: str
+    arity: str
+    orientation: str
+    exact: bool
+    kernel: Callable[..., Value]
+    audit_only: bool = False
+
+
+#: One row per base measure.  ``f`` and ``gm`` also take beta / r; their
+#: rows give the label and exactness at beta = 1 and r = 1.
+_BASES = {
+    "acc": _Base("accuracy", "multiclass", SIMILARITY, True, accuracy),
+    "ba": _Base("balanced accuracy", "multiclass", SIMILARITY, True, balanced_accuracy),
+    "sba": _Base("symmetric balanced accuracy", "multiclass", SIMILARITY, True,
+                 symmetric_balanced_accuracy),
+    "kappa": _Base("Cohen's kappa", "multiclass", SIMILARITY, True, cohens_kappa),
+    "cc": _Base("correlation coefficient", "multiclass", SIMILARITY, True, matthews_cc),
+    "ce": _Base("confusion entropy", "multiclass", DISSIMILARITY, False, confusion_entropy),
+    "cd": _Base("correlation distance", "multiclass", DISSIMILARITY, False, correlation_distance),
+    "cdprime": _Base("chordal distance", "multiclass", DISSIMILARITY, False, chordal_distance),
+    "f": _Base("F1", "binary", SIMILARITY, True, f_beta),
+    "jaccard": _Base("Jaccard index", "binary", SIMILARITY, True, jaccard),
+    "gm": _Base("GM(r=1)", "binary", SIMILARITY, True, generalized_means),
+    "netagree": _Base("net agreement", "binary", SIMILARITY, True, net_agreement, True),
+    "anyagree": _Base("any-agreement indicator", "binary", SIMILARITY, True, any_agreement, True),
+}
 
 
 def _base_descriptor(base: str, beta=None, r=None) -> MeasureDescriptor:
-    if base == "acc":
-        return MeasureDescriptor(
-            "acc", "acc", "accuracy", "multiclass", SIMILARITY, True,
-            c_max=Fraction(1), c_min=Fraction(0),
-        )
-    if base == "ba":
-        return MeasureDescriptor(
-            "ba", "ba", "balanced accuracy", "multiclass", SIMILARITY, True,
-            c_max=Fraction(1), c_min=Fraction(0), baseline=_BASELINE_INV_M,
-        )
-    if base == "sba":
-        return MeasureDescriptor(
-            "sba", "sba", "symmetric balanced accuracy", "multiclass",
-            SIMILARITY, True,
-            c_max=Fraction(1), c_min=Fraction(0), baseline=_BASELINE_INV_M,
-        )
-    if base == "kappa":
-        return MeasureDescriptor(
-            "kappa", "kappa", "Cohen's kappa", "multiclass", SIMILARITY, True,
-            c_max=Fraction(1), baseline=_BASELINE_ZERO,
-        )
-    if base == "cc":
-        return MeasureDescriptor(
-            "cc", "cc", "correlation coefficient", "multiclass", SIMILARITY,
-            True,
-            c_max=Fraction(1), c_min=Fraction(-1), baseline=_BASELINE_ZERO,
-        )
-    if base == "ce":
-        return MeasureDescriptor(
-            "ce", "ce", "confusion entropy", "multiclass", DISSIMILARITY,
-            False, c_max=Fraction(0),
-        )
-    if base == "cd":
-        return MeasureDescriptor(
-            "cd", "cd", "correlation distance", "multiclass", DISSIMILARITY,
-            False, c_max=Fraction(0), c_min=Fraction(1),
-        )
-    if base == "cdprime":
-        return MeasureDescriptor(
-            "cdprime", "cdprime", "chordal distance", "multiclass",
-            DISSIMILARITY, False, c_max=Fraction(0), c_min=Fraction(2),
-        )
+    row = _BASES.get(base)
+    if row is None:
+        raise MeasureParseError(f"unknown measure {base!r}")
+    measure_id, label, exact = base, row.label, row.exact
     if base == "f":
         beta = _frac(Fraction(1) if beta is None else beta)
         if beta <= 0:
             raise MeasureParseError(f"beta must be positive, got {beta}")
-        mid = "f:beta=1" if beta == 1 else f"f:beta={beta}"
-        label = "F1" if beta == 1 else f"F(beta={beta})"
-        return MeasureDescriptor(
-            mid, "f", label, "binary", SIMILARITY, True, beta=beta,
-            c_max=Fraction(1), c_min=Fraction(0),
-        )
-    if base == "jaccard":
-        return MeasureDescriptor(
-            "jaccard", "jaccard", "Jaccard index", "binary", SIMILARITY, True,
-            c_max=Fraction(1), c_min=Fraction(0),
-        )
-    if base == "gm":
+        measure_id = f"f:beta={beta}"
+        if beta != 1:
+            label = f"F(beta={beta})"
+    elif base == "gm":
         r = _normalize_r(1 if r is None else r)
         if r == 0:
             raise MeasureParseError("gm needs a nonzero r (r->0 limit is cc)")
         if abs(r) > GM_R_MAX:
             raise MeasureParseError(f"gm needs |r| <= {GM_R_MAX}")
-        return MeasureDescriptor(
-            f"gm:r={r}", "gm", f"GM(r={r})", "binary", SIMILARITY,
-            isinstance(r, int), r=r,
-            c_max=Fraction(1), c_min=Fraction(-1), baseline=_BASELINE_ZERO,
-        )
-    if base == "netagree":
-        return MeasureDescriptor(
-            "netagree", "netagree", "net agreement", "binary", SIMILARITY,
-            True, audit_only=True,
-        )
-    if base == "anyagree":
-        return MeasureDescriptor(
-            "anyagree", "anyagree", "any-agreement indicator", "binary",
-            SIMILARITY, True, c_min=Fraction(0), audit_only=True,
-        )
-    raise MeasureParseError(f"unknown measure {base!r}")
+        measure_id, label, exact = f"gm:r={r}", f"GM(r={r})", isinstance(r, int)
+    return MeasureDescriptor(
+        measure_id, base, label, row.arity, row.orientation, exact,
+        beta=beta, r=r, audit_only=row.audit_only,
+    )
 
 
 _ROOT_VALUED_BASES = {"cc", "gm"}
@@ -431,9 +401,6 @@ def with_scheme(desc: MeasureDescriptor, scheme: str) -> MeasureDescriptor:
         arity="multiclass",
         scheme=scheme,
         exact=exact,
-        c_max=None,
-        c_min=None,
-        baseline=None,
     )
 
 
@@ -523,23 +490,6 @@ AUDIT_ONLY_IDS = ("netagree", "anyagree")
 # ---------------------------------------------------------------------------
 # evaluation
 
-
-#: The kernel of each base measure; ``f`` and ``gm`` also take beta / r.
-_KERNELS = {
-    "acc": accuracy,
-    "ba": balanced_accuracy,
-    "sba": symmetric_balanced_accuracy,
-    "kappa": cohens_kappa,
-    "cc": matthews_cc,
-    "ce": confusion_entropy,
-    "cd": correlation_distance,
-    "cdprime": chordal_distance,
-    "f": f_beta,
-    "jaccard": jaccard,
-    "gm": generalized_means,
-    "netagree": net_agreement,
-    "anyagree": any_agreement,
-}
 
 _EXTENDERS = {scheme: f"{scheme}_extend" for scheme in SCHEMES}
 

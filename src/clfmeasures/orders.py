@@ -51,8 +51,8 @@ from typing import Callable, Sequence
 from mpmath import mp
 
 from .core import ConfusionMatrix, _with_margins
-from .measures import evaluate, parse_measure_id
-from .values import Value, as_float, root_value, scale, value_cmp, value_sum
+from .measures import evaluate, parse_measure_id, power_mean_ratio
+from .values import Value, as_float, scale, value_cmp, value_sum
 
 ORDER_DPS = 40
 DEFAULT_ZERO_TOL = 1e-6
@@ -375,16 +375,7 @@ def gm_normalizer(r: int) -> Callable[[Fraction, Fraction], Value]:
         y = _margin_variance(Fraction(p_b))
         if x == 0 or y == 0:
             raise ValueError("normalizer undefined on constant margins")
-        if r > 0:
-            u = (x**r + y**r) / 2
-            if r == 1:
-                return 1 / u
-            return root_value(1 / u, u ** (r - 1), r)
-        k = -r
-        v = 2 * x**k * y**k / (x**k + y**k)
-        if k == 1:
-            return 1 / v
-        return root_value(1 / v, v ** (k - 1), k)
+        return power_mean_ratio(1, x, y, r)
 
     return s
 

@@ -1057,6 +1057,18 @@ def test_total_past_int_str_limit_renders(capsys, tmp_path):
     assert json.loads(out)["input"]["n"] == "1" + "0" * 4299 + "2"
 
 
+def test_json_integer_past_digit_limit(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[[" + "9" * 4301 + ", 1], [2, 3]]")
+    code, _, err = run_cli(capsys, "eval", "--matrix", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: invalid JSON: ")
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
 @pytest.mark.parametrize("output", ["json", "csv", "markdown"])
 def test_value_beyond_float_range_renders(capsys, tmp_path, output):
     path = tmp_path / "big.json"
@@ -1068,8 +1080,11 @@ def test_value_beyond_float_range_renders(capsys, tmp_path, output):
     assert code == 0, err
     assert "3" + "9" * 399 + "7" in out  # the exact netagree value
     if output == "json":
-        (result,) = json.loads(out)["results"]
-        assert result["float"] == float("inf")
+        # RFC 8259 has no Infinity token: the float is written as null.
+        (result,) = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert result["float"] is None
+    else:
+        assert ",inf," in out if output == "csv" else "| inf |" in out
 
 
 def test_usage_error_exit_code(capsys):

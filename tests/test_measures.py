@@ -1,7 +1,9 @@
 """Measure registry and evaluation semantics."""
 
+import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,9 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from clfmeasures.cli import main
 from clfmeasures.core import confusion_matrix, transpose
 from clfmeasures.measures import (
+    AUDIT_ONLY_IDS,
     CANONICAL_IDS,
+    DISSIMILARITY,
+    SCHEMES,
+    SIMILARITY,
     MeasureArityError,
     MeasureParseError,
     evaluate,
@@ -332,3 +339,129 @@ def test_sba_transpose_symmetry_property(cells):
 def test_cc_transpose_symmetry_property(cells):
     C = confusion_matrix([cells[:2], cells[2:]])
     assert values_equal(ev("cc", C), ev("cc", transpose(C)))
+
+
+BIN, MC = "binary", "multiclass"
+SIM, DIS = SIMILARITY, DISSIMILARITY
+
+
+class TestRegistryPinned:
+    """The registry as it read before the measures became one table.
+
+    Each row is ``(measure_id, label, arity, orientation, exact,
+    audit_only, scheme)`` of a parsed id: the canonical and audit-only
+    ids, ``cdprime``, four more parameter values, and each of those with
+    every averaging scheme.
+    """
+
+    ROWS = (
+    ("f:beta=1", "F1", BIN, SIM, True, False, None),
+    ("jaccard", "Jaccard index", BIN, SIM, True, False, None),
+    ("cc", "correlation coefficient", MC, SIM, True, False, None),
+    ("acc", "accuracy", MC, SIM, True, False, None),
+    ("ba", "balanced accuracy", MC, SIM, True, False, None),
+    ("kappa", "Cohen's kappa", MC, SIM, True, False, None),
+    ("ce", "confusion entropy", MC, DIS, False, False, None),
+    ("sba", "symmetric balanced accuracy", MC, SIM, True, False, None),
+    ("gm:r=1", "GM(r=1)", BIN, SIM, True, False, None),
+    ("cd", "correlation distance", MC, DIS, False, False, None),
+    ("netagree", "net agreement", BIN, SIM, True, True, None),
+    ("anyagree", "any-agreement indicator", BIN, SIM, True, True, None),
+    ("cdprime", "chordal distance", MC, DIS, False, False, None),
+    ("f:beta=2", "F(beta=2)", BIN, SIM, True, False, None),
+    ("f:beta=1/2", "F(beta=1/2)", BIN, SIM, True, False, None),
+    ("gm:r=-2", "GM(r=-2)", BIN, SIM, True, False, None),
+    ("gm:r=1/2", "GM(r=1/2)", BIN, SIM, False, False, None),
+    ("f:beta=1:micro", "F1, micro", MC, SIM, True, False, "micro"),
+    ("f:beta=1:macro", "F1, macro", MC, SIM, True, False, "macro"),
+    ("f:beta=1:weighted", "F1, weighted", MC, SIM, True, False, "weighted"),
+    ("jaccard:micro", "Jaccard index, micro", MC, SIM, True, False, "micro"),
+    ("jaccard:macro", "Jaccard index, macro", MC, SIM, True, False, "macro"),
+    ("jaccard:weighted", "Jaccard index, weighted", MC, SIM, True, False, "weighted"),
+    ("cc:micro", "correlation coefficient, micro", MC, SIM, True, False, "micro"),
+    ("cc:macro", "correlation coefficient, macro", MC, SIM, False, False, "macro"),
+    ("cc:weighted", "correlation coefficient, weighted", MC, SIM, False, False, "weighted"),
+    ("acc:micro", "accuracy, micro", MC, SIM, True, False, "micro"),
+    ("acc:macro", "accuracy, macro", MC, SIM, True, False, "macro"),
+    ("acc:weighted", "accuracy, weighted", MC, SIM, True, False, "weighted"),
+    ("ba:micro", "balanced accuracy, micro", MC, SIM, True, False, "micro"),
+    ("ba:macro", "balanced accuracy, macro", MC, SIM, True, False, "macro"),
+    ("ba:weighted", "balanced accuracy, weighted", MC, SIM, True, False, "weighted"),
+    ("kappa:micro", "Cohen's kappa, micro", MC, SIM, True, False, "micro"),
+    ("kappa:macro", "Cohen's kappa, macro", MC, SIM, True, False, "macro"),
+    ("kappa:weighted", "Cohen's kappa, weighted", MC, SIM, True, False, "weighted"),
+    ("ce:micro", "confusion entropy, micro", MC, DIS, False, False, "micro"),
+    ("ce:macro", "confusion entropy, macro", MC, DIS, False, False, "macro"),
+    ("ce:weighted", "confusion entropy, weighted", MC, DIS, False, False, "weighted"),
+    ("sba:micro", "symmetric balanced accuracy, micro", MC, SIM, True, False, "micro"),
+    ("sba:macro", "symmetric balanced accuracy, macro", MC, SIM, True, False, "macro"),
+    ("sba:weighted", "symmetric balanced accuracy, weighted", MC, SIM, True, False, "weighted"),
+    ("gm:r=1:micro", "GM(r=1), micro", MC, SIM, True, False, "micro"),
+    ("gm:r=1:macro", "GM(r=1), macro", MC, SIM, False, False, "macro"),
+    ("gm:r=1:weighted", "GM(r=1), weighted", MC, SIM, False, False, "weighted"),
+    ("cd:micro", "correlation distance, micro", MC, DIS, False, False, "micro"),
+    ("cd:macro", "correlation distance, macro", MC, DIS, False, False, "macro"),
+    ("cd:weighted", "correlation distance, weighted", MC, DIS, False, False, "weighted"),
+    ("netagree:micro", "net agreement, micro", MC, SIM, True, True, "micro"),
+    ("netagree:macro", "net agreement, macro", MC, SIM, True, True, "macro"),
+    ("netagree:weighted", "net agreement, weighted", MC, SIM, True, True, "weighted"),
+    ("anyagree:micro", "any-agreement indicator, micro", MC, SIM, True, True, "micro"),
+    ("anyagree:macro", "any-agreement indicator, macro", MC, SIM, True, True, "macro"),
+    ("anyagree:weighted", "any-agreement indicator, weighted", MC, SIM, True, True, "weighted"),
+    ("cdprime:micro", "chordal distance, micro", MC, DIS, False, False, "micro"),
+    ("cdprime:macro", "chordal distance, macro", MC, DIS, False, False, "macro"),
+    ("cdprime:weighted", "chordal distance, weighted", MC, DIS, False, False, "weighted"),
+    ("f:beta=2:micro", "F(beta=2), micro", MC, SIM, True, False, "micro"),
+    ("f:beta=2:macro", "F(beta=2), macro", MC, SIM, True, False, "macro"),
+    ("f:beta=2:weighted", "F(beta=2), weighted", MC, SIM, True, False, "weighted"),
+    ("f:beta=1/2:micro", "F(beta=1/2), micro", MC, SIM, True, False, "micro"),
+    ("f:beta=1/2:macro", "F(beta=1/2), macro", MC, SIM, True, False, "macro"),
+    ("f:beta=1/2:weighted", "F(beta=1/2), weighted", MC, SIM, True, False, "weighted"),
+    ("gm:r=-2:micro", "GM(r=-2), micro", MC, SIM, True, False, "micro"),
+    ("gm:r=-2:macro", "GM(r=-2), macro", MC, SIM, False, False, "macro"),
+    ("gm:r=-2:weighted", "GM(r=-2), weighted", MC, SIM, False, False, "weighted"),
+    ("gm:r=1/2:micro", "GM(r=1/2), micro", MC, SIM, False, False, "micro"),
+    ("gm:r=1/2:macro", "GM(r=1/2), macro", MC, SIM, False, False, "macro"),
+    ("gm:r=1/2:weighted", "GM(r=1/2), weighted", MC, SIM, False, False, "weighted"),
+    )
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: row[0])
+    def test_descriptor_fields(self, row):
+        d = parse_measure_id(row[0])
+        assert (d.measure_id, d.label, d.arity, d.orientation, d.exact, d.audit_only,
+                d.scheme) == row
+
+    def test_rows_cover_the_pinned_ids(self):
+        base = CANONICAL_IDS + AUDIT_ONLY_IDS + (
+            "cdprime", "f:beta=2", "f:beta=1/2", "gm:r=-2", "gm:r=1/2"
+        )
+        ids = base + tuple(f"{mid}:{s}" for mid in base for s in SCHEMES)
+        assert [row[0] for row in self.ROWS] == list(ids)
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: row[0])
+    def test_separate_descriptors_are_equal(self, row):
+        # Built past parse_measure_id's cache; the first one's cached
+        # kernel must not enter equality or the hash.
+        d1 = parse_measure_id.__wrapped__(row[0])
+        d2 = parse_measure_id.__wrapped__(row[0])
+        assert d1 is not d2
+        d1.kernel
+        assert d1 == d2 and hash(d1) == hash(d2)
+
+    #: sha256 of ``eval --matrix <file> --output json --no-timestamp``,
+    #: the default measures of each size.
+    EVAL_DIGESTS = {
+        ("m2.json", "[[4,1],[2,3]]"): "c2e27d95f4e56c28e2a7dd67479211f1064c7e967716dc53c2f7d66c3514f63a",
+        ("m3.json", "[[3,1,0],[1,2,2],[0,1,4]]"):
+            "50b3506ecb4484d8390fba9edddd7a80790794636fb7bd82433a0f803311ce54",
+    }
+
+    @pytest.mark.parametrize("case", list(EVAL_DIGESTS), ids=lambda case: case[0])
+    def test_eval_json_bytes(self, capsys, tmp_path, monkeypatch, case):
+        name, text = case
+        monkeypatch.chdir(tmp_path)  # the report names the input path
+        Path(name).write_text(text)
+        code = main(["eval", "--matrix", name, "--output", "json", "--no-timestamp"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.EVAL_DIGESTS[case]
