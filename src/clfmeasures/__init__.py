@@ -70,7 +70,6 @@ from .properties import (
 )
 from .orders import (
     BaselineOrderReport,
-    RateTriple,
     baseline_order,
     check_gm_normalizer_conditions,
     gm_normalizer,
@@ -108,7 +107,6 @@ __all__ = [
     "MeasureArityError",
     "MeasureDescriptor",
     "MeasureParseError",
-    "RateTriple",
     "Root",
     "Triplet",
     "Value",
@@ -149,6 +147,7 @@ __all__ = [
     "value_cmp",
     "value_str",
     "values_equal",
+    "weighted_extend",
     "with_scheme",
     "write_matrix",
 ]

@@ -64,7 +64,7 @@ from .baselines import METHODS, exact_baseline_expectation
 from .measures import SCHEMES
 from .values import DEFAULT_EPS, Root, as_float, value_str, values_equal
 
-#: Multiclass-capable measures, used as defaults when inputs have m > 2.
+#: Multiclass-capable measures, used as defaults when inputs have m != 2.
 MULTICLASS_IDS = ("acc", "ba", "kappa", "ce", "cc", "sba", "cd")
 
 
@@ -92,9 +92,15 @@ def _parse_measures(text: str, default: tuple[str, ...]) -> list[str]:
     return seen
 
 
+def _multiclass_default(m: int) -> tuple[str, ...]:
+    """:data:`MULTICLASS_IDS`, less ``ce`` at one class: confusion entropy
+    needs two."""
+    return MULTICLASS_IDS if m > 1 else tuple(i for i in MULTICLASS_IDS if i != "ce")
+
+
 def _registry_default(m: int) -> tuple[str, ...]:
     """Default measures of ``eval``, ``audit`` and ``baseline`` at m classes."""
-    return CANONICAL_IDS if m == 2 else MULTICLASS_IDS
+    return CANONICAL_IDS if m == 2 else _multiclass_default(m)
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -583,7 +589,8 @@ def _load_model_pairs(paths) -> tuple[list[str], list[LabelingPair]]:
 
 
 def _default_for_m(m: int) -> tuple[str, ...]:
-    return CONSISTENCY_IDS if m == 2 else MULTICLASS_IDS
+    """Default measures of ``compare`` and ``rank`` at m classes."""
+    return CONSISTENCY_IDS if m == 2 else _multiclass_default(m)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +664,7 @@ def _cmd_rank(args, budget: Budget) -> dict:
     m = pairs[0].m
     measure_ids = _parse_measures(args.measures, _default_for_m(m))
     rankings = rank_models(
-        measure_ids, None, [pair.matrix() for pair in pairs], names=names, eps=args.eps
+        measure_ids, [pair.matrix() for pair in pairs], names=names, eps=args.eps
     )
     return {
         "command": "rank",

@@ -192,6 +192,13 @@ def _split_lines(lines: list[str]) -> list[list[str]]:
     return list(csv.reader(lines))
 
 
+def _read_rows(lines: list[str]):
+    """The reader's rows over ``str.splitlines`` pieces, each given back
+    its line end as ``"\n"``, so a line break inside a quoted field reads
+    as ``"\n"``."""
+    return csv.reader(line + "\n" for line in lines)
+
+
 def _row_keys(text: str):
     """The non-blank rows of a labels file as hashable keys, header
     dropped, and the function giving the fields of a list of keys.
@@ -202,7 +209,7 @@ def _row_keys(text: str):
     """
     lines = text.splitlines()
     if '"' in text:
-        keys = [tuple(row) for row in csv.reader(lines) if row]
+        keys = [tuple(row) for row in _read_rows(lines) if row]
         fields = list
     else:
         keys = list(filter(None, lines))
@@ -215,7 +222,7 @@ def _row_keys(text: str):
 def _raise_first_bad_row(path, text: str) -> None:
     """Walk the rows in file order and raise what the first malformed one
     gives: the reader's ``csv.Error`` or a row without two fields."""
-    rows = filter(None, csv.reader(text.splitlines()))
+    rows = filter(None, _read_rows(text.splitlines()))
     first = next(rows, None)
     if first is not None and not _is_header(first):
         rows = itertools.chain((first,), rows)

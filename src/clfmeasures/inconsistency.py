@@ -43,7 +43,6 @@ from .measures import (
     CONSISTENCY_IDS,
     Evaluator,
     MeasureDescriptor,
-    evaluate_oriented,
     parse_measure_id,
 )
 from .values import DEFAULT_EPS, as_float, value_cmp, value_str
@@ -114,8 +113,7 @@ def relation_sign(
     Dissimilarities are orientation-flipped first, so +1 always means
     "prefers the first prediction".
     """
-    desc = _descriptor(measure)
-    return value_cmp(evaluate_oriented(desc, C1), evaluate_oriented(desc, C2), eps)
+    return _relation(Evaluator(_descriptor(measure)), C1, C2, eps)
 
 
 def triplet_verdict(m1, m2, t: Triplet, eps: float = DEFAULT_EPS) -> str:
@@ -523,43 +521,23 @@ class MeasureRanking:
         }
 
 
-def _as_labeling(labels, m: int | None = None) -> Labeling:
-    if isinstance(labels, Labeling):
-        return labels
-    labels = tuple(labels)
-    return Labeling(labels, m if m is not None else max(labels) + 1)
-
-
 def rank_models(
     measures: Sequence,
-    truth,
-    predictions: Sequence,
+    matrices: Sequence[ConfusionMatrix],
     names: Sequence[str] | None = None,
     eps: float = DEFAULT_EPS,
 ) -> list[MeasureRanking]:
     """Rank predictions against one truth under each measure.
 
-    With ``truth`` None, ``predictions`` are the predictions' confusion
-    matrices against the truth, already counted.
+    ``matrices`` are the predictions' confusion matrices against the
+    truth, one per model.
 
     Competition ranking: tied models share the best rank of the tie, and
     the next model's rank counts everyone above it.  Entries come out
     sorted by rank, input order within ties.
     """
-    if not predictions:
+    if not matrices:
         raise ValueError("no predictions given")
-    preds = list(predictions)
-    if truth is None:
-        matrices = preds
-    else:
-        m = None
-        if not isinstance(truth, Labeling):
-            flat = list(truth)
-            for p in preds:
-                flat.extend(p.labels if isinstance(p, Labeling) else p)
-            m = max(flat) + 1
-        truth_lab = _as_labeling(truth, m)
-        matrices = [build_confusion(truth_lab, _as_labeling(p, truth_lab.m)) for p in preds]
     if names is None:
         names = [f"model_{i + 1}" for i in range(len(matrices))]
     names = list(names)
@@ -567,8 +545,8 @@ def rank_models(
         raise ValueError("names and predictions differ in length")
     out = []
     for measure in measures:
-        desc = _descriptor(measure)
-        values = [evaluate_oriented(desc, C) for C in matrices]
+        ev = Evaluator(_descriptor(measure))
+        values = [ev.oriented(C) for C in matrices]
         ranks = [
             1 + sum(value_cmp(other, v, eps) > 0 for other in values)
             for v in values
@@ -576,7 +554,7 @@ def rank_models(
         order = sorted(range(len(values)), key=lambda i: (ranks[i], i))
         out.append(
             MeasureRanking(
-                measure_id=desc.measure_id,
+                measure_id=ev.desc.measure_id,
                 entries=tuple(
                     RankedModel(
                         name=names[i],

@@ -520,10 +520,6 @@ def oriented(desc: MeasureDescriptor, value: Value) -> Value:
     return value
 
 
-def evaluate_oriented(desc: MeasureDescriptor, C: ConfusionMatrix) -> Value:
-    return oriented(desc, evaluate(desc, C))
-
-
 class Evaluator:
     """One measure's values, memoized on the entries of the matrix.
 

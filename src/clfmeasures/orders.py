@@ -28,9 +28,9 @@ stays the reference), and one ``D`` per point gives every root-valued
 abscissa the same radicand, so the stencil sums of ``cc`` and ``gm``
 stay exact.  The
 audit-only measures are not scale-free and are refused.  Grid margins
-and the step scale must be rationals (int or Fraction): a float is not
-the rational it stands for, and float abscissae round away the small
-differences the probe measures.
+must be rationals (int or Fraction): a float is not the rational it
+stands for, and float abscissae round away the small differences the
+probe measures.
 
 :func:`check_gm_normalizer_conditions` verifies the six conditions on a
 normalizer s(p_a, p_b) under which s * (p_ab - p_a*p_b) retains the full
@@ -78,28 +78,6 @@ def feasible_joint_interval(p_a: Fraction, p_b: Fraction) -> tuple[Fraction, Fra
     return lo, hi
 
 
-@dataclass(frozen=True)
-class RateTriple:
-    """Joint and marginal positive rates of a binary labeling pair."""
-
-    p_ab: Fraction
-    p_a: Fraction
-    p_b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_ab", Fraction(self.p_ab))
-        object.__setattr__(self, "p_a", Fraction(self.p_a))
-        object.__setattr__(self, "p_b", Fraction(self.p_b))
-        if not (0 <= self.p_a <= 1 and 0 <= self.p_b <= 1):
-            raise ValueError("margins must lie in [0, 1]")
-        lo, hi = feasible_joint_interval(self.p_a, self.p_b)
-        if not lo <= self.p_ab <= hi:
-            raise ValueError(f"joint rate {self.p_ab} outside [{lo}, {hi}]")
-
-    def matrix(self) -> ConfusionMatrix:
-        return rate_matrix(self.p_ab, self.p_a, self.p_b)
-
-
 def rate_matrix(p_ab, p_a, p_b) -> ConfusionMatrix:
     """The 2x2 matrix of joint rates, unit total, class 1 positive."""
     p_ab, p_a, p_b = Fraction(p_ab), Fraction(p_a), Fraction(p_b)
@@ -114,16 +92,6 @@ def rate_matrix(p_ab, p_a, p_b) -> ConfusionMatrix:
             (p_a - p_ab, p_ab),
         )
     )
-
-
-def rate_evaluator(measure) -> Callable[[Fraction, Fraction, Fraction], Value]:
-    """The measure as a function of (p_ab, p_a, p_b)."""
-    desc = parse_measure_id(measure) if isinstance(measure, str) else measure
-
-    def f(p_ab, p_a, p_b) -> Value:
-        return evaluate(desc, rate_matrix(p_ab, p_a, p_b))
-
-    return f
 
 
 def lattice_matrix(
@@ -218,27 +186,24 @@ def _richardson(coarse: Value, fine: Value) -> Value:
     return value_sum([scale(fine, Fraction(4, 3)), scale(coarse, Fraction(-1, 3))])
 
 
-def _rational(x, what: str) -> Fraction:
+def _rational_margin(x) -> Fraction:
     if isinstance(x, Rational) and not isinstance(x, bool):
         return Fraction(x)
-    raise ValueError(f"{what} must be a rational (int or Fraction), got {x!r}")
+    raise ValueError(f"grid margin must be a rational (int or Fraction), got {x!r}")
 
 
-def _stencil(desc, p_a: Fraction, p_b: Fraction, h_scale: Fraction):
+def _stencil(desc, p_a: Fraction, p_b: Fraction):
     """Step ``h`` and the evaluations at ``p_a*p_b + j*h/2``, j = -4..4,
     computed on first use on one integer lattice."""
     lo, hi = feasible_joint_interval(p_a, p_b)
     if hi <= lo:
         raise ValueError(f"degenerate joint range at margins ({p_a}, {p_b})")
     x0 = p_a * p_b
-    h = (hi - lo) * h_scale
+    h = (hi - lo) * DEFAULT_H_SCALE
     half = h / 2
     reach = 2 * h
     if x0 - reach <= lo or x0 + reach >= hi:
-        raise ValueError(
-            f"stencil leaves the feasible range at margins ({p_a}, {p_b}); "
-            "use a smaller h_scale"
-        )
+        raise ValueError(f"stencil leaves the feasible range at margins ({p_a}, {p_b})")
     D = lcm(p_a.denominator, p_b.denominator, x0.denominator, half.denominator)
     cache: dict[int, Value] = {}
 
@@ -267,7 +232,6 @@ def baseline_order(
     measure,
     l_max: int = 3,
     grid: Sequence[RatePair] | None = None,
-    h_scale: Fraction = DEFAULT_H_SCALE,
 ) -> BaselineOrderReport:
     """Probe the flatness of a binary measure at the independence point.
 
@@ -275,8 +239,8 @@ def baseline_order(
     the baseline value is one constant across the grid and the
     derivative estimates of orders 2..k stay below ``DEFAULT_ZERO_TOL``
     at every grid point.  ``order`` is 0 when even the baseline is not constant.
-    Audit-only measures, and grid margins or an ``h_scale`` that are not
-    rationals, raise ``ValueError``.
+    Audit-only measures, and grid margins that are not rationals, raise
+    ``ValueError``.
     """
     desc = parse_measure_id(measure) if isinstance(measure, str) else measure
     if desc.audit_only:
@@ -286,14 +250,11 @@ def baseline_order(
         )
     if not 1 <= l_max <= MAX_PROBE_ORDER:
         raise ValueError(f"l_max must be in 1..{MAX_PROBE_ORDER}")
-    h_scale = _rational(h_scale, "h_scale")
-    if h_scale <= 0:
-        raise ValueError(f"h_scale must be positive, got {h_scale}")
     if grid is None:
         grid = default_rate_grid()
     if not grid:
         raise ValueError("empty rate grid")
-    grid = [tuple(_rational(p, "grid margin") for p in pair) for pair in grid]
+    grid = [tuple(map(_rational_margin, pair)) for pair in grid]
     for p_a, p_b in grid:
         if not (0 < p_a < 1 and 0 < p_b < 1):
             raise ValueError(f"grid margins must be interior, got ({p_a}, {p_b})")
@@ -303,7 +264,7 @@ def baseline_order(
     base_spread = 0.0
     with mp.workdps(ORDER_DPS):
         for p_a, p_b in grid:
-            h, at = _stencil(desc, p_a, p_b, h_scale)
+            h, at = _stencil(desc, p_a, p_b)
             v0 = as_float(at(0))
             if base_first is None:
                 base_first = v0
@@ -396,20 +357,38 @@ def normalizer_partial_pa(p_a: Fraction, p_b: Fraction, r: int, s_val: Value) ->
     """
     w_x, _ = _power_weights(p_a, p_b, r)
     factor = (2 * p_a - 1) / _margin_variance(p_a) * w_x
-    return scale(s_val, factor) if isinstance(factor, Fraction) else s_val * factor
+    return scale(s_val, factor)
 
 
-@dataclass(frozen=True)
 class ConditionReport:
-    """One normalizer condition checked over the margin grid."""
+    """One normalizer condition checked over the margin grid, filled in
+    point by point."""
 
-    condition: int
-    description: str
-    holds: bool
-    checked: int
-    equality_points: int
-    min_strict_margin: float | None
-    failures: tuple[dict, ...]
+    def __init__(self, condition: int, description: str):
+        self.condition = condition
+        self.description = description
+        self.checked = 0
+        self.equality_points = 0
+        self.min_strict_margin: float | None = None
+        self.failures: list[dict] = []
+
+    @property
+    def holds(self) -> bool:
+        return not self.failures
+
+    def check(self, ok: bool, p_a, p_b, detail: str, **extra) -> None:
+        self.checked += 1
+        if not ok and len(self.failures) < 5:  # keep the first few; counts say the rest
+            self.failures.append({"p_a": str(p_a), "p_b": str(p_b), "detail": detail, **extra})
+
+    def strict_margin(self, margin: float, p_a, p_b, detail: str) -> None:
+        if self.min_strict_margin is None or margin < self.min_strict_margin:
+            self.min_strict_margin = margin
+        self.check(margin > DEFAULT_STRICT_MARGIN, p_a, p_b, detail, margin=margin)
+
+    def equality_point(self, ok: bool, p_a, p_b, detail: str) -> None:
+        self.equality_points += 1
+        self.check(ok, p_a, p_b, detail)
 
     def to_dict(self) -> dict:
         return {
@@ -423,66 +402,11 @@ class ConditionReport:
         }
 
 
-def _point_tag(p_a: Fraction, p_b: Fraction) -> dict:
-    return {"p_a": str(p_a), "p_b": str(p_b)}
-
-
-class _ConditionTally:
-    """Accumulates per-point outcomes for one condition."""
-
-    def __init__(self, condition: int, description: str):
-        self.condition = condition
-        self.description = description
-        self.checked = 0
-        self.equality_points = 0
-        self.min_margin: float | None = None
-        self.failures: list[dict] = []
-
-    def _fail(self, p_a, p_b, detail: str, **extra) -> None:
-        if len(self.failures) < 5:  # keep the first few; counts say the rest
-            self.failures.append({**_point_tag(p_a, p_b), "detail": detail, **extra})
-
-    def exact_equality(self, ok: bool, p_a, p_b, detail: str) -> None:
-        self.checked += 1
-        if not ok:
-            self._fail(p_a, p_b, detail)
-
-    def strict_margin(
-        self, margin: float, threshold: float, p_a, p_b, detail: str
-    ) -> None:
-        self.checked += 1
-        if self.min_margin is None or margin < self.min_margin:
-            self.min_margin = margin
-        if margin <= threshold:
-            self._fail(p_a, p_b, detail, margin=margin)
-
-    def bound_with_allowed_equality(self, ok: bool, p_a, p_b, detail: str) -> None:
-        self.checked += 1
-        self.equality_points += 1
-        if not ok:
-            self._fail(p_a, p_b, detail)
-
-    def report(self) -> ConditionReport:
-        return ConditionReport(
-            condition=self.condition,
-            description=self.description,
-            holds=not self.failures,
-            checked=self.checked,
-            equality_points=self.equality_points,
-            min_strict_margin=self.min_margin,
-            failures=tuple(self.failures),
-        )
-
-
 def _minus(v: Value) -> Value:
     return scale(v, Fraction(-1))
 
 
-def check_gm_normalizer_conditions(
-    r: int,
-    steps: int = 20,
-    fd_check: bool = True,
-) -> dict:
+def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
     """Check the six normalizer conditions for the power-mean family.
 
     The conditions guarantee that s(p_a, p_b) * (p_ab - p_a*p_b) keeps
@@ -515,12 +439,12 @@ def check_gm_normalizer_conditions(
     qs = [Fraction(k, steps) for k in range(1, steps)]
     grid = default_rate_grid(steps)
 
-    c1 = _ConditionTally(1, "invariant under argument swap and joint complement")
-    c2 = _ConditionTally(2, "equals 1/(p(1-p)) on equal and complementary margins")
-    c3 = _ConditionTally(3, "below the same-sign product bound (off complements)")
-    c4 = _ConditionTally(4, "below the cross-sign product bound (off equals)")
-    c5 = _ConditionTally(5, "scaling derivative of log s within its band")
-    c6 = _ConditionTally(6, "shear derivative of log s within its band")
+    c1 = ConditionReport(1, "invariant under argument swap and joint complement")
+    c2 = ConditionReport(2, "equals 1/(p(1-p)) on equal and complementary margins")
+    c3 = ConditionReport(3, "below the same-sign product bound (off complements)")
+    c4 = ConditionReport(4, "below the cross-sign product bound (off equals)")
+    c5 = ConditionReport(5, "scaling derivative of log s within its band")
+    c6 = ConditionReport(6, "shear derivative of log s within its band")
 
     fd_worst = 0.0
     delta = Fraction(1, 10**7)
@@ -528,10 +452,10 @@ def check_gm_normalizer_conditions(
     with mp.workdps(ORDER_DPS):
         for p in qs:
             target = 1 / _margin_variance(p)
-            c2.exact_equality(
+            c2.check(
                 value_cmp(s(p, p), target) == 0, p, p, "s(p, p) != 1/(p(1-p))"
             )
-            c2.exact_equality(
+            c2.check(
                 value_cmp(s(p, 1 - p), target) == 0,
                 p,
                 1 - p,
@@ -539,10 +463,10 @@ def check_gm_normalizer_conditions(
             )
         for p_a, p_b in grid:
             s_val = s(p_a, p_b)
-            c1.exact_equality(
+            c1.check(
                 value_cmp(s_val, s(p_b, p_a)) == 0, p_a, p_b, "swap changes s"
             )
-            c1.exact_equality(
+            c1.check(
                 value_cmp(s_val, s(1 - p_a, 1 - p_b)) == 0,
                 p_a,
                 p_b,
@@ -554,17 +478,13 @@ def check_gm_normalizer_conditions(
                     1 / (p_a * p_b), 1 / ((1 - p_a) * (1 - p_b))
                 )
                 margin3 = as_float(value_sum([bound3, _minus(s_val)]))
-                c3.strict_margin(
-                    margin3, DEFAULT_STRICT_MARGIN, p_a, p_b, "same-sign bound violated"
-                )
+                c3.strict_margin(margin3, p_a, p_b, "same-sign bound violated")
             if p_b != p_a:
                 bound4 = max(
                     1 / (p_a * (1 - p_b)), 1 / ((1 - p_a) * p_b)
                 )
                 margin4 = as_float(value_sum([bound4, _minus(s_val)]))
-                c4.strict_margin(
-                    margin4, DEFAULT_STRICT_MARGIN, p_a, p_b, "cross-sign bound violated"
-                )
+                c4.strict_margin(margin4, p_a, p_b, "cross-sign bound violated")
 
             w_x, w_y = _power_weights(p_a, p_b, r)
             edge_a5 = (2 * p_a - 1) / (1 - p_a)
@@ -573,13 +493,12 @@ def check_gm_normalizer_conditions(
             lo5 = min(Fraction(-2), -1 - p_a * p_b / ((1 - p_a) * (1 - p_b)))
             hi5 = max(edge_a5, edge_b5)
             if p_a == p_b:
-                c5.bound_with_allowed_equality(
+                c5.equality_point(
                     lo5 <= g5 <= hi5, p_a, p_b, "band violated on equal margins"
                 )
             else:
                 c5.strict_margin(
                     float(min(g5 - lo5, hi5 - g5)),
-                    DEFAULT_STRICT_MARGIN,
                     p_a,
                     p_b,
                     "band not strict off equal margins",
@@ -591,7 +510,7 @@ def check_gm_normalizer_conditions(
             lo6 = min(edge_a6, edge_b6)
             hi6 = max(1 + p_b * (1 - p_a) / (p_a * (1 - p_b)), Fraction(2))
             if p_b == 1 - p_a:
-                c6.bound_with_allowed_equality(
+                c6.equality_point(
                     lo6 <= g6 <= hi6,
                     p_a,
                     p_b,
@@ -600,31 +519,27 @@ def check_gm_normalizer_conditions(
             else:
                 c6.strict_margin(
                     float(min(g6 - lo6, hi6 - g6)),
-                    DEFAULT_STRICT_MARGIN,
                     p_a,
                     p_b,
                     "band not strict off complementary margins",
                 )
 
-            if fd_check:
-                closed = normalizer_partial_pa(p_a, p_b, r, s_val)
-                fd = scale(
-                    value_sum([s(p_a + delta, p_b), _minus(s(p_a - delta, p_b))]),
-                    Fraction(1, 2) / delta,
-                )
-                err = abs(as_float(value_sum([fd, _minus(closed)])))
-                rel = err / max(1.0, abs(as_float(closed)))
-                fd_worst = max(fd_worst, rel)
+            closed = normalizer_partial_pa(p_a, p_b, r, s_val)
+            fd = scale(
+                value_sum([s(p_a + delta, p_b), _minus(s(p_a - delta, p_b))]),
+                Fraction(1, 2) / delta,
+            )
+            err = abs(as_float(value_sum([fd, _minus(closed)])))
+            rel = err / max(1.0, abs(as_float(closed)))
+            fd_worst = max(fd_worst, rel)
 
-    conditions = [t.report() for t in (c1, c2, c3, c4, c5, c6)]
+    conditions = [c1, c2, c3, c4, c5, c6]
     all_hold = all(c.holds for c in conditions)
-    partial = None
-    if fd_check:
-        partial = {
-            "max_rel_error": fd_worst,
-            "tolerance": 1e-6,
-            "ok": fd_worst < 1e-6,
-        }
+    partial = {
+        "max_rel_error": fd_worst,
+        "tolerance": 1e-6,
+        "ok": fd_worst < 1e-6,
+    }
     return {
         "r": r,
         "grid_steps": steps,
@@ -632,5 +547,5 @@ def check_gm_normalizer_conditions(
         "conditions": conditions,
         "all_hold": all_hold,
         "partial_check": partial,
-        "all_ok": all_hold and (partial is None or partial["ok"]),
+        "all_ok": all_hold and partial["ok"],
     }

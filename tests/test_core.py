@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import types
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clfmeasures
 from clfmeasures.core import (
     Budget,
     ConfusionMatrix,
@@ -382,3 +384,16 @@ class TestEnumerateEntries:
             (((0, 0), (1, 1)), 2),
             (((0, 0), (2, 0)), 1),
         ]
+
+
+def test_package_exports_every_public_name():
+    """``__all__`` is sorted, lists each name once, and is exactly the
+    package's public names other than its submodules."""
+    exported = clfmeasures.__all__
+    assert exported == sorted(set(exported))
+    public = {
+        name
+        for name, obj in vars(clfmeasures).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert set(exported) == public

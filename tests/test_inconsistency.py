@@ -14,6 +14,7 @@ from clfmeasures import (
     value_cmp,
 )
 from clfmeasures.core import Labeling, build_confusion
+from clfmeasures.dataio import LabelingPair
 from clfmeasures.inconsistency import (
     CONSISTENT,
     INCONSISTENT,
@@ -251,11 +252,12 @@ class TestPairwise:
 
 
 class TestRankModels:
-    TRUTH = (0, 0, 1, 1, 1)
-    PREDS = [(0, 0, 1, 1, 0), (1, 0, 1, 1, 1), (0, 0, 1, 1, 1)]
+    TRUTH = Labeling((0, 0, 1, 1, 1), 2)
+    PREDS = [Labeling(p, 2) for p in ((0, 0, 1, 1, 0), (1, 0, 1, 1, 1), (0, 0, 1, 1, 1))]
+    MATRICES = list(map(build_confusion, [TRUTH] * len(PREDS), PREDS))
 
     def test_competition_ranking_with_tie(self):
-        (ranking,) = rank_models(["acc"], self.TRUTH, self.PREDS, names=["A", "B", "C"])
+        (ranking,) = rank_models(["acc"], self.MATRICES, names=["A", "B", "C"])
         assert ranking.measure_id == "acc"
         by_name = {e.name: e for e in ranking.entries}
         assert by_name["C"].rank == 1
@@ -265,7 +267,7 @@ class TestRankModels:
         assert by_name["A"].value == "4/5"
 
     def test_measures_rank_differently(self):
-        rankings = rank_models(["acc", "ba"], self.TRUTH, self.PREDS)
+        rankings = rank_models(["acc", "ba"], self.MATRICES)
         by_measure = {r.measure_id: r for r in rankings}
         acc_ranks = {e.name: e.rank for e in by_measure["acc"].entries}
         ba_ranks = {e.name: e.rank for e in by_measure["ba"].entries}
@@ -273,24 +275,25 @@ class TestRankModels:
         assert ba_ranks["model_1"] < ba_ranks["model_2"]
 
     def test_dissimilarity_ranks_like_similarity(self):
-        rankings = rank_models(["cc", "cd"], self.TRUTH, self.PREDS)
+        rankings = rank_models(["cc", "cd"], self.MATRICES)
         orders = [[e.name for e in r.entries] for r in rankings]
         assert orders[0] == orders[1]
 
     def test_counted_matrices_rank_as_their_labelings(self):
-        truth = Labeling(self.TRUTH, 2)
-        matrices = [build_confusion(truth, Labeling(p, 2)) for p in self.PREDS]
+        # The matrices the CLI ranks are counted per distinct row of a
+        # labels file; they rank as the matrices of the labelings.
+        counted = [LabelingPair(self.TRUTH, p, "01").matrix() for p in self.PREDS]
         ids = ["acc", "ba", "cc", "cd"]
-        assert rank_models(ids, None, matrices) == rank_models(ids, self.TRUTH, self.PREDS)
+        assert rank_models(ids, counted) == rank_models(ids, self.MATRICES)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            rank_models(["acc"], self.TRUTH, [])
+            rank_models(["acc"], [])
         with pytest.raises(ValueError):
-            rank_models(["acc"], self.TRUTH, self.PREDS, names=["only-one"])
+            rank_models(["acc"], self.MATRICES, names=["only-one"])
 
     def test_serialization(self):
-        (ranking,) = rank_models(["kappa"], self.TRUTH, self.PREDS)
+        (ranking,) = rank_models(["kappa"], self.MATRICES)
         d = ranking.to_dict()
         assert d["measure"] == "kappa"
         assert len(d["ranking"]) == 3

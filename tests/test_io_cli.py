@@ -840,6 +840,41 @@ class TestCliCompareRank:
         assert report["pairwise"] == json.loads(json.dumps(expected.to_dict()))
 
 
+class TestOneClassInputs:
+    """At one class the default measures leave out ``ce``, which needs two
+    classes; asked for by name, it still exits 2."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        matrix = tmp_path / "one.json"
+        matrix.write_text("[[5]]")
+        models = [
+            str(labels_file(tmp_path, f"model_{k}.csv", rows=(("a", "a"),) * 3))
+            for k in (1, 2)
+        ]
+        return {
+            "eval": ["--matrix", str(matrix)],
+            "rank": ["--labels", *models],
+            "compare": ["--labels", *models],
+        }
+
+    @pytest.mark.parametrize("command", ["eval", "rank", "compare"])
+    def test_defaults_leave_out_ce(self, capsys, inputs, command):
+        code, out, err = run_cli(
+            capsys, command, *inputs[command], "--output", "json", "--no-timestamp"
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        measures = [r["measure"] for r in report.get("results", ())] or report["measures"]
+        assert measures == [mid for mid in MULTICLASS_IDS if mid != "ce"]
+
+    @pytest.mark.parametrize("command", ["eval", "rank", "compare"])
+    def test_explicit_ce_exits_2(self, capsys, inputs, command):
+        code, _, err = run_cli(capsys, command, *inputs[command], "--measures", "acc,ce")
+        assert code == 2
+        assert "confusion entropy needs at least two classes" in err
+
+
 class TestCliBaseline:
     def test_constants(self, capsys):
         code, out, _ = run_cli(

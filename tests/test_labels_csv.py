@@ -1,7 +1,8 @@
 """The count-based labels-CSV parser against the row-walk parser.
 
 ``_row_walk_read_labels_csv`` is an earlier ``read_labels_csv``, kept
-verbatim as the reference: it keeps every reader row and every
+as the reference with one change, the line end it gives back to each
+``splitlines`` piece: it keeps every reader row and every
 (true, pred) tuple alive and builds the two labelings row by row.  The
 count-based parser must give the same pair, or the same error message,
 on every text, and the pair's matrix, sizes, lazily built labelings and
@@ -31,7 +32,8 @@ from clfmeasures.dataio import (
 
 
 def _row_walk_read_labels_csv(path) -> LabelingPair:
-    rows = [row for row in csv.reader(_read_text(path).splitlines()) if row]
+    lines = _read_text(path).splitlines()
+    rows = [row for row in csv.reader(line + "\n" for line in lines) if row]
     if rows and [c.strip().lower() for c in rows[0]] == ["true", "pred"]:
         rows = rows[1:]
     if not rows:
@@ -64,7 +66,7 @@ INT_NAMES = ("0", "1", "2", "10", "01", "+1", "-3", "007")
 STR_NAMES = ("cat", "Dog", "a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "", "true", "pred")
 # The line breaks of ``str.splitlines`` beyond "\n" and "\r\n".  Both
 # parsers split the text into lines as ``splitlines`` does, so each of
-# these ends a line, also inside a quoted field.
+# these ends a line; inside a quoted field it reads as "\n".
 SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r")
 STR_NAMES += tuple(f"x{brk}y" for brk in SPLITLINES_BREAKS)
 HEADERS = (None, "true,pred", " TRUE , Pred ", '"true","pred"', "true,pred,extra")
@@ -197,6 +199,16 @@ def test_first_malformed_row_wins(tmp_path, first, rows, error):
         read_labels_csv(path)
     if error is InputError:
         assert str(info.value) == f"{path}: row 2 has 1 fields, expected 2 (true,pred)"
+
+
+def test_line_break_inside_quoted_label_is_kept(tmp_path):
+    path = tmp_path / "breaks.csv"
+    path.write_bytes(b'true,pred\n"two\nlines",1\ntwolines,1\n')
+    pair = read_labels_csv(path)
+    assert pair.alphabet == ("1", "two\nlines", "twolines")
+    assert pair.matrix().entries == ((0, 0, 0), (1, 0, 0), (1, 0, 0))
+    path.write_bytes(b'true,pred\n"cr\r\nlf",1\n')
+    assert read_labels_csv(path).alphabet == ("1", "cr\nlf")
 
 
 def test_integer_names_of_one_value_sort_by_text(tmp_path):

@@ -22,7 +22,7 @@ from clfmeasures.measures import (
     MeasureArityError,
     MeasureParseError,
     evaluate,
-    evaluate_oriented,
+    oriented,
     parse_measure_id,
     with_scheme,
 )
@@ -311,8 +311,8 @@ class TestOrientation:
         bad = confusion_matrix([[0, 5], [5, 0]])
         for mid in CANONICAL_IDS:
             d = parse_measure_id(mid)
-            g = evaluate_oriented(d, good)
-            b = evaluate_oriented(d, bad)
+            g = oriented(d, evaluate(d, good))
+            b = oriented(d, evaluate(d, bad))
             assert value_str(g) != value_str(b)
             from clfmeasures.values import value_cmp
 

@@ -30,7 +30,7 @@ from clfmeasures import (
     value_str,
     as_float,
 )
-from clfmeasures.measures import evaluate_oriented
+from clfmeasures.measures import oriented
 from clfmeasures.properties import ALL_PROPERTIES, preservation_spaces
 
 PROP_ORDER = ("max", "min", "sym", "csym", "dist", "mon", "smon", "cb", "acb")
@@ -422,6 +422,6 @@ def test_mon_edit_never_strictly_worsens(data):
     edited = ConfusionMatrix(tuple(tuple(r) for r in rows))
     for mid in MON_SATISFIED_BINARY:
         desc = parse_measure_id(mid)
-        before = evaluate_oriented(desc, C)
-        after = evaluate_oriented(desc, edited)
+        before = oriented(desc, evaluate(desc, C))
+        after = oriented(desc, evaluate(desc, edited))
         assert value_cmp(after, before) >= 0, mid
