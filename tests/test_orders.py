@@ -49,13 +49,23 @@ class TestRatePlumbing:
             rate_matrix(Fraction(1, 10), HALF, Fraction(3, 4))
         with pytest.raises(ValueError):
             rate_matrix(QUARTER, Fraction(6, 5), HALF)
+
+    def test_rate_triple_validation(self):
+        C = rate_matrix(Fraction(3, 10), HALF, Fraction(2, 5))
+        assert C.entries == (
+            (Fraction(2, 5), Fraction(1, 10)),
+            (Fraction(1, 5), Fraction(3, 10)),
+        )
         with pytest.raises(ValueError):
             rate_matrix(Fraction(9, 10), HALF, Fraction(2, 5))
         with pytest.raises(ValueError):
             rate_matrix(0, Fraction(-1, 10), HALF)
+
+    def test_rate_triple_coerces(self):
         # Int rates are read as the Fractions they stand for.
         C = rate_matrix(0, 1, 0)
         assert C.entries == ((0, 0), (1, 0)) and type(C[1, 0]) is Fraction
+        assert all(type(x) is Fraction for row in rate_matrix(0, HALF, HALF).entries for x in row)
 
     def test_default_grid_interior(self):
         grid = default_rate_grid(20)
