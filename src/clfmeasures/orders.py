@@ -35,9 +35,9 @@ probe measures.
 :func:`check_gm_normalizer_conditions` verifies the six conditions on a
 normalizer s(p_a, p_b) under which s * (p_ab - p_a*p_b) retains the full
 chance-correction property set, instantiated for the power-mean
-normalizers of the generalized-means family.  Conditions on rational
-data are checked exactly; the two bound conditions involving roots use
-high-precision floats with an explicit strictness margin.
+normalizers of the generalized-means family.  Every condition is
+decided exactly: the two bound conditions compare the root-valued
+normalizer with its rational bound by :func:`clfmeasures.values.exact_cmp`.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ from mpmath import mp
 
 from .core import ConfusionMatrix, _with_margins
 from .measures import evaluate, parse_measure_id, power_mean_ratio
-from .values import Value, as_float, scale, value_cmp, value_sum
+from .values import Value, as_float, exact_cmp, scale, value_cmp, value_sum
 
 ORDER_DPS = 40
 DEFAULT_ZERO_TOL = 1e-6
-DEFAULT_STRICT_MARGIN = 1e-9
 #: Step size as a fraction of the feasible p_ab interval's width.
 DEFAULT_H_SCALE = Fraction(1, 10**4)
 
@@ -381,10 +380,12 @@ class ConditionReport:
         if not ok and len(self.failures) < 5:  # keep the first few; counts say the rest
             self.failures.append({"p_a": str(p_a), "p_b": str(p_b), "detail": detail, **extra})
 
-    def strict_margin(self, margin: float, p_a, p_b, detail: str) -> None:
+    def strict(self, ok: bool, margin: float, p_a, p_b, detail: str) -> None:
+        """A strict inequality decided exactly as ``ok``; ``margin`` is its
+        slack as a float, for the report."""
         if self.min_strict_margin is None or margin < self.min_strict_margin:
             self.min_strict_margin = margin
-        self.check(margin > DEFAULT_STRICT_MARGIN, p_a, p_b, detail, margin=margin)
+        self.check(ok, p_a, p_b, detail, margin=margin)
 
     def equality_point(self, ok: bool, p_a, p_b, detail: str) -> None:
         self.equality_points += 1
@@ -418,9 +419,9 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
     2. s(p, p) = s(p, 1-p) = 1/(p(1-p)) (exact).
     3. s stays below max(1/(p_a p_b), 1/((1-p_a)(1-p_b))); the bound is
        only asserted away from complementary margins, where it is not
-       required.  Strict by at least ``DEFAULT_STRICT_MARGIN``.
+       required.  Strict, compared exactly.
     4. s stays below max(1/(p_a(1-p_b)), 1/((1-p_a)p_b)) away from equal
-       margins, strict by at least ``DEFAULT_STRICT_MARGIN``.
+       margins; strict, compared exactly.
     5. The scaling derivative (p_a d/dp_a + p_b d/dp_b) log s lies in
        its admissible band.  For power means it is the weight-averaged
        combination of the band's upper-edge terms, so it touches the
@@ -473,18 +474,14 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
                 "joint complement changes s",
             )
 
-            if p_b != 1 - p_a:
-                bound3 = max(
-                    1 / (p_a * p_b), 1 / ((1 - p_a) * (1 - p_b))
-                )
-                margin3 = as_float(value_sum([bound3, _minus(s_val)]))
-                c3.strict_margin(margin3, p_a, p_b, "same-sign bound violated")
-            if p_b != p_a:
-                bound4 = max(
-                    1 / (p_a * (1 - p_b)), 1 / ((1 - p_a) * p_b)
-                )
-                margin4 = as_float(value_sum([bound4, _minus(s_val)]))
-                c4.strict_margin(margin4, p_a, p_b, "cross-sign bound violated")
+            for cond, asserted, bound, sign in (
+                (c3, p_b != 1 - p_a, max(1 / (p_a * p_b), 1 / ((1 - p_a) * (1 - p_b))), "same"),
+                (c4, p_b != p_a, max(1 / (p_a * (1 - p_b)), 1 / ((1 - p_a) * p_b)), "cross"),
+            ):
+                if asserted:
+                    margin = as_float(value_sum([bound, _minus(s_val)]))
+                    ok = exact_cmp(s_val, bound) < 0
+                    cond.strict(ok, margin, p_a, p_b, f"{sign}-sign bound violated")
 
             w_x, w_y = _power_weights(p_a, p_b, r)
             edge_a5 = (2 * p_a - 1) / (1 - p_a)
@@ -497,12 +494,8 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
                     lo5 <= g5 <= hi5, p_a, p_b, "band violated on equal margins"
                 )
             else:
-                c5.strict_margin(
-                    float(min(g5 - lo5, hi5 - g5)),
-                    p_a,
-                    p_b,
-                    "band not strict off equal margins",
-                )
+                slack5 = min(g5 - lo5, hi5 - g5)
+                c5.strict(slack5 > 0, float(slack5), p_a, p_b, "band not strict off equal margins")
 
             edge_a6 = 2 - 1 / p_a
             edge_b6 = 2 - 1 / (1 - p_b)
@@ -517,12 +510,9 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
                     "band violated on complementary margins",
                 )
             else:
-                c6.strict_margin(
-                    float(min(g6 - lo6, hi6 - g6)),
-                    p_a,
-                    p_b,
-                    "band not strict off complementary margins",
-                )
+                slack6 = min(g6 - lo6, hi6 - g6)
+                detail = "band not strict off complementary margins"
+                c6.strict(slack6 > 0, float(slack6), p_a, p_b, detail)
 
             closed = normalizer_partial_pa(p_a, p_b, r, s_val)
             fd = scale(
@@ -543,7 +533,6 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
     return {
         "r": r,
         "grid_steps": steps,
-        "strict_margin": DEFAULT_STRICT_MARGIN,
         "conditions": conditions,
         "all_hold": all_hold,
         "partial_check": partial,

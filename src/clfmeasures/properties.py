@@ -51,6 +51,15 @@ degenerate sub-problem is deliberately not chance-level).
 Verdicts carry replayable witnesses: matrices are rendered as exact
 entry strings and values through :func:`clfmeasures.values.value_str`.
 
+The ``dist`` scan reads labeling triples (A, B, C) in ``itertools.product``
+order.  Its float screen and the exact confirmation of each hit see a
+triple only through its three confusion matrices, which permuting the
+positions keeps, so the first violation lies on the first pair of the
+matrix of (A, B).  Each level visits one such start pair per matrix (A
+sorted, B ascending within each class block of A), screens every C at
+once and confirms every float hit in order.  ``checked`` and the budget
+still count every labeling pair and triple.
+
 The ``csym``, ``mon`` and ``smon`` scans run one sample size (level) at a
 time over the orbits of the level under relabeling the classes, each
 orbit represented by its first member in space order.  Their moves
@@ -78,28 +87,25 @@ so a matrix shared by several checks (and by the ``cb`` expectation
 tables) is evaluated once.  The row evaluator adds only the comparison
 tolerance, the enumeration budget and witness rendering.  The memo is
 dropped with its row.  Kept for the life of the process are the verdicts
-of the default binary bounds (``_default_verdicts``), the audit levels
-and their orbits (``_space_entries``, ``_orbit_index``, bounded LRU
-caches of entry tuples), the row fills of the enumerator
-(``core._row_fills``), the chance-expectation tables of
-``baselines._tables`` (at most ``TABLE_MATRICES`` matrices) and the
+of the default binary bounds (``_default_verdicts``), the audit levels,
+their orbits and their ``dist`` pair index (``_space_entries``,
+``_orbit_index``, ``_dist_level``, bounded LRU caches), the row fills
+of the enumerator (``core._row_fills``), the chance-expectation tables
+of ``baselines._tables`` (at most ``TABLE_MATRICES`` matrices) and the
 parsed descriptors of ``measures.parse_measure_id``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, reduce
 
 from .baselines import _expectation, is_unary
 from .core import (
     Budget,
     ConfusionMatrix,
-    Labeling,
-    build_confusion,
     compositions,
     enumerate_entries,
     expected_matrix,
@@ -143,8 +149,8 @@ VIOLATED = "violated"
 #: Smallest sample size of the ``cb``/``acb`` margin grid.
 CB_N_MIN = 2
 
-#: Float slack for the vectorized triangle scan; candidate violations are
-#: confirmed in exact or high-precision arithmetic before being reported.
+#: Float slack of the ``dist`` screens (distance zero, triangle); every
+#: candidate violation is confirmed in exact or high-precision arithmetic.
 DIST_TOL = 1e-9
 
 
@@ -569,39 +575,52 @@ def _check_constant_over_margins(ev: _Eval, space: AuditSpace, value_of):
 # distance
 
 
-def _labeling_array(m: int, n: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int8)
+@lru_cache(maxsize=16)
+def _dist_level(m: int, n: int) -> tuple:
+    """The labeling pairs of one ``dist`` level, indexed by their matrices.
 
-
-def _pair_table_index(labels: np.ndarray, m: int):
-    """Map every ordered labeling pair to its confusion table.
-
-    Returns (tables, inverse) with ``tables`` the distinct m*m count
-    vectors in lexicographic order and ``inverse`` of shape (L, L)
-    indexing into them.
+    Returns ``(labelings, rows, starts)``: the m**n labelings in
+    ``itertools.product`` order; ``rows[p][q]``, the index in
+    ``_space_entries(m, n, 0)`` of the confusion matrix of labelings p
+    (true) and q; and, in product order, one start pair ``(p, q, k)`` per
+    matrix k: its lexicographically first pair, p sorted and q ascending
+    within each class block of p.
     """
-    onehot = (labels[:, :, None] == np.arange(m)[None, None, :]).astype(np.float32)
-    joint = np.einsum("pki,qkj->pqij", onehot, onehot)
-    L, n = labels.shape
-    flat = joint.reshape(L * L, m * m).astype(np.int64)
-    # One key per table, its cells as digits in base n + 1, most
-    # significant first: keys sort as the tables do lexicographically.
-    # Python ints (object dtype) take over where int64 would overflow.
-    dtype = np.int64 if (n + 1) ** (m * m) <= np.iinfo(np.int64).max else object
-    weights = np.array([(n + 1) ** k for k in range(m * m - 1, -1, -1)], dtype=dtype)
-    keys = flat.astype(dtype, copy=False) @ weights
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return flat[first], inverse.reshape(L, L)
+    level = _space_entries(m, n, 0)
+    # A matrix's key: its cells as digits in base n + 1.
+    weights = [[(n + 1) ** (i * m + j) for j in range(m)] for i in range(m)]
+    index = {
+        sum(x * w for row, wrow in zip(e, weights) for x, w in zip(row, wrow)): k
+        for k, e in enumerate(level)
+    }
+    labelings = tuple(itertools.product(range(m), repeat=n))
+    rows = []
+    for labels in labelings:
+        keys = [0]  # then keys[q]: the key of the matrix of labels and labeling q
+        for i in labels:
+            keys = [key + w for key in keys for w in weights[i]]
+        rows.append(tuple(map(index.__getitem__, keys)))
+
+    def position(labels) -> int:
+        return reduce(lambda pos, x: pos * m + x, labels, 0)
+
+    starts = tuple(sorted(
+        (
+            position(i for i, row in enumerate(e) for _ in range(sum(row))),
+            position(j for row in e for j, x in enumerate(row) for _ in range(x)),
+            k,
+        )
+        for k, e in enumerate(level)
+    ))
+    return labelings, tuple(rows), starts
 
 
-def _confirm_triangle(ev: _Eval, c_max, la, lb, lc, m: int) -> bool:
-    """Exact (or high-precision) confirmation of a float triangle hit."""
-    vab = ev.oriented(build_confusion(la, lb))
-    vbc = ev.oriented(build_confusion(lb, lc))
-    vac = ev.oriented(build_confusion(la, lc))
+def _confirm_triangle(ev: _Eval, c_max, ac, ab, bc) -> bool:
+    """Exact (or high-precision) confirmation of a float triangle hit on
+    the matrices of (A, C), (A, B) and (B, C)."""
     # d(A,C) > d(A,B) + d(B,C)  <=>  v_AB + v_BC > v_AC + c_max
-    lhs = value_sum([vab, vbc])
-    rhs = value_sum([vac, c_max])
+    lhs = value_sum([ev.oriented(ab), ev.oriented(bc)])
+    rhs = value_sum([ev.oriented(ac), c_max])
     return value_cmp(lhs, rhs, DIST_TOL) > 0
 
 
@@ -614,67 +633,56 @@ def _check_dist(ev: _Eval, space: AuditSpace):
             return VIOLATED, {"kind": f"prerequisite_{prereq}_failed", "inner": witness}, checked
 
     # The oriented best value; diagonal matrices all share it (max holds).
-    ref = ConfusionMatrix(
-        tuple(
-            tuple(1 if i == j else 0 for j in range(space.m)) for i in range(space.m)
-        )
+    m = space.m
+    c_max = ev.oriented(
+        ConfusionMatrix(tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))
     )
-    c_max = ev.oriented(ref)
     c_max_f = as_float(c_max)
 
     for n in range(1, space.dist_n_max + 1):
-        ev.charge(space.m**n)
-        labels = _labeling_array(space.m, n)
-        L = labels.shape[0]
-        tables, inverse = _pair_table_index(labels, space.m)
-        vals = np.empty(len(tables), dtype=np.float64)
-        for k, tab in enumerate(tables.tolist()):
-            C = ConfusionMatrix._trusted(
-                tuple(tuple(tab[i * space.m:(i + 1) * space.m]) for i in range(space.m))
-            )
-            vals[k] = as_float(ev.oriented(C))
-        D = c_max_f - vals[inverse]
+        ev.charge(m**n)
+        labelings, rows, starts = _dist_level(m, n)
+        level = [ConfusionMatrix._trusted(e) for e in _space_entries(m, n, 0)]
+        dist = [c_max_f - as_float(ev.oriented(C)) for C in level]
+        D = [list(map(dist.__getitem__, row)) for row in rows]
+        L = len(rows)
         checked += L * L
 
-        def labeling(idx: int) -> Labeling:
-            return Labeling(tuple(int(x) for x in labels[idx]), space.m)
-
         # Identity of indiscernibles: distance zero only between equal labelings.
-        off = D <= DIST_TOL
-        np.fill_diagonal(off, False)
-        if off.any():
-            p, q = map(int, np.argwhere(off)[0])
-            la, lb = labeling(p), labeling(q)
-            vab = ev.oriented(build_confusion(la, lb))
-            if value_cmp(vab, c_max, DIST_TOL) >= 0:
+        for a, b, k in starts:
+            if a != b and dist[k] <= DIST_TOL and value_cmp(
+                ev.oriented(level[k]), c_max, DIST_TOL
+            ) >= 0:
                 w = ev.witness(
                     "distinct_labelings_at_distance_zero",
-                    [build_confusion(la, lb)],
-                    labelings=[list(la.labels), list(lb.labels)],
+                    [level[k]],
+                    labelings=[list(labelings[a]), list(labelings[b])],
                 )
                 return VIOLATED, w, checked
 
-        for a_idx in range(L):
-            # d(A, C) <= d(A, B) + d(B, C) for every middle B, vectorized.
-            slack = D[a_idx, None, :] - (D[a_idx, :, None] + D) - DIST_TOL
-            checked += L * L
-            if not (slack > 0).any():
+        def slack(a: int, b: int):
+            """d(A, C) - (d(A, B) + d(B, C)) in floats, for every C."""
+            Da = D[a]
+            return map(operator.sub, Da, map(operator.add, itertools.repeat(Da[b]), D[b]))
+
+        # The triangle inequality: a float screen of every C (a nan slack
+        # never hits), then every hit in order is confirmed.
+        for a, b, _ in starts:
+            if max(slack(a, b)) - DIST_TOL <= 0:
                 continue
-            b_idx, c_idx = map(int, np.argwhere(slack > 0)[0])
-            la, lb, lc = labeling(a_idx), labeling(b_idx), labeling(c_idx)
-            if _confirm_triangle(ev, c_max, la, lb, lc, space.m):
-                mats = [
-                    build_confusion(la, lc),
-                    build_confusion(la, lb),
-                    build_confusion(lb, lc),
-                ]
-                w = ev.witness(
-                    "triangle_violation",
-                    mats,
-                    labelings=[list(x.labels) for x in (la, lb, lc)],
-                    n=n,
-                )
-                return VIOLATED, w, checked
+            for c, s in enumerate(slack(a, b)):
+                if not s - DIST_TOL > 0:
+                    continue
+                mats = [level[rows[x][y]] for x, y in ((a, c), (a, b), (b, c))]
+                if _confirm_triangle(ev, c_max, *mats):
+                    w = ev.witness(
+                        "triangle_violation",
+                        mats,
+                        labelings=[list(labelings[x]) for x in (a, b, c)],
+                        n=n,
+                    )
+                    return VIOLATED, w, checked + (a + 1) * L * L
+        checked += L**3
     return SATISFIED, None, checked
 
 
@@ -695,7 +703,7 @@ def check_property(
     space; a ``violated`` verdict carries a replayable witness.  ``budget``
     is charged once per enumerated state: each matrix of a value or edit
     space, each margin pair of ``cb``/``acb`` (plus the matrices of each
-    ``cb`` expectation), and ``m**n`` per labeling array of ``dist``.
+    ``cb`` expectation), and ``m**n`` per level of ``dist``.
     """
     if isinstance(desc, str):
         desc = parse_measure_id(desc)

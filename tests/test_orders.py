@@ -14,6 +14,7 @@ from clfmeasures import confusion_matrix, evaluate, parse_measure_id
 from clfmeasures.core import ConfusionMatrix
 from clfmeasures.measures import AUDIT_ONLY_IDS, SCHEMES
 from clfmeasures.orders import (
+    ConditionReport,
     baseline_order,
     check_gm_normalizer_conditions,
     default_rate_grid,
@@ -397,6 +398,26 @@ class TestGmNormalizer:
         rep = check_gm_normalizer_conditions(Fraction(-2), steps=4)
         assert rep["r"] == -2
 
+    @pytest.mark.slow
+    def test_tiny_positive_margins_hold_at_r16(self):
+        # Conditions 5 and 6 hold strictly on the whole grid, down to a
+        # margin of 2.6e-12 at (1/20, 1/5); a float threshold of 1e-9
+        # would fail them.
+        rep = check_gm_normalizer_conditions(16)
+        assert rep["all_ok"]
+        assert 0 < rep["conditions"][4].min_strict_margin < 1e-11
+
+    def test_strict_conditions_are_decided_exactly(self):
+        cond = ConditionReport(5, "a strict inequality")
+        cond.strict(True, 2.6e-12, HALF, QUARTER, "not strict")
+        assert cond.holds and cond.min_strict_margin == 2.6e-12
+        cond.strict(False, 0.5, QUARTER, HALF, "not strict")
+        assert not cond.holds
+        assert cond.failures == [
+            {"p_a": "1/4", "p_b": "1/2", "detail": "not strict", "margin": 0.5}
+        ]
+        assert "strict_margin" not in check_gm_normalizer_conditions(1, steps=4)
+
     def test_condition_reports_serialize(self):
         rep = check_gm_normalizer_conditions(1, steps=6)
         assert set(rep["partial_check"]) == {"max_rel_error", "tolerance", "ok"}
@@ -408,14 +429,15 @@ class TestGmNormalizer:
 class TestNormalizerReportsPinned:
     """``check_gm_normalizer_conditions(r, steps=20)`` serialized with each
     condition's ``to_dict()``, as ``bench/worker.py`` writes it: sha256 of
-    the JSON, as computed while the conditions were tallied by a separate
-    mutable class."""
+    the JSON.  These are the digests of the reports made while conditions
+    3 to 6 were decided by a 1e-9 float margin, with the report's
+    ``"strict_margin"`` key removed: at these r the exact decisions agree."""
 
     DIGESTS = {
-        -2: "dbf204954b8721195b53a6ff023535d8e8aeae19a96af29271dc4af2cc5bee49",
-        -1: "737dc6b4156b68c33198b7fe8036b234ce282f32fffb1e5bdbdce4ee9af25515",
-        1: "21fff74dd7a25b2cb1ce71c990255681bc83166c28545efd67edd79d20f449ee",
-        2: "44ee626ea15ec0bb9efbe3c72fbe2c325b854b7e7dcd9954838700f35eda370a",
+        -2: "ea630e11f5a882190d767fedc10ed7cd24e2541d16fada142246f24a875600f9",
+        -1: "6b02889506024fa8b1c87732d35ee16e3c5c4f5db4436b5dde85eca1b70dc719",
+        1: "293532e6900552e5c184635cb00d38aedff9ce4adb02d40105da20719a11fe89",
+        2: "c9405867774b62085acbab78fcf7959dd3509f8370a10305d9e2fce55ae0c5a6",
     }
 
     @pytest.mark.parametrize("r", list(DIGESTS))

@@ -5,12 +5,12 @@ of one measure on one row evaluator; these tests hold them to fresh
 per-cell ``check_property`` calls, pin that a matrix is evaluated once
 per row (and once per measure in ``indistinguishable_groups``), and that
 no evaluator outlives the call that made it.  The ``dist`` pair index is
-held to the row-wise ``np.unique`` it replaced.
+held to ``build_confusion`` on every labeling pair.
 """
 
 import gc
+import itertools
 
-import numpy as np
 import pytest
 
 from clfmeasures import (
@@ -24,7 +24,7 @@ from clfmeasures import (
 )
 from clfmeasures import baselines, measures, properties
 from clfmeasures.cli import MULTICLASS_IDS
-from clfmeasures.core import ConfusionMatrix
+from clfmeasures.core import ConfusionMatrix, Labeling, build_confusion
 from clfmeasures.inconsistency import indistinguishable_groups, pairwise_inconsistency
 from clfmeasures.measures import CANONICAL_IDS, SCHEMES, with_scheme
 from clfmeasures.properties import ALL_PROPERTIES, audit_space_policy
@@ -156,25 +156,21 @@ def test_no_evaluator_outlives_its_call(run):
     assert _live_evaluators() == 0
 
 
-def _reference_pair_table_index(labels, m):
-    """The former row-wise ``np.unique(axis=0)`` index."""
-    onehot = (labels[:, :, None] == np.arange(m)[None, None, :]).astype(np.float32)
-    joint = np.einsum("pki,qkj->pqij", onehot, onehot)
-    L = labels.shape[0]
-    flat = joint.reshape(L * L, m * m).astype(np.int32)
-    tables, inverse = np.unique(flat, axis=0, return_inverse=True)
-    return tables, inverse.reshape(L, L)
-
-
 @pytest.mark.parametrize(
     "m, n",
     [(m, n) for m in (2, 3) for n in range(1, 6)] + [(2, 6), (6, 3)],
 )
-def test_pair_table_index_matches_row_unique(m, n):
-    # (6, 3) has 4**36 > 2**63 possible keys: the Python-int key path.
-    labels = properties._labeling_array(m, n)
-    tables, inverse = properties._pair_table_index(labels, m)
-    ref_tables, ref_inverse = _reference_pair_table_index(labels, m)
-    assert np.array_equal(tables, ref_tables)
-    assert np.array_equal(inverse, ref_inverse)
-
+def test_dist_level_rows_match_build_confusion(m, n):
+    # (6, 3) has matrix keys beyond 2**63: (n + 1)**(m * m) = 4**36.
+    labelings, rows, starts = properties._dist_level(m, n)
+    level = properties._space_entries(m, n, 0)
+    assert labelings == tuple(itertools.product(range(m), repeat=n))
+    first = {}
+    for p, a in enumerate(labelings):
+        for q, b in enumerate(labelings):
+            k = rows[p][q]
+            assert level[k] == build_confusion(Labeling(a, m), Labeling(b, m)).entries
+            first.setdefault(k, (p, q))
+    # One start pair per matrix: its first pair in product order.
+    assert starts == tuple(sorted((p, q, k) for k, (p, q) in first.items()))
+    assert len(starts) == len(level)
