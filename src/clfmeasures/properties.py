@@ -72,12 +72,12 @@ representation, not merely equal within ``eps``); each comparison then
 comes out alike for every member, ties included, and each check of the
 representative counts orbit-size times in ``checked``.  Otherwise, and
 on a violation, the level is rescanned matrix by matrix in space order,
-so ``checked``, the witness and the budget charged are always those of
-the scan of every matrix; a reduced level charges its matrices when it
-finishes.  So ``csym`` makes one identity test per matrix and compares
+so ``checked`` and the witness are always those of the scan of every
+matrix.  So ``csym`` makes one identity test per matrix and compares
 only the representatives with their relabelings.  Binary ``f`` and
 ``jaccard`` are the rows of the default grids whose orbits are not
-identical.
+identical.  Every scan charges the budget a whole level when it reaches
+it, before building it.
 
 Values are memoized per row of the audit grid, on one
 :class:`clfmeasures.measures.Evaluator` per measure: :func:`audit_grid`
@@ -86,18 +86,20 @@ runs every property of one measure on it, and
 so a matrix shared by several checks (and by the ``cb`` expectation
 tables) is evaluated once.  The row evaluator adds only the comparison
 tolerance, the enumeration budget and witness rendering.  The memo is
-dropped with its row.  Kept for the life of the process are the verdicts
-of the default binary bounds (``_default_verdicts``), the audit levels,
-their orbits and their ``dist`` pair index (``_space_entries``,
-``_orbit_index``, ``_dist_level``, bounded LRU caches), the row fills
-of the enumerator (``core._row_fills``), the chance-expectation tables
-of ``baselines._tables`` (at most ``TABLE_MATRICES`` matrices) and the
+dropped with its row.  Kept for the life of the process are the binary
+verdicts that the preservation and impossibility checks read
+(``_default_verdicts``), the audit levels, their orbits and their
+``dist`` pair index (``_space_entries``, ``_orbit_index``,
+``_dist_level``, bounded LRU caches), the row fills of the enumerator
+(``core._row_fills``), the chance-expectation tables of
+``baselines._tables`` (at most ``TABLE_MATRICES`` matrices) and the
 parsed descriptors of ``measures.parse_measure_id``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -276,7 +278,7 @@ class _Eval(Evaluator):
     One instance serves every property audited for its measure (a row of
     the audit grid) and is dropped when the row is done, so no value
     outlives the audit or crosses a change of working precision.
-    ``budget`` (None: unlimited) is charged once per enumerated state.
+    ``budget`` (None: unlimited) is charged as :func:`check_property` says.
     """
 
     def __init__(self, desc: MeasureDescriptor, eps: float, budget: Budget | None):
@@ -332,6 +334,15 @@ def _space_entries(m: int, n: int, min_row: int) -> tuple:
 
 
 @lru_cache(maxsize=4096)
+def _level_size(m: int, n: int, min_row: int) -> int:
+    """``len(_space_entries(m, n, min_row))``, counted without building it."""
+    return sum(
+        math.prod(math.comb(a + m - 1, m - 1) for a in rows)
+        for rows in compositions(n, m, min_part=min_row)
+    )
+
+
+@lru_cache(maxsize=4096)
 def _orbit_index(m: int, n: int, min_row: int) -> tuple:
     """The orbits of ``_space_entries(m, n, min_row)`` under relabeling
     the classes (simultaneous row and column permutation).
@@ -357,9 +368,8 @@ def _orbit_index(m: int, n: int, min_row: int) -> tuple:
 
 def _iter_matrices(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int = 1):
     for n in range(max(n_lo, 1), n_hi + 1):
-        for entries in _space_entries(m, n, min_row):
-            ev.charge()
-            yield ConfusionMatrix._trusted(entries)
+        ev.charge(_level_size(m, n, min_row))
+        yield from map(ConfusionMatrix._trusted, _space_entries(m, n, min_row))
 
 
 def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix:
@@ -445,12 +455,13 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
     reduced when its orbits and those of the levels it reaches each carry
     one identical value on the row: then every member's checks come out
     as its representative's, so the representative weighs the orbit size.
-    A reduced level is charged when it finishes.  Otherwise, or on a
-    violation, the level is rescanned matrix by matrix in space order, so
-    ``checked`` and the witness are those of the full scan.
+    Otherwise, or on a violation, the level is rescanned matrix by matrix
+    in space order, so ``checked`` and the witness are those of the full
+    scan.  Each level is charged in full on entry, before it is built.
     """
     checked = 0
     for n in range(max(n_lo, 1), n_hi + 1):
+        ev.charge(_level_size(m, n, min_row))
         starts = [
             (C, len(orbit))
             for orbit in _orbit_index(m, n, min_row)
@@ -459,10 +470,10 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
         if starts and all(ev.orbits_identical(m, n + d, min_row) for d in reach):
             status, _, sub = _scan(ev, starts, moves, worse)
             if status == SATISFIED:
-                ev.charge(len(_space_entries(m, n, min_row)))
                 checked += sub
                 continue
-        full = ((C, 1) for C in _iter_matrices(ev, m, n, n, min_row) if keep(C))
+        level = map(ConfusionMatrix._trusted, _space_entries(m, n, min_row))
+        full = ((C, 1) for C in level if keep(C))
         status, witness, sub = _scan(ev, full, moves, worse)
         checked += sub
         if status == VIOLATED:
@@ -701,12 +712,12 @@ def check_property(
 
     A ``satisfied`` verdict means no counterexample exists within the
     space; a ``violated`` verdict carries a replayable witness.  ``budget``
-    is charged once per enumerated state: each matrix of a value or edit
-    space, each margin pair of ``cb``/``acb`` (plus the matrices of each
-    ``cb`` expectation), and ``m**n`` per level of ``dist``.
+    is charged before each sample size (level) is built: the whole level
+    of a value or edit space, ``m**n`` for ``dist``, and no refund when a
+    violation stops the scan midway.  ``cb``/``acb`` charge each margin
+    pair, and ``cb`` also the matrices of each expectation.
     """
-    if isinstance(desc, str):
-        desc = parse_measure_id(desc)
+    desc = parse_measure_id(desc) if isinstance(desc, str) else desc
     prop = parse_property(prop)
     if space is None:
         space = audit_space_policy(desc, prop, m=2)
@@ -719,7 +730,6 @@ def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
 
     The caller has checked that the measure has a value at ``space.m``.
     """
-    desc = ev.desc
     if prop == MAX:
         status, witness, checked = _check_extremal(ev, space, at_max=True)
     elif prop == MIN:
@@ -738,11 +748,11 @@ def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
         )
     elif prop == ACB:
         status, witness, checked = _check_constant_over_margins(
-            ev, space, lambda a, b: evaluate(desc, expected_matrix(a, b))
+            ev, space, lambda a, b: evaluate(ev.desc, expected_matrix(a, b))
         )
     else:
         status, witness, checked = _check_dist(ev, space)
-    return Verdict(desc.measure_id, prop, status, space.describe(), witness, checked)
+    return Verdict(ev.desc.measure_id, prop, status, space.describe(), witness, checked)
 
 
 #: Verdicts of the default binary bounds, kept for the life of the
@@ -763,8 +773,7 @@ def _default_binary_verdicts(measure_id: str, props) -> list[Verdict]:
         if key not in _default_verdicts:
             if ev is None:
                 ev = _Eval(parse_measure_id(measure_id), DEFAULT_EPS, None)
-            space = audit_space_policy(ev.desc, key[1], m=2)
-            _default_verdicts[key] = _run(ev, key[1], space)
+            _default_verdicts[key] = _run(ev, key[1], audit_space_policy(ev.desc, key[1], m=2))
     return [_default_verdicts[key] for key in keys]
 
 
@@ -772,33 +781,25 @@ def audit_grid(
     measure_ids=CANONICAL_IDS,
     properties=ALL_PROPERTIES,
     m: int = 2,
-    space: AuditSpace | None = None,
     eps: float = DEFAULT_EPS,
     n_max: int | None = None,
     budget: Budget | None = None,
 ) -> list[Verdict]:
     """Run the measure-by-property audit grid, measure-major.
 
-    Each cell runs over ``space``, or else over
-    ``audit_space_policy(desc, prop, m, n_max)``; one ``budget`` is
-    shared by every cell, and the cells of one measure share one row
-    evaluator.  Verdicts of the default binary bounds are cached across
-    calls when ``eps`` is the default and no budget is given.  A
-    binary-only measure at m > 2 is refused before any cell runs.
+    Each cell runs over ``audit_space_policy(desc, prop, m, n_max)``; one
+    ``budget`` is shared by every cell, and the cells of one measure share
+    one row evaluator.  A binary-only measure at m > 2 is refused before
+    any cell runs.
     """
-    default = (m, space, n_max, eps, budget) == (2, None, None, DEFAULT_EPS, None)
-    rows = [(mid, parse_measure_id(mid)) for mid in measure_ids]
-    for _, desc in rows:
-        check_arity(desc, m if space is None else space.m)
+    descs = [parse_measure_id(mid) for mid in measure_ids]
+    for desc in descs:
+        check_arity(desc, m)
+    props = [parse_property(prop) for prop in properties]
     verdicts = []
-    for mid, desc in rows:
-        if default:
-            verdicts += _default_binary_verdicts(mid, properties)
-            continue
+    for desc in descs:
         ev = _Eval(desc, eps, budget)
-        for prop in properties:
-            sp = space if space is not None else audit_space_policy(desc, prop, m, n_max)
-            verdicts.append(_run(ev, parse_property(prop), sp))
+        verdicts += [_run(ev, prop, audit_space_policy(desc, prop, m, n_max)) for prop in props]
     return verdicts
 
 
@@ -957,9 +958,7 @@ def corroborate_impossibility(measure_ids=CANONICAL_IDS) -> dict:
     all_consistent = True
     for mid in measure_ids:
         verdicts = dict(zip((MON, DIST, CB), _default_binary_verdicts(mid, (MON, DIST, CB))))
-        has_all = all(v.satisfied for v in verdicts.values())
-        if has_all:
-            all_consistent = False
+        all_consistent &= not all(v.satisfied for v in verdicts.values())
         per_measure[mid] = {
             "mon": verdicts[MON].status,
             "dist": verdicts[DIST].status,

@@ -1,0 +1,104 @@
+"""The audit's budget rule: a scan charges a whole sample size (level) of
+its space when it reaches it, before the level is built.
+
+The charges of every cell of the default binary grid and of the m = 3,
+n <= 5 grid are pinned to those of the earlier per-matrix rule wherever
+the two rules agree: every satisfied cell, and every cell whose scan
+reads its whole space (max, min, cb, acb, dist past its prerequisites).
+A sym, csym, mon or smon scan that stops on a violation is charged every
+level up to and including its witness's.
+"""
+
+import pytest
+
+from clfmeasures import properties
+from clfmeasures.cli import main
+from clfmeasures.core import Budget, EnumerationBudgetExceeded
+from clfmeasures.properties import (
+    ALL_PROPERTIES,
+    AuditSpace,
+    _level_size,
+    _space_entries,
+    audit_grid,
+    check_property,
+)
+
+#: ``budget.used`` per cell under the per-matrix rule, in ALL_PROPERTIES
+#: order (max min sym csym dist mon smon cb acb).
+USED_BINARY = {
+    "f:beta=1": (406, 406, 406, 1, 818, 490, 9, 5, 2),
+    "jaccard": (406, 406, 406, 1, 938, 490, 9, 7, 2),
+    "cc": (406, 406, 406, 406, 826, 490, 494, 602, 196),
+    "acc": (406, 406, 406, 406, 938, 490, 494, 9, 4),
+    "ba": (406, 406, 19, 406, 19, 490, 23, 602, 196),
+    "kappa": (406, 406, 406, 406, 826, 490, 42, 602, 196),
+    "ce": (406, 1639, 406, 406, 814, 17, 9, 5, 2),
+    "sba": (406, 406, 406, 406, 826, 490, 494, 602, 196),
+    "gm:r=1": (406, 406, 406, 406, 826, 490, 494, 602, 196),
+    "cd": (406, 406, 406, 406, 938, 490, 494, 14, 196),
+}
+USED_M3_N5 = {
+    "acc": (783, 783, 783, 783, 1929, 1992, 2001, 6, 3),
+    "ba": (783, 783, 2, 783, 2, 1992, 21, 2482, 646),
+    "kappa": (783, 783, 783, 783, 1605, 232, 75, 2482, 646),
+    "cc": (783, 783, 783, 783, 1578, 756, 21, 2482, 646),
+}
+
+#: (first level, min_row) of the neighbour scans.
+LEVELS = {"sym": (1, 1), "csym": (1, 1), "mon": (2, 0), "smon": (1, 0)}
+
+
+def _charged_to_witness(m: int, prop: str, witness: dict) -> int:
+    """Every level of the scan of ``prop`` up to the witness's start matrix."""
+    n_lo, min_row = LEVELS[prop]
+    n = sum(int(x) for row in witness["matrices"][0] for x in row)
+    return sum(_level_size(m, k, min_row) for k in range(n_lo, n + 1))
+
+
+@pytest.mark.parametrize(
+    "m, n_max, pinned", [(2, None, USED_BINARY), (3, 5, USED_M3_N5)], ids=["binary", "m3-n5"]
+)
+def test_charges_pinned(m, n_max, pinned):
+    for mid, used in pinned.items():
+        for prop, charged in zip(ALL_PROPERTIES, used):
+            budget = Budget(10**12)
+            (verdict,) = audit_grid([mid], [prop], m=m, n_max=n_max, budget=budget)
+            witness = verdict.witness
+            if prop == "dist" and witness and witness["kind"] == "prerequisite_sym_failed":
+                prop, witness = "sym", witness["inner"]
+            if verdict.satisfied or prop not in LEVELS:
+                assert budget.used == charged, (mid, prop)
+            else:
+                expected = _charged_to_witness(m, prop, witness)
+                assert budget.used == expected >= charged, (mid, prop)
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 7), (2, 7), (3, 7), (4, 5)])
+def test_level_size_counts_the_level(m, n_max):
+    for min_row in (0, 1):
+        for n in range(n_max + 1):
+            assert _level_size(m, n, min_row) == len(_space_entries(m, n, min_row))
+
+
+def _refuse_level(monkeypatch, level):
+    def space_entries(m, n, min_row):
+        assert (m, n, min_row) != level, f"built level {level}"
+        return _space_entries(m, n, min_row)
+
+    monkeypatch.setattr(properties, "_space_entries", space_entries)
+
+
+def test_budget_stops_before_the_level_is_built(monkeypatch):
+    _refuse_level(monkeypatch, (7, 7, 1))
+    space = AuditSpace(m=7, n_max=7, mon_n_max=7, dist_n_max=4, cb_n_max=4)
+    with pytest.raises(EnumerationBudgetExceeded):
+        check_property("acc", "max", space, budget=Budget(10))
+
+
+def test_cli_budget_stops_before_the_level_is_built(monkeypatch, capsys):
+    _refuse_level(monkeypatch, (7, 7, 1))
+    argv = ["audit", "--m", "7", "--measures", "acc", "--properties", "max", "--budget", "10"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "budget" in err

@@ -31,7 +31,7 @@ from clfmeasures import (
     as_float,
 )
 from clfmeasures.measures import oriented
-from clfmeasures.properties import ALL_PROPERTIES, preservation_spaces
+from clfmeasures.properties import ALL_PROPERTIES, audit_space_policy, preservation_spaces
 
 PROP_ORDER = ("max", "min", "sym", "csym", "dist", "mon", "smon", "cb", "acb")
 
@@ -84,9 +84,12 @@ def binary_grid():
 
 @pytest.fixture(scope="module")
 def multiclass_grid():
-    verdicts = audit_grid(
-        measure_ids=list(MULTICLASS_REFERENCE), m=3, space=MULTICLASS_SPACE
-    )
+    # The m = 3 policy at n <= 5 is MULTICLASS_SPACE for every cell here.
+    for mid in MULTICLASS_REFERENCE:
+        for prop in ALL_PROPERTIES:
+            space = audit_space_policy(parse_measure_id(mid), prop, 3, 5)
+            assert space.describe() == MULTICLASS_SPACE.describe(), (mid, prop)
+    verdicts = audit_grid(measure_ids=list(MULTICLASS_REFERENCE), m=3, n_max=5)
     return {(v.measure_id, v.property): v for v in verdicts}
 
 
@@ -369,7 +372,8 @@ class TestBudget:
 
 class TestAuditGridEps:
     def test_eps_reaches_the_cells(self):
-        # The cross-call cache holds default-eps verdicts only.
+        # Each call audits on a fresh row evaluator, so a loose eps is not
+        # answered from the values or verdicts of an earlier default call.
         audit_grid(["cd"], ["max"])
         loose = audit_grid(["cd"], ["max"], eps=0.5)
         assert loose == [check_property("cd", "max", eps=0.5)]
