@@ -17,9 +17,11 @@ decimal everywhere.  With ``--no-timestamp`` the bytes are a pure
 function of config and input.
 
 Exit codes: 0 success, 2 input or usage error, 3 enumeration budget
-exceeded, 4 internal error.  Each command builds one enumeration budget
+exceeded, 4 internal error.  The commands that enumerate (``audit``,
+``distinguish`` and ``baseline``) each build one enumeration budget
 (``--budget``, else the ``MEASURE_AUDIT_BUDGET`` variable, else 10**9
-states) and charges every enumeration it runs against it.
+states) and charge every enumeration they run against it; the others
+take no budget and never read the variable.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import BUDGET_ENV_VAR, Budget, EnumerationBudgetExceeded
+from .core import Budget, EnumerationBudgetExceeded
 from .dataio import (
     FORMATS,
     InputError,
@@ -63,6 +66,11 @@ from .properties import (
 from .baselines import METHODS, exact_baseline_expectation
 from .measures import SCHEMES
 from .values import DEFAULT_EPS, Root, as_float, value_str, values_equal
+
+#: The environment variable that sets the budget of an enumerating
+#: command without ``--budget``, and the limit when neither is given.
+BUDGET_ENV_VAR = "MEASURE_AUDIT_BUDGET"
+DEFAULT_BUDGET_LIMIT = 10**9
 
 #: Multiclass-capable measures, used as defaults when inputs have m != 2.
 MULTICLASS_IDS = ("acc", "ba", "kappa", "ce", "cc", "sba", "cd")
@@ -139,36 +147,18 @@ def _parse_eps(text: str) -> float:
     return eps
 
 
-def _detect_matrix_format(path: str) -> str:
-    return "matrix-csv" if Path(path).suffix.lower() == ".csv" else "matrix-json"
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--output",
-        choices=("markdown", "json", "csv"),
-        default="markdown",
-        help="report format (default: markdown)",
-    )
-    sub.add_argument("--out", metavar="FILE", help="write the report to FILE")
-    sub.add_argument(
-        "--eps",
-        type=_parse_eps,
-        default=DEFAULT_EPS,
-        help="comparison tolerance for float-valued measures (default 1e-12)",
-    )
-    sub.add_argument(
-        "--budget",
-        type=int,
-        metavar="STATES",
-        help=f"enumeration budget of the whole command, in states (default: "
-        f"${BUDGET_ENV_VAR}, else 10**9)",
-    )
-    sub.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the generation time, making report bytes reproducible",
-    )
+def _budget_limit(flag: int | None) -> int:
+    """The limit of an enumerating command's budget: ``--budget``, else
+    :data:`BUDGET_ENV_VAR`, else :data:`DEFAULT_BUDGET_LIMIT`."""
+    source = "--budget" if flag is not None else BUDGET_ENV_VAR
+    raw = flag if flag is not None else os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET_LIMIT)
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise InputError(f"{source} must be an integer, got {raw!r}") from None
+    if limit <= 0:
+        raise InputError(f"{source} must be positive, got {raw!r}")
+    return limit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated measure ids; 'all' for the full registry "
         "(default: the full registry at m=2, the multiclass measures above)",
     )
-    _add_common(p)
 
     p = commands.add_parser("audit", help="property grid for the registry")
     p.add_argument(
@@ -229,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="audit micro/macro/weighted preservation instead of base measures",
     )
-    _add_common(p)
 
     p = commands.add_parser(
         "distinguish", help="order-identical measure groups per sample size"
@@ -241,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow sample sizes above 8 (larger exhaustive comparison spaces)",
     )
-    _add_common(p)
 
     p = commands.add_parser(
         "compare", help="pairwise inconsistency rates over model predictions"
@@ -254,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one labels-csv per model, all sharing the true column",
     )
     p.add_argument("--measures", default="default")
-    _add_common(p)
 
     p = commands.add_parser("rank", help="rank model predictions per measure")
     p.add_argument(
@@ -265,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one labels-csv per model, all sharing the true column",
     )
     p.add_argument("--measures", default="default")
-    _add_common(p)
 
     p = commands.add_parser(
         "baseline", help="exact expectation under margin randomization"
@@ -279,19 +264,42 @@ def build_parser() -> argparse.ArgumentParser:
         default="matrices",
         help="enumeration route; 'both' cross-checks the two",
     )
-    _add_common(p)
 
+    # The report options of every command, --eps of every command that
+    # compares values, and --budget of the enumerating ones.
+    for name, sub in commands.choices.items():
+        sub.add_argument(
+            "--output",
+            choices=("markdown", "json", "csv"),
+            default="markdown",
+            help="report format (default: markdown)",
+        )
+        sub.add_argument("--out", metavar="FILE", help="write the report to FILE")
+        if name != "eval":
+            sub.add_argument(
+                "--eps",
+                type=_parse_eps,
+                default=DEFAULT_EPS,
+                help="comparison tolerance for float-valued measures (default 1e-12)",
+            )
+        if name in ("audit", "distinguish", "baseline"):
+            sub.add_argument(
+                "--budget",
+                type=int,
+                metavar="STATES",
+                help=f"enumeration budget of the whole command, in states (default: "
+                f"${BUDGET_ENV_VAR}, else 10**9)",
+            )
+        sub.add_argument(
+            "--no-timestamp",
+            action="store_true",
+            help="omit the generation time, making report bytes reproducible",
+        )
     return parser
 
 
 # ---------------------------------------------------------------------------
 # shared report plumbing
-
-
-def _timestamp() -> str:
-    from datetime import datetime, timezone
-
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _arith_class(value) -> str:
@@ -340,17 +348,11 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _finish(report: dict, args) -> dict:
-    if not args.no_timestamp:
-        report["generated"] = _timestamp()
-    return report
-
-
 # ---------------------------------------------------------------------------
 # eval
 
 
-def _cmd_eval(args, budget: Budget) -> dict:
+def _cmd_eval(args) -> dict:
     if args.labels:
         fmt = args.format or "labels-csv"
         if fmt != "labels-csv":
@@ -366,7 +368,8 @@ def _cmd_eval(args, budget: Budget) -> dict:
             "label_mapping": parsed.mapping(),
         }
     else:
-        fmt = args.format or _detect_matrix_format(args.matrix)
+        suffix = Path(args.matrix).suffix.lower()
+        fmt = args.format or ("matrix-csv" if suffix == ".csv" else "matrix-json")
         if fmt == "labels-csv":
             raise InputError("--matrix cannot use the labels-csv format")
         matrix = parse_inputs(args.matrix, fmt)
@@ -597,7 +600,7 @@ def _default_for_m(m: int) -> tuple[str, ...]:
 # compare
 
 
-def _cmd_compare(args, budget: Budget) -> dict:
+def _cmd_compare(args) -> dict:
     names, pairs = _load_model_pairs(args.labels)
     if len(pairs) < 2:
         raise InputError("compare needs at least two model files")
@@ -659,7 +662,7 @@ def _md_compare(report: dict, headers, rows) -> list[str]:
 # rank
 
 
-def _cmd_rank(args, budget: Budget) -> dict:
+def _cmd_rank(args) -> dict:
     names, pairs = _load_model_pairs(args.labels)
     m = pairs[0].m
     measure_ids = _parse_measures(args.measures, _default_for_m(m))
@@ -801,13 +804,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
-    if getattr(args, "budget", None) is not None and args.budget <= 0:
-        print("error: --budget must be positive", file=sys.stderr)
-        return 2
     try:
-        budget = Budget(args.budget)
         builder = _COMMANDS[args.command][0]
-        report = _finish(builder(args, budget), args)
+        if "budget" in args:  # an enumerating command
+            report = builder(args, Budget(_budget_limit(args.budget)))
+        else:
+            report = builder(args)
+        if not args.no_timestamp:
+            from datetime import datetime, timezone
+
+            report["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
         _emit(_render(report, args), args.out)
         return 0
     except (InputError, MeasureParseError, MeasureArityError) as exc:

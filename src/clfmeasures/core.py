@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,20 +36,10 @@ class EnumerationBudgetExceeded(RuntimeError):
     """Raised when an enumeration visits more states than its budget allows."""
 
 
-DEFAULT_BUDGET_LIMIT = 10**9
-BUDGET_ENV_VAR = "MEASURE_AUDIT_BUDGET"
-
-
 class Budget:
     """Mutable counter limiting the number of enumerated states."""
 
-    def __init__(self, limit: int | None = None):
-        if limit is None:
-            raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET_LIMIT))
-            try:
-                limit = int(raw)
-            except ValueError:
-                raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    def __init__(self, limit: int):
         if limit <= 0:
             raise ValueError("budget limit must be positive")
         self.limit = limit

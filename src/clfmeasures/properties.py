@@ -77,7 +77,8 @@ matrix.  So ``csym`` makes one identity test per matrix and compares
 only the representatives with their relabelings.  Binary ``f`` and
 ``jaccard`` are the rows of the default grids whose orbits are not
 identical.  Every scan charges the budget a whole level when it reaches
-it, before building it.
+it, before building it; smon, whose moves add a unit, charges the level
+above along with it, since it reads that level's orbits too.
 
 Values are memoized per row of the audit grid, on one
 :class:`clfmeasures.measures.Evaluator` per measure: :func:`audit_grid`
@@ -366,10 +367,11 @@ def _orbit_index(m: int, n: int, min_row: int) -> tuple:
     return tuple(orbits)
 
 
-def _iter_matrices(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int = 1):
-    for n in range(max(n_lo, 1), n_hi + 1):
-        ev.charge(_level_size(m, n, min_row))
-        yield from map(ConfusionMatrix._trusted, _space_entries(m, n, min_row))
+def _iter_matrices(ev: _Eval, m: int, n_max: int):
+    """The value-comparison space, each level charged before it is built."""
+    for n in range(1, n_max + 1):
+        ev.charge(_level_size(m, n, 1))
+        yield from map(ConfusionMatrix._trusted, _space_entries(m, n, 1))
 
 
 def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix:
@@ -393,32 +395,27 @@ def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix
 
 
 def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
+    """Two :func:`_scan` passes against ``ref``, the first target matrix
+    (diagonal at max, zero-diagonal at min): ``ref`` to every other target,
+    which must equal it, then every other matrix to ``ref``, which must
+    beat it strictly.  ``checked`` counts ``ref`` too."""
     target = ConfusionMatrix.is_diagonal if at_max else ConfusionMatrix.is_zero_diagonal
     kind = "diagonal" if at_max else "zero_diagonal"
-    ref_val = None
-    ref_C = None
-    checked = 0
-    matrices = list(_iter_matrices(ev, space.m, 1, space.n_max))
-    for C in matrices:
-        if target(C):
-            v = ev.oriented(C)
-            checked += 1
-            if ref_val is None:
-                ref_val, ref_C = v, C
-            elif ev.cmp(v, ref_val) != 0:
-                return VIOLATED, ev.witness(f"{kind}_values_differ", [ref_C, C]), checked
-    if ref_C is None:
+    matrices = list(_iter_matrices(ev, space.m, space.n_max))
+    targets = [C for C in matrices if target(C)]
+    if not targets:
         raise RuntimeError(f"audit space contains no {kind} matrix")
-    for C in matrices:
-        if target(C):
-            continue
-        v = ev.oriented(C)
-        checked += 1
-        side = ev.cmp(v, ref_val)
-        if (side >= 0) if at_max else (side <= 0):
-            which = "reaches_max_off_diagonal" if at_max else "reaches_min_off_zero_diagonal"
-            return VIOLATED, ev.witness(which, [C, ref_C]), checked
-    return SATISFIED, None, checked
+    ref = targets[0]
+    differ = [(C, f"{kind}_values_differ", {}) for C in targets[1:]]
+    status, witness, checked = _scan(ev, [(ref, 1)], lambda C: differ, bool)
+    if status == SATISFIED:
+        which = "reaches_max_off_diagonal" if at_max else "reaches_min_off_zero_diagonal"
+        to_ref = [(ref, which, {})]
+        others = ((C, 1) for C in matrices if not target(C))
+        worse = (lambda side: side <= 0) if at_max else (lambda side: side >= 0)
+        status, witness, sub = _scan(ev, others, lambda C: to_ref, worse)
+        checked += sub
+    return status, witness, checked + 1
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +454,16 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
     as its representative's, so the representative weighs the orbit size.
     Otherwise, or on a violation, the level is rescanned matrix by matrix
     in space order, so ``checked`` and the witness are those of the full
-    scan.  Each level is charged in full on entry, before it is built.
+    scan.  On entering level n, every level up to ``n + max(reach)`` not
+    yet charged is charged in full, before any of them is built: smon,
+    whose moves add a unit, also pays for level ``n_hi + 1``.
     """
     checked = 0
-    for n in range(max(n_lo, 1), n_hi + 1):
-        ev.charge(_level_size(m, n, min_row))
+    charged = n_lo - 1  # the last level charged
+    for n in range(n_lo, n_hi + 1):
+        while charged < n + max(reach):
+            charged += 1
+            ev.charge(_level_size(m, charged, min_row))
         starts = [
             (C, len(orbit))
             for orbit in _orbit_index(m, n, min_row)
@@ -482,7 +484,7 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
 
 
 def _check_sym(ev: _Eval, space: AuditSpace):
-    starts = ((C, 1) for C in _iter_matrices(ev, space.m, 1, space.n_max))
+    starts = ((C, 1) for C in _iter_matrices(ev, space.m, space.n_max))
     return _scan(ev, starts, lambda C: [(transpose(C), "transpose_differs", {})], bool)
 
 
@@ -713,9 +715,10 @@ def check_property(
     A ``satisfied`` verdict means no counterexample exists within the
     space; a ``violated`` verdict carries a replayable witness.  ``budget``
     is charged before each sample size (level) is built: the whole level
-    of a value or edit space, ``m**n`` for ``dist``, and no refund when a
-    violation stops the scan midway.  ``cb``/``acb`` charge each margin
-    pair, and ``cb`` also the matrices of each expectation.
+    of a value or edit space (for ``smon`` also the level above, which its
+    moves reach), ``m**n`` for ``dist``, and no refund when a violation
+    stops the scan midway.  ``cb``/``acb`` charge each margin pair, and
+    ``cb`` also the matrices of each expectation.
     """
     desc = parse_measure_id(desc) if isinstance(desc, str) else desc
     prop = parse_property(prop)

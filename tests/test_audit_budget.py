@@ -6,7 +6,8 @@ n <= 5 grid are pinned to those of the earlier per-matrix rule wherever
 the two rules agree: every satisfied cell, and every cell whose scan
 reads its whole space (max, min, cb, acb, dist past its prerequisites).
 A sym, csym, mon or smon scan that stops on a violation is charged every
-level up to and including its witness's.
+level up to and including its witness's.  smon's moves add a unit, so
+it is also charged the level above the last one it scans.
 """
 
 import pytest
@@ -48,11 +49,15 @@ USED_M3_N5 = {
 LEVELS = {"sym": (1, 1), "csym": (1, 1), "mon": (2, 0), "smon": (1, 0)}
 
 
+def _witness_level(witness: dict) -> int:
+    """The sample size of the witness's start matrix."""
+    return sum(int(x) for row in witness["matrices"][0] for x in row)
+
+
 def _charged_to_witness(m: int, prop: str, witness: dict) -> int:
     """Every level of the scan of ``prop`` up to the witness's start matrix."""
     n_lo, min_row = LEVELS[prop]
-    n = sum(int(x) for row in witness["matrices"][0] for x in row)
-    return sum(_level_size(m, k, min_row) for k in range(n_lo, n + 1))
+    return sum(_level_size(m, k, min_row) for k in range(n_lo, _witness_level(witness) + 1))
 
 
 @pytest.mark.parametrize(
@@ -67,10 +72,13 @@ def test_charges_pinned(m, n_max, pinned):
             if prop == "dist" and witness and witness["kind"] == "prerequisite_sym_failed":
                 prop, witness = "sym", witness["inner"]
             if verdict.satisfied or prop not in LEVELS:
-                assert budget.used == charged, (mid, prop)
+                expected, last = charged, verdict.space["mon_n_max"]
             else:
-                expected = _charged_to_witness(m, prop, witness)
-                assert budget.used == expected >= charged, (mid, prop)
+                expected, last = _charged_to_witness(m, prop, witness), _witness_level(witness)
+                assert expected >= charged, (mid, prop)
+            if prop == "smon":
+                expected += _level_size(m, last + 1, 0)
+            assert budget.used == expected, (mid, prop)
 
 
 @pytest.mark.parametrize("m, n_max", [(1, 7), (2, 7), (3, 7), (4, 5)])
@@ -102,3 +110,36 @@ def test_cli_budget_stops_before_the_level_is_built(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3, err
     assert "budget" in err
+
+
+SMALL_M3 = AuditSpace(m=3, n_max=3, mon_n_max=3)
+
+
+def test_smon_charges_the_level_its_moves_reach():
+    budget = Budget(10**9)
+    assert check_property("acc", "smon", SMALL_M3, budget=budget).satisfied
+    # The 9 + 45 + 165 matrices of n <= 3, and the 495 of n = 4 that
+    # adding a unit reaches.
+    assert budget.used == 9 + 45 + 165 + 495
+    with pytest.raises(EnumerationBudgetExceeded):
+        check_property("acc", "smon", SMALL_M3, budget=Budget(9 + 45 + 165))
+
+
+@pytest.mark.parametrize("prop", ["max", "min", "sym", "csym", "mon", "smon"])
+def test_no_level_is_built_before_it_is_charged(monkeypatch, prop):
+    _space_entries.cache_clear()
+    properties._orbit_index.cache_clear()
+    budget = Budget(10**9)
+    built = []
+
+    def space_entries(m, n, min_row):
+        built.append((n, min_row, budget.used))
+        return _space_entries(m, n, min_row)
+
+    monkeypatch.setattr(properties, "_space_entries", space_entries)
+    check_property("acc", prop, SMALL_M3, budget=budget)
+    n_lo = LEVELS.get(prop, (1, 1))[0]
+    assert built
+    for n, min_row, used in built:
+        levels = range(n_lo, n + 1)
+        assert used >= sum(_level_size(3, k, min_row) for k in levels), (n, min_row)

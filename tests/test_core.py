@@ -303,10 +303,6 @@ class TestEnumeration:
         with pytest.raises(EnumerationBudgetExceeded):
             list(enumerate_labelings(4, 2, budget=budget))
 
-    def test_budget_env_var(self, monkeypatch):
-        monkeypatch.setenv("MEASURE_AUDIT_BUDGET", "7")
-        assert Budget().limit == 7
-
     def test_budget_positive(self):
         with pytest.raises(ValueError):
             Budget(0)

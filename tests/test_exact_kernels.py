@@ -445,9 +445,9 @@ def test_edited_matrices_are_valid(monkeypatch):
 
 
 def test_enumerated_and_transformed_matrices_are_valid():
-    ev = properties._Eval(parse_measure_id("acc"), 0.0, None)
     perms = list(itertools.permutations(range(3)))
-    for C in properties._iter_matrices(ev, 3, 1, 4, min_row=0):
+    levels = (properties._space_entries(3, n, 0) for n in range(1, 5))
+    for C in map(ConfusionMatrix._trusted, itertools.chain.from_iterable(levels)):
         assert_like_validated(C)
         e = C.entries
         Ct = transpose(C)

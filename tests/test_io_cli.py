@@ -25,7 +25,7 @@ from clfmeasures import (
 )
 from clfmeasures.baselines import METHODS, exact_baseline_expectation
 from clfmeasures.inconsistency import pairwise_inconsistency
-from clfmeasures.cli import MULTICLASS_IDS, _load_model_pairs, main
+from clfmeasures.cli import MULTICLASS_IDS, _budget_limit, _load_model_pairs, main
 from clfmeasures.measures import MeasureParseError, parse_measure_id
 from clfmeasures.dataio import (
     matrix_to_csv,
@@ -323,6 +323,30 @@ class TestCliEval:
         assert code == 0
         assert target.exists() and "# eval" in target.read_text()
 
+    def test_format_overrides_the_suffix(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(matrix_to_csv(MATRIX))
+        code, out, err = run_cli(
+            capsys, "eval", "--matrix", str(path), "--format", "matrix-csv",
+            "--measures", "acc", "--output", "json",
+        )
+        assert code == 0, err
+        assert json.loads(out)["results"][0]["value"] == "7/10"
+        # The suffix rule reads anything but .csv as JSON.
+        code, _, err = run_cli(capsys, "eval", "--matrix", str(path))
+        assert code == 2, err
+
+    def test_matrix_cannot_be_labels_csv(self, capsys, matrix_file):
+        code, _, err = run_cli(capsys, "eval", "--matrix", matrix_file, "--format", "labels-csv")
+        assert code == 2
+        assert "labels-csv" in err
+
+    def test_labels_cannot_be_a_matrix_format(self, capsys, tmp_path):
+        path = labels_file(tmp_path)
+        code, _, err = run_cli(capsys, "eval", "--labels", str(path), "--format", "matrix-json")
+        assert code == 2
+        assert "labels-csv" in err
+
 
 class TestCliAudit:
     def test_small_grid(self, capsys):
@@ -551,11 +575,32 @@ class TestGoldenReports:
             "ddc0bc63357b6130a20a9509bd51f03c6fa15c0e6f695c2c8a8f26281e796584",
     }
 
-    @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
-    def test_json_bytes(self, capsys, argv):
+    #: The same at the default windows, about 7 s together.
+    FULL_WINDOW_DIGESTS = {
+        ("audit",):
+            "3cba62d2726f08f2ffbb7d7fe1d60fa6988c90c79e8d2a0b3a00bbc00d66f902",
+        ("audit", "--m", "3", "--measures", "acc,ba,kappa,cc", "--n-max", "5"):
+            "dddd97945b6d4f09ba594a38e50cafe5950fe630c2c15cefdadaab91cd771f09",
+        ("audit", "--preservation", "--properties", "min,smon"):
+            "6be2a79b693ee4b49432c47b7dfed988971ce00bee333867fcb9398ff402259f",
+        ("audit", "--m", "3", "--properties", "dist"):
+            "85d2eababdbbb5d6a3c8c62db422ccdc0d1e85036c895c10033aabd10ff6517c",
+    }
+
+    @staticmethod
+    def json_digest(capsys, argv) -> str:
         code, out, err = run_cli(capsys, *argv, "--output", "json", "--no-timestamp")
         assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
+    def test_json_bytes(self, capsys, argv):
+        assert self.json_digest(capsys, argv) == self.DIGESTS[argv]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("argv", list(FULL_WINDOW_DIGESTS), ids=" ".join)
+    def test_full_window_json_bytes(self, capsys, argv):
+        assert self.json_digest(capsys, argv) == self.FULL_WINDOW_DIGESTS[argv]
 
     #: (command, classes, models, rows, seed) of generated labels files.
     GENERATED = {
@@ -998,6 +1043,47 @@ class TestBudgetEverywhere:
     def test_jobs_option_is_gone(self, capsys):
         code, _, _ = run_cli(capsys, "audit", "--jobs", "2")
         assert code == 2
+
+    def test_budget_env_var(self, monkeypatch):
+        monkeypatch.setenv("MEASURE_AUDIT_BUDGET", "7")
+        assert _budget_limit(None) == 7
+        assert _budget_limit(100) == 100
+
+
+def unbudgeted_argv(tmp_path, command):
+    """``command``, one that enumerates nothing, on small inputs."""
+    if command == "eval":
+        path = tmp_path / "matrix.json"
+        path.write_text(matrix_to_json(MATRIX))
+        return ("eval", "--matrix", str(path))
+    paths = [
+        str(labels_file(tmp_path, name, rows=zip((0, 1, 1), pred)))
+        for name, pred in (("model_0.csv", (0, 1, 0)), ("model_1.csv", (1, 1, 1)))
+    ]
+    return (command, "--labels", *paths)
+
+
+class TestNoBudgetWithoutEnumeration:
+    """``eval``, ``compare`` and ``rank`` enumerate nothing: they take no
+    ``--budget`` and never read its variable, and ``eval`` compares no
+    values, so it takes no ``--eps`` either."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("eval", "--eps"), ("eval", "--budget"), ("compare", "--budget"), ("rank", "--budget")],
+    )
+    def test_flag_refused(self, capsys, tmp_path, command, flag):
+        value = "1e-9" if flag == "--eps" else "5"
+        code, out, err = run_cli(capsys, *unbudgeted_argv(tmp_path, command), flag, value)
+        assert code == 2, err
+        assert flag in err and not out
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "rank"])
+    def test_environment_ignored(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.setenv("MEASURE_AUDIT_BUDGET", "abc")
+        code, out, err = run_cli(capsys, *unbudgeted_argv(tmp_path, command))
+        assert code == 0, err
+        assert out
 
 
 def console_script():
