@@ -575,10 +575,12 @@ class TestGoldenReports:
             "ddc0bc63357b6130a20a9509bd51f03c6fa15c0e6f695c2c8a8f26281e796584",
     }
 
-    #: The same at the default windows, about 7 s together.
+    #: The same at the default windows, about 25 s together.
     FULL_WINDOW_DIGESTS = {
         ("audit",):
             "3cba62d2726f08f2ffbb7d7fe1d60fa6988c90c79e8d2a0b3a00bbc00d66f902",
+        ("audit", "--preservation"):
+            "393a15942fdebc6ffe78ab2f25740b3fc0b3cef23ddcbd3dbbddae7e610e0098",
         ("audit", "--m", "3", "--measures", "acc,ba,kappa,cc", "--n-max", "5"):
             "dddd97945b6d4f09ba594a38e50cafe5950fe630c2c15cefdadaab91cd771f09",
         ("audit", "--preservation", "--properties", "min,smon"):
