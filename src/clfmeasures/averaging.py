@@ -4,11 +4,22 @@ Each scheme turns a binary measure into a multiclass one by aggregating
 the per-class one-vs-all 2x2 matrices: micro pools their entries, macro
 averages the per-class values, weighted averages them by true class size
 (empty true classes are skipped; their weight is zero).
+
+A class's one-vs-all matrix is fixed by the four counts
+``(n, a_i, b_i, c_ii)``, and the pooled micro matrix by
+``(m, n, diagonal_sum)``.  Given a ``memo`` dict (the caller owns it,
+one per binary measure), an int matrix looks its class values up by
+those counts and builds a 2x2 matrix only on a miss; a matrix with
+Fraction entries (expected and rate matrices) builds every one.  Rational
+class values are summed as one integer numerator and denominator; any
+other value sends the same terms, in the same order, through
+:func:`value_sum` and :func:`scale`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .core import ConfusionMatrix, _with_margins, one_vs_all
 from .values import Value, scale, value_sum
@@ -24,20 +35,63 @@ def micro_counts(C: ConfusionMatrix) -> ConfusionMatrix:
     return _with_margins(((tn, miss), (miss, s)), (rest, n), (rest, n), C.m * n, tn + s)
 
 
-def micro_extend(binary_measure, C: ConfusionMatrix) -> Value:
-    return binary_measure(micro_counts(C))
+def micro_extend(binary_measure, C: ConfusionMatrix, memo: dict | None = None) -> Value:
+    if memo is None or type(C.n) is not int:
+        return binary_measure(micro_counts(C))
+    key = (C.m, C.n, C.diagonal_sum)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = binary_measure(micro_counts(C))
+    return v
 
 
-def macro_extend(binary_measure, C: ConfusionMatrix) -> Value:
-    vals = [binary_measure(one_vs_all(C, i)) for i in range(C.m)]
-    return scale(value_sum(vals), Fraction(1, C.m))
+def _class_values(binary_measure, C: ConfusionMatrix, classes, memo) -> list:
+    """The binary measure on the one-vs-all matrix of each class in
+    ``classes``, looked up in ``memo`` when there is one."""
+    n, a, b, e = C.n, C.a, C.b, C.entries
+    if type(n) is not int:
+        memo = None
+    vals = []
+    for i in classes:
+        if memo is None:
+            v = binary_measure(one_vs_all(C, i))
+        else:
+            key = (n, a[i], b[i], e[i][i])
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = binary_measure(one_vs_all(C, i))
+        vals.append(v)
+    return vals
 
 
-def weighted_extend(binary_measure, C: ConfusionMatrix) -> Value:
-    terms = []
-    for i in range(C.m):
-        ai = C.a[i]
-        if ai == 0:
-            continue
-        terms.append(scale(binary_measure(one_vs_all(C, i)), Fraction(ai, C.n)))
-    return value_sum(terms)
+def _rational_mean(vals, weights, total) -> Fraction | None:
+    """``sum(w * v for v, w in zip(vals, weights)) / total`` as one
+    Fraction, or None if some value is neither an int nor a Fraction."""
+    num, den = 0, 1
+    for v, w in zip(vals, weights):
+        t = type(v)
+        if t is Fraction:
+            p, q = v.numerator, v.denominator
+        elif t is int:
+            p, q = v, 1
+        else:
+            return None
+        num, den = num * q + w * p * den, den * q
+    return Fraction(num, den * total)
+
+
+def macro_extend(binary_measure, C: ConfusionMatrix, memo: dict | None = None) -> Value:
+    m = C.m
+    vals = _class_values(binary_measure, C, range(m), memo)
+    mean = _rational_mean(vals, repeat(1), m)
+    return scale(value_sum(vals), Fraction(1, m)) if mean is None else mean
+
+
+def weighted_extend(binary_measure, C: ConfusionMatrix, memo: dict | None = None) -> Value:
+    n = C.n
+    weights = [ai for ai in C.a if ai]
+    vals = _class_values(binary_measure, C, [i for i, ai in enumerate(C.a) if ai], memo)
+    mean = _rational_mean(vals, weights, n)
+    if mean is None:
+        return value_sum([scale(v, Fraction(ai, n)) for v, ai in zip(vals, weights)])
+    return mean

@@ -525,10 +525,13 @@ class Evaluator:
 
     :meth:`value` is the value :func:`evaluate` gives, and :meth:`oriented`
     flips it as :func:`oriented` does.  A descriptor with a scheme also
-    memoizes its binary kernel on the 2x2 entries of int one-vs-all and
-    micro matrices, which recur across the matrices of a space; non-int
-    matrices bypass that memo.  Nothing is shared between instances: an
-    evaluator lives as long as the computation that holds it.
+    hands its extender a memo of the binary kernel's class values, keyed
+    on the counts that fix each one-vs-all matrix ``(n, a_i, b_i, c_ii)``
+    and the micro matrix ``(m, n, diagonal_sum)``: those recur across the
+    matrices of a space, and a 2x2 matrix is built only on a miss.
+    Matrices with Fraction entries bypass that memo.  Nothing is shared
+    between instances: an evaluator lives as long as the computation that
+    holds it.
     """
 
     def __init__(self, desc: MeasureDescriptor):
@@ -549,23 +552,14 @@ class Evaluator:
 def _unmemoized_value(desc: MeasureDescriptor):
     """The value function an :class:`Evaluator` memoizes.
 
-    A closure over the kernel memo only, never over the evaluator: the
-    evaluator then sits in no reference cycle and is freed by reference
-    counting as soon as its holder drops it.
+    A closure over the class-value memo only, never over the evaluator:
+    the evaluator then sits in no reference cycle and is freed by
+    reference counting as soon as its holder drops it.
     """
     if desc.scheme is None:
         return lambda C: evaluate(desc, C)
     kernel = desc.kernel
     memo: dict = {}
-
-    def memo_kernel(C: ConfusionMatrix) -> Value:
-        if type(C.n) is not int:
-            return kernel(C)
-        v = memo.get(C.entries)
-        if v is None:
-            v = memo[C.entries] = kernel(C)
-        return v
-
     # Looked up on the module on each call, as evaluate does.
     extend = _EXTENDERS[desc.scheme]
-    return lambda C: getattr(averaging, extend)(memo_kernel, C)
+    return lambda C: getattr(averaging, extend)(kernel, C, memo)

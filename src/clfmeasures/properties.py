@@ -85,7 +85,10 @@ Values are memoized per row of the audit grid, on one
 runs every property of one measure on it, and
 :func:`check_averaging_preservation` every space of one averaged measure,
 so a matrix shared by several checks (and by the ``cb`` expectation
-tables) is evaluated once.  The row evaluator adds only the comparison
+tables) is evaluated once.  An averaged measure's evaluator also keeps
+its binary class values, keyed on the counts that fix each one-vs-all
+matrix, so a class seen in one matrix of a space is not evaluated again
+in another.  The row evaluator adds only the comparison
 tolerance, the enumeration budget and witness rendering.  The memo is
 dropped with its row.  Kept for the life of the process are the binary
 verdicts that the preservation and impossibility checks read

@@ -6,7 +6,10 @@
   reference kernels below.  They state each rational measure term by
   term in Fraction arithmetic, where a kernel forms one numerator and
   denominator in the entries' own type; the values must agree in type
-  and representation;
+  and representation.  The averaging schemes are written out too, as
+  ``value_sum``/``scale`` over every one-vs-all matrix;
+* one memoized ``Evaluator`` per averaged id over the audit spaces, whose
+  class-value memo hits across matrices, against the same references;
 * ``value_cmp``/``exact_cmp`` against the comparison by Fraction powers
   they replaced, kept here as a reference;
 * matrices built without validation (edits, enumerations, transposes,
@@ -23,7 +26,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clfmeasures import averaging, properties
+from clfmeasures import properties
+from clfmeasures.averaging import micro_counts
 from clfmeasures.core import (
     ConfusionMatrix,
     Labeling,
@@ -34,12 +38,14 @@ from clfmeasures.core import (
     enumerate_entries,
     enumerate_labelings,
     expected_matrix,
+    one_vs_all,
     permute_classes,
     transpose,
 )
 from clfmeasures.measures import (
     AUDIT_ONLY_IDS,
     SCHEMES,
+    Evaluator,
     _constant_class,
     _normalize_r,
     any_agreement,
@@ -52,9 +58,11 @@ from clfmeasures.values import (
     Root,
     exact_cmp,
     root_value,
+    scale,
     to_mpf,
     value_cmp,
     value_str,
+    value_sum,
     working_precision,
 )
 
@@ -65,7 +73,10 @@ BINARY_ONLY = (
 ) + AUDIT_ONLY_IDS
 AVERAGED = tuple(
     f"{mid}:{scheme}"
-    for mid in ("f:beta=1", "f:beta=2", "jaccard", "gm:r=1", "gm:r=-2", "cc", "kappa")
+    for mid in (
+        "f:beta=1", "f:beta=2", "jaccard", "gm:r=1", "gm:r=-2", "cc", "kappa",
+        "ce", "cd", "cdprime", "acc", "ba", "sba",
+    )
     + AUDIT_ONLY_IDS
     for scheme in SCHEMES
 )
@@ -241,7 +252,13 @@ def reference_value(desc, C):
         kernel = partial(kernel, r=desc.r)
     if desc.scheme is None:
         return kernel(C)
-    return getattr(averaging, f"{desc.scheme}_extend")(kernel, C)
+    if desc.scheme == "micro":
+        return kernel(micro_counts(C))
+    if desc.scheme == "macro":
+        return scale(value_sum([kernel(one_vs_all(C, i)) for i in range(C.m)]), Fraction(1, C.m))
+    return value_sum(
+        [scale(kernel(one_vs_all(C, i)), Fraction(ai, C.n)) for i, ai in enumerate(C.a) if ai]
+    )
 
 
 def assert_like_reference(C):
@@ -249,10 +266,13 @@ def assert_like_reference(C):
     same type and representation."""
     for mid in registry_ids(C.m):
         desc = parse_measure_id(mid)
-        got, want = evaluate(desc, C), reference_value(desc, C)
-        assert type(got) is type(want), (mid, C.entries)
-        assert repr(got) == repr(want), (mid, C.entries)
-        assert value_str(got) == value_str(want), (mid, C.entries)
+        assert_same_value(evaluate(desc, C), reference_value(desc, C), (mid, C.entries))
+
+
+def assert_same_value(got, want, context):
+    assert type(got) is type(want), context
+    assert repr(got) == repr(want), context
+    assert value_str(got) == value_str(want), context
 
 
 def as_fractions(entries):
@@ -353,6 +373,26 @@ def test_every_small_matrix_evaluates_like_reference(m, n_max):
                 assert_like_reference(ConfusionMatrix(as_fractions(entries)))
             for b in grid:
                 assert_like_reference(expected_matrix(a, b))
+
+
+@pytest.mark.parametrize(
+    "n_max",
+    [pytest.param({3: 4, 4: 3}, id="small"),
+     pytest.param({3: 5, 4: 4}, id="full", marks=pytest.mark.slow)],
+)
+@pytest.mark.parametrize("mid", AVERAGED)
+def test_memoized_averaged_values_match_reference(mid, n_max):
+    """One evaluator per averaged id over the audit spaces (``full``: the
+    default preservation spaces), in space order, so that its class-value
+    memo hits across matrices."""
+    desc = parse_measure_id(mid)
+    ev = Evaluator(desc)
+    for m in (3, 4):
+        for entries in itertools.chain.from_iterable(
+            properties._space_entries(m, n, 0) for n in range(1, n_max[m] + 1)
+        ):
+            C = ConfusionMatrix._trusted(entries)
+            assert_same_value(ev.value(C), reference_value(desc, C), (mid, entries))
 
 
 def reference_cmp(a, b) -> int:
