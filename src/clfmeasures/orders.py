@@ -439,17 +439,6 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
     s = gm_normalizer(r)
     qs = [Fraction(k, steps) for k in range(1, steps)]
     grid = default_rate_grid(steps)
-    # The rationals of one margin q, once per q: 1/q, 1/(1-q), q/(1-q),
-    # the r-th power of its variance, d/dq log q(1-q), and the band edges
-    # (2q-1)/(1-q) (condition 5), 2-1/q and 2-1/(1-q) (condition 6).
-    inv = {q: 1 / q for q in qs}
-    inv_c = {q: 1 / (1 - q) for q in qs}
-    odds = {q: q / (1 - q) for q in qs}
-    power = {q: _margin_variance(q) ** r for q in qs}
-    slope = {q: (2 * q - 1) / _margin_variance(q) for q in qs}
-    edge5 = {q: (2 * q - 1) * inv_c[q] for q in qs}
-    edge6_a = {q: 2 - inv[q] for q in qs}
-    edge6_b = {q: 2 - inv_c[q] for q in qs}
 
     c1 = ConditionReport(1, "invariant under argument swap and joint complement")
     c2 = ConditionReport(2, "equals 1/(p(1-p)) on equal and complementary margins")
@@ -489,21 +478,20 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
             )
 
             for cond, asserted, bound, sign in (
-                (c3, p_b != 1 - p_a,
-                 max(inv[p_a] * inv[p_b], inv_c[p_a] * inv_c[p_b]), "same"),
-                (c4, p_b != p_a,
-                 max(inv[p_a] * inv_c[p_b], inv_c[p_a] * inv[p_b]), "cross"),
+                (c3, p_b != 1 - p_a, max(1 / (p_a * p_b), 1 / ((1 - p_a) * (1 - p_b))), "same"),
+                (c4, p_b != p_a, max(1 / (p_a * (1 - p_b)), 1 / ((1 - p_a) * p_b)), "cross"),
             ):
                 if asserted:
                     margin = as_float(value_sum([bound, _minus(s_val)]))
                     ok = exact_cmp(s_val, bound) < 0
                     cond.strict(ok, margin, p_a, p_b, f"{sign}-sign bound violated")
 
-            total = power[p_a] + power[p_b]
-            w_x, w_y = power[p_a] / total, power[p_b] / total
-            g5 = w_x * edge5[p_a] + w_y * edge5[p_b]
-            lo5 = min(Fraction(-2), -1 - odds[p_a] * odds[p_b])
-            hi5 = max(edge5[p_a], edge5[p_b])
+            w_x, w_y = _power_weights(p_a, p_b, r)
+            edge_a5 = (2 * p_a - 1) / (1 - p_a)
+            edge_b5 = (2 * p_b - 1) / (1 - p_b)
+            g5 = w_x * edge_a5 + w_y * edge_b5
+            lo5 = min(Fraction(-2), -1 - p_a * p_b / ((1 - p_a) * (1 - p_b)))
+            hi5 = max(edge_a5, edge_b5)
             if p_a == p_b:
                 c5.equality_point(
                     lo5 <= g5 <= hi5, p_a, p_b, "band violated on equal margins"
@@ -512,9 +500,11 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
                 slack5 = min(g5 - lo5, hi5 - g5)
                 c5.strict(slack5 > 0, float(slack5), p_a, p_b, "band not strict off equal margins")
 
-            g6 = w_x * edge6_a[p_a] + w_y * edge6_b[p_b]
-            lo6 = min(edge6_a[p_a], edge6_b[p_b])
-            hi6 = max(1 + odds[p_b] / odds[p_a], Fraction(2))
+            edge_a6 = 2 - 1 / p_a
+            edge_b6 = 2 - 1 / (1 - p_b)
+            g6 = w_x * edge_a6 + w_y * edge_b6
+            lo6 = min(edge_a6, edge_b6)
+            hi6 = max(1 + p_b * (1 - p_a) / (p_a * (1 - p_b)), Fraction(2))
             if p_b == 1 - p_a:
                 c6.equality_point(
                     lo6 <= g6 <= hi6,
@@ -527,8 +517,7 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
                 detail = "band not strict off complementary margins"
                 c6.strict(slack6 > 0, float(slack6), p_a, p_b, detail)
 
-            # normalizer_partial_pa's closed form, on the weights above.
-            closed = scale(s_val, slope[p_a] * w_x)
+            closed = normalizer_partial_pa(p_a, p_b, r, s_val)
             fd = scale(
                 value_sum([s(p_a + delta, p_b), _minus(s(p_a - delta, p_b))]),
                 Fraction(1, 2) / delta,
