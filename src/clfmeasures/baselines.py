@@ -22,10 +22,14 @@ margin pair share one enumeration.  A budget is charged as if every call
 enumerated: one state per matrix or per labeling, charged while the
 table is built and replayed in one charge when a kept table is reused.
 
-Each value enters the sum once, scaled by its count.  That changes no
-exact sum.  A sum that has to be rounded (a float-valued measure) could
-change, so the labelings route then sums ``count`` copies of each value:
-the same terms as one value per labeling.
+Each value enters the sum once, times its count.  When every value is
+rational (int or Fraction), the sum is one integer numerator over one
+integer denominator, and the expectation one Fraction.  Otherwise each
+value is scaled by its count and summed by
+:func:`clfmeasures.values.value_sum`.  That changes no exact sum.  A sum
+that has to be rounded (a float-valued measure) could change, so the
+labelings route then sums ``count`` copies of each value: the same terms
+as one value per labeling.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from collections import Counter, OrderedDict
 from fractions import Fraction
 from typing import Sequence
 
+from .averaging import _rational_mean
 from .core import (
     Budget,
     ConfusionMatrix,
@@ -146,8 +151,15 @@ def _expectation(value_of, a_sizes: tuple, b_sizes: tuple, method: str, budget) 
     """
     table = _table(a_sizes, b_sizes, method, budget)
     weighted = [(value_of(C), count) for C, count in table]
-    total = value_sum([scale(v, count) for v, count in weighted])
-    if method == "labelings" and not is_exact(total):
+    labelings = multinomial(sum(a_sizes), b_sizes)
+    mean = _rational_mean(*zip(*weighted), labelings)
+    if mean is not None:
+        return mean
+    rounded = method == "labelings" and not all(is_exact(v) for v, _ in weighted)
+    if not rounded:
+        total = value_sum([scale(v, count) for v, count in weighted])
+        rounded = method == "labelings" and not is_exact(total)
+    if rounded:
         # A rounded sum depends on its terms: one value per labeling.
         total = value_sum([v for v, count in weighted for _ in range(count)])
-    return scale(total, Fraction(1, multinomial(sum(a_sizes), b_sizes)))
+    return scale(total, Fraction(1, labelings))

@@ -51,6 +51,13 @@ degenerate sub-problem is deliberately not chance-level).
 Verdicts carry replayable witnesses: matrices are rendered as exact
 entry strings and values through :func:`clfmeasures.values.value_str`.
 
+``acb`` evaluates an exact measure (not an audit-only probe) on the int
+matrix ``(a_i * b_j)``, n times ``expected_matrix(a, b)``, where the
+kernels take their cheap int path.  These measures are scale-free, so a
+Fraction there is the value on ``expected_matrix(a, b)`` (a rational has
+one canonical form); any other value is recomputed on
+``expected_matrix(a, b)`` itself.
+
 The ``dist`` scan reads labeling triples (A, B, C) in ``itertools.product``
 order.  Its float screen and the exact confirmation of each hit see a
 triple only through its three confusion matrices, which permuting the
@@ -85,7 +92,9 @@ Values are memoized per row of the audit grid, on one
 runs every property of one measure on it, and
 :func:`check_averaging_preservation` every space of one averaged measure,
 so a matrix shared by several checks (and by the ``cb`` expectation
-tables) is evaluated once.  An averaged measure's evaluator also keeps
+tables) is evaluated once.  The row also keeps its ``sym`` and ``max``
+outcomes per space, which ``dist`` reads as its prerequisites, replaying
+the charges they made.  An averaged measure's evaluator also keeps
 its binary class values, keyed on the counts that fix each one-vs-all
 matrix, so a class seen in one matrix of a space is not evaluated again
 in another.  The row evaluator adds only the comparison
@@ -106,12 +115,14 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from fractions import Fraction
+from functools import lru_cache, partial, reduce
 
 from .baselines import _expectation, is_unary
 from .core import (
     Budget,
     ConfusionMatrix,
+    _with_margins,
     compositions,
     enumerate_entries,
     expected_matrix,
@@ -290,6 +301,8 @@ class _Eval(Evaluator):
         self.eps = eps
         self.budget = budget
         self._identical_levels: dict = {}
+        self._outcomes: dict = {}
+        self._charges: list | None = None
 
     def orbits_identical(self, m: int, n: int, min_row: int) -> bool:
         """Whether every orbit of the level has one identical value on
@@ -310,8 +323,26 @@ class _Eval(Evaluator):
         return all(value_identical(v, first) for v in rest)
 
     def charge(self, states: int = 1) -> None:
+        if self._charges is not None:
+            self._charges.append(states)
         if self.budget is not None:
             self.budget.charge(states)
+
+    def outcome(self, prop: str, space: AuditSpace, check):
+        """``check(self, space)``, kept per ``(prop, space)`` with the row.
+
+        A kept outcome replays the charges its check made, in order, so
+        the budget reads as if the check ran again.
+        """
+        kept = self._outcomes.get((prop, space))
+        if kept is None:
+            self._charges = []
+            kept = self._outcomes[prop, space] = check(self, space), self._charges
+            self._charges = None
+        else:
+            for states in kept[1]:
+                self.charge(states)
+        return kept[0]
 
     def cmp(self, u, v) -> int:
         return value_cmp(u, v, self.eps)
@@ -419,6 +450,9 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
         status, witness, sub = _scan(ev, others, lambda C: to_ref, worse)
         checked += sub
     return status, witness, checked + 1
+
+
+_check_max = partial(_check_extremal, at_max=True)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +621,23 @@ def _check_constant_over_margins(ev: _Eval, space: AuditSpace, value_of):
     return SATISFIED, None, checked
 
 
+def _acb_value(desc: MeasureDescriptor, a: tuple, b: tuple):
+    """The value of ``expected_matrix(a, b)``.
+
+    An exact scale-free measure is evaluated on the int matrix ``n`` times
+    it; a Fraction there is the value (see the module docstring).
+    """
+    if desc.exact and not desc.audit_only:
+        n = sum(a)
+        entries = tuple(tuple(ai * bj for bj in b) for ai in a)
+        margins = tuple(ai * n for ai in a), tuple(bj * n for bj in b)
+        lattice = _with_margins(entries, *margins, n * n, sum(map(operator.mul, a, b)))
+        value = evaluate(desc, lattice)
+        if type(value) is Fraction:
+            return value
+    return evaluate(desc, expected_matrix(a, b))
+
+
 # ---------------------------------------------------------------------------
 # distance
 
@@ -641,9 +692,11 @@ def _confirm_triangle(ev: _Eval, c_max, ac, ab, bc) -> bool:
 
 
 def _check_dist(ev: _Eval, space: AuditSpace):
+    """sym and max, read from the row when it already ran them, then the
+    distance-zero and triangle scans of the labeling triples."""
     checked = 0
-    for prereq, checker in ((SYM, _check_sym), (MAX, lambda e, s: _check_extremal(e, s, True))):
-        status, witness, sub = checker(ev, space)
+    for prereq, checker in ((SYM, _check_sym), (MAX, _check_max)):
+        status, witness, sub = ev.outcome(prereq, space, checker)
         checked += sub
         if status == VIOLATED:
             return VIOLATED, {"kind": f"prerequisite_{prereq}_failed", "inner": witness}, checked
@@ -721,7 +774,9 @@ def check_property(
     of a value or edit space (for ``smon`` also the level above, which its
     moves reach), ``m**n`` for ``dist``, and no refund when a violation
     stops the scan midway.  ``cb``/``acb`` charge each margin pair, and
-    ``cb`` also the matrices of each expectation.
+    ``cb`` also the matrices of each expectation.  ``dist`` also pays for
+    its ``sym`` and ``max`` prerequisites, level by level as they do,
+    whether it runs them or reuses them from the row.
     """
     desc = parse_measure_id(desc) if isinstance(desc, str) else desc
     prop = parse_property(prop)
@@ -737,11 +792,11 @@ def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
     The caller has checked that the measure has a value at ``space.m``.
     """
     if prop == MAX:
-        status, witness, checked = _check_extremal(ev, space, at_max=True)
+        status, witness, checked = ev.outcome(MAX, space, _check_max)
     elif prop == MIN:
         status, witness, checked = _check_extremal(ev, space, at_max=False)
     elif prop == SYM:
-        status, witness, checked = _check_sym(ev, space)
+        status, witness, checked = ev.outcome(SYM, space, _check_sym)
     elif prop == CSYM:
         status, witness, checked = _check_csym(ev, space)
     elif prop == MON:
@@ -754,7 +809,7 @@ def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
         )
     elif prop == ACB:
         status, witness, checked = _check_constant_over_margins(
-            ev, space, lambda a, b: evaluate(ev.desc, expected_matrix(a, b))
+            ev, space, lambda a, b: _acb_value(ev.desc, a, b)
         )
     else:
         status, witness, checked = _check_dist(ev, space)
