@@ -18,9 +18,12 @@ labelings route each distinct matrix that ``build_confusion`` makes of
 the enumerated labelings, with the number of labelings that made it.
 The most recently used tables are kept per process (at most
 :data:`TABLE_MATRICES` matrices in all), so the measures evaluated on one
-margin pair share one enumeration.  A budget is charged as if every call
-enumerated: one state per matrix or per labeling, charged while the
-table is built and replayed in one charge when a kept table is reused.
+margin pair share one enumeration.  The cap holds the whole ``cb`` margin
+grid of a default ``audit --m 3`` (4,755 matrices at n <= 6), so a
+measure-major audit builds each table once, not once per measure.  A
+budget is charged as if every call enumerated: one state per matrix or
+per labeling, charged while the table is built and replayed in one
+charge when a kept table is reused.
 
 Each value enters the sum once, times its count.  When every value is
 rational (int or Fraction), the sum is one integer numerator over one
@@ -69,7 +72,7 @@ def canonical_labeling(sizes: Sequence[int]) -> Labeling:
 
 
 #: Most matrices the kept tables hold together.
-TABLE_MATRICES = 1024
+TABLE_MATRICES = 8192
 
 #: (a_sizes, b_sizes, method) -> (table, states charged per use), least
 #: recently used first; ``_held`` counts their matrices.

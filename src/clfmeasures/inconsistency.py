@@ -13,9 +13,9 @@ the confusion matrix, truths with equal class sizes generate the same
 matrix sets, and every matrix with the truth's row sums is realized by
 some prediction.  Distinguishability at n is therefore decided by
 comparing matrix pairs that share row sums, a few hundred pairs instead
-of a billion triplets; a direct enumeration over labeling triplets is
-kept for cross-validation at small n.  Witnesses are reported as
-concrete triplets either way.
+of a billion triplets; the tests cross-validate it against a direct
+enumeration over labeling triplets at small n.  Witnesses are reported
+as concrete triplets.
 
 Every call that compares many matrices holds one
 :class:`clfmeasures.measures.Evaluator` per measure, so each matrix is
@@ -37,7 +37,6 @@ from .core import (
     Labeling,
     build_confusion,
     enumerate_entries,
-    enumerate_labelings,
 )
 from .measures import (
     CONSISTENCY_IDS,
@@ -278,34 +277,6 @@ def indistinguishable_groups(
         else:
             groups.append([i])
     return tuple(tuple(evs[i].desc.measure_id for i in group) for group in groups)
-
-
-def distinguishing_triplet_bruteforce(
-    m1,
-    m2,
-    n: int,
-    eps: float = DEFAULT_EPS,
-    budget: Budget | None = None,
-) -> Triplet | None:
-    """First labeling triplet (lexicographic) where the measures disagree.
-
-    Direct enumeration over all two-class labelings using both classes;
-    exponential in n, intended as the small-n oracle for the matrix-pair
-    reduction.
-    """
-    ev1, ev2 = Evaluator(_descriptor(m1)), Evaluator(_descriptor(m2))
-    # Both classes in use: drop the two constant labelings.
-    labelings = [l for l in enumerate_labelings(n, 2) if 0 < sum(l.labels) < n]
-    for truth in labelings:
-        for i, p1 in enumerate(labelings):
-            C1 = build_confusion(truth, p1)
-            for p2 in labelings[i + 1 :]:
-                if budget is not None:
-                    budget.charge()
-                C2 = build_confusion(truth, p2)
-                if _relation(ev1, C1, C2, eps) != _relation(ev2, C1, C2, eps):
-                    return Triplet(truth, p1, p2)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -340,12 +340,17 @@ def gm_normalizer(r: int) -> Callable[[Fraction, Fraction], Value]:
     return s
 
 
-def _power_weights(p_a: Fraction, p_b: Fraction, r: int) -> tuple[Fraction, Fraction]:
-    """Weights x^r/(x^r+y^r), y^r/(x^r+y^r) of the two margin variances."""
-    x = _margin_variance(p_a)
-    y = _margin_variance(p_b)
-    xr, yr = x**r, y**r
-    return xr / (xr + yr), yr / (xr + yr)
+def _power_weights(xr: Fraction, yr: Fraction) -> tuple[Fraction, Fraction]:
+    """Weights xr/(xr+yr), yr/(xr+yr) of the r-th powers of the two margin
+    variances."""
+    total = xr + yr
+    return xr / total, yr / total
+
+
+def _log_slope(p: Fraction) -> Fraction:
+    """(2p - 1)/(p(1-p)): the derivative of log s in its own margin, per
+    unit weight of that margin's variance."""
+    return (2 * p - 1) / _margin_variance(p)
 
 
 def normalizer_partial_pa(p_a: Fraction, p_b: Fraction, r: int, s_val: Value) -> Value:
@@ -354,9 +359,8 @@ def normalizer_partial_pa(p_a: Fraction, p_b: Fraction, r: int, s_val: Value) ->
     The chain rule through the r-power mean gives
     ds/dp_a = s * (2p_a - 1)/x * x^r/(x^r + y^r).
     """
-    w_x, _ = _power_weights(p_a, p_b, r)
-    factor = (2 * p_a - 1) / _margin_variance(p_a) * w_x
-    return scale(s_val, factor)
+    w_x, _ = _power_weights(_margin_variance(p_a) ** r, _margin_variance(p_b) ** r)
+    return scale(s_val, _log_slope(p_a) * w_x)
 
 
 class ConditionReport:
@@ -450,6 +454,15 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
     fd_worst = 0.0
     delta = Fraction(1, 10**7)
 
+    # The exact per-margin terms, once per margin rather than per pair.
+    # qs is closed under p -> 1 - p.
+    powers = {p: _margin_variance(p) ** r for p in qs}
+    slope = {p: _log_slope(p) for p in qs}
+    inverse = {p: 1 / p for p in qs}
+    odds = {p: p / (1 - p) for p in qs}
+    edge5 = {p: (2 * p - 1) / (1 - p) for p in qs}
+    edge6 = {p: 2 - inverse[p] for p in qs}
+
     with mp.workdps(ORDER_DPS):
         # s once per grid point, each at its own arguments: condition 1
         # compares values computed independently of each other.
@@ -477,20 +490,21 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
                 "joint complement changes s",
             )
 
+            same = max(inverse[p_a] * inverse[p_b], inverse[1 - p_a] * inverse[1 - p_b])
+            cross = max(inverse[p_a] * inverse[1 - p_b], inverse[1 - p_a] * inverse[p_b])
             for cond, asserted, bound, sign in (
-                (c3, p_b != 1 - p_a, max(1 / (p_a * p_b), 1 / ((1 - p_a) * (1 - p_b))), "same"),
-                (c4, p_b != p_a, max(1 / (p_a * (1 - p_b)), 1 / ((1 - p_a) * p_b)), "cross"),
+                (c3, p_b != 1 - p_a, same, "same"),
+                (c4, p_b != p_a, cross, "cross"),
             ):
                 if asserted:
                     margin = as_float(value_sum([bound, _minus(s_val)]))
                     ok = exact_cmp(s_val, bound) < 0
                     cond.strict(ok, margin, p_a, p_b, f"{sign}-sign bound violated")
 
-            w_x, w_y = _power_weights(p_a, p_b, r)
-            edge_a5 = (2 * p_a - 1) / (1 - p_a)
-            edge_b5 = (2 * p_b - 1) / (1 - p_b)
+            w_x, w_y = _power_weights(powers[p_a], powers[p_b])
+            edge_a5, edge_b5 = edge5[p_a], edge5[p_b]
             g5 = w_x * edge_a5 + w_y * edge_b5
-            lo5 = min(Fraction(-2), -1 - p_a * p_b / ((1 - p_a) * (1 - p_b)))
+            lo5 = min(Fraction(-2), -1 - odds[p_a] * odds[p_b])
             hi5 = max(edge_a5, edge_b5)
             if p_a == p_b:
                 c5.equality_point(
@@ -500,11 +514,10 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
                 slack5 = min(g5 - lo5, hi5 - g5)
                 c5.strict(slack5 > 0, float(slack5), p_a, p_b, "band not strict off equal margins")
 
-            edge_a6 = 2 - 1 / p_a
-            edge_b6 = 2 - 1 / (1 - p_b)
+            edge_a6, edge_b6 = edge6[p_a], edge6[1 - p_b]
             g6 = w_x * edge_a6 + w_y * edge_b6
             lo6 = min(edge_a6, edge_b6)
-            hi6 = max(1 + p_b * (1 - p_a) / (p_a * (1 - p_b)), Fraction(2))
+            hi6 = max(1 + odds[p_b] / odds[p_a], Fraction(2))
             if p_b == 1 - p_a:
                 c6.equality_point(
                     lo6 <= g6 <= hi6,
@@ -517,7 +530,7 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
                 detail = "band not strict off complementary margins"
                 c6.strict(slack6 > 0, float(slack6), p_a, p_b, detail)
 
-            closed = normalizer_partial_pa(p_a, p_b, r, s_val)
+            closed = scale(s_val, slope[p_a] * w_x)
             fd = scale(
                 value_sum([s(p_a + delta, p_b), _minus(s(p_a - delta, p_b))]),
                 Fraction(1, 2) / delta,

@@ -14,13 +14,27 @@ the integer numerators and denominators of coefficient and radicand.
 No intermediate Fraction is built.  Once a float/mpf is involved,
 comparisons use an epsilon tolerance at :data:`WORKING_DPS` digits.  All
 helpers treat plain ints as Fractions.
+
+A :class:`Root`'s radicand is never a perfect ``index``-th power
+(:func:`root_value` collapses those).  So a like term, the same radical
+times a rational coefficient, is a :class:`Root` again unless that
+coefficient is 0: products with a rational and sums of like terms build
+it directly, without testing the radicand again.
+
+Precision rule: mpmath work runs at :data:`WORKING_DPS` digits or at the
+ambient precision, whichever is higher.  :func:`working_precision` enters
+a precision context only when the ambient precision is below
+:data:`WORKING_DPS`; otherwise it changes nothing, so a caller that has
+raised the precision (as :mod:`clfmeasures.orders` does) keeps its exact
+``mp.prec``.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf, isqrt, lcm
 from typing import Union
 
 import mpmath
@@ -37,14 +51,28 @@ ExactValue = Union[int, Fraction, "Root"]
 Value = Union[int, Fraction, "Root", float, mpmath.mpf]
 
 
+#: Most bits of the part of ``x`` whose float k-th root seeds Newton's
+#: method: below the float range's 1024 binary digits.
+_SEED_BITS = 960
+
+
 def _int_kth_root(x: int, k: int) -> int | None:
     """Exact integer k-th root of x >= 0, or None if x is not a perfect power."""
     if x < 0:
         return None
     if x in (0, 1) or k == 1:
         return x
-    # Newton iteration on integers; magnitudes here are small.
-    r = 1 << ((x.bit_length() + k - 1) // k)
+    if k == 2:
+        r = isqrt(x)
+        return r if r * r == x else None
+    # Newton's method on integers decreases to the floor of the root from
+    # any start at or above it.  Start from the float root of the leading
+    # bits: with x = y * 2**(k*s) + low, the root is below
+    # (y**(1/k) + 1) * 2**s, and a relative margin covers the float's
+    # rounding, so the start is above the root and near it.
+    s = max(0, -(-(x.bit_length() - _SEED_BITS) // k))
+    y = x >> (k * s)
+    r = (int(float(y) ** (1.0 / k) * (1 + 1e-10)) + 2) << s
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -74,7 +102,7 @@ class Root:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return root_value(self.coeff * other, self.radicand, self.index)
+            return _like_term(self.coeff * other, self.radicand, self.index)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -88,7 +116,7 @@ class Root:
             raise TypeError("cannot add a rational to a root term exactly")
         if isinstance(other, Root):
             if (other.radicand, other.index) == (self.radicand, self.index):
-                return root_value(self.coeff + other.coeff, self.radicand, self.index)
+                return _like_term(self.coeff + other.coeff, self.radicand, self.index)
             raise TypeError("cannot add unlike root terms exactly")
         return NotImplemented
 
@@ -179,6 +207,14 @@ def root_value(coeff, radicand, index: int) -> ExactValue:
     return Root(coeff, radicand, index)
 
 
+def _like_term(coeff: Fraction, radicand: Fraction, index: int) -> ExactValue:
+    """``root_value(coeff, radicand, index)`` for the radicand and index of
+    an existing :class:`Root`, which are never a perfect power."""
+    if coeff == 0:
+        return Fraction(0)
+    return Root(coeff, radicand, index)
+
+
 def _int_parts(v: ExactValue) -> tuple[int, int, int, int, int]:
     """``(p, q, u, w, k)`` of ``v = (p/q) * (u/w)**(1/k)``, all ints, with
     ``q``, ``w`` > 0 and ``u`` > 0 (rationals have ``u = w = k = 1``)."""
@@ -240,13 +276,21 @@ def as_float(v: Value) -> float:
     return float(v)
 
 
+#: The context :func:`working_precision` returns when the ambient precision
+#: already suffices; a ``nullcontext`` can be entered any number of times.
+_AMBIENT = nullcontext()
+
+
 def working_precision():
     """Context with at least WORKING_DPS digits.
 
-    Keeps the ambient precision when a caller has already raised it (the
-    derivative probes run at higher precision than the default).
+    Keeps the ambient precision, ``mp.prec`` unchanged, when a caller has
+    already raised it to WORKING_DPS or more (the derivative probes run at
+    higher precision than the default): the context then does nothing.
     """
-    return mp.workdps(max(mp.dps, WORKING_DPS))
+    if mp.dps >= WORKING_DPS:
+        return _AMBIENT
+    return mp.workdps(WORKING_DPS)
 
 
 _RATIONAL_TYPES = frozenset((int, Fraction))
@@ -304,7 +348,7 @@ def value_sum(terms) -> Value:
             if root_acc is None:
                 root_acc = t
             elif (t.radicand, t.index) == (root_acc.radicand, root_acc.index):
-                combined = root_value(
+                combined = _like_term(
                     root_acc.coeff + t.coeff, root_acc.radicand, root_acc.index
                 )
                 if isinstance(combined, Root):
@@ -331,7 +375,8 @@ def value_sum(terms) -> Value:
 
 def scale(v: Value, q) -> Value:
     """Multiply a value by a rational factor, staying exact when possible."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if isinstance(v, int):
         return Fraction(v) * q
     if isinstance(v, (Fraction, Root)):

@@ -34,7 +34,6 @@ from clfmeasures.inconsistency import (
     INCONSISTENT,
     DISCRIMINATING_TRIPLET_INDEX,
     KNOWN_DISCRIMINATING_TRIPLETS,
-    distinguishing_triplet_bruteforce,
     indistinguishable_at,
     indistinguishable_groups,
     relation_sign,
@@ -43,6 +42,7 @@ from clfmeasures.inconsistency import (
 )
 from clfmeasures.measures import CONSISTENCY_IDS
 from clfmeasures.orders import baseline_order, check_gm_normalizer_conditions
+from reference_triplets import distinguishing_triplet_bruteforce
 
 PROP_ORDER = ("max", "min", "sym", "csym", "dist", "mon", "smon", "cb", "acb")
 

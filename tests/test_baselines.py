@@ -1,6 +1,7 @@
 """Expectations under margin-preserving randomization, two routes."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from clfmeasures.core import (
     multinomial,
 )
 from clfmeasures.measures import MeasureArityError, evaluate, parse_measure_id
+from clfmeasures.properties import audit_grid
 from clfmeasures.values import is_exact, scale, value_sum, values_equal
 
 CONSTANT_ZERO = ("cc", "kappa", "gm:r=-2", "gm:r=-1", "gm:r=1", "gm:r=2")
@@ -223,6 +225,22 @@ class TestSharedTables:
                     held = sum(len(t) for t, _ in baselines._tables.values())
                     assert held == baselines._held <= 20
         assert baselines._tables  # the most recent tables are kept
+
+    def test_measure_major_audit_builds_each_table_once(self, no_tables, monkeypatch):
+        # The m = 3 cb grid at n <= 5 holds 1,836 matrices: with every table
+        # kept, the second and third measures read the first one's tables.
+        built = Counter()
+        build = baselines._build_table
+
+        def counting_build(a_sizes, b_sizes, method, budget):
+            built[a_sizes, b_sizes, method] += 1
+            return build(a_sizes, b_sizes, method, budget)
+
+        monkeypatch.setattr(baselines, "_build_table", counting_build)
+        verdicts = audit_grid(("ba", "kappa", "cc"), ("cb",), m=3, n_max=5)
+        assert [v.status for v in verdicts] == ["satisfied"] * 3
+        assert len(built) == 646  # every non-unary margin pair at n <= 5
+        assert set(built.values()) == {1}
 
     def test_kept_values_match_fresh(self, no_tables):
         # Every measure of one margin pair reads the same table; each

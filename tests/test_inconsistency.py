@@ -23,7 +23,6 @@ from clfmeasures.inconsistency import (
     DistinguishingWitness,
     discriminating_triplet_for,
     distinguishing_pair,
-    distinguishing_triplet_bruteforce,
     indistinguishable_at,
     indistinguishable_groups,
     margin_matrices,
@@ -38,6 +37,7 @@ from clfmeasures.inconsistency import (
 from clfmeasures.measures import CONSISTENCY_IDS
 from clfmeasures.orders import rate_matrix
 from clfmeasures.values import root_value
+from reference_triplets import distinguishing_triplet_bruteforce
 
 HALF = Fraction(1, 2)
 

@@ -440,8 +440,25 @@ class TestNormalizerReportsPinned:
         2: "c9405867774b62085acbab78fcf7959dd3509f8370a10305d9e2fce55ae0c5a6",
     }
 
-    @pytest.mark.parametrize("r", list(DIGESTS))
-    def test_report_bytes(self, r):
+    #: The same at r = +-16, where the roots have radicands of up to about
+    #: 10,000 bits: computed before the k-th roots were seeded from their
+    #: leading bits.
+    LARGE_R_DIGESTS = {
+        16: "6cbfc6ad336c0ef3942ef7367357746bfb707ea8e5bfeb43a48133a75459d619",
+        -16: "0a3f919faf51e5b6a973f6f19f1ed45d4d405367454c17b9427695a5262d9032",
+    }
+
+    @staticmethod
+    def digest(r):
         rep = check_gm_normalizer_conditions(r, steps=20)
         text = json.dumps({**rep, "conditions": [c.to_dict() for c in rep["conditions"]]})
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[r]
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("r", list(DIGESTS))
+    def test_report_bytes(self, r):
+        assert self.digest(r) == self.DIGESTS[r]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("r", list(LARGE_R_DIGESTS))
+    def test_large_r_report_bytes(self, r):
+        assert self.digest(r) == self.LARGE_R_DIGESTS[r]

@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: Root values, comparisons, sums."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from mpmath import mp
 from clfmeasures.values import (
     DEFAULT_EPS,
     Root,
+    _int_kth_root,
     as_float,
     exact_cmp,
     is_exact,
@@ -219,6 +221,123 @@ class TestWorkingPrecision:
         with mp.workdps(50):
             with working_precision():
                 assert mp.dps == 50
+
+    def test_default_gives_working_dps_and_restores(self):
+        prec = mp.prec
+        with working_precision():
+            assert mp.dps == 30
+        assert mp.prec == prec
+
+    def test_restores_on_exception(self):
+        prec = mp.prec
+        with pytest.raises(RuntimeError):
+            with working_precision():
+                assert mp.dps == 30
+                raise RuntimeError
+        assert mp.prec == prec
+
+    def test_keeps_prec_inside_workdps_40(self):
+        with mp.workdps(40):
+            prec = mp.prec
+            with working_precision():
+                assert mp.prec == prec
+            assert mp.prec == prec
+
+    def test_keeps_prec_set_in_bits(self):
+        # 200 bits is not the precision of any whole number of digits:
+        # re-entering at mp.dps would give 199.
+        saved = mp.prec
+        try:
+            mp.prec = 200
+            with working_precision():
+                assert mp.prec == 200
+            assert mp.prec == 200
+        finally:
+            mp.prec = saved
+
+
+def _like_term_cases():
+    """(root, rational factor) pairs at indices 2 to 5: factors that keep
+    the coefficient's sign, flip it, or make it 0."""
+    cases = []
+    for index in (2, 3, 4, 5):
+        for radicand in (Fraction(2), Fraction(7, 3), Fraction(1, 6), Fraction(10**30 + 1, 9)):
+            root = root_value(Fraction(3, 4), radicand, index)
+            assert isinstance(root, Root)
+            cases += [(root, k) for k in (Fraction(2, 3), Fraction(-5, 2), -1, 0, 1, 7)]
+    return cases
+
+
+LIKE_TERM_CASES = _like_term_cases()
+
+
+class TestLikeTerms:
+    """Products with a rational and sums of one radical build the Root
+    directly; each must be the value ``root_value`` makes, in type and
+    ``repr``."""
+
+    @pytest.mark.parametrize("root, k", LIKE_TERM_CASES)
+    def test_product(self, root, k):
+        want = root_value(root.coeff * k, root.radicand, root.index)
+        for got in (root * k, k * root, scale(root, k)):
+            assert type(got) is type(want) and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("root, k", [(root, k) for root, k in LIKE_TERM_CASES if k])
+    def test_sum(self, root, k):
+        # root + (-k * root) = (1 - k) * root: 0 at k = 1, a sign flip at k = 7.
+        like = root_value(-k * root.coeff, root.radicand, root.index)
+        want = root_value(root.coeff + like.coeff, root.radicand, root.index)
+        for got in (root + like, like + root, value_sum([root, like])):
+            assert type(got) is type(want) and repr(got) == repr(want)
+
+    def test_sum_cancels_to_rational_zero(self):
+        root = root_value(Fraction(2, 5), 3, 3)
+        for got in (root + (-root), value_sum([root, -root]), root * 0):
+            assert type(got) is Fraction and got == 0
+
+    def test_sum_of_many_like_terms(self):
+        terms = [root_value(Fraction(k, 7), 5, 4) for k in (3, -1, 4, -6, 2)]
+        got = value_sum(terms)
+        want = root_value(Fraction(2, 7), 5, 4)
+        assert type(got) is Root and repr(got) == repr(want)
+        assert value_sum(terms[:4]) == 0 and type(value_sum(terms[:4])) is Fraction
+
+
+def _kth_root_by_bisection(x: int, k: int):
+    """Exact k-th root of x >= 0 by bisection, or None.  The root lies in
+    [0, 2**(bits/k + 1)] for x of ``bits`` bits."""
+    lo, hi = 0, 1 << (x.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo**k == x else None
+
+
+class TestIntKthRoot:
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_perfect_powers_and_neighbours(self, k):
+        rng = random.Random(k)
+        bases = [0, 1, 2, 3, 10, 2**20 - 1, 3**40]
+        bases += [rng.getrandbits(rng.randint(1, 10_000 // k)) for _ in range(6)]
+        for base in bases:
+            p = base**k
+            for x in (p - 1, p, p + 1):
+                if x >= 0:
+                    assert _int_kth_root(x, k) == _kth_root_by_bisection(x, k), (k, x)
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_random_ints_up_to_10k_bits(self, k):
+        rng = random.Random(100 + k)
+        for bits in (1, 5, 53, 64, 200, 959, 960, 961, 1500, 4000, 10_000):
+            x = rng.getrandbits(bits) | (1 << (bits - 1))
+            assert _int_kth_root(x, k) == _kth_root_by_bisection(x, k), (k, bits)
+
+    def test_index_one_and_negative(self):
+        assert _int_kth_root(12345, 1) == 12345
+        assert _int_kth_root(-8, 3) is None
 
 
 @given(
