@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import getitem
@@ -77,16 +77,23 @@ class Labeling:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfusionMatrix:
     """Square matrix of exact per-(true, predicted) class counts.
 
     The margins ``n`` (total), ``a`` (row sums: true class sizes), ``b``
     (column sums: predicted class sizes) and ``diagonal_sum`` are computed
-    together, in one pass, on first access.
+    together, in one pass, on first access.  Matrices the package builds
+    from margins it already knows (the audit levels, one-vs-all, micro and
+    expected matrices) carry them from construction.  Equality and hashing
+    read ``entries`` only.
     """
 
     entries: tuple[tuple[int | Fraction, ...], ...]
+    a: tuple = field(init=False, repr=False, compare=False)
+    b: tuple = field(init=False, repr=False, compare=False)
+    n: int | Fraction = field(init=False, repr=False, compare=False)
+    diagonal_sum: int | Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.entries)
@@ -117,9 +124,7 @@ class ConfusionMatrix:
         return C
 
     def __getattr__(self, name):
-        # Reached only while the margins are not yet set.  Attributes are
-        # set, not written into ``__dict__``, which would give every
-        # instance a full dict of its own.
+        # Reached only while a margin slot is still empty.
         if name not in ("n", "a", "b", "diagonal_sum"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"

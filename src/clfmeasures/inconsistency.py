@@ -19,15 +19,17 @@ as concrete triplets.
 
 Every call that compares many matrices holds one
 :class:`clfmeasures.measures.Evaluator` per measure, so each matrix is
-evaluated at most once per measure and call; nothing is kept between
-calls.  A budget is charged once per matrix pair for each measure pair
-compared.
+evaluated at most once per measure and call, and
+:func:`indistinguishable_groups` builds each list of shared-margin
+matrices once for all its measure pairs; nothing is kept between calls.
+A budget is charged once per matrix pair for each measure pair compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -35,6 +37,7 @@ from .core import (
     Budget,
     ConfusionMatrix,
     Labeling,
+    _with_margins,
     build_confusion,
     enumerate_entries,
 )
@@ -129,28 +132,37 @@ def triplet_verdict(m1, m2, t: Triplet, eps: float = DEFAULT_EPS) -> str:
 
 def margin_matrices(n: int, a1: int) -> list[ConfusionMatrix]:
     """All 2x2 matrices with row sums (n - a1, a1) and both predicted
-    classes non-empty, ordered by (hits, false alarms)."""
+    classes non-empty, ordered by (hits, false alarms), margins set."""
     if not 1 <= a1 <= n - 1:
         raise ValueError("true class sizes must both be positive")
-    mats = [ConfusionMatrix._trusted(e) for e, _ in enumerate_entries((n - a1, a1))]
-    mats = [C for C in mats if 0 < C.b[1] < n]  # prediction uses both classes
+    a = (n - a1, a1)
+    mats = []
+    for e, _ in enumerate_entries(a):
+        (c00, c01), (c10, c11) = e
+        b1 = c01 + c11
+        if 0 < b1 < n:  # prediction uses both classes
+            mats.append(_with_margins(e, a, (n - b1, b1), n, c00 + c11))
     mats.sort(key=lambda C: (C[1, 1], C[0, 1]))
     return mats
 
 
 def margin_matrix_pairs(
-    n: int, budget: Budget | None = None
+    n: int, budget: Budget | None = None, matrices=None
 ) -> Iterator[tuple[ConfusionMatrix, ConfusionMatrix]]:
     """All unordered pairs of distinct matrices sharing row sums, n fixed.
 
     Exactly the comparisons a triplet at size n can pose: two predictions
     against one truth share the truth's class sizes and nothing else.
+    ``matrices(a1)`` gives the list of row sums (n - a1, a1); by default
+    :func:`margin_matrices`, and a caller that walks the pairs many times
+    passes it memoized.
     """
     if n < 2:
         raise ValueError("need n >= 2 for two-class labelings")
+    if matrices is None:
+        matrices = partial(margin_matrices, n)
     for a1 in range(1, n):
-        mats = margin_matrices(n, a1)
-        for C1, C2 in combinations(mats, 2):
+        for C1, C2 in combinations(matrices(a1), 2):
             if budget is not None:
                 budget.charge()
             yield C1, C2
@@ -207,11 +219,12 @@ class DistinguishingWitness:
 
 
 def _first_difference(
-    ev1: Evaluator, ev2: Evaluator, n: int, eps: float, budget: Budget | None
+    ev1: Evaluator, ev2: Evaluator, n: int, eps: float, budget: Budget | None, matrices=None
 ):
     """``(C1, C2, relation_1, relation_2)`` for the first shared-margin
-    matrix pair the two measures rank differently, or None."""
-    for C1, C2 in margin_matrix_pairs(n, budget):
+    matrix pair the two measures rank differently, or None.  ``matrices``
+    as in :func:`margin_matrix_pairs`."""
+    for C1, C2 in margin_matrix_pairs(n, budget, matrices):
         r1 = _relation(ev1, C1, C2, eps)
         r2 = _relation(ev2, C1, C2, eps)
         if r1 != r2:
@@ -264,8 +277,10 @@ def indistinguishable_groups(
     to be transitive (on this registry it is transitive at every n).
     """
     evs = [Evaluator(_descriptor(m)) for m in measures]
+    # Each list is built by the first measure pair that reaches it.
+    matrices = cache(partial(margin_matrices, n))
     pair_ok = {
-        (i, j): _first_difference(evs[i], evs[j], n, eps, budget) is None
+        (i, j): _first_difference(evs[i], evs[j], n, eps, budget, matrices) is None
         for i, j in combinations(range(len(evs)), 2)
     }
     groups: list[list[int]] = []

@@ -101,12 +101,15 @@ in another.  The row evaluator adds only the comparison
 tolerance, the enumeration budget and witness rendering.  The memo is
 dropped with its row.  Kept for the life of the process are the binary
 verdicts that the preservation and impossibility checks read
-(``_default_verdicts``), the audit levels, their orbits and their
-``dist`` pair index (``_space_entries``, ``_orbit_index``,
-``_dist_level``, bounded LRU caches), the row fills of the enumerator
-(``core._row_fills``), the chance-expectation tables of
-``baselines._tables`` (at most ``TABLE_MATRICES`` matrices) and the
-parsed descriptors of ``measures.parse_measure_id``.
+(``_default_verdicts``); the audit levels as built matrices, margins set,
+one object per matrix shared by both row floors, by the orbits and by
+the ``dist`` pair index (``_block``, ``_level``, ``_orbit_index``,
+``_dist_level``, bounded LRU caches: about 72 bytes per matrix on top of
+its entries, 92,377 matrices for the m = 3 edit walks up to n = 10); the
+row fills of the enumerator (``core._row_fills``); the
+chance-expectation tables of ``baselines._tables`` (at most
+``TABLE_MATRICES`` matrices); and the parsed descriptors of
+``measures.parse_measure_id``.
 """
 
 from __future__ import annotations
@@ -319,7 +322,7 @@ class _Eval(Evaluator):
         return same
 
     def _orbit_identical(self, orbit) -> bool:
-        first, *rest = (self.value(ConfusionMatrix._trusted(e)) for e in orbit)
+        first, *rest = map(self.value, orbit)
         return all(value_identical(v, first) for v in rest)
 
     def charge(self, states: int = 1) -> None:
@@ -359,18 +362,36 @@ class _Eval(Evaluator):
 
 
 @lru_cache(maxsize=4096)
-def _space_entries(m: int, n: int, min_row: int) -> tuple:
-    """All m x m integer matrices with total n and row sums >= min_row."""
-    return tuple(
-        entries
-        for a in compositions(n, m, min_part=min_row)
-        for entries, _ in enumerate_entries(a)
-    )
+def _block(a: tuple[int, ...]) -> tuple[ConfusionMatrix, ...]:
+    """The m x m integer matrices with row sums ``a``, in enumeration
+    order, built with their margins: ``a`` itself, the column sums (equal
+    ones share one tuple), the total and the diagonal sum."""
+    n, diagonal = sum(a), range(len(a))
+    columns: dict = {}
+    block = []
+    for e, _ in enumerate_entries(a):
+        b = tuple(map(sum, zip(*e)))
+        b = columns.setdefault(b, b)
+        block.append(_with_margins(e, a, b, n, sum(map(operator.getitem, e, diagonal))))
+    return tuple(block)
+
+
+@lru_cache(maxsize=4096)
+def _level(m: int, n: int, min_row: int) -> tuple[ConfusionMatrix, ...]:
+    """All m x m integer matrices with total n and row sums >= min_row,
+    in space order, with their margins set.
+
+    The matrices of one row-sum composition are built once
+    (:func:`_block`), so the ``min_row = 1`` level is a view of the same
+    objects as the ``min_row = 0`` one, and neither builds a composition
+    it does not contain.
+    """
+    return tuple(itertools.chain.from_iterable(map(_block, compositions(n, m, min_part=min_row))))
 
 
 @lru_cache(maxsize=4096)
 def _level_size(m: int, n: int, min_row: int) -> int:
-    """``len(_space_entries(m, n, min_row))``, counted without building it."""
+    """``len(_level(m, n, min_row))``, counted without building it."""
     return sum(
         math.prod(math.comb(a + m - 1, m - 1) for a in rows)
         for rows in compositions(n, m, min_part=min_row)
@@ -379,21 +400,22 @@ def _level_size(m: int, n: int, min_row: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _orbit_index(m: int, n: int, min_row: int) -> tuple:
-    """The orbits of ``_space_entries(m, n, min_row)`` under relabeling
-    the classes (simultaneous row and column permutation).
+    """The orbits of ``_level(m, n, min_row)`` under relabeling the
+    classes (simultaneous row and column permutation).
 
     One tuple of members per orbit, in space order, so the first member
     is the orbit's representative; orbits come in the space order of their
-    representatives.  Members are the space's own entry tuples.
+    representatives.  Members are the level's own matrices.
     """
-    level = _space_entries(m, n, min_row)
-    position = {e: k for k, e in enumerate(level)}
+    level = _level(m, n, min_row)
+    position = {C.entries: k for k, C in enumerate(level)}
     perms = list(itertools.permutations(range(m)))
     marked = [False] * len(level)
     orbits = []
-    for k, e in enumerate(level):
+    for k, C in enumerate(level):
         if marked[k]:
             continue
+        e = C.entries
         members = sorted({position[tuple(tuple(e[i][j] for j in p) for i in p)] for p in perms})
         for x in members:
             marked[x] = True
@@ -405,7 +427,7 @@ def _iter_matrices(ev: _Eval, m: int, n_max: int):
     """The value-comparison space, each level charged before it is built."""
     for n in range(1, n_max + 1):
         ev.charge(_level_size(m, n, 1))
-        yield from map(ConfusionMatrix._trusted, _space_entries(m, n, 1))
+        yield from _level(m, n, 1)
 
 
 def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix:
@@ -504,15 +526,14 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
         starts = [
             (C, len(orbit))
             for orbit in _orbit_index(m, n, min_row)
-            if keep(C := ConfusionMatrix._trusted(orbit[0]))
+            if keep(C := orbit[0])
         ]
         if starts and all(ev.orbits_identical(m, n + d, min_row) for d in reach):
             status, _, sub = _scan(ev, starts, moves, worse)
             if status == SATISFIED:
                 checked += sub
                 continue
-        level = map(ConfusionMatrix._trusted, _space_entries(m, n, min_row))
-        full = ((C, 1) for C in level if keep(C))
+        full = ((C, 1) for C in _level(m, n, min_row) if keep(C))
         status, witness, sub = _scan(ev, full, moves, worse)
         checked += sub
         if status == VIOLATED:
@@ -648,17 +669,17 @@ def _dist_level(m: int, n: int) -> tuple:
 
     Returns ``(labelings, rows, starts)``: the m**n labelings in
     ``itertools.product`` order; ``rows[p][q]``, the index in
-    ``_space_entries(m, n, 0)`` of the confusion matrix of labelings p
+    ``_level(m, n, 0)`` of the confusion matrix of labelings p
     (true) and q; and, in product order, one start pair ``(p, q, k)`` per
     matrix k: its lexicographically first pair, p sorted and q ascending
     within each class block of p.
     """
-    level = _space_entries(m, n, 0)
+    level = _level(m, n, 0)
     # A matrix's key: its cells as digits in base n + 1.
     weights = [[(n + 1) ** (i * m + j) for j in range(m)] for i in range(m)]
     index = {
-        sum(x * w for row, wrow in zip(e, weights) for x, w in zip(row, wrow)): k
-        for k, e in enumerate(level)
+        sum(x * w for row, wrow in zip(C.entries, weights) for x, w in zip(row, wrow)): k
+        for k, C in enumerate(level)
     }
     labelings = tuple(itertools.product(range(m), repeat=n))
     rows = []
@@ -673,11 +694,11 @@ def _dist_level(m: int, n: int) -> tuple:
 
     starts = tuple(sorted(
         (
-            position(i for i, row in enumerate(e) for _ in range(sum(row))),
-            position(j for row in e for j, x in enumerate(row) for _ in range(x)),
+            position(i for i, ai in enumerate(C.a) for _ in range(ai)),
+            position(j for row in C.entries for j, x in enumerate(row) for _ in range(x)),
             k,
         )
-        for k, e in enumerate(level)
+        for k, C in enumerate(level)
     ))
     return labelings, tuple(rows), starts
 
@@ -711,7 +732,7 @@ def _check_dist(ev: _Eval, space: AuditSpace):
     for n in range(1, space.dist_n_max + 1):
         ev.charge(m**n)
         labelings, rows, starts = _dist_level(m, n)
-        level = [ConfusionMatrix._trusted(e) for e in _space_entries(m, n, 0)]
+        level = _level(m, n, 0)
         dist = [c_max_f - as_float(ev.oriented(C)) for C in level]
         D = [list(map(dist.__getitem__, row)) for row in rows]
         L = len(rows)

@@ -34,6 +34,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, isqrt, lcm
 from typing import Union
 
@@ -55,6 +56,26 @@ Value = Union[int, Fraction, "Root", float, mpmath.mpf]
 #: method: below the float range's 1024 binary digits.
 _SEED_BITS = 960
 
+#: Primes per index k in the power-residue screen of :func:`_int_kth_root`.
+_RESIDUE_PRIMES = 4
+
+
+@lru_cache(maxsize=None)
+def _residue_screen(k: int) -> tuple[tuple[int, int], ...]:
+    """``(p, (p - 1) // k)`` for the first few primes p = 1 (mod k).
+
+    Modulo such a p, a k-th power x satisfies ``x**((p - 1) // k)`` = 0 or
+    1, while a non-residue gives another k-th root of unity, so each prime
+    rejects all but about 1/k of the non-powers.
+    """
+    screen = []
+    p = k + 1
+    while len(screen) < _RESIDUE_PRIMES:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            screen.append((p, (p - 1) // k))
+        p += k
+    return tuple(screen)
+
 
 def _int_kth_root(x: int, k: int) -> int | None:
     """Exact integer k-th root of x >= 0, or None if x is not a perfect power."""
@@ -65,6 +86,9 @@ def _int_kth_root(x: int, k: int) -> int | None:
     if k == 2:
         r = isqrt(x)
         return r if r * r == x else None
+    for p, e in _residue_screen(k):
+        if pow(x, e, p) > 1:
+            return None
     # Newton's method on integers decreases to the floor of the root from
     # any start at or above it.  Start from the float root of the leading
     # bits: with x = y * 2**(k*s) + low, the root is below
@@ -201,9 +225,10 @@ def root_value(coeff, radicand, index: int) -> ExactValue:
     if index == 1:
         return coeff * radicand
     rn = _int_kth_root(radicand.numerator, index)
-    rd = _int_kth_root(radicand.denominator, index)
-    if rn is not None and rd is not None:
-        return coeff * Fraction(rn, rd)
+    if rn is not None:
+        rd = _int_kth_root(radicand.denominator, index)
+        if rd is not None:
+            return coeff * Fraction(rn, rd)
     return Root(coeff, radicand, index)
 
 

@@ -18,8 +18,8 @@ from clfmeasures.core import Budget, EnumerationBudgetExceeded
 from clfmeasures.properties import (
     ALL_PROPERTIES,
     AuditSpace,
+    _level,
     _level_size,
-    _space_entries,
     audit_grid,
     check_property,
 )
@@ -85,15 +85,15 @@ def test_charges_pinned(m, n_max, pinned):
 def test_level_size_counts_the_level(m, n_max):
     for min_row in (0, 1):
         for n in range(n_max + 1):
-            assert _level_size(m, n, min_row) == len(_space_entries(m, n, min_row))
+            assert _level_size(m, n, min_row) == len(_level(m, n, min_row))
 
 
 def _refuse_level(monkeypatch, level):
-    def space_entries(m, n, min_row):
+    def build_level(m, n, min_row):
         assert (m, n, min_row) != level, f"built level {level}"
-        return _space_entries(m, n, min_row)
+        return _level(m, n, min_row)
 
-    monkeypatch.setattr(properties, "_space_entries", space_entries)
+    monkeypatch.setattr(properties, "_level", build_level)
 
 
 def test_budget_stops_before_the_level_is_built(monkeypatch):
@@ -127,16 +127,17 @@ def test_smon_charges_the_level_its_moves_reach():
 
 @pytest.mark.parametrize("prop", ["max", "min", "sym", "csym", "mon", "smon"])
 def test_no_level_is_built_before_it_is_charged(monkeypatch, prop):
-    _space_entries.cache_clear()
+    _level.cache_clear()
+    properties._block.cache_clear()
     properties._orbit_index.cache_clear()
     budget = Budget(10**9)
     built = []
 
-    def space_entries(m, n, min_row):
+    def build_level(m, n, min_row):
         built.append((n, min_row, budget.used))
-        return _space_entries(m, n, min_row)
+        return _level(m, n, min_row)
 
-    monkeypatch.setattr(properties, "_space_entries", space_entries)
+    monkeypatch.setattr(properties, "_level", build_level)
     check_property("acc", prop, SMALL_M3, budget=budget)
     n_lo = LEVELS.get(prop, (1, 1))[0]
     assert built

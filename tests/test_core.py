@@ -1,7 +1,9 @@
 """Matrices, labelings, and enumeration plumbing."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import types
 from decimal import Decimal
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clfmeasures
+from clfmeasures import properties
 from clfmeasures.core import (
     Budget,
     ConfusionMatrix,
@@ -78,6 +81,21 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="not an int or a Fraction.*confusion_matrix"):
             ConfusionMatrix(entries)
 
+    def test_slotted_matrices_copy_and_pickle(self):
+        matrices = [
+            confusion_matrix([[1, 2], [3, 4]]),
+            confusion_matrix([["1/2", 0, 1], [0, 2, 0], [1, 1, "3/4"]]),
+            ConfusionMatrix._trusted(((0, 2), (1, 0))),
+            expected_matrix((2, 1), (1, 2)),
+            properties._level(3, 4, 0)[17],
+        ]
+        for C in matrices:
+            assert not hasattr(C, "__dict__")
+            for copied in (pickle.loads(pickle.dumps(C)), copy.deepcopy(C), copy.copy(C)):
+                assert type(copied) is ConfusionMatrix
+                assert copied == C and hash(copied) == hash(C)
+                assert _margins(copied) == _margins(ConfusionMatrix(C.entries))
+
     def test_diagonal_predicates(self):
         assert confusion_matrix([[2, 0], [0, 3]]).is_diagonal()
         assert confusion_matrix([[0, 2], [3, 0]]).is_zero_diagonal()
@@ -131,6 +149,9 @@ class TestTransforms:
             expected_matrix(a, b)
 
 
+MARGINS = ("a", "b", "n", "diagonal_sum")
+
+
 def _margins(C):
     """``(a, b, n, diagonal_sum)`` with the type of every number."""
     typed = lambda x: (x, type(x))  # noqa: E731
@@ -173,6 +194,28 @@ class TestPresetMargins:
         for a, b in [((2, 1), (1, 2)), ((0, 3, 1), (2, 2, 0)), ((5,), (5,))]:
             E = expected_matrix(a, b)
             assert _margins(E) == _margins(ConfusionMatrix(E.entries))
+
+    @pytest.mark.parametrize("m, n_max", [(2, 12), (3, 6), (4, 4)])
+    def test_level_matrices_carry_recomputed_margins(self, m, n_max):
+        for min_row in (0, 1):
+            for n in range(1, n_max + 1):
+                for C in properties._level(m, n, min_row):
+                    # Set at construction: the slots read without the lazy fill.
+                    for name in MARGINS:
+                        getattr(ConfusionMatrix, name).__get__(C)
+                    assert _margins(C) == _margins(ConfusionMatrix(C.entries)), C.entries
+
+    @pytest.mark.parametrize("m, n_max", [(2, 12), (3, 6), (4, 4)])
+    def test_level_order_and_floors(self, m, n_max):
+        for n in range(1, n_max + 1):
+            for min_row in (0, 1):
+                reference = [
+                    e for a in compositions(n, m, min_part=min_row) for e, _ in enumerate_entries(a)
+                ]
+                assert [C.entries for C in properties._level(m, n, min_row)] == reference
+            # The min_row = 1 level is made of the min_row = 0 level's objects.
+            full = {id(C) for C in properties._level(m, n, 0)}
+            assert all(id(C) in full for C in properties._level(m, n, 1))
 
 
 class TestBuildConfusion:

@@ -388,11 +388,10 @@ def test_memoized_averaged_values_match_reference(mid, n_max):
     desc = parse_measure_id(mid)
     ev = Evaluator(desc)
     for m in (3, 4):
-        for entries in itertools.chain.from_iterable(
-            properties._space_entries(m, n, 0) for n in range(1, n_max[m] + 1)
+        for C in itertools.chain.from_iterable(
+            properties._level(m, n, 0) for n in range(1, n_max[m] + 1)
         ):
-            C = ConfusionMatrix._trusted(entries)
-            assert_same_value(ev.value(C), reference_value(desc, C), (mid, entries))
+            assert_same_value(ev.value(C), reference_value(desc, C), (mid, C.entries))
 
 
 def reference_cmp(a, b) -> int:
@@ -486,8 +485,8 @@ def test_edited_matrices_are_valid(monkeypatch):
 
 def test_enumerated_and_transformed_matrices_are_valid():
     perms = list(itertools.permutations(range(3)))
-    levels = (properties._space_entries(3, n, 0) for n in range(1, 5))
-    for C in map(ConfusionMatrix._trusted, itertools.chain.from_iterable(levels)):
+    levels = (properties._level(3, n, 0) for n in range(1, 5))
+    for C in itertools.chain.from_iterable(levels):
         assert_like_validated(C)
         e = C.entries
         Ct = transpose(C)

@@ -13,6 +13,7 @@ from clfmeasures import (
     parse_measure_id,
     value_cmp,
 )
+from clfmeasures import inconsistency
 from clfmeasures.core import Labeling, build_confusion
 from clfmeasures.dataio import LabelingPair
 from clfmeasures.inconsistency import (
@@ -66,6 +67,13 @@ class TestMarginReduction:
         # c11 in {0, 1} x c01 in {0..3}, minus both-empty and all-positive
         assert len(mats) == 6
 
+    def test_margin_matrices_carry_recomputed_margins(self):
+        for n in range(2, 9):
+            for a1 in range(1, n):
+                for C in margin_matrices(n, a1):
+                    V = ConfusionMatrix(C.entries)
+                    assert (C.a, C.b, C.n, C.diagonal_sum) == (V.a, V.b, V.n, V.diagonal_sum)
+
     def test_margin_matrices_validation(self):
         with pytest.raises(ValueError):
             margin_matrices(4, 0)
@@ -75,6 +83,23 @@ class TestMarginReduction:
     def test_pair_budget(self):
         with pytest.raises(EnumerationBudgetExceeded):
             list(margin_matrix_pairs(6, budget=Budget(5)))
+
+    def test_groups_build_each_list_once_and_only_when_reached(self, monkeypatch):
+        built = []
+
+        def matrices(n, a1):
+            built.append((n, a1))
+            return margin_matrices(n, a1)
+
+        monkeypatch.setattr(inconsistency, "margin_matrices", matrices)
+        assert indistinguishable_groups(8) == EXPECTED_GROUPS[8]
+        assert built == [(8, a1) for a1 in range(1, 8)]
+        built.clear()
+        # The first list holds thousands of pairs: the budget stops the
+        # first measure pair inside it, before any other list is built.
+        with pytest.raises(EnumerationBudgetExceeded):
+            indistinguishable_groups(400, budget=Budget(50))
+        assert built == [(400, 1)]
 
     def test_realize_triplet_round_trip(self):
         for n in (3, 5, 7):

@@ -32,7 +32,7 @@ AVERAGED = [
 
 
 def _singleton_orbits(m, n, min_row):
-    return tuple((e,) for e in properties._space_entries(m, n, min_row))
+    return tuple((C,) for C in properties._level(m, n, min_row))
 
 
 def _space(m, n_max):
@@ -157,20 +157,23 @@ def test_budget_charged_as_full_scan(monkeypatch, limit, m, ids):
 
 def test_orbit_index_partitions_the_level():
     for m, n, min_row in ((2, 5, 0), (3, 4, 1), (4, 3, 0)):
-        level = properties._space_entries(m, n, min_row)
+        level = properties._level(m, n, min_row)
         orbits = properties._orbit_index(m, n, min_row)
-        members = [e for orbit in orbits for e in orbit]
-        assert sorted(members) == sorted(level) and len(set(members)) == len(level)
-        position = {e: k for k, e in enumerate(level)}
-        firsts = [position[orbit[0]] for orbit in orbits]
+        members = [C for orbit in orbits for C in orbit]
+        # The members are the level's own matrices, each once.
+        assert {id(C) for C in members} == {id(C) for C in level}
+        assert len(members) == len(level)
+        position = {id(C): k for k, C in enumerate(level)}
+        firsts = [position[id(orbit[0])] for orbit in orbits]
         assert firsts == sorted(firsts)
         for orbit in orbits:
-            assert [position[e] for e in orbit] == sorted(position[e] for e in orbit)
+            assert [position[id(C)] for C in orbit] == sorted(position[id(C)] for C in orbit)
+            e = orbit[0].entries
             images = {
-                tuple(tuple(orbit[0][i][j] for j in p) for i in p)
+                tuple(tuple(e[i][j] for j in p) for i in p)
                 for p in itertools.permutations(range(m))
             }
-            assert images == set(orbit)
+            assert images == {C.entries for C in orbit}
 
 
 @pytest.mark.slow

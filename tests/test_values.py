@@ -9,10 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from clfmeasures import values
 from clfmeasures.values import (
     DEFAULT_EPS,
     Root,
     _int_kth_root,
+    _residue_screen,
     as_float,
     exact_cmp,
     is_exact,
@@ -41,6 +43,20 @@ class TestRootValue:
         assert v.coeff == Fraction(1, 3)
         assert v.radicand == Fraction(2)
         assert v.index == 2
+
+    def test_denominator_root_only_after_a_numerator_root(self, monkeypatch):
+        rooted = []
+
+        def kth_root(x, k):
+            rooted.append(x)
+            return _int_kth_root(x, k)
+
+        monkeypatch.setattr(values, "_int_kth_root", kth_root)
+        v = root_value(1, Fraction(2, 9), 2)
+        assert type(v) is Root and v.radicand == Fraction(2, 9) and rooted == [2]
+        assert root_value(1, Fraction(4, 7), 2).radicand == Fraction(4, 7)
+        assert root_value(1, Fraction(4, 9), 2) == Fraction(2, 3)
+        assert rooted == [2, 4, 7, 4, 9]
 
     def test_zero_coeff_collapses(self):
         assert root_value(0, 5, 2) == Fraction(0)
@@ -322,9 +338,15 @@ class TestIntKthRoot:
         rng = random.Random(k)
         bases = [0, 1, 2, 3, 10, 2**20 - 1, 3**40]
         bases += [rng.getrandbits(rng.randint(1, 10_000 // k)) for _ in range(6)]
+        # A multiple of every prime of the residue screen passes it, so
+        # these non-powers reach the root itself.
+        screened = 1
+        if k > 2:
+            for q, _ in _residue_screen(k):
+                screened *= q
         for base in bases:
             p = base**k
-            for x in (p - 1, p, p + 1):
+            for x in (p - 1, p, p + 1, p * screened, (p + 1) * screened):
                 if x >= 0:
                     assert _int_kth_root(x, k) == _kth_root_by_bisection(x, k), (k, x)
 
