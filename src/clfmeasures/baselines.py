@@ -14,8 +14,8 @@ the first.
 
 Each route reduces a margin pair to a table of ``(C, count)`` pairs: the
 matrices route holds each compatible matrix with its multiplicity, the
-labelings route each distinct matrix that ``build_confusion`` makes of
-the enumerated labelings, with the number of labelings that made it.
+labelings route each distinct matrix of the truth against an enumerated
+labeling, built once, with the number of labelings that made it.
 The most recently used tables are kept per process (at most
 :data:`TABLE_MATRICES` matrices in all), so the measures evaluated on one
 margin pair share one enumeration.  The cap holds the whole ``cb`` margin
@@ -44,9 +44,10 @@ from typing import Sequence
 from .averaging import _rational_mean
 from .core import (
     Budget,
-    ConfusionMatrix,
     Labeling,
-    build_confusion,
+    _joint_counts,
+    _margins,
+    _with_margins,
     enumerate_confusion_matrices,
     enumerate_labelings,
     multinomial,
@@ -84,13 +85,12 @@ def _build_table(a_sizes, b_sizes, method, budget) -> tuple:
     if method == "matrices":
         return tuple(enumerate_confusion_matrices(a_sizes, b_sizes, budget))
     truth = canonical_labeling(a_sizes)
+    # One matrix per distinct entries, not one per labeling.
     counts = Counter(
-        build_confusion(truth, pred).entries
-        for pred in enumerate_labelings(
-            len(truth), len(a_sizes), class_sizes=b_sizes, budget=budget
-        )
+        _joint_counts(truth.labels, pred.labels, truth.m)
+        for pred in enumerate_labelings(len(truth), truth.m, class_sizes=b_sizes, budget=budget)
     )
-    return tuple((ConfusionMatrix._trusted(e), k) for e, k in counts.items())
+    return tuple((_with_margins(e, *_margins(e)), k) for e, k in counts.items())
 
 
 def _table(a_sizes, b_sizes, method, budget) -> tuple:

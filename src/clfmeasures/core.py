@@ -18,7 +18,8 @@ All objects are immutable and all enumeration functions are pure
 generators.  :func:`enumerate_entries` is the one matrix enumerator:
 every space of confusion matrices the package audits or averages over
 is a filter, sort or cache of its output, so "the first counterexample
-in enumeration order" means the same order everywhere.
+in enumeration order" means the same order everywhere.  Its
+margin-carrying form is :func:`_block`, kept per process.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class Labeling:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         if self.m < 1:
             raise ValueError("need at least one class")
         if not self.labels:
@@ -82,11 +84,11 @@ class ConfusionMatrix:
     """Square matrix of exact per-(true, predicted) class counts.
 
     The margins ``n`` (total), ``a`` (row sums: true class sizes), ``b``
-    (column sums: predicted class sizes) and ``diagonal_sum`` are computed
-    together, in one pass, on first access.  Matrices the package builds
-    from margins it already knows (the audit levels, one-vs-all, micro and
-    expected matrices) carry them from construction.  Equality and hashing
-    read ``entries`` only.
+    (column sums: predicted class sizes) and ``diagonal_sum`` are set when
+    the matrix is built: computed by the constructor, which also stores
+    the entries as a tuple of tuples, or given to :func:`_with_margins`
+    by the package's own builders.  Equality and hashing read ``entries``
+    only.
     """
 
     entries: tuple[tuple[int | Fraction, ...], ...]
@@ -96,77 +98,59 @@ class ConfusionMatrix:
     diagonal_sum: int | Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = len(self.entries)
-        if m < 1 or any(len(row) != m for row in self.entries):
+        entries = tuple(map(tuple, self.entries))
+        m = len(entries)
+        if m < 1 or any(len(row) != m for row in entries):
             raise ValueError("entries must form a non-empty square matrix")
-        for row in self.entries:
+        for row in entries:
             for x in row:
                 if type(x) is not int and type(x) is not Fraction:
                     raise ValueError(
                         f"entry {x!r} is a {type(x).__name__}, not an int or a Fraction;"
                         " confusion_matrix() converts integral floats and rational strings"
                     )
-        if any(x < 0 for row in self.entries for x in row):
+        if any(x < 0 for row in entries for x in row):
             raise ValueError("entries must be non-negative")
-        if self.n <= 0:
+        margins = _margins(entries)
+        if margins[2] <= 0:  # n
             raise ValueError("matrix total must be positive")
-
-    @classmethod
-    def _trusted(cls, entries) -> "ConfusionMatrix":
-        """Wrap entries without validation.
-
-        Only for matrices the package builds itself from a valid matrix or
-        margin: a non-empty square tuple of tuples of non-negative exact
-        numbers with a positive total.
-        """
-        C = object.__new__(cls)
-        object.__setattr__(C, "entries", entries)
-        return C
-
-    def __getattr__(self, name):
-        # Reached only while a margin slot is still empty.
-        if name not in ("n", "a", "b", "diagonal_sum"):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        e = self.entries
-        a = tuple(map(sum, e))
-        set_ = object.__setattr__
-        set_(self, "a", a)
-        set_(self, "b", tuple(map(sum, zip(*e))))
-        set_(self, "n", sum(a))
-        set_(self, "diagonal_sum", sum(map(getitem, e, range(len(e)))))
-        return getattr(self, name)
+        for name, value in zip(("entries", "a", "b", "n", "diagonal_sum"), (entries, *margins)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
         return len(self.entries)
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.m)
-            for j in range(self.m)
-            if i != j
-        )
+        # Entries are non-negative: the diagonal holds all the mass.
+        return self.diagonal_sum == self.n
 
     def is_zero_diagonal(self) -> bool:
-        return all(self.entries[i][i] == 0 for i in range(self.m))
+        return self.diagonal_sum == 0
 
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.entries[i][j]
 
 
+def _margins(e) -> tuple:
+    """``(a, b, n, diagonal_sum)`` of a tuple of tuples, each summed from
+    int 0: a margin is a Fraction exactly when a Fraction entry enters it."""
+    a = tuple(map(sum, e))
+    return a, tuple(map(sum, zip(*e))), sum(a), sum(map(getitem, e, range(len(e))))
+
+
 def _with_margins(entries, a, b, n, diagonal_sum) -> ConfusionMatrix:
     """Wrap entries whose margins the caller already knows, unchecked.
 
-    Same contract as :meth:`ConfusionMatrix._trusted`; the margins must
-    equal, in value and type, what the matrix would compute from
-    ``entries``.
+    Only for matrices the package builds itself from a valid matrix or
+    margin: ``entries`` is a non-empty square tuple of tuples of
+    non-negative exact numbers with a positive total, and the margins
+    equal, in value and type, what :func:`_margins` computes from it.
     """
-    C = ConfusionMatrix._trusted(entries)
+    C = object.__new__(ConfusionMatrix)
     set_ = object.__setattr__
+    set_(C, "entries", entries)
     set_(C, "a", a)
     set_(C, "b", b)
     set_(C, "n", n)
@@ -197,18 +181,23 @@ def build_confusion(true: Labeling, pred: Labeling) -> ConfusionMatrix:
         raise ValueError(f"class count mismatch: {true.m} vs {pred.m}")
     if len(true) != len(pred):
         raise ValueError(f"length mismatch: {len(true)} vs {len(pred)}")
-    m = true.m
-    cells = [[0] * m for _ in range(m)]
-    for t, p in zip(true.labels, pred.labels):
-        cells[t][p] += 1
     # Valid labelings are non-empty with labels in range, so the counts
     # form a valid matrix.
-    return ConfusionMatrix._trusted(tuple(tuple(row) for row in cells))
+    entries = _joint_counts(true.labels, pred.labels, true.m)
+    return _with_margins(entries, *_margins(entries))
+
+
+def _joint_counts(true_labels, pred_labels, m: int) -> tuple:
+    """The confusion matrix entries of two label sequences of classes 0..m-1."""
+    cells = [[0] * m for _ in range(m)]
+    for t, p in zip(true_labels, pred_labels):
+        cells[t][p] += 1
+    return tuple(map(tuple, cells))
 
 
 def transpose(C: ConfusionMatrix) -> ConfusionMatrix:
     """Swap the roles of the two labelings."""
-    return ConfusionMatrix._trusted(tuple(zip(*C.entries)))
+    return _with_margins(tuple(zip(*C.entries)), C.b, C.a, C.n, C.diagonal_sum)
 
 
 def permute_classes(C: ConfusionMatrix, perm: Sequence[int]) -> ConfusionMatrix:
@@ -219,8 +208,10 @@ def permute_classes(C: ConfusionMatrix, perm: Sequence[int]) -> ConfusionMatrix:
     """
     if sorted(perm) != list(range(C.m)):
         raise ValueError(f"not a permutation of 0..{C.m - 1}: {perm}")
-    e = C.entries
-    return ConfusionMatrix._trusted(tuple(tuple(e[i][j] for j in perm) for i in perm))
+    e, a, b = C.entries, C.a, C.b
+    entries = tuple(tuple(e[i][j] for j in perm) for i in perm)
+    a, b = tuple(a[i] for i in perm), tuple(b[i] for i in perm)
+    return _with_margins(entries, a, b, C.n, C.diagonal_sum)
 
 
 def one_vs_all(C: ConfusionMatrix, i: int) -> ConfusionMatrix:
@@ -393,7 +384,24 @@ def enumerate_confusion_matrices(
     if any(x < 0 for x in a_sizes + b_sizes):
         raise ValueError("margins must be non-negative")
 
+    diagonal = range(m)
     for entries, count in enumerate_entries(a_sizes, b_sizes):
         if budget is not None:
             budget.charge()
-        yield ConfusionMatrix._trusted(entries), count
+        diagonal_sum = sum(map(getitem, entries, diagonal))
+        yield _with_margins(entries, a_sizes, b_sizes, n, diagonal_sum), count
+
+
+@lru_cache(maxsize=4096)
+def _block(a: tuple[int, ...]) -> tuple[ConfusionMatrix, ...]:
+    """The m x m integer matrices with row sums ``a``, in enumeration
+    order, built with their margins: ``a`` itself, the column sums (equal
+    ones share one tuple), the total and the diagonal sum."""
+    n, diagonal = sum(a), range(len(a))
+    columns: dict = {}
+    block = []
+    for e, _ in enumerate_entries(a):
+        b = tuple(map(sum, zip(*e)))
+        b = columns.setdefault(b, b)
+        block.append(_with_margins(e, a, b, n, sum(map(getitem, e, diagonal))))
+    return tuple(block)

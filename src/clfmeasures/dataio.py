@@ -35,7 +35,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .core import ConfusionMatrix, Labeling
+from .core import ConfusionMatrix, Labeling, _margins, _with_margins
 
 FORMATS = ("labels-csv", "matrix-json", "matrix-csv")
 
@@ -125,7 +125,8 @@ class LabelingPair:
             cells[t][p] += count
         # Codes lie in 0..m-1 and every count is positive, so the cells
         # form a valid matrix.
-        return ConfusionMatrix._trusted(tuple(map(tuple, cells)))
+        entries = tuple(map(tuple, cells))
+        return _with_margins(entries, *_margins(entries))
 
     def mapping(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.alphabet)}

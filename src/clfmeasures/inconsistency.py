@@ -21,7 +21,9 @@ Every call that compares many matrices holds one
 :class:`clfmeasures.measures.Evaluator` per measure, so each matrix is
 evaluated at most once per measure and call, and
 :func:`indistinguishable_groups` builds each list of shared-margin
-matrices once for all its measure pairs; nothing is kept between calls.
+matrices once for all its measure pairs.  Values are not kept between
+calls; the matrices are, since :func:`margin_matrices` filters the
+per-process blocks of ``core._block`` that the audit levels share.
 A budget is charged once per matrix pair for each measure pair compared.
 """
 
@@ -37,9 +39,8 @@ from .core import (
     Budget,
     ConfusionMatrix,
     Labeling,
-    _with_margins,
+    _block,
     build_confusion,
-    enumerate_entries,
 )
 from .measures import (
     CONSISTENCY_IDS,
@@ -135,13 +136,8 @@ def margin_matrices(n: int, a1: int) -> list[ConfusionMatrix]:
     classes non-empty, ordered by (hits, false alarms), margins set."""
     if not 1 <= a1 <= n - 1:
         raise ValueError("true class sizes must both be positive")
-    a = (n - a1, a1)
-    mats = []
-    for e, _ in enumerate_entries(a):
-        (c00, c01), (c10, c11) = e
-        b1 = c01 + c11
-        if 0 < b1 < n:  # prediction uses both classes
-            mats.append(_with_margins(e, a, (n - b1, b1), n, c00 + c11))
+    # The prediction uses both classes.
+    mats = [C for C in _block((n - a1, a1)) if 0 < C.b[1] < n]
     mats.sort(key=lambda C: (C[1, 1], C[0, 1]))
     return mats
 

@@ -103,10 +103,10 @@ dropped with its row.  Kept for the life of the process are the binary
 verdicts that the preservation and impossibility checks read
 (``_default_verdicts``); the audit levels as built matrices, margins set,
 one object per matrix shared by both row floors, by the orbits and by
-the ``dist`` pair index (``_block``, ``_level``, ``_orbit_index``,
-``_dist_level``, bounded LRU caches: about 72 bytes per matrix on top of
-its entries, 92,377 matrices for the m = 3 edit walks up to n = 10); the
-row fills of the enumerator (``core._row_fills``); the
+the ``dist`` pair index (``_level``, ``_orbit_index``, ``_dist_level``,
+LRU caches over the blocks of ``core._block``: about 72 bytes per matrix
+on top of its entries, 92,377 matrices for the m = 3 edit walks up to
+n = 10); the row fills of the enumerator (``core._row_fills``); the
 chance-expectation tables of ``baselines._tables`` (at most
 ``TABLE_MATRICES`` matrices); and the parsed descriptors of
 ``measures.parse_measure_id``.
@@ -125,9 +125,9 @@ from .baselines import _expectation, is_unary
 from .core import (
     Budget,
     ConfusionMatrix,
+    _block,
     _with_margins,
     compositions,
-    enumerate_entries,
     expected_matrix,
     permute_classes,
     transpose,
@@ -362,27 +362,12 @@ class _Eval(Evaluator):
 
 
 @lru_cache(maxsize=4096)
-def _block(a: tuple[int, ...]) -> tuple[ConfusionMatrix, ...]:
-    """The m x m integer matrices with row sums ``a``, in enumeration
-    order, built with their margins: ``a`` itself, the column sums (equal
-    ones share one tuple), the total and the diagonal sum."""
-    n, diagonal = sum(a), range(len(a))
-    columns: dict = {}
-    block = []
-    for e, _ in enumerate_entries(a):
-        b = tuple(map(sum, zip(*e)))
-        b = columns.setdefault(b, b)
-        block.append(_with_margins(e, a, b, n, sum(map(operator.getitem, e, diagonal))))
-    return tuple(block)
-
-
-@lru_cache(maxsize=4096)
 def _level(m: int, n: int, min_row: int) -> tuple[ConfusionMatrix, ...]:
     """All m x m integer matrices with total n and row sums >= min_row,
     in space order, with their margins set.
 
     The matrices of one row-sum composition are built once
-    (:func:`_block`), so the ``min_row = 1`` level is a view of the same
+    (``core._block``), so the ``min_row = 1`` level is a view of the same
     objects as the ``min_row = 0`` one, and neither builds a composition
     it does not contain.
     """
@@ -437,13 +422,17 @@ def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix
     margin, so the result is never empty and needs no validation.
     """
     cells = [list(row) for row in C.entries]
-    if decrement is not None:
-        i, j = decrement
-        cells[i][j] -= 1
-    if increment is not None:
-        i, j = increment
-        cells[i][j] += 1
-    return ConfusionMatrix._trusted(tuple(tuple(row) for row in cells))
+    a, b = list(C.a), list(C.b)
+    n, diagonal_sum = C.n, C.diagonal_sum
+    for ij, unit in ((decrement, -1), (increment, 1)):
+        if ij is not None:
+            i, j = ij
+            cells[i][j] += unit
+            a[i] += unit
+            b[j] += unit
+            n += unit
+            diagonal_sum += unit * (i == j)
+    return _with_margins(tuple(map(tuple, cells)), tuple(a), tuple(b), n, diagonal_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clfmeasures
-from clfmeasures import properties
+from clfmeasures import baselines, properties
 from clfmeasures.core import (
     Budget,
     ConfusionMatrix,
@@ -33,6 +33,9 @@ from clfmeasures.core import (
     transpose,
 )
 from clfmeasures.averaging import micro_counts
+from clfmeasures.dataio import LabelingPair
+from clfmeasures.inconsistency import margin_matrices, pairwise_inconsistency, rank_models
+from clfmeasures.orders import lattice_matrix, rate_matrix
 
 
 class TestConfusionMatrix:
@@ -85,7 +88,7 @@ class TestConfusionMatrix:
         matrices = [
             confusion_matrix([[1, 2], [3, 4]]),
             confusion_matrix([["1/2", 0, 1], [0, 2, 0], [1, 1, "3/4"]]),
-            ConfusionMatrix._trusted(((0, 2), (1, 0))),
+            transpose(confusion_matrix([[0, 1], [2, 0]])),
             expected_matrix((2, 1), (1, 2)),
             properties._level(3, 4, 0)[17],
         ]
@@ -101,6 +104,44 @@ class TestConfusionMatrix:
         assert confusion_matrix([[0, 2], [3, 0]]).is_zero_diagonal()
         C = confusion_matrix([[1, 1], [1, 1]])
         assert not C.is_diagonal() and not C.is_zero_diagonal()
+
+        def written_out(C):
+            cells = range(C.m)
+            diagonal = all(C[i, j] == 0 for i in cells for j in cells if i != j)
+            return diagonal, all(C[i, i] == 0 for i in cells)
+
+        levels = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+        matrices = [C for m, n in levels for C in properties._level(m, n, 0)]
+        matrices += [
+            expected_matrix(a, b)
+            for m, n in [(2, 4), (3, 3)]
+            for a in compositions(n, m)
+            for b in compositions(n, m)
+        ]
+        seen = set()
+        for C in matrices:
+            flags = (C.is_diagonal(), C.is_zero_diagonal())
+            assert flags == written_out(C), C.entries
+            seen.add((flags, type(C.n)))
+        # Both predicates answer both ways on int and on Fraction matrices.
+        for kind in (int, Fraction):
+            assert {f for f, t in seen if t is kind} == {
+                (True, False), (False, True), (False, False)
+            }
+
+    def test_list_input_is_stored_as_tuples(self):
+        rows = [[1, 2], [3, 4]]
+        C = ConfusionMatrix(rows)
+        assert C.entries == ((1, 2), (3, 4)) and all(type(r) is tuple for r in C.entries)
+        assert C == confusion_matrix(rows) and hash(C) == hash(confusion_matrix(rows))
+        L = Labeling([0, 1, 1], 2)
+        assert L.labels == (0, 1, 1)
+        assert L == Labeling((0, 1, 1), 2) and hash(L) == hash(Labeling((0, 1, 1), 2))
+        D = ConfusionMatrix([[2, 1], [3, 4]])
+        ranking = rank_models(["acc"], [C, D], names=["c", "d"])[0]
+        assert [e.name for e in ranking.entries] == ["d", "c"]
+        report = pairwise_inconsistency(["acc", "ba"], [(C, D)])
+        assert report.comparisons == 1
 
 
 class TestTransforms:
@@ -177,6 +218,73 @@ def _sample_matrices(m, kind, rng):
             yield confusion_matrix(rows)
 
 
+def _written_out_margins(e):
+    """Row sums, column sums, total and diagonal sum, each summed from 0."""
+    cells = range(len(e))
+    a = tuple(sum(e[i][j] for j in cells) for i in cells)
+    b = tuple(sum(e[i][j] for i in cells) for j in cells)
+    return a, b, sum(a), sum(e[i][i] for i in cells)
+
+
+def _typed(margins):
+    a, b, n, diagonal_sum = margins
+    typed = lambda x: (x, type(x))  # noqa: E731
+    return tuple(map(typed, a)), tuple(map(typed, b)), typed(n), typed(diagonal_sum)
+
+
+def _built_by(constructor):
+    """Matrices that one constructor builds from small inputs."""
+    rng = random.Random(constructor)
+    samples = [C for m in (1, 2, 3) for kind in ("int", "fraction", "mixed")
+               for C in _sample_matrices(m, kind, rng)]
+    margins = [((2, 1, 1), (1, 2, 1)), ((3, 0), (1, 2)), ((1, 2), (2, 1))]
+    rates = [(Fraction(1, 4), Fraction(1, 2), Fraction(1, 3)), (0, 1, 0), (1, 1, 1)]
+    if constructor == "ConfusionMatrix":
+        yield from (ConfusionMatrix(C.entries) for C in samples)
+        yield ConfusionMatrix([[1, 2], [3, 4]])
+    elif constructor == "confusion_matrix":
+        yield confusion_matrix([[2.0, "1/2"], ["1", Fraction(1, 2)]])
+        yield confusion_matrix([[0, 0, 1], [0, "3", 0], [0, 0, 0]])
+    elif constructor == "build_confusion":
+        for m in (1, 2, 3):
+            for truth in enumerate_labelings(3, m):
+                yield build_confusion(truth, Labeling((0, m - 1, 0), m))
+    elif constructor == "transpose":
+        yield from map(transpose, samples)
+    elif constructor == "permute_classes":
+        for C in samples:
+            for perm in itertools.permutations(range(C.m)):
+                yield permute_classes(C, perm)
+    elif constructor == "one_vs_all":
+        yield from (one_vs_all(C, i) for C in samples for i in range(C.m))
+    elif constructor == "micro_counts":
+        yield from map(micro_counts, samples)
+    elif constructor == "expected_matrix":
+        yield from (expected_matrix(a, b) for a, b in margins)
+    elif constructor == "rate_matrix":
+        yield from (rate_matrix(*r) for r in rates)
+    elif constructor == "lattice_matrix":
+        yield from (lattice_matrix(*map(Fraction, r), 12) for r in rates)
+    elif constructor == "enumerate_confusion_matrices":
+        for a, b in margins:
+            yield from (C for C, _ in enumerate_confusion_matrices(a, b))
+    elif constructor in ("table_matrices", "table_labelings"):
+        method = constructor.split("_")[1]
+        for a, b in margins:
+            yield from (C for C, _ in baselines._table(a, b, method, None))
+    elif constructor == "LabelingPair.matrix":
+        truth, pred = Labeling((0, 1, 1, 2), 3), Labeling((2, 1, 0, 0), 3)
+        yield LabelingPair(truth, pred, ("x", "y", "z")).matrix()
+        yield LabelingPair(Labeling((0, 0), 2), Labeling((0, 0), 2), ("x", "y")).matrix()
+    elif constructor == "margin_matrices":
+        yield from (C for n in range(2, 7) for a1 in range(1, n) for C in margin_matrices(n, a1))
+    elif constructor == "_edit":
+        for C in properties._level(3, 3, 0):
+            for dec, inc in [((0, 1), (1, 1)), ((2, 2), None), (None, (0, 0)), (None, (2, 1))]:
+                if dec is None or C[dec] >= 1:
+                    yield properties._edit(C, dec, inc)
+
+
 class TestPresetMargins:
     """Reductions preset the margins they know; a matrix rebuilt from the
     same entries computes them, and both must agree in value and type."""
@@ -204,6 +312,24 @@ class TestPresetMargins:
                     for name in MARGINS:
                         getattr(ConfusionMatrix, name).__get__(C)
                     assert _margins(C) == _margins(ConfusionMatrix(C.entries)), C.entries
+
+    @pytest.mark.parametrize(
+        "constructor",
+        [
+            "ConfusionMatrix", "confusion_matrix", "build_confusion", "transpose",
+            "permute_classes", "one_vs_all", "micro_counts", "expected_matrix",
+            "rate_matrix", "lattice_matrix", "enumerate_confusion_matrices",
+            "table_matrices", "table_labelings", "LabelingPair.matrix",
+            "margin_matrices", "_edit",
+        ],
+    )
+    def test_every_constructor_sets_the_margin_slots(self, constructor):
+        built = list(_built_by(constructor))
+        assert built
+        for C in built:
+            # Read through the slot descriptors: an empty slot raises.
+            slots = tuple(getattr(ConfusionMatrix, name).__get__(C) for name in MARGINS)
+            assert _typed(slots) == _typed(_written_out_margins(C.entries)), C.entries
 
     @pytest.mark.parametrize("m, n_max", [(2, 12), (3, 6), (4, 4)])
     def test_level_order_and_floors(self, m, n_max):
