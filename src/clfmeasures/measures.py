@@ -171,10 +171,15 @@ def confusion_entropy(C: ConfusionMatrix) -> mpmath.mpf:
         return -total / (2 * to_mpf(_frac(C.n)) * mpmath.log(base))
 
 
+#: The clamp of :func:`_cc_as_mpf`; exact at every precision.
+_MPF_MINUS_ONE = mpmath.mpf(-1)
+_MPF_ONE = mpmath.mpf(1)
+
+
 def _cc_as_mpf(C: ConfusionMatrix) -> mpmath.mpf:
     x = to_mpf(matthews_cc(C))
     # Guard against representation round-off at the extremes.
-    return max(mpmath.mpf(-1), min(mpmath.mpf(1), x))
+    return max(_MPF_MINUS_ONE, min(_MPF_ONE, x))
 
 
 def correlation_distance(C: ConfusionMatrix) -> mpmath.mpf:

@@ -32,12 +32,22 @@ must be rationals (int or Fraction): a float is not the rational it
 stands for, and float abscissae round away the small differences the
 probe measures.
 
+Every value kind goes through one two-stage order of operations: weight
+each stencil value and sum per stencil, scale each sum by its step, then
+combine the two sums by Richardson extrapolation.  The mpf bits of the
+transcendental measures (``cd``, ``cdprime``, ``ce``), and so the
+reported ``max_abs`` noise, depend on that order.  The stencil and
+Richardson weights are converted to mpf once, at :data:`ORDER_DPS`,
+rather than on every product; exact values are weighted exactly.
+
 :func:`check_gm_normalizer_conditions` verifies the six conditions on a
 normalizer s(p_a, p_b) under which s * (p_ab - p_a*p_b) retains the full
 chance-correction property set, instantiated for the power-mean
 normalizers of the generalized-means family.  Every condition is
 decided exactly: the two bound conditions compare the root-valued
-normalizer with its rational bound by :func:`clfmeasures.values.exact_cmp`.
+normalizer with its rational bound by :func:`clfmeasures.values.exact_cmp`,
+and the two band conditions compare integer numerators over one
+positive denominator per grid point.
 """
 
 from __future__ import annotations
@@ -45,14 +55,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Callable, Sequence
 
 from mpmath import mp
 
 from .core import ConfusionMatrix, _with_margins
 from .measures import evaluate, parse_measure_id, power_mean_ratio
-from .values import Value, as_float, exact_cmp, scale, value_cmp, value_sum
+from .values import (
+    Value, as_float, exact_cmp, is_exact, scale, to_mpf, value_cmp, value_sum,
+)
 
 ORDER_DPS = 40
 DEFAULT_ZERO_TOL = 1e-6
@@ -62,10 +74,18 @@ DEFAULT_H_SCALE = Fraction(1, 10**4)
 RatePair = tuple[Fraction, Fraction]
 
 
-def default_rate_grid(steps: int = 20) -> tuple[RatePair, ...]:
-    """All interior margin pairs (k/steps, l/steps), k,l = 1..steps-1."""
+def _grid_steps(steps) -> int:
+    """``steps`` as an int of at least 2; anything else raises ``ValueError``."""
+    if isinstance(steps, bool) or not isinstance(steps, Integral):
+        raise ValueError(f"steps must be an int, got {steps!r}")
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    return int(steps)
+
+
+def default_rate_grid(steps: int = 20) -> tuple[RatePair, ...]:
+    """All interior margin pairs (k/steps, l/steps), k,l = 1..steps-1."""
+    steps = _grid_steps(steps)
     qs = [Fraction(k, steps) for k in range(1, steps)]
     return tuple((pa, pb) for pa in qs for pb in qs)
 
@@ -134,6 +154,18 @@ _STENCILS: dict[int, tuple[tuple[int, Fraction], ...]] = {
 }
 MAX_PROBE_ORDER = max(_STENCILS)
 
+# Each weight beside its mpf at ORDER_DPS, the precision the probe runs
+# at: converted here once, not by ``scale`` on every product.
+with mp.workdps(ORDER_DPS):
+    _WEIGHTS = {
+        l: tuple((off, w, to_mpf(w)) for off, w in stencil)
+        for l, stencil in _STENCILS.items()
+    }
+    # Richardson's weights on the fine and the coarse estimate: central
+    # stencils have an h^2 error series, and one extrapolation step
+    # cancels its leading term.
+    _FINE, _COARSE = ((w, to_mpf(w)) for w in (Fraction(4, 3), Fraction(-1, 3)))
+
 
 @dataclass(frozen=True)
 class DerivativeProbe:
@@ -179,10 +211,17 @@ class BaselineOrderReport:
         }
 
 
+def _weighted(v: Value, w: Fraction, w_mpf) -> Value:
+    """``scale(v, w)``, with ``w_mpf`` the mpf of ``w`` at the ambient
+    precision: an exact ``v`` is scaled exactly, any other multiplied by
+    ``w_mpf`` without converting ``w`` again."""
+    if is_exact(v):
+        return scale(v, w)
+    return w_mpf * v
+
+
 def _richardson(coarse: Value, fine: Value) -> Value:
-    # Central stencils have an h^2 error series; one extrapolation step
-    # cancels the leading term.
-    return value_sum([scale(fine, Fraction(4, 3)), scale(coarse, Fraction(-1, 3))])
+    return value_sum([_weighted(fine, *_FINE), _weighted(coarse, *_COARSE)])
 
 
 def _rational_margin(x) -> Fraction:
@@ -215,12 +254,19 @@ def _stencil(desc, p_a: Fraction, p_b: Fraction):
 
 
 def _derivative_estimates(h: Fraction, at, orders: Sequence[int]) -> dict[int, float]:
+    """Richardson-extrapolated |d^l M / d p_ab^l| per order l, at ORDER_DPS.
+
+    One order of operations for every value kind: weight each stencil
+    value, sum per stencil, scale each sum by its step, then extrapolate.
+    The mpf bits of the transcendental measures, and so the reported
+    noise, depend on that order.
+    """
     half = h / 2
     out: dict[int, float] = {}
     for l in orders:
-        weights = _STENCILS[l]
-        coarse = value_sum([scale(at(2 * off), w) for off, w in weights])
-        fine = value_sum([scale(at(off), w) for off, w in weights])
+        weights = _WEIGHTS[l]
+        coarse = value_sum([_weighted(at(2 * off), w, wm) for off, w, wm in weights])
+        fine = value_sum([_weighted(at(off), w, wm) for off, w, wm in weights])
         coarse = scale(coarse, Fraction(1) / h**l)
         fine = scale(fine, Fraction(1) / half**l)
         out[l] = abs(as_float(_richardson(coarse, fine)))
@@ -308,12 +354,12 @@ def _margin_variance(p: Fraction) -> Fraction:
 
 
 def _nonzero_int(r) -> int:
-    """``r`` as an int; a non-integer or zero ``r`` raises ``ValueError``."""
+    """``r`` as an int; a non-integer, bool or zero ``r`` raises ``ValueError``."""
     try:
         k = int(r)
     except (TypeError, ValueError, OverflowError):
         k = None
-    if k is None or k != r:
+    if k is None or k != r or isinstance(r, bool):
         raise ValueError(f"r must be an integer, got {r!r}")
     if k == 0:
         raise ValueError("r must be nonzero")
@@ -340,27 +386,43 @@ def gm_normalizer(r: int) -> Callable[[Fraction, Fraction], Value]:
     return s
 
 
-def _power_weights(xr: Fraction, yr: Fraction) -> tuple[Fraction, Fraction]:
-    """Weights xr/(xr+yr), yr/(xr+yr) of the r-th powers of the two margin
-    variances."""
-    total = xr + yr
-    return xr / total, yr / total
-
-
-def _log_slope(p: Fraction) -> Fraction:
-    """(2p - 1)/(p(1-p)): the derivative of log s in its own margin, per
-    unit weight of that margin's variance."""
-    return (2 * p - 1) / _margin_variance(p)
-
-
 def normalizer_partial_pa(p_a: Fraction, p_b: Fraction, r: int, s_val: Value) -> Value:
     """Closed form of ds/dp_a for the power-mean normalizer.
 
     The chain rule through the r-power mean gives
     ds/dp_a = s * (2p_a - 1)/x * x^r/(x^r + y^r).
     """
-    w_x, _ = _power_weights(_margin_variance(p_a) ** r, _margin_variance(p_b) ** r)
-    return scale(s_val, _log_slope(p_a) * w_x)
+    x = _margin_variance(p_a)
+    xr, yr = x**r, _margin_variance(p_b) ** r
+    return scale(s_val, (2 * p_a - 1) / x * xr / (xr + yr))
+
+
+def _bands(N: int, k: int, l: int, w_x: int, w_y: int):
+    """Conditions 5 and 6 at p_a = k/N, p_b = l/N, on integers.
+
+    The two margins' terms are weighted ``w_x/t`` and ``w_y/t``, with
+    ``t = w_x + w_y > 0``.  Returns ``(g, lo, hi, den)`` per condition:
+    the derivative of log s is ``g/den`` and its band ``[lo/den,
+    hi/den]``.  ``den > 0`` is ``t*(N-k)*(N-l)`` for condition 5 and
+    ``t*k*(N-l)`` for condition 6, so each decision is one of ints.
+    """
+    ck, cl = N - k, N - l
+    t = w_x + w_y
+    lean_a = (2 * k - N) * cl  # 2p_a - 1, scaled
+    den5 = t * ck * cl
+    band5 = (
+        w_x * lean_a + w_y * (2 * l - N) * ck,
+        min(-2 * den5, -t * (ck * cl + k * l)),
+        t * max(lean_a, (2 * l - N) * ck),
+        den5,
+    )
+    band6 = (
+        w_x * lean_a + w_y * (N - 2 * l) * k,
+        t * min(lean_a, (N - 2 * l) * k),
+        t * max(k * cl + l * ck, 2 * k * cl),
+        t * k * cl,
+    )
+    return band5, band6
 
 
 class ConditionReport:
@@ -430,19 +492,25 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
        its admissible band.  For power means it is the weight-averaged
        combination of the band's upper-edge terms, so it touches the
        edge exactly when the margins are equal; elsewhere the check is
-       strict.  Checked in exact rational arithmetic.
+       strict.
     6. The shear derivative ((1-p_a) d/dp_a - p_b d/dp_b) log s lies in
        its band, touching the lower edge exactly on complementary
-       margins; elsewhere strict.  Exact rational arithmetic.
+       margins; elsewhere strict.
 
-    A finite-difference probe of ds/dp_a against its closed form guards
-    the rational derivative algebra used by conditions 5 and 6.  ``r``
-    must be a nonzero integer.
+    Conditions 5 and 6 are decided on integers: with p_a = k/steps and
+    p_b = l/steps, the derivative, the band edges and the slack are
+    numerators over one positive int denominator per point
+    (:func:`_bands`), and a reported slack is the float of that exact
+    ratio.  A finite-difference probe of ds/dp_a against its closed form
+    guards the derivative algebra used by conditions 5 and 6.  ``r``
+    must be a nonzero integer and ``steps`` an int of at least 2;
+    otherwise ``ValueError``.
     """
     r = _nonzero_int(r)
+    N = _grid_steps(steps)
     s = gm_normalizer(r)
-    qs = [Fraction(k, steps) for k in range(1, steps)]
-    grid = default_rate_grid(steps)
+    ks = range(1, N)
+    q = {k: Fraction(k, N) for k in ks}  # the margin k/N
 
     c1 = ConditionReport(1, "invariant under argument swap and joint complement")
     c2 = ConditionReport(2, "equals 1/(p(1-p)) on equal and complementary margins")
@@ -453,87 +521,76 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
 
     fd_worst = 0.0
     delta = Fraction(1, 10**7)
+    fd_scale = Fraction(1, 2) / delta
 
-    # The exact per-margin terms, once per margin rather than per pair.
-    # qs is closed under p -> 1 - p.
-    powers = {p: _margin_variance(p) ** r for p in qs}
-    slope = {p: _log_slope(p) for p in qs}
-    inverse = {p: 1 / p for p in qs}
-    odds = {p: p / (1 - p) for p in qs}
-    edge5 = {p: (2 * p - 1) / (1 - p) for p in qs}
-    edge6 = {p: 2 - inverse[p] for p in qs}
+    # N^2 times the margin variance of k/N, and its |r|-th power.  With
+    # X, Y those of p_a, p_b, the margins' weights x^r/(x^r + y^r) and
+    # y^r/(x^r + y^r) are W_X/T and W_Y/T, T = W_X + W_Y, for
+    # (W_X, W_Y) = (X^r, Y^r) when r > 0 and (Y^|r|, X^|r|) when r < 0.
+    variance = {k: k * (N - k) for k in ks}
+    power = {k: variance[k] ** abs(r) for k in ks}
 
     with mp.workdps(ORDER_DPS):
         # s once per grid point, each at its own arguments: condition 1
         # compares values computed independently of each other.
-        S = {(p_a, p_b): s(p_a, p_b) for p_a, p_b in grid}
-        for p in qs:
-            target = 1 / _margin_variance(p)
+        S = {(k, l): s(q[k], q[l]) for k in ks for l in ks}
+        for k in ks:
+            target = Fraction(N * N, variance[k])
             c2.check(
-                value_cmp(S[p, p], target) == 0, p, p, "s(p, p) != 1/(p(1-p))"
+                value_cmp(S[k, k], target) == 0, q[k], q[k], "s(p, p) != 1/(p(1-p))"
             )
             c2.check(
-                value_cmp(S[p, 1 - p], target) == 0,
-                p,
-                1 - p,
+                value_cmp(S[k, N - k], target) == 0,
+                q[k],
+                q[N - k],
                 "s(p, 1-p) != 1/(p(1-p))",
             )
-        for p_a, p_b in grid:
-            s_val = S[p_a, p_b]
+        for k, l in S:
+            p_a, p_b = q[k], q[l]
+            s_val = S[k, l]
+            c1.check(value_cmp(s_val, S[l, k]) == 0, p_a, p_b, "swap changes s")
             c1.check(
-                value_cmp(s_val, S[p_b, p_a]) == 0, p_a, p_b, "swap changes s"
-            )
-            c1.check(
-                value_cmp(s_val, S[1 - p_a, 1 - p_b]) == 0,
+                value_cmp(s_val, S[N - k, N - l]) == 0,
                 p_a,
                 p_b,
                 "joint complement changes s",
             )
 
-            same = max(inverse[p_a] * inverse[p_b], inverse[1 - p_a] * inverse[1 - p_b])
-            cross = max(inverse[p_a] * inverse[1 - p_b], inverse[1 - p_a] * inverse[p_b])
+            # The complements of k and l: 1 - p_a = ck/N, 1 - p_b = cl/N.
+            ck, cl = N - k, N - l
+            same = Fraction(N * N, min(k * l, ck * cl))
+            cross = Fraction(N * N, min(k * cl, ck * l))
             for cond, asserted, bound, sign in (
-                (c3, p_b != 1 - p_a, same, "same"),
-                (c4, p_b != p_a, cross, "cross"),
+                (c3, l != ck, same, "same"),
+                (c4, l != k, cross, "cross"),
             ):
                 if asserted:
                     margin = as_float(value_sum([bound, _minus(s_val)]))
                     ok = exact_cmp(s_val, bound) < 0
                     cond.strict(ok, margin, p_a, p_b, f"{sign}-sign bound violated")
 
-            w_x, w_y = _power_weights(powers[p_a], powers[p_b])
-            edge_a5, edge_b5 = edge5[p_a], edge5[p_b]
-            g5 = w_x * edge_a5 + w_y * edge_b5
-            lo5 = min(Fraction(-2), -1 - odds[p_a] * odds[p_b])
-            hi5 = max(edge_a5, edge_b5)
-            if p_a == p_b:
-                c5.equality_point(
-                    lo5 <= g5 <= hi5, p_a, p_b, "band violated on equal margins"
-                )
-            else:
-                slack5 = min(g5 - lo5, hi5 - g5)
-                c5.strict(slack5 > 0, float(slack5), p_a, p_b, "band not strict off equal margins")
+            w_x, w_y = (power[k], power[l]) if r > 0 else (power[l], power[k])
+            band5, band6 = _bands(N, k, l, w_x, w_y)
+            for cond, touches, (g, lo, hi, den), where in (
+                (c5, k == l, band5, "equal"),
+                (c6, l == ck, band6, "complementary"),
+            ):
+                if touches:
+                    detail = f"band violated on {where} margins"
+                    cond.equality_point(lo <= g <= hi, p_a, p_b, detail)
+                else:
+                    # num / den is correctly rounded: the float of the
+                    # rational slack.
+                    slack = min(g - lo, hi - g)
+                    detail = f"band not strict off {where} margins"
+                    cond.strict(slack > 0, slack / den, p_a, p_b, detail)
 
-            edge_a6, edge_b6 = edge6[p_a], edge6[1 - p_b]
-            g6 = w_x * edge_a6 + w_y * edge_b6
-            lo6 = min(edge_a6, edge_b6)
-            hi6 = max(1 + odds[p_b] / odds[p_a], Fraction(2))
-            if p_b == 1 - p_a:
-                c6.equality_point(
-                    lo6 <= g6 <= hi6,
-                    p_a,
-                    p_b,
-                    "band violated on complementary margins",
-                )
-            else:
-                slack6 = min(g6 - lo6, hi6 - g6)
-                detail = "band not strict off complementary margins"
-                c6.strict(slack6 > 0, float(slack6), p_a, p_b, detail)
-
-            closed = scale(s_val, slope[p_a] * w_x)
+            # ds/dp_a = s * (2p_a - 1)/x * W_X/T, with x = X/N^2.
+            slope = Fraction((2 * k - N) * N * w_x, variance[k] * (w_x + w_y))
+            closed = scale(s_val, slope)
             fd = scale(
                 value_sum([s(p_a + delta, p_b), _minus(s(p_a - delta, p_b))]),
-                Fraction(1, 2) / delta,
+                fd_scale,
             )
             err = abs(as_float(value_sum([fd, _minus(closed)])))
             rel = err / max(1.0, abs(as_float(closed)))
@@ -548,7 +605,7 @@ def check_gm_normalizer_conditions(r: int, steps: int = 20) -> dict:
     }
     return {
         "r": r,
-        "grid_steps": steps,
+        "grid_steps": N,
         "conditions": conditions,
         "all_hold": all_hold,
         "partial_check": partial,

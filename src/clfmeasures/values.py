@@ -277,8 +277,29 @@ def exact_cmp(a: ExactValue, b: ExactValue) -> int:
     return sa if lhs > rhs else -sa
 
 
+#: Radicals kept by :func:`_root_mpf`.  A round of chance-level probes
+#: roots a few hundred distinct radicals, most of them many times; gm's
+#: radicands at |r| = 16 reach about 10^4 bits, so even a full cache of
+#: those holds only a few MB.
+_ROOT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _root_mpf(radicand: Fraction, index: int, prec: int) -> mpmath.mpf:
+    """``radicand**(1/index)`` at the ambient precision, which must be
+    ``prec`` bits: the precision is in the key because the root is rounded
+    to it."""
+    return mpmath.root(mpmath.mpf(radicand.numerator) / radicand.denominator, index)
+
+
 def to_mpf(v: Value) -> mpmath.mpf:
-    """Convert any value kind to mpf at the current mpmath precision."""
+    """Convert any value kind to mpf at the current mpmath precision.
+
+    A :class:`Root` is its coefficient times the memoized root of its
+    radicand (:func:`_root_mpf`, keyed on radicand, index and ``mp.prec``):
+    the values a probe converts share few radicals, and each is rooted
+    once per precision.  The result is the one ``mpmath.root`` gives.
+    """
     if isinstance(v, mpmath.mpf):
         return v
     if isinstance(v, int):
@@ -286,7 +307,7 @@ def to_mpf(v: Value) -> mpmath.mpf:
     if isinstance(v, Fraction):
         return mpmath.mpf(v.numerator) / v.denominator
     if isinstance(v, Root):
-        return to_mpf(v.coeff) * mpmath.root(to_mpf(v.radicand), v.index)
+        return to_mpf(v.coeff) * _root_mpf(v.radicand, v.index, mp.prec)
     return mpmath.mpf(v)
 
 

@@ -21,6 +21,7 @@ from clfmeasures.measures import (
     SIMILARITY,
     MeasureArityError,
     MeasureParseError,
+    _cc_as_mpf,
     evaluate,
     oriented,
     parse_measure_id,
@@ -98,6 +99,21 @@ class TestConfusionEntropy:
         C = confusion_matrix([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
         v = ev("ce", C)
         assert values_equal(v, 1, eps=1e-12)
+
+
+class TestCorrelationClamp:
+    @pytest.mark.parametrize(
+        "entries, cc", [(((3, 0), (0, 2)), 1), (((0, 3), (2, 0)), -1)]
+    )
+    def test_extremes_keep_value_and_type(self, entries, cc):
+        C = confusion_matrix(entries)
+        for dps in (15, 30, 40):
+            with mp.workdps(dps):
+                x = _cc_as_mpf(C)
+                assert type(x) is mpmath.mpf and x == cc
+        with mp.workdps(30):
+            assert ev("cd", C) == (0 if cc == 1 else 1)
+            assert ev("cdprime", C) == (0 if cc == 1 else 2)
 
 
 class TestSingularities:

@@ -2,19 +2,30 @@
 
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 from math import lcm
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from clfmeasures import confusion_matrix, evaluate, parse_measure_id
 from clfmeasures.core import ConfusionMatrix
 from clfmeasures.measures import AUDIT_ONLY_IDS, SCHEMES
 from clfmeasures.orders import (
+    _COARSE,
+    _FINE,
+    _STENCILS,
+    _WEIGHTS,
+    ORDER_DPS,
     ConditionReport,
+    _bands,
+    _derivative_estimates,
+    _weighted,
     baseline_order,
     check_gm_normalizer_conditions,
     default_rate_grid,
@@ -24,7 +35,9 @@ from clfmeasures.orders import (
     normalizer_partial_pa,
     rate_matrix,
 )
-from clfmeasures.values import as_float, value_cmp
+from clfmeasures.values import (
+    Root, as_float, root_value, scale, to_mpf, value_cmp, value_identical, value_sum,
+)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -310,6 +323,165 @@ class TestBaselineOrderPinned:
             assert got == want, (mid, steps)
 
 
+class TestDefaultGridOrderPinned:
+    """``baseline_order(mid, l_max=L).to_dict()`` at the default grid,
+    ``default_rate_grid(20)``, for the three calls of the ``baselines``
+    benchmark workload: sha256 of the sorted-key JSON, as computed before
+    the stencil weights were converted once and the roots memoized."""
+
+    DIGESTS = {
+        ("cd", 3): "c94ff8e7936c5c1ccb977bd2e4104106c73cf5ebb944c68ae47dee317b103822",
+        ("cdprime", 2): "d0df4a9ebeca9794a4c2759b4837dc05dfdcce970905e1e093fce1e3c4bd49c2",
+        ("cc", 3): "e53f33cadc07691d9016530f2b6a79a214ba3c9e027aeed26fbb0c9af108b52e",
+    }
+
+    @pytest.mark.parametrize("mid, l_max", list(DIGESTS))
+    def test_report_bytes(self, mid, l_max):
+        d = baseline_order(mid, l_max=l_max, grid=default_rate_grid(20)).to_dict()
+        got = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+        assert got == self.DIGESTS[mid, l_max]
+
+
+class TestStencilWeights:
+    """``_derivative_estimates``, whose weights are converted to mpf once,
+    against the estimate written out with ``scale`` and ``value_sum`` on
+    every product, on synthetic stencils of each value kind."""
+
+    @staticmethod
+    def reference(h, at, orders):
+        half = h / 2
+        out = {}
+        for l in orders:
+            coarse = value_sum([scale(at(2 * off), w) for off, w in _STENCILS[l]])
+            fine = value_sum([scale(at(off), w) for off, w in _STENCILS[l]])
+            coarse = scale(coarse, Fraction(1) / h**l)
+            fine = scale(fine, Fraction(1) / half**l)
+            rich = value_sum([scale(fine, Fraction(4, 3)), scale(coarse, Fraction(-1, 3))])
+            out[l] = abs(as_float(rich))
+        return out
+
+    #: Stencil value kinds: each maps (rng, j, h) to a value at j*h/2.
+    KINDS = {
+        "fraction": lambda rng, j, h: Fraction(1, 3) + j * h / 2 + (j * h) ** 2 * rng.randint(1, 9),
+        "shared_root": lambda rng, j, h: Root(Fraction(2, 7) + j * h, Fraction(5, 11), 2),
+        "unlike_roots": lambda rng, j, h: root_value(
+            Fraction(2, 7) + j * h, Fraction(rng.randint(2, 10**6), rng.randint(1, 10**6)),
+            rng.choice((2, 3, 4)),
+        ),
+        "mpf": lambda rng, j, h: mpmath.acos(to_mpf(Fraction(1, 3) + j * h / 2)) / mpmath.pi
+        + mpmath.mpf(rng.randint(-9, 9)) * mpmath.mpf(10) ** -35,
+        # Affine in j: every estimate is the rounding noise of the sums, as
+        # in cd's second derivative, so its bits show the order of operations.
+        "mpf_affine": lambda rng, j, h: mpmath.mpf(1) / 3 + mpmath.mpf(j) * to_mpf(h) / 7,
+        "float": lambda rng, j, h: 0.25 + j * float(h) + rng.random() * 1e-12,
+    }
+    MIXES = [
+        ("fraction",), ("shared_root",), ("unlike_roots",), ("mpf",), ("mpf_affine",),
+        ("fraction", "shared_root"), ("fraction", "mpf"), ("shared_root", "mpf"),
+        ("fraction", "mpf_affine"), ("unlike_roots", "mpf", "float"), tuple(KINDS),
+    ]
+
+    @pytest.mark.parametrize("kinds", MIXES, ids="+".join)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_estimates_are_bit_identical(self, kinds, seed):
+        rng = random.Random(seed)
+        h = Fraction(rng.randint(1, 99), 10**rng.randint(4, 7))
+        with mp.workdps(ORDER_DPS):
+            stencil = {j: self.KINDS[rng.choice(kinds)](rng, j, h) for j in range(-4, 5)}
+            got = _derivative_estimates(h, stencil.__getitem__, (2, 3, 4))
+            want = self.reference(h, stencil.__getitem__, (2, 3, 4))
+        assert {l: v.hex() for l, v in got.items()} == {l: v.hex() for l, v in want.items()}
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_weighted_is_scale(self, kind):
+        rng = random.Random(kind)
+        pairs = [(w, wm) for l in _WEIGHTS for _, w, wm in _WEIGHTS[l]] + [_FINE, _COARSE]
+        with mp.workdps(ORDER_DPS):
+            for j in range(-4, 5):
+                v = self.KINDS[kind](rng, j, Fraction(1, 10**4))
+                for w, wm in pairs:
+                    assert value_identical(_weighted(v, w, wm), scale(v, w))
+
+
+@st.composite
+def _grid_points(draw):
+    """``(N, k, l)``: the margin pair (k/N, l/N) of an interior grid."""
+    N = draw(st.integers(2, 40))
+    return N, draw(st.integers(1, N - 1)), draw(st.integers(1, N - 1))
+
+
+class TestIntegerBands:
+    """Conditions 5 and 6 on integer numerators against their Fraction
+    formulas."""
+
+    @staticmethod
+    def fraction_bands(p_a, p_b, w_x, w_y):
+        """``(g, lo, hi)`` of conditions 5 and 6 in Fraction arithmetic."""
+
+        def edge5(p):
+            return (2 * p - 1) / (1 - p)
+
+        def edge6(p):
+            return 2 - 1 / p
+
+        def odds(p):
+            return p / (1 - p)
+
+        band5 = (
+            w_x * edge5(p_a) + w_y * edge5(p_b),
+            min(Fraction(-2), -1 - odds(p_a) * odds(p_b)),
+            max(edge5(p_a), edge5(p_b)),
+        )
+        band6 = (
+            w_x * edge6(p_a) + w_y * edge6(1 - p_b),
+            min(edge6(p_a), edge6(1 - p_b)),
+            max(1 + odds(p_b) / odds(p_a), Fraction(2)),
+        )
+        return band5, band6
+
+    def reference_reports(self, r, steps):
+        """Conditions 5 and 6 over the grid, decided on Fractions."""
+        c5 = ConditionReport(5, "")
+        c6 = ConditionReport(6, "")
+        for p_a, p_b in default_rate_grid(steps):
+            xr, yr = (p_a * (1 - p_a)) ** r, (p_b * (1 - p_b)) ** r
+            bands = self.fraction_bands(p_a, p_b, xr / (xr + yr), yr / (xr + yr))
+            for cond, touches, (g, lo, hi), where in (
+                (c5, p_a == p_b, bands[0], "equal"),
+                (c6, p_b == 1 - p_a, bands[1], "complementary"),
+            ):
+                if touches:
+                    cond.equality_point(lo <= g <= hi, p_a, p_b, f"band violated on {where} margins")
+                else:
+                    slack = min(g - lo, hi - g)
+                    cond.strict(slack > 0, float(slack), p_a, p_b, f"band not strict off {where} margins")
+        return c5, c6
+
+    @pytest.mark.parametrize("steps", [2, 3, 7, 20])
+    @pytest.mark.parametrize("r", [1, -1, 2, -2, 3, -3, 16, -16])
+    def test_reports_match_fraction_formulas(self, r, steps):
+        rep = check_gm_normalizer_conditions(r, steps=steps)
+        for got, want in zip(rep["conditions"][4:], self.reference_reports(r, steps)):
+            assert got.checked == want.checked
+            assert got.equality_points == want.equality_points
+            assert got.min_strict_margin == want.min_strict_margin
+            assert got.failures == want.failures
+
+    @given(point=_grid_points(), w_x=st.integers(0, 10**40), w_y=st.integers(0, 10**40))
+    @example(point=(7, 5, 2), w_x=1, w_y=0)  # a zero slack off equal margins
+    def test_bands_equal_fraction_formulas(self, point, w_x, w_y):
+        assume(w_x + w_y > 0)
+        N, k, l = point
+        t = w_x + w_y
+        want = self.fraction_bands(Fraction(k, N), Fraction(l, N), Fraction(w_x, t), Fraction(w_y, t))
+        for (g, lo, hi, den), (fg, flo, fhi) in zip(_bands(N, k, l, w_x, w_y), want):
+            assert den > 0
+            assert (Fraction(g, den), Fraction(lo, den), Fraction(hi, den)) == (fg, flo, fhi)
+            slack, fslack = min(g - lo, hi - g), min(fg - flo, fhi - fg)
+            assert (slack > 0) == (fslack > 0)
+            assert (slack / den).hex() == float(fslack).hex()
+
+
 class TestBaselineOrderInputs:
     @pytest.mark.parametrize("mid", AUDIT_ONLY_IDS)
     def test_audit_only_refused(self, mid):
@@ -392,6 +564,20 @@ class TestGmNormalizer:
             gm_normalizer(r)
         with pytest.raises(ValueError, match="integer"):
             check_gm_normalizer_conditions(r, steps=4)
+
+    @pytest.mark.parametrize("r", [True, False])
+    def test_bool_r_refused(self, r):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            gm_normalizer(r)
+        with pytest.raises(ValueError, match="r must be an integer"):
+            check_gm_normalizer_conditions(r, steps=4)
+
+    @pytest.mark.parametrize("steps", [2.5, 4.0, "4", Fraction(4), True, None])
+    def test_non_int_steps_refused(self, steps):
+        with pytest.raises(ValueError, match="steps must be an int"):
+            check_gm_normalizer_conditions(1, steps=steps)
+        with pytest.raises(ValueError, match="steps must be an int"):
+            default_rate_grid(steps)
 
     def test_integral_r_of_other_types_accepted(self):
         assert check_gm_normalizer_conditions(2.0, steps=4)["r"] == 2

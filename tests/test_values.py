@@ -227,6 +227,66 @@ class TestRenderings:
             assert abs(x - 1 / mpmath.sqrt(6)) < mpmath.mpf(10) ** -38
 
 
+class TestRootMemo:
+    """``to_mpf`` of a :class:`Root` against the conversion written out
+    with mpmath alone, ``(mpf(p)/q) * root(mpf(u)/w, k)``, at the
+    precision in force."""
+
+    #: (p, q, u, w, k) of (p/q) * (u/w)**(1/k): indices 2 to 5, negative
+    #: coefficients, and a radicand of about 10^4 bits.
+    PARTS = [
+        (1, 6, 6, 1, 2),
+        (-3, 7, 5, 11, 2),
+        (2, 1, 10, 3, 3),
+        (-1, 2, 7, 2, 4),
+        (5, 9, 3, 4, 5),
+        (-7, 3, 2**10007 + 1, 3**3001, 16),
+    ]
+
+    @staticmethod
+    def reference(p, q, u, w, k):
+        return (mpmath.mpf(p) / q) * mpmath.root(mpmath.mpf(u) / w, k)
+
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_alternating_precisions_on_one_root(self, parts):
+        p, q, u, w, k = parts
+        v = root_value(Fraction(p, q), Fraction(u, w), k)
+        assert isinstance(v, Root)
+        prec = mp.prec
+        # Each precision twice, alternating: a memo that ignored the
+        # precision would hand back the root rounded at the last one.
+        for dps in (15, 30, 40, 60) * 2:
+            with mp.workdps(dps):
+                inner = mp.prec
+                got = to_mpf(v)
+                assert mp.prec == inner
+                want = self.reference(p, q, u, w, k)
+                assert type(got) is mpmath.mpf
+                assert got == want, (dps, got, want)
+        assert mp.prec == prec
+
+    def test_one_root_per_radical_and_precision(self, monkeypatch):
+        calls = []
+        original = mpmath.root
+
+        def counting_root(x, k):
+            calls.append(k)
+            return original(x, k)
+
+        radicand = Fraction(5, 11)
+        with mp.workdps(40):
+            want = [self.reference(c, 3, 5, 11, 2) for c in range(1, 8)]
+            values._root_mpf.cache_clear()
+            monkeypatch.setattr(values.mpmath, "root", counting_root)
+            got = [to_mpf(Root(Fraction(c, 3), radicand, 2)) for c in range(1, 8)]
+        assert got == want
+        assert len(calls) == 1
+        with mp.workdps(30):
+            to_mpf(Root(Fraction(1), radicand, 2))
+            to_mpf(Root(Fraction(1), radicand, 3))
+        assert len(calls) == 3
+
+
 class TestWorkingPrecision:
     def test_raises_low_ambient(self):
         with mp.workdps(10):
