@@ -243,7 +243,7 @@ def power_mean_ratio(num, x, y, r: int) -> Value:
     coeff = Fraction(num * bottom, top)
     if s == 1:
         return coeff
-    return root_value(coeff, Fraction(top ** (s - 1), bottom ** (s - 1)), s)
+    return root_value(coeff, Fraction(top, bottom) ** (s - 1), s)
 
 
 def generalized_means(C: ConfusionMatrix, r) -> Value:

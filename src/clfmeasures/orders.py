@@ -386,17 +386,6 @@ def gm_normalizer(r: int) -> Callable[[Fraction, Fraction], Value]:
     return s
 
 
-def normalizer_partial_pa(p_a: Fraction, p_b: Fraction, r: int, s_val: Value) -> Value:
-    """Closed form of ds/dp_a for the power-mean normalizer.
-
-    The chain rule through the r-power mean gives
-    ds/dp_a = s * (2p_a - 1)/x * x^r/(x^r + y^r).
-    """
-    x = _margin_variance(p_a)
-    xr, yr = x**r, _margin_variance(p_b) ** r
-    return scale(s_val, (2 * p_a - 1) / x * xr / (xr + yr))
-
-
 def _bands(N: int, k: int, l: int, w_x: int, w_y: int):
     """Conditions 5 and 6 at p_a = k/N, p_b = l/N, on integers.
 

@@ -101,12 +101,12 @@ in another.  The row evaluator adds only the comparison
 tolerance, the enumeration budget and witness rendering.  The memo is
 dropped with its row.  Kept for the life of the process are the binary
 verdicts that the preservation and impossibility checks read
-(``_default_verdicts``); the audit levels as built matrices, margins set,
-one object per matrix shared by both row floors, by the orbits and by
-the ``dist`` pair index (``_level``, ``_orbit_index``, ``_dist_level``,
-LRU caches over the blocks of ``core._block``: about 72 bytes per matrix
-on top of its entries, 92,377 matrices for the m = 3 edit walks up to
-n = 10); the row fills of the enumerator (``core._row_fills``); the
+(``_default_verdicts``); the audit levels (the LRU cache ``_level``),
+each with the fields its scans read: matrices built over the blocks of
+``core._block``, margins set, one object per matrix shared by both row
+floors, by the orbits and by the ``dist`` pairs (about 72 bytes per
+matrix on top of its entries, 92,377 matrices for the m = 3 edit walks
+up to n = 10); the row fills of the enumerator (``core._row_fills``); the
 chance-expectation tables of ``baselines._tables`` (at most
 ``TABLE_MATRICES`` matrices); and the parsed descriptors of
 ``measures.parse_measure_id``.
@@ -119,7 +119,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 from .baselines import _expectation, is_unary
 from .core import (
@@ -307,18 +307,15 @@ class _Eval(Evaluator):
         self._outcomes: dict = {}
         self._charges: list | None = None
 
-    def orbits_identical(self, m: int, n: int, min_row: int) -> bool:
-        """Whether every orbit of the level has one identical value on
-        all its members (:func:`clfmeasures.values.value_identical`).
+    def orbits_identical(self, level: _Level) -> bool:
+        """Whether every orbit of ``level`` has one identical value on all
+        its members (:func:`clfmeasures.values.value_identical`).
 
         Decided on the first call per level and kept with the row.
         """
-        key = (m, n, min_row)
-        same = self._identical_levels.get(key)
+        same = self._identical_levels.get(level)
         if same is None:
-            same = self._identical_levels[key] = all(
-                map(self._orbit_identical, _orbit_index(m, n, min_row))
-            )
+            same = self._identical_levels[level] = all(map(self._orbit_identical, level.orbits))
         return same
 
     def _orbit_identical(self, orbit) -> bool:
@@ -361,58 +358,99 @@ class _Eval(Evaluator):
         }
 
 
-@lru_cache(maxsize=4096)
-def _level(m: int, n: int, min_row: int) -> tuple[ConfusionMatrix, ...]:
-    """All m x m integer matrices with total n and row sums >= min_row,
-    in space order, with their margins set.
+class _Level:
+    """One sample size (level) of a space: the m x m integer matrices of
+    total n with row sums >= ``min_row``.
 
-    The matrices of one row-sum composition are built once
-    (``core._block``), so the ``min_row = 1`` level is a view of the same
-    objects as the ``min_row = 0`` one, and neither builds a composition
-    it does not contain.
+    ``size`` is counted at construction; the other fields are built on
+    first read and kept, so a scan charges ``size`` before reading them.
     """
-    return tuple(itertools.chain.from_iterable(map(_block, compositions(n, m, min_part=min_row))))
+
+    def __init__(self, m: int, n: int, min_row: int):
+        self.m, self.n, self.min_row = m, n, min_row
+        self.size = sum(
+            math.prod(math.comb(a + m - 1, m - 1) for a in rows)
+            for rows in compositions(n, m, min_part=min_row)
+        )
+
+    @cached_property
+    def matrices(self) -> tuple[ConfusionMatrix, ...]:
+        """The matrices in space order, margins set.  Those of one row-sum
+        composition are built once (``core._block``), so the ``min_row = 1``
+        level holds the ``min_row = 0`` level's objects, and neither builds
+        a composition it does not contain."""
+        rows = compositions(self.n, self.m, min_part=self.min_row)
+        return tuple(itertools.chain.from_iterable(map(_block, rows)))
+
+    @cached_property
+    def orbits(self) -> tuple:
+        """The orbits under relabeling the classes (simultaneous row and
+        column permutation): tuples of the level's own matrices in space
+        order, so the first member is the representative, ordered by
+        representative."""
+        matrices = self.matrices
+        position = {C.entries: k for k, C in enumerate(matrices)}
+        perms = list(itertools.permutations(range(self.m)))
+        marked = [False] * len(matrices)
+        orbits = []
+        for k, C in enumerate(matrices):
+            if marked[k]:
+                continue
+            e = C.entries
+            members = sorted({position[tuple(tuple(e[i][j] for j in p) for i in p)] for p in perms})
+            for x in members:
+                marked[x] = True
+            orbits.append(tuple(matrices[x] for x in members))
+        return tuple(orbits)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The labeling pairs of a ``dist`` level (``min_row = 0``),
+        indexed by their matrices: ``(labelings, rows, starts)``, the m**n
+        labelings in ``itertools.product`` order; ``rows[p][q]``, the index
+        in ``matrices`` of the matrix of labelings p (true) and q; and, in
+        product order, one start pair ``(p, q, k)`` per matrix k: its first
+        pair, p sorted and q ascending within each class block of p."""
+        m, n, matrices = self.m, self.n, self.matrices
+        # A matrix's key: its cells as digits in base n + 1.
+        weights = [[(n + 1) ** (i * m + j) for j in range(m)] for i in range(m)]
+        index = {
+            sum(x * w for row, wrow in zip(C.entries, weights) for x, w in zip(row, wrow)): k
+            for k, C in enumerate(matrices)
+        }
+        labelings = tuple(itertools.product(range(m), repeat=n))
+        rows = []
+        for labels in labelings:
+            keys = [0]  # then keys[q]: the key of the matrix of labels and labeling q
+            for i in labels:
+                keys = [key + w for key in keys for w in weights[i]]
+            rows.append(tuple(map(index.__getitem__, keys)))
+
+        def position(labels) -> int:
+            return reduce(lambda pos, x: pos * m + x, labels, 0)
+
+        starts = tuple(sorted(
+            (
+                position(i for i, ai in enumerate(C.a) for _ in range(ai)),
+                position(j for row in C.entries for j, x in enumerate(row) for _ in range(x)),
+                k,
+            )
+            for k, C in enumerate(matrices)
+        ))
+        return labelings, tuple(rows), starts
 
 
-@lru_cache(maxsize=4096)
-def _level_size(m: int, n: int, min_row: int) -> int:
-    """``len(_level(m, n, min_row))``, counted without building it."""
-    return sum(
-        math.prod(math.comb(a + m - 1, m - 1) for a in rows)
-        for rows in compositions(n, m, min_part=min_row)
-    )
-
-
-@lru_cache(maxsize=4096)
-def _orbit_index(m: int, n: int, min_row: int) -> tuple:
-    """The orbits of ``_level(m, n, min_row)`` under relabeling the
-    classes (simultaneous row and column permutation).
-
-    One tuple of members per orbit, in space order, so the first member
-    is the orbit's representative; orbits come in the space order of their
-    representatives.  Members are the level's own matrices.
-    """
-    level = _level(m, n, min_row)
-    position = {C.entries: k for k, C in enumerate(level)}
-    perms = list(itertools.permutations(range(m)))
-    marked = [False] * len(level)
-    orbits = []
-    for k, C in enumerate(level):
-        if marked[k]:
-            continue
-        e = C.entries
-        members = sorted({position[tuple(tuple(e[i][j] for j in p) for i in p)] for p in perms})
-        for x in members:
-            marked[x] = True
-        orbits.append(tuple(level[x] for x in members))
-    return tuple(orbits)
+#: The one level object of ``(m, n, min_row)``, with the fields it has
+#: built; the 4096 most recently used are kept.
+_level = lru_cache(maxsize=4096)(_Level)
 
 
 def _iter_matrices(ev: _Eval, m: int, n_max: int):
     """The value-comparison space, each level charged before it is built."""
     for n in range(1, n_max + 1):
-        ev.charge(_level_size(m, n, 1))
-        yield from _level(m, n, 1)
+        level = _level(m, n, 1)
+        ev.charge(level.size)
+        yield from level.matrices
 
 
 def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix:
@@ -503,26 +541,22 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
     Otherwise, or on a violation, the level is rescanned matrix by matrix
     in space order, so ``checked`` and the witness are those of the full
     scan.  On entering level n, every level up to ``n + max(reach)`` not
-    yet charged is charged in full, before any of them is built: smon,
-    whose moves add a unit, also pays for level ``n_hi + 1``.
+    yet charged its ``size``, before any of them is built: smon, whose
+    moves add a unit, also pays for level ``n_hi + 1``.
     """
     checked = 0
     charged = n_lo - 1  # the last level charged
     for n in range(n_lo, n_hi + 1):
-        while charged < n + max(reach):
-            charged += 1
-            ev.charge(_level_size(m, charged, min_row))
-        starts = [
-            (C, len(orbit))
-            for orbit in _orbit_index(m, n, min_row)
-            if keep(C := orbit[0])
-        ]
-        if starts and all(ev.orbits_identical(m, n + d, min_row) for d in reach):
+        for charged in range(charged + 1, n + max(reach) + 1):
+            ev.charge(_level(m, charged, min_row).size)
+        level = _level(m, n, min_row)
+        starts = [(C, len(orbit)) for orbit in level.orbits if keep(C := orbit[0])]
+        if starts and all(ev.orbits_identical(_level(m, n + d, min_row)) for d in reach):
             status, _, sub = _scan(ev, starts, moves, worse)
             if status == SATISFIED:
                 checked += sub
                 continue
-        full = ((C, 1) for C in _level(m, n, min_row) if keep(C))
+        full = ((C, 1) for C in level.matrices if keep(C))
         status, witness, sub = _scan(ev, full, moves, worse)
         checked += sub
         if status == VIOLATED:
@@ -652,46 +686,6 @@ def _acb_value(desc: MeasureDescriptor, a: tuple, b: tuple):
 # distance
 
 
-@lru_cache(maxsize=16)
-def _dist_level(m: int, n: int) -> tuple:
-    """The labeling pairs of one ``dist`` level, indexed by their matrices.
-
-    Returns ``(labelings, rows, starts)``: the m**n labelings in
-    ``itertools.product`` order; ``rows[p][q]``, the index in
-    ``_level(m, n, 0)`` of the confusion matrix of labelings p
-    (true) and q; and, in product order, one start pair ``(p, q, k)`` per
-    matrix k: its lexicographically first pair, p sorted and q ascending
-    within each class block of p.
-    """
-    level = _level(m, n, 0)
-    # A matrix's key: its cells as digits in base n + 1.
-    weights = [[(n + 1) ** (i * m + j) for j in range(m)] for i in range(m)]
-    index = {
-        sum(x * w for row, wrow in zip(C.entries, weights) for x, w in zip(row, wrow)): k
-        for k, C in enumerate(level)
-    }
-    labelings = tuple(itertools.product(range(m), repeat=n))
-    rows = []
-    for labels in labelings:
-        keys = [0]  # then keys[q]: the key of the matrix of labels and labeling q
-        for i in labels:
-            keys = [key + w for key in keys for w in weights[i]]
-        rows.append(tuple(map(index.__getitem__, keys)))
-
-    def position(labels) -> int:
-        return reduce(lambda pos, x: pos * m + x, labels, 0)
-
-    starts = tuple(sorted(
-        (
-            position(i for i, ai in enumerate(C.a) for _ in range(ai)),
-            position(j for row in C.entries for j, x in enumerate(row) for _ in range(x)),
-            k,
-        )
-        for k, C in enumerate(level)
-    ))
-    return labelings, tuple(rows), starts
-
-
 def _confirm_triangle(ev: _Eval, c_max, ac, ab, bc) -> bool:
     """Exact (or high-precision) confirmation of a float triangle hit on
     the matrices of (A, C), (A, B) and (B, C)."""
@@ -720,9 +714,9 @@ def _check_dist(ev: _Eval, space: AuditSpace):
 
     for n in range(1, space.dist_n_max + 1):
         ev.charge(m**n)
-        labelings, rows, starts = _dist_level(m, n)
         level = _level(m, n, 0)
-        dist = [c_max_f - as_float(ev.oriented(C)) for C in level]
+        (labelings, rows, starts), matrices = level.pairs, level.matrices
+        dist = [c_max_f - as_float(ev.oriented(C)) for C in matrices]
         D = [list(map(dist.__getitem__, row)) for row in rows]
         L = len(rows)
         checked += L * L
@@ -730,11 +724,11 @@ def _check_dist(ev: _Eval, space: AuditSpace):
         # Identity of indiscernibles: distance zero only between equal labelings.
         for a, b, k in starts:
             if a != b and dist[k] <= DIST_TOL and value_cmp(
-                ev.oriented(level[k]), c_max, DIST_TOL
+                ev.oriented(matrices[k]), c_max, DIST_TOL
             ) >= 0:
                 w = ev.witness(
                     "distinct_labelings_at_distance_zero",
-                    [level[k]],
+                    [matrices[k]],
                     labelings=[list(labelings[a]), list(labelings[b])],
                 )
                 return VIOLATED, w, checked
@@ -752,7 +746,7 @@ def _check_dist(ev: _Eval, space: AuditSpace):
             for c, s in enumerate(slack(a, b)):
                 if not s - DIST_TOL > 0:
                     continue
-                mats = [level[rows[x][y]] for x, y in ((a, c), (a, b), (b, c))]
+                mats = [matrices[rows[x][y]] for x, y in ((a, c), (a, b), (b, c))]
                 if _confirm_triangle(ev, c_max, *mats):
                     w = ev.witness(
                         "triangle_violation",
@@ -780,11 +774,11 @@ def check_property(
 
     A ``satisfied`` verdict means no counterexample exists within the
     space; a ``violated`` verdict carries a replayable witness.  ``budget``
-    is charged before each sample size (level) is built: the whole level
-    of a value or edit space (for ``smon`` also the level above, which its
-    moves reach), ``m**n`` for ``dist``, and no refund when a violation
-    stops the scan midway.  ``cb``/``acb`` charge each margin pair, and
-    ``cb`` also the matrices of each expectation.  ``dist`` also pays for
+    is charged for each sample size (level) before any of its fields is
+    built: its size in a value or edit space (for ``smon`` also the level
+    above, which its moves reach), ``m**n`` for ``dist``, and no refund
+    when a violation stops the scan midway.  ``cb``/``acb`` charge each
+    margin pair, and ``cb`` also the matrices of each expectation.  ``dist`` also pays for
     its ``sym`` and ``max`` prerequisites, level by level as they do,
     whether it runs them or reuses them from the row.
     """

@@ -18,8 +18,8 @@ from clfmeasures.core import Budget, EnumerationBudgetExceeded
 from clfmeasures.properties import (
     ALL_PROPERTIES,
     AuditSpace,
+    _Level,
     _level,
-    _level_size,
     audit_grid,
     check_property,
 )
@@ -57,7 +57,7 @@ def _witness_level(witness: dict) -> int:
 def _charged_to_witness(m: int, prop: str, witness: dict) -> int:
     """Every level of the scan of ``prop`` up to the witness's start matrix."""
     n_lo, min_row = LEVELS[prop]
-    return sum(_level_size(m, k, min_row) for k in range(n_lo, _witness_level(witness) + 1))
+    return sum(_level(m, k, min_row).size for k in range(n_lo, _witness_level(witness) + 1))
 
 
 @pytest.mark.parametrize(
@@ -77,7 +77,7 @@ def test_charges_pinned(m, n_max, pinned):
                 expected, last = _charged_to_witness(m, prop, witness), _witness_level(witness)
                 assert expected >= charged, (mid, prop)
             if prop == "smon":
-                expected += _level_size(m, last + 1, 0)
+                expected += _level(m, last + 1, 0).size
             assert budget.used == expected, (mid, prop)
 
 
@@ -85,15 +85,28 @@ def test_charges_pinned(m, n_max, pinned):
 def test_level_size_counts_the_level(m, n_max):
     for min_row in (0, 1):
         for n in range(n_max + 1):
-            assert _level_size(m, n, min_row) == len(_level(m, n, min_row))
+            level = _Level(m, n, min_row)
+            assert level.size == len(level.matrices)
 
 
-def _refuse_level(monkeypatch, level):
-    def build_level(m, n, min_row):
-        assert (m, n, min_row) != level, f"built level {level}"
-        return _level(m, n, min_row)
+def _hook_fields(monkeypatch, hook, fields=("matrices",)):
+    """Call ``hook(level)`` on every read of the given fields of any level,
+    before the field is built or read from the level."""
+    for name in fields:
+        field = getattr(_Level, name)
 
-    monkeypatch.setattr(properties, "_level", build_level)
+        def read(level, field=field):
+            hook(level)
+            return field.__get__(level, _Level)
+
+        monkeypatch.setattr(_Level, name, property(read))
+
+
+def _refuse_level(monkeypatch, key):
+    def refuse(level):
+        assert (level.m, level.n, level.min_row) != key, f"built level {key}"
+
+    _hook_fields(monkeypatch, refuse, ("matrices", "orbits", "pairs"))
 
 
 def test_budget_stops_before_the_level_is_built(monkeypatch):
@@ -129,18 +142,27 @@ def test_smon_charges_the_level_its_moves_reach():
 def test_no_level_is_built_before_it_is_charged(monkeypatch, prop):
     _level.cache_clear()
     properties._block.cache_clear()
-    properties._orbit_index.cache_clear()
     budget = Budget(10**9)
     built = []
-
-    def build_level(m, n, min_row):
-        built.append((n, min_row, budget.used))
-        return _level(m, n, min_row)
-
-    monkeypatch.setattr(properties, "_level", build_level)
+    _hook_fields(monkeypatch, lambda level: built.append((level.n, level.min_row, budget.used)))
     check_property("acc", prop, SMALL_M3, budget=budget)
     n_lo = LEVELS.get(prop, (1, 1))[0]
     assert built
     for n, min_row, used in built:
         levels = range(n_lo, n + 1)
-        assert used >= sum(_level_size(3, k, min_row) for k in levels), (n, min_row)
+        assert used >= sum(_level(3, k, min_row).size for k in levels), (n, min_row)
+
+
+def test_no_dist_pairs_are_built_before_they_are_charged(monkeypatch):
+    # dist charges its sym and max prerequisites, then m**n per level.
+    space = AuditSpace(m=3, n_max=3, mon_n_max=3, dist_n_max=4)
+    prerequisites = Budget(10**9)
+    for prop in ("sym", "max"):
+        check_property("acc", prop, space, budget=prerequisites)
+    limit = prerequisites.used + 3 + 9 + 27
+    _refuse_level(monkeypatch, (3, 4, 0))
+    with pytest.raises(EnumerationBudgetExceeded):
+        check_property("acc", "dist", space, budget=Budget(limit))
+    # With level 4 paid for, its pairs are built: the refusal is live.
+    with pytest.raises(AssertionError, match="built level"):
+        check_property("acc", "dist", space, budget=Budget(limit + 81))

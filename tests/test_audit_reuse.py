@@ -156,7 +156,7 @@ def test_replayed_charges_stop_where_the_check_stopped():
     """A budget spent inside a reused prerequisite stops at the level
     the prerequisite's own scan stops at."""
     desc, space = parse_measure_id("kappa"), AuditSpace(m=3, n_max=4, dist_n_max=3)
-    levels = [properties._level_size(3, n, 1) for n in range(1, 5)]
+    levels = [properties._level(3, n, 1).size for n in range(1, 5)]
     total = sum(levels)
     # sym and max cells, then dist's own sym, then into its max.
     limits = [3 * total + sum(levels[:k]) + d for k in range(5) for d in (-1, 0, 1)]

@@ -90,7 +90,7 @@ class TestConfusionMatrix:
             confusion_matrix([["1/2", 0, 1], [0, 2, 0], [1, 1, "3/4"]]),
             transpose(confusion_matrix([[0, 1], [2, 0]])),
             expected_matrix((2, 1), (1, 2)),
-            properties._level(3, 4, 0)[17],
+            properties._level(3, 4, 0).matrices[17],
         ]
         for C in matrices:
             assert not hasattr(C, "__dict__")
@@ -111,7 +111,7 @@ class TestConfusionMatrix:
             return diagonal, all(C[i, i] == 0 for i in cells)
 
         levels = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
-        matrices = [C for m, n in levels for C in properties._level(m, n, 0)]
+        matrices = [C for m, n in levels for C in properties._level(m, n, 0).matrices]
         matrices += [
             expected_matrix(a, b)
             for m, n in [(2, 4), (3, 3)]
@@ -279,7 +279,7 @@ def _built_by(constructor):
     elif constructor == "margin_matrices":
         yield from (C for n in range(2, 7) for a1 in range(1, n) for C in margin_matrices(n, a1))
     elif constructor == "_edit":
-        for C in properties._level(3, 3, 0):
+        for C in properties._level(3, 3, 0).matrices:
             for dec, inc in [((0, 1), (1, 1)), ((2, 2), None), (None, (0, 0)), (None, (2, 1))]:
                 if dec is None or C[dec] >= 1:
                     yield properties._edit(C, dec, inc)
@@ -307,7 +307,7 @@ class TestPresetMargins:
     def test_level_matrices_carry_recomputed_margins(self, m, n_max):
         for min_row in (0, 1):
             for n in range(1, n_max + 1):
-                for C in properties._level(m, n, min_row):
+                for C in properties._level(m, n, min_row).matrices:
                     # Set at construction: the slots read without the lazy fill.
                     for name in MARGINS:
                         getattr(ConfusionMatrix, name).__get__(C)
@@ -338,10 +338,10 @@ class TestPresetMargins:
                 reference = [
                     e for a in compositions(n, m, min_part=min_row) for e, _ in enumerate_entries(a)
                 ]
-                assert [C.entries for C in properties._level(m, n, min_row)] == reference
+                assert [C.entries for C in properties._level(m, n, min_row).matrices] == reference
             # The min_row = 1 level is made of the min_row = 0 level's objects.
-            full = {id(C) for C in properties._level(m, n, 0)}
-            assert all(id(C) in full for C in properties._level(m, n, 1))
+            full = {id(C) for C in properties._level(m, n, 0).matrices}
+            assert all(id(C) in full for C in properties._level(m, n, 1).matrices)
 
 
 class TestBuildConfusion:

@@ -12,11 +12,14 @@
   class-value memo hits across matrices, against the same references;
 * ``value_cmp``/``exact_cmp`` against the comparison by Fraction powers
   they replaced, kept here as a reference;
+* ``power_mean_ratio`` against the form that reduced its radicand as one
+  Fraction of two powers;
 * matrices built without validation (edits, enumerations, transposes,
   class permutations and labeling counts) against validated ones.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -52,6 +55,7 @@ from clfmeasures.measures import (
     confusion_entropy,
     evaluate,
     parse_measure_id,
+    power_mean_ratio,
 )
 from clfmeasures.properties import AuditSpace, check_property
 from clfmeasures.values import (
@@ -389,7 +393,7 @@ def test_memoized_averaged_values_match_reference(mid, n_max):
     ev = Evaluator(desc)
     for m in (3, 4):
         for C in itertools.chain.from_iterable(
-            properties._level(m, n, 0) for n in range(1, n_max[m] + 1)
+            properties._level(m, n, 0).matrices for n in range(1, n_max[m] + 1)
         ):
             assert_same_value(ev.value(C), reference_value(desc, C), (mid, C.entries))
 
@@ -449,6 +453,41 @@ def test_cmp_agrees_with_fraction_powers(pair):
     assert value_cmp(b, a) == -expected
 
 
+def reference_power_mean_ratio(num, x, y, r: int):
+    """``power_mean_ratio`` with the radicand ``u**(s-1)`` reduced as
+    ``top**(s-1) / bottom**(s-1)``, one Fraction of two large powers."""
+    s = abs(r)
+    xs, ys = x**s, y**s
+    top, bottom = (xs + ys, 2) if r > 0 else (2 * xs * ys, xs + ys)
+    coeff = Fraction(num * bottom, top)
+    if s == 1:
+        return coeff
+    return root_value(coeff, Fraction(top ** (s - 1), bottom ** (s - 1)), s)
+
+
+def _fields(v) -> tuple:
+    # Not repr: a large-|r| radicand exceeds the int-to-str limit.
+    if isinstance(v, Root):
+        return Root, v.coeff, v.radicand, v.index
+    return type(v), v
+
+
+def test_power_mean_ratio_matches_reference():
+    rng = random.Random(20)
+
+    def variance():
+        # An int, as generalized_means passes, or a Fraction, as gm_normalizer does.
+        k = rng.randint(1, 300)
+        return k if rng.random() < 0.5 else Fraction(k, rng.randint(1, 300))
+
+    for _ in range(500):
+        r = rng.choice([-1, 1]) * rng.randint(1, 64)
+        num = rng.randint(-100, 100)
+        x, y = variance(), variance()
+        got = power_mean_ratio(num, x, y, r)
+        assert _fields(got) == _fields(reference_power_mean_ratio(num, x, y, r)), (num, x, y, r)
+
+
 def _margins(entries):
     return (
         sum(map(sum, entries)),
@@ -485,7 +524,7 @@ def test_edited_matrices_are_valid(monkeypatch):
 
 def test_enumerated_and_transformed_matrices_are_valid():
     perms = list(itertools.permutations(range(3)))
-    levels = (properties._level(3, n, 0) for n in range(1, 5))
+    levels = (properties._level(3, n, 0).matrices for n in range(1, 5))
     for C in itertools.chain.from_iterable(levels):
         assert_like_validated(C)
         e = C.entries

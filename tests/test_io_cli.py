@@ -587,6 +587,8 @@ class TestGoldenReports:
             "6be2a79b693ee4b49432c47b7dfed988971ce00bee333867fcb9398ff402259f",
         ("audit", "--m", "3", "--properties", "dist"):
             "85d2eababdbbb5d6a3c8c62db422ccdc0d1e85036c895c10033aabd10ff6517c",
+        ("audit", "--m", "4", "--properties", "dist"):
+            "166b1427cf28209a202da977acd6a79a6357b25402902bfc41c8a66d90833718",
         ("audit", "--m", "3", "--measures", "acc,ba,kappa,cc",
          "--properties", "mon,smon,csym,max,min"):
             "220642759dfb17fcfb796c26dfbafdb9e5636e788f88594503129b2897286068",

@@ -1,9 +1,9 @@
 """Orbit-reduced csym/mon/smon scans against the full scans.
 
 The full scan is the same loop run with every matrix its own orbit, got
-here by replacing the orbit index with singleton orbits.  Both must give
-byte-equal verdicts, ``checked`` and witnesses included, and charge a
-budget the same.
+here by giving every level singleton orbits.  Both must give byte-equal
+verdicts, ``checked`` and witnesses included, and charge a budget the
+same.
 """
 
 import itertools
@@ -20,7 +20,9 @@ from clfmeasures.measures import (
     parse_measure_id,
     with_scheme,
 )
-from clfmeasures.properties import AuditSpace, _Eval, _run, audit_space_policy, preservation_spaces
+from clfmeasures.properties import (
+    AuditSpace, _Eval, _Level, _level, _run, audit_space_policy, preservation_spaces,
+)
 from clfmeasures.values import DEFAULT_EPS
 
 NEIGHBOUR_PROPERTIES = ("csym", "mon", "smon")
@@ -31,8 +33,9 @@ AVERAGED = [
 ]
 
 
-def _singleton_orbits(m, n, min_row):
-    return tuple((C,) for C in properties._level(m, n, min_row))
+#: ``_Level.orbits`` with every matrix its own orbit.  A property is a data
+#: descriptor, so it also hides orbits a level has already kept.
+_singleton_orbits = property(lambda level: tuple((C,) for C in level.matrices))
 
 
 def _space(m, n_max):
@@ -48,7 +51,7 @@ def _both(monkeypatch, make_ev, props, spaces):
     ev = make_ev()
     reduced = _row(ev, props, spaces)
     with monkeypatch.context() as patch:
-        patch.setattr(properties, "_orbit_index", _singleton_orbits)
+        patch.setattr(_Level, "orbits", _singleton_orbits)
         full = _row(make_ev(), props, spaces)
     return reduced, full, ev
 
@@ -62,7 +65,7 @@ def test_averaged_rows_match_full_scan(monkeypatch, desc):
     assert reduced == full
     # Every averaged row is class-symmetric value by value, so the
     # reduced scans did run: the comparison above is not vacuous.
-    assert all(ev.orbits_identical(3, n, 0) for n in range(1, 5))
+    assert all(ev.orbits_identical(_level(3, n, 0)) for n in range(1, 5))
 
 
 @pytest.mark.parametrize("mid", CANONICAL_IDS)
@@ -75,7 +78,7 @@ def test_binary_grid_matches_full_scan(monkeypatch, mid):
 
     reduced = row(_Eval(desc, DEFAULT_EPS, None))
     with monkeypatch.context() as patch:
-        patch.setattr(properties, "_orbit_index", _singleton_orbits)
+        patch.setattr(_Level, "orbits", _singleton_orbits)
         full = row(_Eval(desc, DEFAULT_EPS, None))
     assert reduced == full
 
@@ -101,7 +104,7 @@ class _ClassZeroBonus(_Eval):
 def test_unidentical_orbits_fall_back_to_full_scan(monkeypatch, make_ev, space):
     reduced, full, ev = _both(monkeypatch, make_ev, NEIGHBOUR_PROPERTIES, (space,))
     assert reduced == full
-    assert not ev.orbits_identical(space.m, 2, 0)
+    assert not ev.orbits_identical(_level(space.m, 2, 0))
     csym, mon, _ = reduced
     assert csym["status"] == "violated"
     assert csym["witness"]["kind"] == "class_permutation_differs"
@@ -125,7 +128,7 @@ def test_smon_level_falls_back_on_the_level_it_reaches(monkeypatch):
     reduced, full, ev = _both(monkeypatch, _AsymmetricAtFour, ("smon",), (_space(3, 3),))
     assert reduced == full
     assert reduced[0]["status"] == "violated"
-    assert ev.orbits_identical(3, 3, 0) and not ev.orbits_identical(3, 4, 0)
+    assert ev.orbits_identical(_level(3, 3, 0)) and not ev.orbits_identical(_level(3, 4, 0))
 
 
 @pytest.mark.parametrize("limit", [1, 40, 700, 5_000, 10**6])
@@ -148,7 +151,7 @@ def test_budget_charged_as_full_scan(monkeypatch, limit, m, ids):
 
     reduced = grid()
     with monkeypatch.context() as patch:
-        patch.setattr(properties, "_orbit_index", _singleton_orbits)
+        patch.setattr(_Level, "orbits", _singleton_orbits)
         full = grid()
     assert reduced == full
     if limit == 10**6:
@@ -157,8 +160,8 @@ def test_budget_charged_as_full_scan(monkeypatch, limit, m, ids):
 
 def test_orbit_index_partitions_the_level():
     for m, n, min_row in ((2, 5, 0), (3, 4, 1), (4, 3, 0)):
-        level = properties._level(m, n, min_row)
-        orbits = properties._orbit_index(m, n, min_row)
+        level = _level(m, n, min_row).matrices
+        orbits = _level(m, n, min_row).orbits
         members = [C for orbit in orbits for C in orbit]
         # The members are the level's own matrices, each once.
         assert {id(C) for C in members} == {id(C) for C in level}
@@ -190,5 +193,5 @@ def test_ce_is_identical_on_its_orbits():
     """ce sums its terms exactly, so relabeling the classes gives an
     identical value and its rows take the reduced scans."""
     ev = _Eval(parse_measure_id("ce"), DEFAULT_EPS, None)
-    assert all(ev.orbits_identical(2, n, 1) for n in range(1, 13))
-    assert all(ev.orbits_identical(3, n, 1) for n in range(1, 7))
+    assert all(ev.orbits_identical(_level(2, n, 1)) for n in range(1, 13))
+    assert all(ev.orbits_identical(_level(3, n, 1)) for n in range(1, 7))

@@ -32,7 +32,6 @@ from clfmeasures.orders import (
     feasible_joint_interval,
     gm_normalizer,
     lattice_matrix,
-    normalizer_partial_pa,
     rate_matrix,
 )
 from clfmeasures.values import (
@@ -532,14 +531,6 @@ class TestGmNormalizer:
         s = gm_normalizer(1)
         with pytest.raises(ValueError):
             s(Fraction(0), HALF)
-
-    def test_partial_matches_finite_difference(self):
-        s = gm_normalizer(-2)
-        p_a, p_b = Fraction(3, 10), Fraction(3, 5)
-        closed = as_float(normalizer_partial_pa(p_a, p_b, -2, s(p_a, p_b)))
-        h = Fraction(1, 10**6)
-        fd = (as_float(s(p_a + h, p_b)) - as_float(s(p_a - h, p_b))) / (2e-6)
-        assert closed == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("r", [-2, -1, 1, 2])
     def test_conditions_hold_on_default_grid(self, r):

@@ -162,8 +162,8 @@ def test_no_evaluator_outlives_its_call(run):
 )
 def test_dist_level_rows_match_build_confusion(m, n):
     # (6, 3) has matrix keys beyond 2**63: (n + 1)**(m * m) = 4**36.
-    labelings, rows, starts = properties._dist_level(m, n)
-    level = [C.entries for C in properties._level(m, n, 0)]
+    labelings, rows, starts = properties._level(m, n, 0).pairs
+    level = [C.entries for C in properties._level(m, n, 0).matrices]
     assert labelings == tuple(itertools.product(range(m), repeat=n))
     first = {}
     for p, a in enumerate(labelings):
