@@ -542,29 +542,20 @@ class Evaluator:
     def __init__(self, desc: MeasureDescriptor):
         self.desc = desc
         self._memo: dict = {}
-        self._compute = _unmemoized_value(desc)
+        self._class_memo: dict = {}
+        self._extend = _EXTENDERS.get(desc.scheme)  # the extender's name, or None
 
     def value(self, C: ConfusionMatrix) -> Value:
         v = self._memo.get(C.entries)
         if v is None:
-            v = self._memo[C.entries] = self._compute(C)
+            v = self._memo[C.entries] = self._miss(C)
         return v
 
     def oriented(self, C: ConfusionMatrix) -> Value:
         return oriented(self.desc, self.value(C))
 
-
-def _unmemoized_value(desc: MeasureDescriptor):
-    """The value function an :class:`Evaluator` memoizes.
-
-    A closure over the class-value memo only, never over the evaluator:
-    the evaluator then sits in no reference cycle and is freed by
-    reference counting as soon as its holder drops it.
-    """
-    if desc.scheme is None:
-        return lambda C: evaluate(desc, C)
-    kernel = desc.kernel
-    memo: dict = {}
-    # Looked up on the module on each call, as evaluate does.
-    extend = _EXTENDERS[desc.scheme]
-    return lambda C: getattr(averaging, extend)(kernel, C, memo)
+    def _miss(self, C: ConfusionMatrix) -> Value:
+        # Looked up at call time, so a wrapped evaluate or extender sees every miss.
+        if self._extend is None:
+            return evaluate(self.desc, C)
+        return getattr(averaging, self._extend)(self.desc.kernel, C, self._class_memo)

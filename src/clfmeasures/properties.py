@@ -83,9 +83,17 @@ so ``checked`` and the witness are always those of the scan of every
 matrix.  So ``csym`` makes one identity test per matrix and compares
 only the representatives with their relabelings.  Binary ``f`` and
 ``jaccard`` are the rows of the default grids whose orbits are not
-identical.  Every scan charges the budget a whole level when it reaches
-it, before building it; smon, whose moves add a unit, charges the level
-above along with it, since it reads that level's orbits too.
+identical.
+
+Every scan reads a level through one door, :meth:`_Eval.level`, which
+charges the budget before any of the level's fields is built; no charge
+is refunded when a violation stops a scan.  One state is
+
+* each matrix of a level of a value or edit space (``smon``'s moves add
+  a unit, so it also reads the level above each level it scans);
+* each of the ``m**n`` labelings of a ``dist`` level;
+* each margin pair of the ``cb``/``acb`` grid;
+* each state of a ``cb`` expectation table.
 
 Values are memoized per row of the audit grid, on one
 :class:`clfmeasures.measures.Evaluator` per measure: :func:`audit_grid`
@@ -328,6 +336,12 @@ class _Eval(Evaluator):
         if self.budget is not None:
             self.budget.charge(states)
 
+    def level(self, m: int, n: int, min_row: int, states: int | None = None) -> _Level:
+        """The level ``(m, n, min_row)``, charged ``states`` (default: its ``size``)."""
+        level = _level(m, n, min_row)
+        self.charge(level.size if states is None else states)
+        return level
+
     def outcome(self, prop: str, space: AuditSpace, check):
         """``check(self, space)``, kept per ``(prop, space)`` with the row.
 
@@ -363,7 +377,7 @@ class _Level:
     total n with row sums >= ``min_row``.
 
     ``size`` is counted at construction; the other fields are built on
-    first read and kept, so a scan charges ``size`` before reading them.
+    first read and kept, so :meth:`_Eval.level` charges ``size`` first.
     """
 
     def __init__(self, m: int, n: int, min_row: int):
@@ -445,14 +459,6 @@ class _Level:
 _level = lru_cache(maxsize=4096)(_Level)
 
 
-def _iter_matrices(ev: _Eval, m: int, n_max: int):
-    """The value-comparison space, each level charged before it is built."""
-    for n in range(1, n_max + 1):
-        level = _level(m, n, 1)
-        ev.charge(level.size)
-        yield from level.matrices
-
-
 def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix:
     """C with one unit moved, removed or added.
 
@@ -484,7 +490,7 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
     beat it strictly.  ``checked`` counts ``ref`` too."""
     target = ConfusionMatrix.is_diagonal if at_max else ConfusionMatrix.is_zero_diagonal
     kind = "diagonal" if at_max else "zero_diagonal"
-    matrices = list(_iter_matrices(ev, space.m, space.n_max))
+    matrices = [C for n in range(1, space.n_max + 1) for C in ev.level(space.m, n, 1).matrices]
     targets = [C for C in matrices if target(C)]
     if not targets:
         raise RuntimeError(f"audit space contains no {kind} matrix")
@@ -502,6 +508,7 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
 
 
 _check_max = partial(_check_extremal, at_max=True)
+_check_min = partial(_check_extremal, at_max=False)
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +547,18 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
     as its representative's, so the representative weighs the orbit size.
     Otherwise, or on a violation, the level is rescanned matrix by matrix
     in space order, so ``checked`` and the witness are those of the full
-    scan.  On entering level n, every level up to ``n + max(reach)`` not
-    yet charged its ``size``, before any of them is built: smon, whose
-    moves add a unit, also pays for level ``n_hi + 1``.
+    scan.  On entering level n, the door hands out every level up to
+    ``n + max(reach)`` the scan does not yet hold.  (smon never reads level
+    0: every matrix of level 1 has a unary margin, so it holds no start.)
     """
     checked = 0
-    charged = n_lo - 1  # the last level charged
+    levels = {}  # the levels n_lo, n_lo + 1, ... the door has handed out
     for n in range(n_lo, n_hi + 1):
-        for charged in range(charged + 1, n + max(reach) + 1):
-            ev.charge(_level(m, charged, min_row).size)
-        level = _level(m, n, min_row)
+        for k in range(n_lo + len(levels), n + max(reach) + 1):
+            levels[k] = ev.level(m, k, min_row)
+        level = levels[n]
         starts = [(C, len(orbit)) for orbit in level.orbits if keep(C := orbit[0])]
-        if starts and all(ev.orbits_identical(_level(m, n + d, min_row)) for d in reach):
+        if starts and all(ev.orbits_identical(levels[n + d]) for d in reach):
             status, _, sub = _scan(ev, starts, moves, worse)
             if status == SATISFIED:
                 checked += sub
@@ -565,7 +572,7 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
 
 
 def _check_sym(ev: _Eval, space: AuditSpace):
-    starts = ((C, 1) for C in _iter_matrices(ev, space.m, space.n_max))
+    starts = ((C, 1) for n in range(1, space.n_max + 1) for C in ev.level(space.m, n, 1).matrices)
     return _scan(ev, starts, lambda C: [(transpose(C), "transpose_differs", {})], bool)
 
 
@@ -665,6 +672,15 @@ def _check_constant_over_margins(ev: _Eval, space: AuditSpace, value_of):
     return SATISFIED, None, checked
 
 
+def _check_cb(ev: _Eval, space: AuditSpace):
+    expectation = partial(_expectation, ev.value, method="matrices", budget=ev.budget)
+    return _check_constant_over_margins(ev, space, expectation)
+
+
+def _check_acb(ev: _Eval, space: AuditSpace):
+    return _check_constant_over_margins(ev, space, partial(_acb_value, ev.desc))
+
+
 def _acb_value(desc: MeasureDescriptor, a: tuple, b: tuple):
     """The value of ``expected_matrix(a, b)``.
 
@@ -699,8 +715,8 @@ def _check_dist(ev: _Eval, space: AuditSpace):
     """sym and max, read from the row when it already ran them, then the
     distance-zero and triangle scans of the labeling triples."""
     checked = 0
-    for prereq, checker in ((SYM, _check_sym), (MAX, _check_max)):
-        status, witness, sub = ev.outcome(prereq, space, checker)
+    for prereq in (SYM, MAX):
+        status, witness, sub = _CHECKS[prereq](ev, space)
         checked += sub
         if status == VIOLATED:
             return VIOLATED, {"kind": f"prerequisite_{prereq}_failed", "inner": witness}, checked
@@ -713,8 +729,7 @@ def _check_dist(ev: _Eval, space: AuditSpace):
     c_max_f = as_float(c_max)
 
     for n in range(1, space.dist_n_max + 1):
-        ev.charge(m**n)
-        level = _level(m, n, 0)
+        level = ev.level(m, n, 0, states=m**n)
         (labelings, rows, starts), matrices = level.pairs, level.matrices
         dist = [c_max_f - as_float(ev.oriented(C)) for C in matrices]
         D = [list(map(dist.__getitem__, row)) for row in rows]
@@ -763,6 +778,21 @@ def _check_dist(ev: _Eval, space: AuditSpace):
 # entry points
 
 
+#: ``check(ev, space) -> (status, witness, checked)`` per property; ``max``
+#: and ``sym`` are kept on the row (:meth:`_Eval.outcome`) for ``dist``.
+_CHECKS = {
+    MAX: lambda ev, space: ev.outcome(MAX, space, _check_max),
+    MIN: _check_min,
+    SYM: lambda ev, space: ev.outcome(SYM, space, _check_sym),
+    CSYM: _check_csym,
+    DIST: _check_dist,
+    MON: _check_mon,
+    SMON: _check_smon,
+    CB: _check_cb,
+    ACB: _check_acb,
+}
+
+
 def check_property(
     desc: MeasureDescriptor | str,
     prop: str,
@@ -774,13 +804,17 @@ def check_property(
 
     A ``satisfied`` verdict means no counterexample exists within the
     space; a ``violated`` verdict carries a replayable witness.  ``budget``
-    is charged for each sample size (level) before any of its fields is
-    built: its size in a value or edit space (for ``smon`` also the level
-    above, which its moves reach), ``m**n`` for ``dist``, and no refund
-    when a violation stops the scan midway.  ``cb``/``acb`` charge each
-    margin pair, and ``cb`` also the matrices of each expectation.  ``dist`` also pays for
-    its ``sym`` and ``max`` prerequisites, level by level as they do,
-    whether it runs them or reuses them from the row.
+    is charged a whole sample size (level) before any of it is built, with
+    no refund when a violation stops the scan.  One state is
+
+    * each matrix of a level of a value or edit space (for ``smon`` also
+      the level above, which its moves reach);
+    * each of the ``m**n`` labelings of a ``dist`` level;
+    * each margin pair of ``cb``/``acb``;
+    * each state of a ``cb`` expectation table.
+
+    ``dist`` also pays for its ``sym`` and ``max`` prerequisites, level by
+    level as they do, whether it runs them or reuses them from the row.
     """
     desc = parse_measure_id(desc) if isinstance(desc, str) else desc
     prop = parse_property(prop)
@@ -795,28 +829,7 @@ def _run(ev: _Eval, prop: str, space: AuditSpace) -> Verdict:
 
     The caller has checked that the measure has a value at ``space.m``.
     """
-    if prop == MAX:
-        status, witness, checked = ev.outcome(MAX, space, _check_max)
-    elif prop == MIN:
-        status, witness, checked = _check_extremal(ev, space, at_max=False)
-    elif prop == SYM:
-        status, witness, checked = ev.outcome(SYM, space, _check_sym)
-    elif prop == CSYM:
-        status, witness, checked = _check_csym(ev, space)
-    elif prop == MON:
-        status, witness, checked = _check_mon(ev, space)
-    elif prop == SMON:
-        status, witness, checked = _check_smon(ev, space)
-    elif prop == CB:
-        status, witness, checked = _check_constant_over_margins(
-            ev, space, lambda a, b: _expectation(ev.value, a, b, "matrices", ev.budget)
-        )
-    elif prop == ACB:
-        status, witness, checked = _check_constant_over_margins(
-            ev, space, lambda a, b: _acb_value(ev.desc, a, b)
-        )
-    else:
-        status, witness, checked = _check_dist(ev, space)
+    status, witness, checked = _CHECKS[prop](ev, space)
     return Verdict(ev.desc.measure_id, prop, status, space.describe(), witness, checked)
 
 
@@ -829,17 +842,14 @@ def _default_binary_verdicts(measure_id: str, props) -> list[Verdict]:
     """The cached verdicts of one measure's cells at the default binary
     bounds.
 
-    Missing cells are computed on one row evaluator at the default
-    ``eps`` without a budget, dropped on return.
+    Missing cells are one :func:`audit_grid` row at the default ``eps``
+    without a budget.
     """
-    keys = [(measure_id, parse_property(prop)) for prop in props]
-    ev = None
-    for key in keys:
-        if key not in _default_verdicts:
-            if ev is None:
-                ev = _Eval(parse_measure_id(measure_id), DEFAULT_EPS, None)
-            _default_verdicts[key] = _run(ev, key[1], audit_space_policy(ev.desc, key[1], m=2))
-    return [_default_verdicts[key] for key in keys]
+    props = [parse_property(prop) for prop in props]
+    missing = [prop for prop in dict.fromkeys(props) if (measure_id, prop) not in _default_verdicts]
+    for prop, verdict in zip(missing, audit_grid([measure_id], missing)):
+        _default_verdicts[measure_id, prop] = verdict
+    return [_default_verdicts[measure_id, prop] for prop in props]
 
 
 def audit_grid(
@@ -885,14 +895,10 @@ def preservation_spaces(prop: str) -> tuple[AuditSpace, ...]:
     the degenerate both-labelings-constant corner whose resolution is
     an agreement value rather than the chance value.
     """
-    prop = parse_property(prop)
-    if prop == SMON:
-        wide = AuditSpace(m=3, n_max=5, mon_n_max=5, dist_n_max=5, cb_n_max=5, cb_min_col=1)
-        return (wide, replace(wide, m=4))
-    return (
-        AuditSpace(m=3, n_max=5, mon_n_max=5, dist_n_max=5, cb_n_max=5, cb_min_col=1),
-        AuditSpace(m=4, n_max=4, mon_n_max=4, dist_n_max=4, cb_n_max=4, cb_min_col=1),
-    )
+    m3 = AuditSpace(m=3, n_max=5, mon_n_max=5, dist_n_max=5, cb_n_max=5, cb_min_col=1)
+    if parse_property(prop) == SMON:
+        return m3, replace(m3, m=4)
+    return m3, AuditSpace(m=4, n_max=4, mon_n_max=4, dist_n_max=4, cb_n_max=4, cb_min_col=1)
 
 
 PRESERVED = "preserved"
@@ -972,22 +978,16 @@ def check_averaging_preservation(
     if spaces is None:
         spaces = preservation_spaces(prop)
     bases = _preservation_bases(prop)
+    ids = tuple(b.measure_id for b in bases)
     for base in bases:
         ev = _Eval(with_scheme(base, scheme), eps, budget)
         for space in spaces:
             verdict = _run(ev, prop, space)
             if not verdict.satisfied:
                 return PreservationVerdict(
-                    scheme,
-                    prop,
-                    NOT_PRESERVED,
-                    tuple(b.measure_id for b in bases),
-                    base.measure_id,
-                    verdict,
+                    scheme, prop, NOT_PRESERVED, ids, base.measure_id, verdict
                 )
-    return PreservationVerdict(
-        scheme, prop, PRESERVED, tuple(b.measure_id for b in bases), None, None
-    )
+    return PreservationVerdict(scheme, prop, PRESERVED, ids, None, None)
 
 
 def preservation_grid(

@@ -43,6 +43,7 @@ from clfmeasures.inconsistency import (
 from clfmeasures.measures import CONSISTENCY_IDS
 from clfmeasures.orders import baseline_order, check_gm_normalizer_conditions
 from reference_triplets import distinguishing_triplet_bruteforce
+from test_inconsistency import EXPECTED_GROUPS
 
 PROP_ORDER = ("max", "min", "sym", "csym", "dist", "mon", "smon", "cb", "acb")
 
@@ -67,19 +68,6 @@ REFERENCE_AVERAGING = {
     "micro":    "P N P P P P N N N",
     "macro":    "P N P P P P N P P",
     "weighted": "P N N P N P N P P",
-}
-
-# Mirrors tests/test_inconsistency.py.
-EXPECTED_GROUPS = {
-    2: (("acc", "ba", "f:beta=1", "kappa", "ce", "gm:r=1", "cc", "sba"),),
-    3: (("acc", "ba", "kappa", "gm:r=1", "cc", "sba"), ("f:beta=1",), ("ce",)),
-    4: (("acc",), ("ba", "kappa", "gm:r=1", "cc", "sba"), ("f:beta=1",), ("ce",)),
-    5: (("acc",), ("ba", "kappa", "gm:r=1", "cc", "sba"), ("f:beta=1",), ("ce",)),
-    6: (("acc",), ("ba",), ("f:beta=1",), ("kappa",), ("ce",), ("gm:r=1", "cc", "sba")),
-    7: (("acc",), ("ba",), ("f:beta=1",), ("kappa",), ("ce",), ("gm:r=1", "cc", "sba")),
-    8: (("acc",), ("ba",), ("f:beta=1",), ("kappa",), ("ce",), ("gm:r=1",), ("cc", "sba")),
-    9: tuple((mid,) for mid in CONSISTENCY_IDS),
-    10: tuple((mid,) for mid in CONSISTENCY_IDS),
 }
 
 

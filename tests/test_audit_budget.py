@@ -7,12 +7,17 @@ the two rules agree: every satisfied cell, and every cell whose scan
 reads its whole space (max, min, cb, acb, dist past its prerequisites).
 A sym, csym, mon or smon scan that stops on a violation is charged every
 level up to and including its witness's.  smon's moves add a unit, so
-it is also charged the level above the last one it scans.
+it is also charged the level above the last one it scans.  The order
+and amount of every charge of those cells is pinned by one digest per
+grid.
 """
+
+import hashlib
+from collections import OrderedDict
 
 import pytest
 
-from clfmeasures import properties
+from clfmeasures import baselines, properties
 from clfmeasures.cli import main
 from clfmeasures.core import Budget, EnumerationBudgetExceeded
 from clfmeasures.properties import (
@@ -45,6 +50,28 @@ USED_M3_N5 = {
     "cc": (783, 783, 783, 783, 1578, 756, 21, 2482, 646),
 }
 
+#: sha256 of ``repr`` of each grid's ``(measure, property, charges)`` list,
+#: every ``Budget.charge`` amount of each cell in order, the grid run from
+#: an empty store of expectation tables (a kept table replays its states
+#: in one charge).
+CHARGE_ORDER_DIGESTS = {
+    2: "34ea4f6e14ba07a764af11b0d7281082e1998afb13489983cbd69d9b67b0027d",
+    3: "cdc2d459e2dceb38b9a1ede24b5eb074014407523d7f540a6b3559cc94bd805f",
+}
+
+
+class _RecordingBudget(Budget):
+    """A budget that also records the amount of every charge."""
+
+    def __init__(self, limit: int):
+        super().__init__(limit)
+        self.charges = []
+
+    def charge(self, amount: int = 1) -> None:
+        self.charges.append(amount)
+        super().charge(amount)
+
+
 #: (first level, min_row) of the neighbour scans.
 LEVELS = {"sym": (1, 1), "csym": (1, 1), "mon": (2, 0), "smon": (1, 0)}
 
@@ -63,11 +90,15 @@ def _charged_to_witness(m: int, prop: str, witness: dict) -> int:
 @pytest.mark.parametrize(
     "m, n_max, pinned", [(2, None, USED_BINARY), (3, 5, USED_M3_N5)], ids=["binary", "m3-n5"]
 )
-def test_charges_pinned(m, n_max, pinned):
+def test_charges_pinned(monkeypatch, m, n_max, pinned):
+    monkeypatch.setattr(baselines, "_tables", OrderedDict())
+    monkeypatch.setattr(baselines, "_held", 0)
+    cells = []
     for mid, used in pinned.items():
         for prop, charged in zip(ALL_PROPERTIES, used):
-            budget = Budget(10**12)
+            budget = _RecordingBudget(10**12)
             (verdict,) = audit_grid([mid], [prop], m=m, n_max=n_max, budget=budget)
+            cells.append((mid, prop, tuple(budget.charges)))
             witness = verdict.witness
             if prop == "dist" and witness and witness["kind"] == "prerequisite_sym_failed":
                 prop, witness = "sym", witness["inner"]
@@ -79,6 +110,7 @@ def test_charges_pinned(m, n_max, pinned):
             if prop == "smon":
                 expected += _level(m, last + 1, 0).size
             assert budget.used == expected, (mid, prop)
+    assert hashlib.sha256(repr(cells).encode()).hexdigest() == CHARGE_ORDER_DIGESTS[m]
 
 
 @pytest.mark.parametrize("m, n_max", [(1, 7), (2, 7), (3, 7), (4, 5)])
