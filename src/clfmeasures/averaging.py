@@ -10,10 +10,20 @@ A class's one-vs-all matrix is fixed by the four counts
 ``(m, n, diagonal_sum)``.  Given a ``memo`` dict (the caller owns it,
 one per binary measure), an int matrix looks its class values up by
 those counts and builds a 2x2 matrix only on a miss; a matrix with
-Fraction entries (expected and rate matrices) builds every one.  Rational
-class values are summed as one integer numerator and denominator; any
-other value sends the same terms, in the same order, through
-:func:`value_sum` and :func:`scale`.
+Fraction entries (expected and rate matrices) builds every one.
+
+Macro and weighted read their classes in one canonical order, sorted by
+the one-vs-all key ``(a_i, b_i, c_ii)``.  Relabeling the classes only
+permutes those keys, and classes with equal keys have equal values, so
+every relabeling of a matrix sums the same terms in the same order: an
+averaged value is a function of the multiset of its class keys, one
+identical value (type and representation) on every relabeling.  Micro's
+``(m, n, diagonal_sum)`` is invariant already.  The order matters to
+:func:`value_sum`, which stays exact only while its radicals cancel as
+they come: ``[√2, −√2, √3]`` sums to the root √3, ``[√2, √3, −√2]`` to
+a float.  Rational class values are summed as one integer numerator
+and denominator; any other value sends the terms, in canonical order,
+through :func:`value_sum` and :func:`scale`.
 """
 
 from __future__ import annotations
@@ -45,18 +55,25 @@ def micro_extend(binary_measure, C: ConfusionMatrix, memo: dict | None = None) -
     return v
 
 
+def _canonical_classes(C: ConfusionMatrix) -> list[tuple]:
+    """``(a_i, b_i, c_ii, i)`` of every class i, in canonical class order."""
+    e = C.entries
+    return sorted(zip(C.a, C.b, [e[i][i] for i in range(C.m)], range(C.m)))
+
+
 def _class_values(binary_measure, C: ConfusionMatrix, classes, memo) -> list:
-    """The binary measure on the one-vs-all matrix of each class in
-    ``classes``, looked up in ``memo`` when there is one."""
-    n, a, b, e = C.n, C.a, C.b, C.entries
+    """The binary measure on the one-vs-all matrix of each class of
+    ``classes`` (``(a_i, b_i, c_ii, i)`` tuples), looked up in ``memo``
+    when there is one."""
+    n = C.n
     if type(n) is not int:
         memo = None
     vals = []
-    for i in classes:
+    for ai, bi, cii, i in classes:
         if memo is None:
             v = binary_measure(one_vs_all(C, i))
         else:
-            key = (n, a[i], b[i], e[i][i])
+            key = (n, ai, bi, cii)
             v = memo.get(key)
             if v is None:
                 v = memo[key] = binary_measure(one_vs_all(C, i))
@@ -82,15 +99,16 @@ def _rational_mean(vals, weights, total) -> Fraction | None:
 
 def macro_extend(binary_measure, C: ConfusionMatrix, memo: dict | None = None) -> Value:
     m = C.m
-    vals = _class_values(binary_measure, C, range(m), memo)
+    vals = _class_values(binary_measure, C, _canonical_classes(C), memo)
     mean = _rational_mean(vals, repeat(1), m)
     return scale(value_sum(vals), Fraction(1, m)) if mean is None else mean
 
 
 def weighted_extend(binary_measure, C: ConfusionMatrix, memo: dict | None = None) -> Value:
     n = C.n
-    weights = [ai for ai in C.a if ai]
-    vals = _class_values(binary_measure, C, [i for i, ai in enumerate(C.a) if ai], memo)
+    classes = [key for key in _canonical_classes(C) if key[0]]
+    weights = [key[0] for key in classes]
+    vals = _class_values(binary_measure, C, classes, memo)
     mean = _rational_mean(vals, weights, n)
     if mean is None:
         return value_sum([scale(v, Fraction(ai, n)) for v, ai in zip(vals, weights)])

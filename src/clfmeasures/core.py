@@ -265,14 +265,25 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 
 
 def compositions(n: int, m: int, min_part: int = 0) -> Iterator[tuple[int, ...]]:
-    """All ordered ways to split n into m non-negative parts, lexicographic."""
-    if m == 1:
-        if n >= min_part:
-            yield (n,)
+    """All ordered ways to split n into m parts of at least ``min_part``
+    (default: non-negative parts), lexicographic."""
+    if m < 1 or n < min_part * m:
         return
-    for first in range(min_part, n - min_part * (m - 1) + 1):
-        for rest in compositions(n - first, m - 1, min_part):
-            yield (first,) + rest
+    parts = [min_part] * m
+    parts[-1] = n - min_part * (m - 1)
+    while True:
+        yield tuple(parts)
+        # The successor: the rightmost part j >= 1 above the floor gives
+        # one unit to part j - 1 and the rest of it to the last part.
+        j = m - 1
+        while j and parts[j] == min_part:
+            j -= 1
+        if not j:
+            return
+        rest = parts[j] - 1
+        parts[j] = min_part
+        parts[j - 1] += 1
+        parts[-1] = rest
 
 
 def enumerate_labelings(

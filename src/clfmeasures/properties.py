@@ -80,9 +80,13 @@ comes out alike for every member, ties included, and each check of the
 representative counts orbit-size times in ``checked``.  Otherwise, and
 on a violation, the level is rescanned matrix by matrix in space order,
 so ``checked`` and the witness are always those of the scan of every
-matrix.  So ``csym`` makes one identity test per matrix and compares
-only the representatives with their relabelings.  Binary ``f`` and
-``jaccard`` are the rows of the default grids whose orbits are not
+matrix.  Averaged rows are identical by construction: micro, macro and
+weighted values depend only on the multiset of the one-vs-all class
+keys, which relabeling permutes, so their levels are taken as identical
+without evaluating a member.  Native rows (no scheme) are checked member
+by member, so on them ``csym`` makes one identity test per matrix and
+compares only the representatives with their relabelings.  Binary ``f``
+and ``jaccard`` are the rows of the default grids whose orbits are not
 identical.
 
 Every scan reads a level through one door, :meth:`_Eval.level`, which
@@ -319,8 +323,17 @@ class _Eval(Evaluator):
         """Whether every orbit of ``level`` has one identical value on all
         its members (:func:`clfmeasures.values.value_identical`).
 
-        Decided on the first call per level and kept with the row.
+        True by construction for an averaged row (a descriptor with a
+        scheme), which evaluates nothing: its extender reads the classes
+        in canonical order (:mod:`clfmeasures.averaging`), so its value
+        depends only on the multiset of the one-vs-all keys
+        ``(a_i, b_i, c_ii)`` and on ``(m, n, diagonal_sum)``, and
+        relabeling the classes permutes the keys.  A native row is checked
+        member by member, on the first call per level, and the answer is
+        kept with the row.
         """
+        if self.desc.scheme is not None:
+            return True
         same = self._identical_levels.get(level)
         if same is None:
             same = self._identical_levels[level] = all(map(self._orbit_identical, level.orbits))

@@ -157,6 +157,19 @@ def test_cli_budget_stops_before_the_level_is_built(monkeypatch, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("audit", "--m", "990"), ("audit", "--m", "1200", "--measures", "acc", "--properties", "max")],
+    ids=" ".join,
+)
+def test_cli_many_classes_stop_on_the_budget(capsys, argv):
+    # Sizing a level of that many classes nests no call per class.
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "budget" in err
+
+
 SMALL_M3 = AuditSpace(m=3, n_max=3, mon_n_max=3)
 
 

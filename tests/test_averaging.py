@@ -1,13 +1,14 @@
 """Micro / macro / weighted extensions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from clfmeasures.core import confusion_matrix, one_vs_all
-from clfmeasures.averaging import micro_counts
+from clfmeasures.core import confusion_matrix, one_vs_all, permute_classes
+from clfmeasures.averaging import macro_extend, micro_counts, weighted_extend
 from clfmeasures.measures import evaluate, parse_measure_id
-from clfmeasures.values import values_equal
+from clfmeasures.values import Root, root_value, value_identical, value_sum, values_equal
 
 THREE = confusion_matrix([[2, 0, 0], [1, 1, 0], [0, 1, 1]])
 # n=6, S=4, a=(2,2,2), b=(3,2,1)
@@ -128,3 +129,33 @@ class TestSchemeExactness:
         assert ev("acc:micro", C) == ev("acc", C) == Fraction(7, 10)
         assert ev("f:beta=1:micro", C) == Fraction(7, 10)  # != binary F1 = 2/3
         assert ev("f:beta=1", C) == Fraction(2, 3)
+
+
+#: Class values whose sum stays exact only if the radicals cancel first.
+SQRT2, MINUS_SQRT2, SQRT3 = root_value(1, 2, 2), root_value(-1, 2, 2), root_value(1, 3, 2)
+
+
+def _cancelling_kernel(B):
+    """A synthetic binary measure: √2, −√2 or √3 by the true positives
+    (0, 1 or 2) of a one-vs-all matrix."""
+    return (SQRT2, MINUS_SQRT2, SQRT3)[B[1, 1]]
+
+
+class TestCanonicalClassOrder:
+    # a = (2, 2, 2), so both schemes weigh the classes alike; the diagonal
+    # (0, 1, 2) gives the classes the values √2, −√2 and √3.
+    C = confusion_matrix([[0, 1, 1], [1, 1, 0], [0, 0, 2]])
+
+    def test_sum_order_matters(self):
+        assert type(value_sum([SQRT2, MINUS_SQRT2, SQRT3])) is Root
+        assert type(value_sum([SQRT2, SQRT3, MINUS_SQRT2])) is not Root
+
+    @pytest.mark.parametrize("extend", [macro_extend, weighted_extend])
+    @pytest.mark.parametrize("memo", [None, {}], ids=["unmemoized", "memo"])
+    def test_average_is_identical_on_every_relabeling(self, extend, memo):
+        first, *rest = (
+            extend(_cancelling_kernel, permute_classes(self.C, p), memo)
+            for p in itertools.permutations(range(3))
+        )
+        assert type(first) is Root
+        assert all(value_identical(v, first) for v in rest)

@@ -390,6 +390,30 @@ class TestEnumeration:
         assert len(got) == math.comb(4, 2)
         assert all(min(c) >= 1 for c in got)
 
+    @staticmethod
+    def _recursive_compositions(n, m, min_part):
+        """The former recursive enumeration, kept as the reference order."""
+        if m == 1:
+            return [(n,)] if n >= min_part else []
+        return [
+            (first,) + rest
+            for first in range(min_part, n - min_part * (m - 1) + 1)
+            for rest in TestEnumeration._recursive_compositions(n - first, m - 1, min_part)
+        ]
+
+    def test_compositions_match_recursion(self):
+        for n in range(9):
+            for m in range(1, 6):
+                for min_part in range(3):
+                    got = list(compositions(n, m, min_part))
+                    assert got == self._recursive_compositions(n, m, min_part), (n, m, min_part)
+
+    def test_compositions_of_many_parts(self):
+        # Deeper than the recursion limit: the enumeration nests no call per part.
+        assert next(compositions(5, 3000)) == (0,) * 2999 + (5,)
+        assert sum(1 for _ in compositions(1, 3000)) == 3000
+        assert list(compositions(3000, 3000, min_part=1)) == [(1,) * 3000]
+
     def test_multinomial(self):
         assert multinomial(5, (2, 3)) == 10
         assert multinomial(6, (2, 2, 2)) == 90

@@ -627,6 +627,24 @@ class TestGoldenReports:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == self.GENERATED[case]
 
+    #: Root-valued, float-valued and rational averages of ``eval`` on a
+    #: generated 4-class labels file (3000 rows, seed 13).
+    AVERAGED_MEASURES = (
+        "cc:macro,cc:weighted,gm:r=2:macro,gm:r=-3:weighted,ce:macro,cd:weighted,"
+        "cdprime:macro,f:beta=1:macro,ba:weighted,kappa:micro"
+    )
+    AVERAGED_DIGEST = "393e98353b5f35fab8d8c2a53295ca676ffbfa9983db13017801bd962adf6f9f"
+
+    def test_averaged_eval_json_bytes(self, capsys, tmp_path, monkeypatch):
+        (path,) = generated_models(tmp_path, 4, 1, 3000, 13)
+        monkeypatch.chdir(tmp_path)  # the report names the file as given
+        code, out, err = run_cli(
+            capsys, "eval", "--labels", os.path.basename(path),
+            "--measures", self.AVERAGED_MEASURES, "--output", "json", "--no-timestamp",
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.AVERAGED_DIGEST
+
 
 GOLDEN_TRUTH = (0, 0, 0, 1, 1, 1, 1, 1, 0, 1)
 GOLDEN_MODELS = {

@@ -11,19 +11,20 @@ from fractions import Fraction
 
 import pytest
 
-from clfmeasures import properties
+from clfmeasures import averaging, properties
 from clfmeasures.core import Budget, EnumerationBudgetExceeded
 from clfmeasures.measures import (
     AUDIT_ONLY_IDS,
     CANONICAL_IDS,
     SCHEMES,
+    Evaluator,
     parse_measure_id,
     with_scheme,
 )
 from clfmeasures.properties import (
     AuditSpace, _Eval, _Level, _level, _run, audit_space_policy, preservation_spaces,
 )
-from clfmeasures.values import DEFAULT_EPS
+from clfmeasures.values import DEFAULT_EPS, value_identical
 
 NEIGHBOUR_PROPERTIES = ("csym", "mon", "smon")
 AVERAGED = [
@@ -65,7 +66,40 @@ def test_averaged_rows_match_full_scan(monkeypatch, desc):
     assert reduced == full
     # Every averaged row is class-symmetric value by value, so the
     # reduced scans did run: the comparison above is not vacuous.
-    assert all(ev.orbits_identical(_level(3, n, 0)) for n in range(1, 5))
+    _assert_orbits_identical(desc, [(3, n) for n in range(1, 6)] + [(4, n) for n in range(1, 5)])
+
+
+def _assert_orbits_identical(desc, levels):
+    """Evaluate every member of every orbit of the ``(m, n)`` levels and
+    check that each orbit carries one identical value.  The levels of
+    row floor 0 hold those of floor 1, orbits included."""
+    ev = Evaluator(desc)
+    for m, n in levels:
+        for orbit in _level(m, n, 0).orbits:
+            first, *rest = map(ev.value, orbit)
+            assert all(value_identical(v, first) for v in rest), orbit[0].entries
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("desc", AVERAGED, ids=lambda d: d.measure_id)
+def test_averaged_orbits_identical_at_m4_n5(desc):
+    # The top level of the m = 4 smon preservation space.
+    _assert_orbits_identical(desc, [(4, 5)])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_averaged_rows_are_identical_without_evaluating(monkeypatch, scheme):
+    calls = []
+    for name in ("micro_extend", "macro_extend", "weighted_extend"):
+        extend = getattr(averaging, name)
+        monkeypatch.setattr(
+            averaging, name, lambda *args, _extend=extend: calls.append(1) or _extend(*args)
+        )
+    ev = _Eval(parse_measure_id(f"cc:{scheme}"), DEFAULT_EPS, None)
+    assert all(ev.orbits_identical(_level(m, n, 0)) for m, n in ((3, 4), (4, 3)))
+    assert calls == []
+    ev.value(_level(3, 4, 0).matrices[-1])
+    assert calls == [1]  # the wrapper does count the extender's calls
 
 
 @pytest.mark.parametrize("mid", CANONICAL_IDS)
