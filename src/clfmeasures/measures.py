@@ -331,18 +331,46 @@ class MeasureDescriptor:
             return partial(kernel, r=self.r)
         return kernel
 
+    @property
+    def order_key(self) -> OrderKey | None:
+        """The base measure's :class:`OrderKey`; None for averaged forms."""
+        return _BASES[self.base].order if self.scheme is None else None
+
+
+class OrderKey(NamedTuple):
+    """A measure whose values are a strictly monotone function f of
+    another measure's values, its key.
+
+    ``measure`` is the key's measure id and ``decreasing`` says which way
+    f runs.  ``slope`` is a bound g on 1/|f'| over the key's range, so
+    two keys k1, k2 have values at least ``|k1 - k2| / g`` apart: the
+    property audit decides a comparison on the keys alone when their gap
+    outruns the comparison tolerance (``_Eval.compare`` in
+    :mod:`clfmeasures.properties`).
+    """
+
+    measure: str
+    decreasing: bool
+    slope: int
+
 
 class _Base(NamedTuple):
+    """One base measure.  ``order`` is its :class:`OrderKey`, or None;
+    averaged forms of a keyed measure have none."""
+
     label: str
     arity: str
     orientation: str
     exact: bool
     kernel: Callable[..., Value]
     audit_only: bool = False
+    order: OrderKey | None = None
 
 
 #: One row per base measure.  ``f`` and ``gm`` also take beta / r; their
-#: rows give the label and exactness at beta = 1 and r = 1.
+#: rows give the label and exactness at beta = 1 and r = 1.  The angle
+#: measures are keyed on ``cc``: |acos'| >= 1 and pi < 4 bound cd's
+#: 1/|slope| by 4, and sqrt(2(1 - cc)) <= 2 bounds cdprime's by 2.
 _BASES = {
     "acc": _Base("accuracy", "multiclass", SIMILARITY, True, accuracy),
     "ba": _Base("balanced accuracy", "multiclass", SIMILARITY, True, balanced_accuracy),
@@ -351,8 +379,10 @@ _BASES = {
     "kappa": _Base("Cohen's kappa", "multiclass", SIMILARITY, True, cohens_kappa),
     "cc": _Base("correlation coefficient", "multiclass", SIMILARITY, True, matthews_cc),
     "ce": _Base("confusion entropy", "multiclass", DISSIMILARITY, False, confusion_entropy),
-    "cd": _Base("correlation distance", "multiclass", DISSIMILARITY, False, correlation_distance),
-    "cdprime": _Base("chordal distance", "multiclass", DISSIMILARITY, False, chordal_distance),
+    "cd": _Base("correlation distance", "multiclass", DISSIMILARITY, False, correlation_distance,
+                order=OrderKey("cc", True, 4)),
+    "cdprime": _Base("chordal distance", "multiclass", DISSIMILARITY, False, chordal_distance,
+                     order=OrderKey("cc", True, 2)),
     "f": _Base("F1", "binary", SIMILARITY, True, f_beta),
     "jaccard": _Base("Jaccard index", "binary", SIMILARITY, True, jaccard),
     "gm": _Base("GM(r=1)", "binary", SIMILARITY, True, generalized_means),
@@ -544,6 +574,7 @@ class Evaluator:
         self._memo: dict = {}
         self._class_memo: dict = {}
         self._extend = _EXTENDERS.get(desc.scheme)  # the extender's name, or None
+        self._flip = desc.orientation == DISSIMILARITY
 
     def value(self, C: ConfusionMatrix) -> Value:
         v = self._memo.get(C.entries)
@@ -552,7 +583,8 @@ class Evaluator:
         return v
 
     def oriented(self, C: ConfusionMatrix) -> Value:
-        return oriented(self.desc, self.value(C))
+        value = self.value(C)
+        return -value if self._flip else value
 
     def _miss(self, C: ConfusionMatrix) -> Value:
         # Looked up at call time, so a wrapped evaluate or extender sees every miss.

@@ -89,6 +89,18 @@ compares only the representatives with their relabelings.  Binary ``f``
 and ``jaccard`` are the rows of the default grids whose orbits are not
 identical.
 
+Every comparison of two matrices goes through :meth:`_Eval.compare`.  A
+row whose measure has an order key (:class:`clfmeasures.measures.OrderKey`:
+``cd`` and ``cdprime``, strictly decreasing functions of ``cc``) compares
+the exact ``cc`` values first.  A gap wider than the key's slope bound
+times ``eps``, plus a float-error slack, is decided on the key; exactly
+equal keys are a tie; only the rest, the near-ties inside the ``eps``
+window, are compared on the angles.  So every verdict is the one the
+angles give, and such a row computes an angle only where a value is
+read: near-ties, witnesses, the ``dist`` float screen with its exact
+confirmation, and the ``cb`` expectation sums.  Its orbits are identical
+when their keys are, as the angle is computed from the key alone.
+
 Every scan reads a level through one door, :meth:`_Eval.level`, which
 charges the budget before any of the level's fields is built; no charge
 is refunded when a violation stops a scan.  One state is
@@ -104,14 +116,15 @@ Values are memoized per row of the audit grid, on one
 runs every property of one measure on it, and
 :func:`check_averaging_preservation` every space of one averaged measure,
 so a matrix shared by several checks (and by the ``cb`` expectation
-tables) is evaluated once.  The row also keeps its ``sym`` and ``max``
-outcomes per space, which ``dist`` reads as its prerequisites, replaying
-the charges they made.  An averaged measure's evaluator also keeps
-its binary class values, keyed on the counts that fix each one-vs-all
-matrix, so a class seen in one matrix of a space is not evaluated again
-in another.  The row evaluator adds only the comparison
-tolerance, the enumeration budget and witness rendering.  The memo is
-dropped with its row.  Kept for the life of the process are the binary
+tables) is evaluated once; a keyed row keeps the keys of its matrices
+(the ``acb`` lattice matrices included) in a key memo alongside.  The
+row also keeps its ``sym`` and ``max`` outcomes per space, which
+``dist`` reads as its prerequisites, replaying the charges they made.
+An averaged measure's evaluator also keeps its binary class values,
+keyed on the counts that fix each one-vs-all matrix, so a class seen in
+one matrix of a space is not evaluated again in another.  The row
+evaluator adds only the comparison tolerance, the enumeration budget
+and witness rendering.  The memos are dropped with their row.  Kept for the life of the process are the binary
 verdicts that the preservation and impossibility checks read
 (``_default_verdicts``); the audit levels (the LRU cache ``_level``),
 each with the fields its scans read: matrices built over the blocks of
@@ -131,7 +144,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 
 from .baselines import _expectation, is_unary
 from .core import (
@@ -156,6 +169,7 @@ from .measures import (
 )
 from .values import (
     DEFAULT_EPS,
+    Root,
     as_float,
     value_cmp,
     value_identical,
@@ -180,6 +194,11 @@ VIOLATED = "violated"
 
 #: Smallest sample size of the ``cb``/``acb`` margin grid.
 CB_N_MIN = 2
+
+#: Slack of the order-key decisions of :meth:`_Eval.compare`, both in the
+#: key gap and as the least ``eps`` at which equal keys are a tie; see
+#: there for the error budget it covers.
+KEY_SLACK = 2.0**-40
 
 #: Float slack of the ``dist`` screens (distance zero, triangle); every
 #: candidate violation is confirmed in exact or high-precision arithmetic.
@@ -309,6 +328,13 @@ class _Eval(Evaluator):
     the audit grid) and is dropped when the row is done, so no value
     outlives the audit or crosses a change of working precision.
     ``budget`` (None: unlimited) is charged as :func:`check_property` says.
+
+    A row whose measure has an order key (``cd`` and ``cdprime``, keyed on
+    ``cc``; see :class:`clfmeasures.measures.OrderKey`) also keeps a key
+    memo: the exact key of each matrix with a float near it.
+    :meth:`compare` reads the keys first and a value only where they do
+    not settle the comparison, so on such a row the angle is computed for
+    near-ties, witnesses, the ``dist`` screen and ``cb`` expectations.
     """
 
     def __init__(self, desc: MeasureDescriptor, eps: float, budget: Budget | None):
@@ -318,6 +344,72 @@ class _Eval(Evaluator):
         self._identical_levels: dict = {}
         self._outcomes: dict = {}
         self._charges: list | None = None
+        # A negative or nan eps falls outside the proof of compare.
+        order = desc.order_key if eps >= 0 else None
+        self._order = order
+        if order is not None:
+            self._key_desc = parse_measure_id(order.measure)
+            self._keys: dict = {}
+            # The sign of the oriented comparison when the first key is larger.
+            self._key_sign = 1 if order.decreasing == self._flip else -1
+            self._key_gap = order.slope * eps * (1 + KEY_SLACK) + KEY_SLACK
+
+    def key(self, C: ConfusionMatrix) -> tuple:
+        """``(k, x)``: C's order key k, the key measure's exact value, and
+        a float x within 2**-51 of it; kept per entries in the row's key
+        memo."""
+        got = self._keys.get(C.entries)
+        if got is None:
+            k = evaluate(self._key_desc, C)
+            got = self._keys[C.entries] = k, _near_float(k)
+        return got
+
+    def compare(self, C1: ConfusionMatrix, C2: ConfusionMatrix, value=None) -> int:
+        """``value_cmp(oriented(C1), oriented(C2), eps)``.
+
+        ``value``, when given, reads the two values in place of the row's
+        memo.  They are compared as they are, not negated (a negated mpf
+        is rounded to the ambient precision), in the order that gives the
+        oriented sign: ``value(C2)`` with ``value(C1)`` for a
+        dissimilarity.
+
+        A keyed row reads the keys of C1 and C2 first, and the values
+        only when the keys leave the comparison open, so its answer is
+        the value comparison's at every ``eps >= 0``:
+
+        * a key gap above ``g * eps * (1 + s) + s`` (g the key's slope
+          bound, s = :data:`KEY_SLACK`) is the comparison's sign;
+        * at ``eps >= s``, exactly equal keys are a tie.
+
+        The error budget, for keys in [-1, 1], angles computed at 30 or
+        more digits (unit roundoff u <= 2**-103) and an ambient precision
+        of 53 bits or more (mpmath's default), at which :meth:`oriented`
+        negates: the key floats are within 2**-51 of the keys, so their
+        difference is within 2**-49 of the true gap.  An angle's argument,
+        cc rounded to mpf, is within 8u of cc; acos and sqrt(2(1 - x))
+        move by at most 2 sqrt(h) and sqrt(2h) when x moves by h, so with
+        the roundings that follow, the negation included, each value is
+        within E = 2**-48 of its true value.  Keys d apart give true
+        values at least d / g apart, so the computed difference, rounded
+        once more, exceeds ``eps`` with the key's sign once d > g * eps *
+        (1 + 2**-101) + 2 g E + 2**-49; the threshold covers that, with
+        room for its own roundings, as g <= 4.  Equal keys give equal true
+        values, so computed values at most 2E (1 + u) < 2**-46 <= s apart.
+        """
+        if self._order is not None:
+            (k1, x1), (k2, x2) = self.key(C1), self.key(C2)
+            gap = x1 - x2
+            if gap > self._key_gap:
+                return self._key_sign
+            if -gap > self._key_gap:
+                return -self._key_sign
+            if self.eps >= KEY_SLACK and value_cmp(k1, k2) == 0:
+                return 0
+        if value is None:
+            return value_cmp(self.oriented(C1), self.oriented(C2), self.eps)
+        if self._flip:
+            C1, C2 = C2, C1
+        return value_cmp(value(C1), value(C2), self.eps)
 
     def orbits_identical(self, level: _Level) -> bool:
         """Whether every orbit of ``level`` has one identical value on all
@@ -330,7 +422,9 @@ class _Eval(Evaluator):
         ``(a_i, b_i, c_ii)`` and on ``(m, n, diagonal_sum)``, and
         relabeling the classes permutes the keys.  A native row is checked
         member by member, on the first call per level, and the answer is
-        kept with the row.
+        kept with the row.  A keyed row checks its order keys: the value
+        is computed from the key's representation alone, so identical
+        keys give bit-identical values.
         """
         if self.desc.scheme is not None:
             return True
@@ -340,7 +434,10 @@ class _Eval(Evaluator):
         return same
 
     def _orbit_identical(self, orbit) -> bool:
-        first, *rest = map(self.value, orbit)
+        if self._order is None:
+            first, *rest = map(self.value, orbit)
+        else:
+            first, *rest = (self.key(C)[0] for C in orbit)
         return all(value_identical(v, first) for v in rest)
 
     def charge(self, states: int = 1) -> None:
@@ -371,9 +468,6 @@ class _Eval(Evaluator):
                 self.charge(states)
         return kept[0]
 
-    def cmp(self, u, v) -> int:
-        return value_cmp(u, v, self.eps)
-
     def witness(self, kind: str, matrices, **extra) -> dict:
         values = [self.value(C) for C in matrices]
         return {
@@ -383,6 +477,18 @@ class _Eval(Evaluator):
             "value_floats": [as_float(v) for v in values],
             **extra,
         }
+
+
+def _near_float(k) -> float:
+    """A float within 2**-51 of an order key k in [-1, 1]: a rational
+    rounded once, or a square root ``c * sqrt(r)`` (cc's only irrational
+    form) as the signed ``math.sqrt`` of its square rounded once; both
+    roundings are correct, so the error stays absolute near 0."""
+    if type(k) is Root:
+        c, r = k.coeff, k.radicand
+        square = c.numerator**2 * r.numerator / (c.denominator**2 * r.denominator)
+        return math.copysign(math.sqrt(square), c.numerator)
+    return k.numerator / k.denominator
 
 
 class _Level:
@@ -534,16 +640,15 @@ def _scan(ev: _Eval, starts, moves, worse):
     ``starts`` gives ``(C, weight)`` pairs, where C stands for ``weight``
     matrices whose checks come out as C's do.  ``moves(C)`` gives C's
     neighbours as ``(Ct, kind, extra)``.  Each counts ``weight`` checks;
-    the first with ``worse(cmp(oriented(Ct), oriented(C)))`` is the
-    witness ``kind`` over ``[C, Ct]`` with the ``extra`` fields.  sym and
-    csym pass ``bool``: any difference is a violation.
+    the first with ``worse(compare(Ct, C))`` is the witness ``kind`` over
+    ``[C, Ct]`` with the ``extra`` fields.  sym and csym pass ``bool``:
+    any difference is a violation.
     """
     checked = 0
     for C, weight in starts:
-        base = ev.oriented(C)
         for Ct, kind, extra in moves(C):
             checked += weight
-            if worse(ev.cmp(ev.oriented(Ct), base)):
+            if worse(ev.compare(Ct, C)):
                 return VIOLATED, ev.witness(kind, [C, Ct], **extra), checked
     return SATISFIED, None, checked
 
@@ -665,21 +770,27 @@ def _margin_grid(ev: _Eval, space: AuditSpace):
                 yield n, a, b
 
 
-def _check_constant_over_margins(ev: _Eval, space: AuditSpace, value_of):
+def _check_constant_over_margins(ev: _Eval, space: AuditSpace, point, differ, value):
+    """The first margin pair whose point ``differ``s from the first pair's.
+
+    ``point(a, b)`` is built once per pair, in grid order, and
+    ``value(point)`` is the value a witness shows.
+    """
     ref = None
     checked = 0
     for n, a, b in _margin_grid(ev, space):
-        val = value_of(a, b)
+        p = point(a, b)
         checked += 1
         if ref is None:
-            ref = (n, a, b, val)
-        elif ev.cmp(val, ref[3]) != 0:
+            ref = (n, a, b, p)
+        elif differ(p, ref[3]):
+            first, second = value(ref[3]), value(p)
             witness = {
                 "kind": "constant_depends_on_margins",
                 "first": {"n": ref[0], "a": list(ref[1]), "b": list(ref[2]),
-                          "value": value_str(ref[3]), "value_float": as_float(ref[3])},
+                          "value": value_str(first), "value_float": as_float(first)},
                 "second": {"n": n, "a": list(a), "b": list(b),
-                           "value": value_str(val), "value_float": as_float(val)},
+                           "value": value_str(second), "value_float": as_float(second)},
             }
             return VIOLATED, witness, checked
     return SATISFIED, None, checked
@@ -687,24 +798,50 @@ def _check_constant_over_margins(ev: _Eval, space: AuditSpace, value_of):
 
 def _check_cb(ev: _Eval, space: AuditSpace):
     expectation = partial(_expectation, ev.value, method="matrices", budget=ev.budget)
-    return _check_constant_over_margins(ev, space, expectation)
+
+    def differ(u, v) -> bool:
+        return value_cmp(u, v, ev.eps) != 0
+
+    return _check_constant_over_margins(ev, space, expectation, differ, lambda v: v)
 
 
 def _check_acb(ev: _Eval, space: AuditSpace):
-    return _check_constant_over_margins(ev, space, partial(_acb_value, ev.desc))
+    """The point of a margin pair is its lattice matrix (:func:`_lattice`),
+    compared through :meth:`_Eval.compare`, so a keyed row reads the
+    lattice's key from its key memo; the value, :func:`_acb_value`, is
+    computed where that comparison or a witness reads it."""
+    margins = {}  # lattice -> its margin pair
+
+    def point(a, b) -> ConfusionMatrix:
+        lattice = _lattice(a, b)
+        margins[lattice] = a, b
+        return lattice
+
+    value = cache(lambda lattice: _acb_value(ev.desc, lattice, *margins[lattice]))
+
+    def differ(L1, L2) -> bool:
+        return ev.compare(L1, L2, value) != 0
+
+    return _check_constant_over_margins(ev, space, point, differ, value)
 
 
-def _acb_value(desc: MeasureDescriptor, a: tuple, b: tuple):
-    """The value of ``expected_matrix(a, b)``.
+def _lattice(a: tuple, b: tuple) -> ConfusionMatrix:
+    """The int matrix ``(a_i * b_j)``, n times ``expected_matrix(a, b)``,
+    margins set."""
+    n = sum(a)
+    entries = tuple(tuple(ai * bj for bj in b) for ai in a)
+    margins = tuple(ai * n for ai in a), tuple(bj * n for bj in b)
+    return _with_margins(entries, *margins, n * n, sum(map(operator.mul, a, b)))
 
-    An exact scale-free measure is evaluated on the int matrix ``n`` times
-    it; a Fraction there is the value (see the module docstring).
+
+def _acb_value(desc: MeasureDescriptor, lattice: ConfusionMatrix, a: tuple, b: tuple):
+    """The value of ``expected_matrix(a, b)``, ``lattice`` its
+    :func:`_lattice`.
+
+    An exact scale-free measure is evaluated on the lattice; a Fraction
+    there is the value (see the module docstring).
     """
     if desc.exact and not desc.audit_only:
-        n = sum(a)
-        entries = tuple(tuple(ai * bj for bj in b) for ai in a)
-        margins = tuple(ai * n for ai in a), tuple(bj * n for bj in b)
-        lattice = _with_margins(entries, *margins, n * n, sum(map(operator.mul, a, b)))
         value = evaluate(desc, lattice)
         if type(value) is Fraction:
             return value

@@ -38,6 +38,7 @@ from clfmeasures.properties import (
     DEFAULT_EPS,
     _acb_value,
     _Eval,
+    _lattice,
     _margin_grid,
     _run,
     audit_space_policy,
@@ -79,7 +80,7 @@ def _check_lattice(m, n_max, min_col):
             if type(lattice) is Fraction:
                 on_lattice += 1
                 _same(lattice, want)
-            _same(_acb_value(desc, a, b), want)
+            _same(_acb_value(desc, _lattice(a, b), a, b), want)
     assert on_lattice  # the lattice is taken, not only the fallback
 
 
@@ -110,7 +111,7 @@ class TestAcbLattice:
         monkeypatch.setattr(properties, "evaluate", planted)
         a, b = (2, 1), (1, 2)
         desc = parse_measure_id("acc")
-        _same(_acb_value(desc, a, b), evaluate(desc, expected_matrix(a, b)))
+        _same(_acb_value(desc, _lattice(a, b), a, b), evaluate(desc, expected_matrix(a, b)))
         assert seen == [((2, 4), (1, 2)), expected_matrix(a, b).entries]
 
     def test_fallback_ids_skip_the_lattice(self, monkeypatch):
@@ -124,7 +125,7 @@ class TestAcbLattice:
         a, b = (2, 1), (1, 2)
         for mid in ("ce", "gm:r=0.5", "netagree"):
             seen.clear()
-            _acb_value(parse_measure_id(mid), a, b)
+            _acb_value(parse_measure_id(mid), _lattice(a, b), a, b)
             assert seen == [expected_matrix(a, b).entries]
 
 

@@ -573,6 +573,14 @@ class TestGoldenReports:
             "fcde2afd4964832474e28dc7ba38dcd1cd2a7b5ca840c9c6f2d61e2f41374c08",
         ("distinguish", "--n", "2:12", "--full"):
             "ddc0bc63357b6130a20a9509bd51f03c6fa15c0e6f695c2c8a8f26281e796584",
+        # The rows compared on their cc key; at eps = 0.01 many pairs are
+        # left to the angles.
+        ("audit", "--measures", "cd,cdprime", "--n-max", "5"):
+            "f755b0380036ced58042c6634fce1f98ba6386f5cbae66bc3d4bb2b7836ca62d",
+        ("audit", "--m", "3", "--measures", "cd,cdprime", "--n-max", "4"):
+            "4225fc67505af6acd09dd5c420f2188acc74eca912935d6b1106417d801abab0",
+        ("audit", "--measures", "cd,cdprime", "--n-max", "5", "--eps", "0.01"):
+            "e4e2d005f6ea8ae54635a9c9f768ed015c93a1a14ad73a2dd323e8361fdebf1d",
     }
 
     #: The same at the default windows, about 25 s together.

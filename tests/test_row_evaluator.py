@@ -110,11 +110,15 @@ def _record_evaluations(monkeypatch, seen):
 
 
 def test_each_int_matrix_is_evaluated_once(monkeypatch):
+    # On both keyed rows, the angle and its cc key (the acb lattices
+    # included) go through the row's memos.
     seen = []
     _record_evaluations(monkeypatch, seen)
-    audit_grid(["cd"], ALL_PROPERTIES, n_max=5)
-    assert seen
-    assert len(seen) == len(set(seen))
+    for mid in ("cd", "cdprime"):
+        seen.clear()
+        audit_grid([mid], ALL_PROPERTIES, n_max=5)
+        assert {m for m, _ in seen} == {mid, "cc"}
+        assert len(seen) == len(set(seen))
 
 
 def test_groups_evaluate_each_matrix_once_per_measure(monkeypatch):
