@@ -7,10 +7,12 @@ Three formats are supported:
   alphabet is sorted (numerically when every label parses as an integer,
   lexicographically otherwise) and mapped to 0-based class indices.  The
   mapping travels with the parsed pair so reports can show original
-  names.  Rows are counted per distinct row text, and only the distinct
-  rows are split and decoded: a parsed pair keeps one count per distinct
-  (true, pred) class pair and a one-byte row id per element (four bytes
-  past 256 distinct rows).
+  names.  The text is split into lines one slice at a time, never into
+  one list of all lines, and every non-blank row gets the id of its
+  distinct text in one pass.  Only the distinct rows are split and
+  decoded; their ids are renumbered into (true, pred) class pairs and
+  counted.  A parsed pair keeps one count per distinct class pair and a
+  one-byte row id per element (four bytes past 256 distinct rows).
 * ``matrix-json``: a JSON array of array rows.  Entries are integers or
   exact fraction strings like ``"2/3"`` or ``"25e-2"`` (decimal exponent
   at most :data:`MAX_EXPONENT` in magnitude); floats are accepted only
@@ -66,8 +68,8 @@ class LabelingPair:
             raise ValueError(f"class count mismatch: {truth.m} vs {pred.m}")
         if len(truth) != len(pred):
             raise ValueError(f"length mismatch: {len(truth)} vs {len(pred)}")
-        keys = list(zip(truth.labels, pred.labels))
-        self._set(*_tally(keys, Counter(keys), _same), tuple(alphabet), truth.m)
+        rows, ids = _number(lambda: zip(truth.labels, pred.labels))
+        self._set(*_tally(ids, rows), tuple(alphabet), truth.m)
         self.truth = truth
         self.pred = pred
 
@@ -142,29 +144,54 @@ class LabelingPair:
         return LabelingPair._from_counts(rows, self.counts, self.ids, alphabet, len(alphabet))
 
 
-def _same(key):
-    return key
+class _Numbering(dict):
+    """A dict handing each new key the next id, in order of first lookup."""
+
+    def __missing__(self, key):
+        i = self[key] = len(self)
+        return i
 
 
-def _tally(keys: list, counts: Counter, row_of) -> tuple:
+def _number(keys) -> tuple[list, bytes | array]:
+    """The distinct items of ``keys()`` in order of first occurrence, and
+    the index among them of every item: ``bytes`` while there are at most
+    256 distinct items, else an ``array("I")``.
+
+    ``keys`` gives a fresh iterator each call.  Items are numbered in one
+    pass at C level; a 257th distinct item restarts the pass into an
+    array, the first 256 keeping their ids.
+    """
+    numbering = _Numbering()
+    try:
+        ids = bytes(map(numbering.__getitem__, keys()))
+    except ValueError:  # an id of 256 does not fit a byte
+        if len(numbering) <= 256:
+            raise
+        ids = array("I", map(numbering.__getitem__, keys()))
+    return list(numbering), ids
+
+
+def _tally(ids: bytes | array, key_rows: list) -> tuple:
     """``rows``, ``counts`` and ``ids`` of a :class:`LabelingPair`.
 
-    ``keys`` holds one hashable key per element, ``counts`` is
-    ``Counter(keys)`` (so it lists the distinct keys in order of first
-    occurrence), and ``row_of`` maps a distinct key to its (true, pred)
-    class pair.  Keys of one class pair share a row.
+    ``ids`` indexes :func:`_number`'s distinct keys, and ``key_rows``
+    gives each distinct key's (true, pred) class pair.  Keys of one class
+    pair share a row, so ``ids`` is renumbered into rows in one pass.
     """
     index: dict = {}
-    totals: list[int] = []
-    key_row = {}
-    for key, count in counts.items():
-        i = key_row[key] = index.setdefault(row_of(key), len(index))
-        if i < len(totals):
-            totals[i] += count
+    remap = [index.setdefault(row, len(index)) for row in key_rows]
+    if len(index) < len(remap):
+        if type(ids) is bytes:
+            ids = ids.translate(bytes(remap).ljust(256, b"\0"))
         else:
-            totals.append(count)
-    ids = map(key_row.__getitem__, keys)
-    return tuple(index), tuple(totals), bytes(ids) if len(index) <= 256 else array("I", ids)
+            rows = map(remap.__getitem__, ids)
+            ids = bytes(rows) if len(index) <= 256 else array("I", rows)
+    if type(ids) is bytes:
+        counts = tuple(map(ids.count, range(len(index))))
+    else:
+        tally = Counter(ids)
+        counts = tuple(map(tally.__getitem__, range(len(index))))
+    return tuple(index), counts, ids
 
 
 def _sorted_alphabet(labels: set[str]) -> tuple[str, ...]:
@@ -193,37 +220,41 @@ def _split_lines(lines: list[str]) -> list[list[str]]:
     return list(csv.reader(lines))
 
 
-def _read_rows(lines: list[str]):
+#: Characters per slice of a labels file's text, which is split into
+#: lines one slice at a time; a slice ends just after the first ``"\n"``
+#: at or past this length.
+SLICE = 1 << 15
+
+
+def _slices(text: str):
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + SLICE) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _lines(text: str):
+    """The lines of ``text.splitlines()``, split one slice at a time.
+
+    Each slice but the last ends just after a ``"\n"``, which ends a line
+    (with a ``"\r"`` before it, if any), so the slices' lines are the
+    text's and no list of all of them exists at once.
+    """
+    return itertools.chain.from_iterable(map(str.splitlines, _slices(text)))
+
+
+def _read_rows(lines):
     """The reader's rows over ``str.splitlines`` pieces, each given back
     its line end as ``"\n"``, so a line break inside a quoted field reads
     as ``"\n"``."""
-    return csv.reader(line + "\n" for line in lines)
-
-
-def _row_keys(text: str):
-    """The non-blank rows of a labels file as hashable keys, header
-    dropped, and the function giving the fields of a list of keys.
-
-    Without a quote character every line is one row, so the line is its
-    key and only distinct lines need splitting.  A quoted field may hold
-    a comma or span lines, so then the reader's rows are the keys.
-    """
-    lines = text.splitlines()
-    if '"' in text:
-        keys = [tuple(row) for row in _read_rows(lines) if row]
-        fields = list
-    else:
-        keys = list(filter(None, lines))
-        fields = _split_lines
-    if keys and _is_header(fields(keys[:1])[0]):
-        del keys[0]
-    return keys, fields
+    return csv.reader(map(str.__add__, lines, itertools.repeat("\n")))
 
 
 def _raise_first_bad_row(path, text: str) -> None:
     """Walk the rows in file order and raise what the first malformed one
     gives: the reader's ``csv.Error`` or a row without two fields."""
-    rows = filter(None, _read_rows(text.splitlines()))
+    rows = filter(None, _read_rows(_lines(text)))
     first = next(rows, None)
     if first is not None and not _is_header(first):
         rows = itertools.chain((first,), rows)
@@ -237,15 +268,25 @@ def _raise_first_bad_row(path, text: str) -> None:
 def read_labels_csv(path) -> LabelingPair:
     """Parse a two-column (true, pred) CSV into an aligned labeling pair.
 
-    Rows are counted per distinct text; only distinct rows are split and
-    decoded.  The alphabet is inferred from the data;
-    :meth:`LabelingPair.with_alphabet` re-indexes the pair by a larger one.
+    The non-blank rows are numbered by distinct text in one pass; only
+    distinct rows are split and decoded.  Without a quote character every
+    line is one row, so the line is its key.  A quoted field may hold a
+    comma or span lines, so then the reader's rows are the keys.  The
+    alphabet is inferred from the data; :meth:`LabelingPair.with_alphabet`
+    re-indexes the pair by a larger one.
     """
     text = _read_text(path)
+    quoted = '"' in text
+    fields = list if quoted else _split_lines
+
+    def keys():
+        lines = _lines(text)
+        return filter(None, map(tuple, _read_rows(lines)) if quoted else lines)
+
     try:
-        keys, fields = _row_keys(text)
-        counts = Counter(keys)
-        distinct = list(counts)
+        first = next(keys(), None)
+        skip = first is not None and _is_header(fields([first])[0])
+        distinct, ids = _number(lambda: itertools.islice(keys(), skip, None))
         rows = fields(distinct)
     except csv.Error:
         _raise_first_bad_row(path, text)
@@ -257,12 +298,8 @@ def read_labels_csv(path) -> LabelingPair:
     stripped = {raw: raw.strip() for row in rows for raw in row}
     names = _sorted_alphabet(set(stripped.values()))
     index = {name: i for i, name in enumerate(names)}
-    row_of = {
-        key: (index[stripped[t]], index[stripped[p]]) for key, (t, p) in zip(distinct, rows)
-    }
-    return LabelingPair._from_counts(
-        *_tally(keys, counts, row_of.__getitem__), names, len(names)
-    )
+    key_rows = [(index[stripped[t]], index[stripped[p]]) for t, p in rows]
+    return LabelingPair._from_counts(*_tally(ids, key_rows), names, len(names))
 
 
 def _exponent_beyond_bound(text: str) -> bool:

@@ -21,7 +21,8 @@ Every call that compares many matrices holds one
 :class:`clfmeasures.measures.Evaluator` per measure, so each matrix is
 evaluated at most once per measure and call, and
 :func:`indistinguishable_groups` builds each list of shared-margin
-matrices once for all its measure pairs.  Values are not kept between
+matrices, and relates each matrix pair under each measure, once for all
+its measure pairs.  Values are not kept between
 calls; the matrices are, since :func:`margin_matrices` filters the
 per-process blocks of ``core._block`` that the audit levels share.
 A budget is charged once per matrix pair for each measure pair compared.
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -143,22 +143,18 @@ def margin_matrices(n: int, a1: int) -> list[ConfusionMatrix]:
 
 
 def margin_matrix_pairs(
-    n: int, budget: Budget | None = None, matrices=None
+    n: int, budget: Budget | None = None
 ) -> Iterator[tuple[ConfusionMatrix, ConfusionMatrix]]:
     """All unordered pairs of distinct matrices sharing row sums, n fixed.
 
     Exactly the comparisons a triplet at size n can pose: two predictions
     against one truth share the truth's class sizes and nothing else.
-    ``matrices(a1)`` gives the list of row sums (n - a1, a1); by default
-    :func:`margin_matrices`, and a caller that walks the pairs many times
-    passes it memoized.
+    Each list of :func:`margin_matrices` is built when the walk reaches it.
     """
     if n < 2:
         raise ValueError("need n >= 2 for two-class labelings")
-    if matrices is None:
-        matrices = partial(margin_matrices, n)
     for a1 in range(1, n):
-        for C1, C2 in combinations(matrices(a1), 2):
+        for C1, C2 in combinations(margin_matrices(n, a1), 2):
             if budget is not None:
                 budget.charge()
             yield C1, C2
@@ -214,18 +210,47 @@ class DistinguishingWitness:
         }
 
 
-def _first_difference(
-    ev1: Evaluator, ev2: Evaluator, n: int, eps: float, budget: Budget | None, matrices=None
-):
-    """``(C1, C2, relation_1, relation_2)`` for the first shared-margin
-    matrix pair the two measures rank differently, or None.  ``matrices``
-    as in :func:`margin_matrix_pairs`."""
-    for C1, C2 in margin_matrix_pairs(n, budget, matrices):
-        r1 = _relation(ev1, C1, C2, eps)
-        r2 = _relation(ev2, C1, C2, eps)
-        if r1 != r2:
-            return C1, C2, r1, r2
-    return None
+class _Walk:
+    """The shared-margin matrix pairs at one n and each measure's relation
+    on them, both extended only as far as a walk reaches.
+
+    Every walk reads the pairs from the start, so each (measure, pair)
+    relation is computed once, by the first walk that reaches it.
+    """
+
+    def __init__(self, evs: Sequence[Evaluator], n: int, eps: float):
+        self.evs = evs
+        self.eps = eps
+        self._more = margin_matrix_pairs(n)
+        self.pairs: list[tuple[ConfusionMatrix, ConfusionMatrix]] = []
+        self.relations: list[list[int]] = [[] for _ in evs]
+
+    def _relation(self, i: int, k: int) -> int:
+        row = self.relations[i]
+        if k == len(row):
+            row.append(_relation(self.evs[i], *self.pairs[k], self.eps))
+        return row[k]
+
+    def _reached(self, k: int) -> bool:
+        """Whether pair ``k`` exists; the first walk to reach it adds it."""
+        if k == len(self.pairs):
+            pair = next(self._more, None)
+            if pair is None:
+                return False
+            self.pairs.append(pair)
+        return True
+
+    def first_difference(self, i: int, j: int, budget: Budget | None) -> int | None:
+        """Index of the first pair measures ``i`` and ``j`` rank differently,
+        or None; ``budget`` is charged one state per pair walked."""
+        k = 0
+        while self._reached(k):
+            if budget is not None:
+                budget.charge()
+            if self._relation(i, k) != self._relation(j, k):
+                return k
+            k += 1
+        return None
 
 
 def distinguishing_pair(
@@ -233,10 +258,11 @@ def distinguishing_pair(
 ) -> DistinguishingWitness | None:
     """First shared-margin matrix pair on which the measures disagree."""
     ev1, ev2 = Evaluator(_descriptor(m1)), Evaluator(_descriptor(m2))
-    diff = _first_difference(ev1, ev2, n, eps, budget)
-    if diff is None:
+    walk = _Walk((ev1, ev2), n, eps)
+    k = walk.first_difference(0, 1, budget)
+    if k is None:
         return None
-    C1, C2, r1, r2 = diff
+    (C1, C2), r1, r2 = walk.pairs[k], walk.relations[0][k], walk.relations[1][k]
     return DistinguishingWitness(
         measure_1=ev1.desc.measure_id,
         measure_2=ev2.desc.measure_id,
@@ -271,12 +297,18 @@ def indistinguishable_groups(
     when indistinguishable from every current member, so the result is a
     well-defined partition even if pairwise indistinguishability failed
     to be transitive (on this registry it is transitive at every n).
+
+    Every measure pair walks the shared-margin matrix pairs in order up to
+    its first difference, and ``budget`` is charged one state per matrix
+    pair walked.  The walks share one list of matrix pairs and one row of
+    relations per measure, each extended by the first walk that reaches
+    its end, so a measure relates a matrix pair at most once however many
+    measure pairs walk past it.
     """
     evs = [Evaluator(_descriptor(m)) for m in measures]
-    # Each list is built by the first measure pair that reaches it.
-    matrices = cache(partial(margin_matrices, n))
+    walk = _Walk(evs, n, eps)
     pair_ok = {
-        (i, j): _first_difference(evs[i], evs[j], n, eps, budget, matrices) is None
+        (i, j): walk.first_difference(i, j, budget) is None
         for i, j in combinations(range(len(evs)), 2)
     }
     groups: list[list[int]] = []

@@ -1,6 +1,7 @@
 """Order consistency: distinguishability by n, shipped triplets, rankings."""
 
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 
 import pytest
@@ -35,7 +36,7 @@ from clfmeasures.inconsistency import (
     triplet_from_labels,
     triplet_verdict,
 )
-from clfmeasures.measures import CONSISTENCY_IDS
+from clfmeasures.measures import CONSISTENCY_IDS, Evaluator
 from clfmeasures.orders import rate_matrix
 from clfmeasures.values import root_value
 from reference_triplets import distinguishing_triplet_bruteforce
@@ -154,6 +155,115 @@ class TestGroups:
     def test_cc_sba_fused_below_nine(self):
         assert indistinguishable_at("cc", "sba", 8)
         assert not indistinguishable_at("cc", "sba", 9)
+
+
+class _RecordingBudget(Budget):
+    """A budget that records every charge with the number of shared-margin
+    lists built when it was made."""
+
+    def __init__(self, built):
+        super().__init__(10**9)
+        self.built = built
+        self.charges = []
+
+    def charge(self, amount: int = 1) -> None:
+        self.charges.append((amount, len(self.built)))
+        super().charge(amount)
+
+
+def _pairwise_first_difference(ev1, ev2, n, eps, budget, matrices):
+    """The walk each measure pair made on its own: every pair of the lists
+    ``matrices(a1)`` in order, charged first, both measures related
+    afresh, up to the first difference."""
+    for a1 in range(1, n):
+        for C1, C2 in combinations(matrices(a1), 2):
+            budget.charge()
+            r1 = value_cmp(ev1.oriented(C1), ev1.oriented(C2), eps)
+            r2 = value_cmp(ev2.oriented(C1), ev2.oriented(C2), eps)
+            if r1 != r2:
+                return C1, C2, r1, r2
+    return None
+
+
+def _pairwise_groups(n, measures, eps, budget):
+    """Greedy groups from one independent walk per measure pair."""
+    evs = [Evaluator(parse_measure_id(m)) for m in measures]
+    matrices = cache(partial(inconsistency.margin_matrices, n))
+    pair_ok = {
+        (i, j): _pairwise_first_difference(evs[i], evs[j], n, eps, budget, matrices) is None
+        for i, j in combinations(range(len(evs)), 2)
+    }
+    groups = []
+    for i in range(len(evs)):
+        for group in groups:
+            if all(pair_ok[(min(i, j), max(i, j))] for j in group):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return tuple(tuple(evs[i].desc.measure_id for i in group) for group in groups)
+
+
+WALK_IDS = CONSISTENCY_IDS + ("cd", "cdprime", "ce:macro")
+WALK_EPS = (0.0, 1e-12, 0.05)
+
+
+def _assert_walk_like_pairwise(monkeypatch, n, eps):
+    built = []
+
+    def matrices(n, a1):
+        built.append((n, a1))
+        return margin_matrices(n, a1)
+
+    monkeypatch.setattr(inconsistency, "margin_matrices", matrices)
+    expected_budget = _RecordingBudget(built)
+    expected = _pairwise_groups(n, WALK_IDS, eps, expected_budget)
+    built.clear()
+    budget = _RecordingBudget(built)
+    assert indistinguishable_groups(n, WALK_IDS, eps, budget) == expected
+    assert budget.charges == expected_budget.charges
+
+
+class TestSharedWalk:
+    """The groups' shared walk against one walk per measure pair."""
+
+    @pytest.mark.parametrize("eps", WALK_EPS)
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_groups_and_charges_match_pairwise_walks(self, monkeypatch, n, eps):
+        _assert_walk_like_pairwise(monkeypatch, n, eps)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("eps", WALK_EPS)
+    @pytest.mark.parametrize("n", range(10, 13))
+    def test_groups_and_charges_match_pairwise_walks_to_12(self, monkeypatch, n, eps):
+        _assert_walk_like_pairwise(monkeypatch, n, eps)
+
+    @pytest.mark.parametrize("m1, m2", [("acc", "ba"), ("cc", "sba"), ("cd", "cc"), ("ce", "ce:macro")])
+    @pytest.mark.parametrize("n", [4, 8, 9])
+    def test_witness_is_the_pairwise_first_difference(self, m1, m2, n):
+        evs = [Evaluator(parse_measure_id(m)) for m in (m1, m2)]
+        expected_budget, budget = Budget(10**9), Budget(10**9)
+        expected = _pairwise_first_difference(
+            *evs, n, 1e-12, expected_budget, partial(margin_matrices, n)
+        )
+        w = distinguishing_pair(m1, m2, n, 1e-12, budget)
+        got = None if w is None else (w.matrix_1, w.matrix_2, w.relation_1, w.relation_2)
+        assert got == expected
+        assert budget.used == expected_budget.used
+
+    def test_each_relation_is_computed_once(self, monkeypatch):
+        seen = []
+        relation = inconsistency._relation
+
+        def recording(ev, C1, C2, eps):
+            seen.append((ev.desc.measure_id, C1.entries, C2.entries))
+            return relation(ev, C1, C2, eps)
+
+        monkeypatch.setattr(inconsistency, "_relation", recording)
+        for n in range(2, 10):
+            seen.clear()
+            indistinguishable_groups(n, WALK_IDS)
+            assert seen and len(seen) == len(set(seen)), n
 
 
 class TestShippedTriplets:

@@ -13,6 +13,7 @@ import csv
 import gc
 import json
 import random
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clfmeasures import cli
+from clfmeasures import cli, dataio
 from clfmeasures.core import Labeling, build_confusion
 from clfmeasures.dataio import (
     InputError,
@@ -159,6 +160,93 @@ def _assert_same_pair(parsed: LabelingPair, truth: Labeling, pred: Labeling, alp
     assert pair == reference and hash(pair) == hash(reference)
     if pair.alphabet != parsed.alphabet:
         assert pair != parsed
+
+
+LINE_CASES = {
+    "blank lines before the header": "\n\n\r\n\ntrue,pred\n1,2\n\n2,1\n",
+    "blank lines before a data row": "\n\n1,2\n2,1\ntrue,pred\n",
+    "crlf": "true,pred\r\n1,2\r\n2,1\r\n\r\n1,2\r\n",
+    "no final newline": "true,pred\n1,2\n2,1",
+    "no final newline, crlf": "true,pred\r\n1,2\r\n2,1",
+    "lone cr and crlf": "true,pred\r1,2\r\n2,1\r\r\n1,1\n",
+    "header again as data": "true,pred\n1,2\ntrue,pred\n2,1\n",
+    "only a header": "\ntrue,pred\r\n\n",
+    "quoted, crlf": 'true,pred\r\n"a\r\nb",1\r\n1,"a\r\nb"\r\n',
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 1 << 15])
+@pytest.mark.parametrize("text", LINE_CASES.values(), ids=LINE_CASES)
+def test_line_cases_at_every_slice_size(text_file, monkeypatch, size, text):
+    r"""Whichever line a slice of the text is cut after, ``\r\n`` included,
+    the parse is the row walk's."""
+    monkeypatch.setattr(dataio, "SLICE", size)
+    text_file.write_bytes(text.encode("utf-8"))
+    assert list(dataio._lines(text)) == text.splitlines()
+    assert _outcome(read_labels_csv, text_file) == _outcome(
+        _row_walk_read_labels_csv, text_file
+    )
+
+
+@pytest.mark.parametrize("cut", [-2, -1, 0, 1])
+def test_slice_cut_next_to_crlf(tmp_path, cut):
+    r"""A ``\r\n`` placed across the default slice boundary stays one break."""
+    head = "true,pred\r\n"
+    body = "1,0\r\n" * ((dataio.SLICE - len(head)) // 5 - 1)
+    filler = "x" * (dataio.SLICE - len(head) - len(body) + cut - 2) + ",1"
+    text = head + body + filler + "\r\n" + "1,1\r\n" * 10
+    assert text.find("\r\n", len(head) + len(body)) == dataio.SLICE + cut
+    assert len(list(dataio._slices(text))) == 2
+    assert list(dataio._lines(text)) == text.splitlines()
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_labels_csv(path) == _row_walk_read_labels_csv(path)
+
+
+def test_256_distinct_rows_with_blank_lines_stay_bytes(tmp_path):
+    """Blank lines take no row id, so 256 distinct rows keep one byte each;
+    more distinct lines than 256 that decode to at most 256 rows do too."""
+    names = [str(k) for k in range(16)]
+    rows = [f"{t},{p}" for t in names for p in names]
+    path = tmp_path / "blank.csv"
+    path.write_text("\n\ntrue,pred\n\n" + "\n\n".join(rows * 2) + "\n\n")
+    pair = read_labels_csv(path)
+    assert len(pair.rows) == 256 and type(pair.ids) is bytes
+    assert pair == _row_walk_read_labels_csv(path)
+    path.write_text("".join(f"{t},{p}\n{t}, {p}\n\n" for t in names for p in names))
+    pair = read_labels_csv(path)
+    assert len(pair.rows) == 256 and type(pair.ids) is bytes
+    assert pair == _row_walk_read_labels_csv(path)
+
+
+def test_more_than_256_distinct_rows_with_blank_lines(tmp_path):
+    rng = random.Random(5)
+    names = [f"c{k}" for k in range(20)]
+    lines = [rng.choice(("", f"{rng.choice(names)},{rng.choice(names)}")) for _ in range(3000)]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(["", "true,pred", *lines, ""]))
+    pair = read_labels_csv(path)
+    assert len(pair.rows) > 256 and isinstance(pair.ids, array)
+    assert pair == _row_walk_read_labels_csv(path)
+    assert sum(pair.counts) == pair.n == sum(map(bool, lines))
+
+
+def test_parse_peak_memory_is_bounded(tmp_path):
+    """A quote-free 100k-row file parses within a third of 7.2 MB, the
+    tracemalloc peak of a parser that splits the whole text into one list
+    of lines."""
+    rng = random.Random(4)
+    path = tmp_path / "big.csv"
+    rows = (f"{rng.randrange(4)},{rng.randrange(4)}" for _ in range(100_000))
+    path.write_text("true,pred\n" + "\n".join(rows) + "\n")
+    tracemalloc.start()
+    try:
+        pair = read_labels_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.n == 100_000
+    assert peak <= 7.2e6 / 3, peak
 
 
 @pytest.mark.parametrize("m", [20, 300])
