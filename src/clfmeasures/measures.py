@@ -236,14 +236,28 @@ def power_mean_ratio(num, x, y, r: int) -> Value:
     With s = |r|, M_r is ``u**(1/s)`` for u the mean of ``x**s`` and
     ``y**s`` (r > 0) or the reciprocal of the mean of their reciprocals
     (r < 0), so the ratio is ``(num / u) * u**((s-1)/s)``.
+
+    The value is ``root_value(num / u, u**(s-1), s)``: a Root's
+    coefficient is ``num / u`` and its radicand ``u**(s-1)``, both in
+    lowest terms, for int and Fraction x and y alike, and s = 1 or a
+    perfect-power radicand gives a Fraction.  Callers compare these
+    fields, not only the value.  u is built as one Fraction from the
+    integer numerators and denominators of x and y.
     """
     s = abs(r)
-    xs, ys = x**s, y**s
-    top, bottom = (xs + ys, 2) if r > 0 else (2 * xs * ys, xs + ys)  # u = top / bottom
-    coeff = Fraction(num * bottom, top)
+    xn, xd = x.numerator, x.denominator
+    yn, yd = y.numerator, y.denominator
+    # x**s + y**s over their common denominator (xd*yd)**s.
+    total = (xn * yd) ** s + (yn * xd) ** s
+    if r > 0:
+        u = Fraction(total, 2 * (xd * yd) ** s)
+    else:
+        # 2 x**s y**s / (x**s + y**s): the common denominator cancels.
+        u = Fraction(2 * (xn * yn) ** s, total)
+    coeff = Fraction(num * u.denominator, u.numerator)
     if s == 1:
         return coeff
-    return root_value(coeff, Fraction(top, bottom) ** (s - 1), s)
+    return root_value(coeff, u ** (s - 1), s)
 
 
 def generalized_means(C: ConfusionMatrix, r) -> Value:

@@ -32,13 +32,20 @@ must be rationals (int or Fraction): a float is not the rational it
 stands for, and float abscissae round away the small differences the
 probe measures.
 
-Every value kind goes through one two-stage order of operations: weight
-each stencil value and sum per stencil, scale each sum by its step, then
-combine the two sums by Richardson extrapolation.  The mpf bits of the
-transcendental measures (``cd``, ``cdprime``, ``ce``), and so the
-reported ``max_abs`` noise, depend on that order.  The stencil and
-Richardson weights are converted to mpf once, at :data:`ORDER_DPS`,
-rather than on every product; exact values are weighted exactly.
+An exact stencil is summed on ints.  When its values are all rational,
+or all share one radical with every rational value 0 (every exact
+measure on the lattice, as one ``D`` gives one radicand and ``cc`` is 0
+at the product point), the coarse and fine stencils, their step
+scalings and the Richardson weights fold into one int weight per
+abscissa, and the estimate is one Fraction, times the radical if there
+is one.  The sum is exact, so its order does not matter.  Any other
+stencil (mpf values, mixed kinds, unlike radicals) goes through the
+two-stage order of operations: weight each stencil value and sum per
+stencil, scale each sum by its step, then combine the two sums by
+Richardson extrapolation.  The mpf bits of the transcendental measures
+(``cd``, ``cdprime``, ``ce``), and so the reported ``max_abs`` noise,
+depend on that order.  The stencil and Richardson weights are converted
+to mpf once, at :data:`ORDER_DPS`, rather than on every product.
 
 :func:`check_gm_normalizer_conditions` verifies the six conditions on a
 normalizer s(p_a, p_b) under which s * (p_ab - p_a*p_b) retains the full
@@ -58,12 +65,12 @@ from math import lcm
 from numbers import Integral, Rational
 from typing import Callable, Sequence
 
-from mpmath import mp
+from mpmath import fsum, mp, mpf
 
 from .core import ConfusionMatrix, _with_margins
 from .measures import evaluate, parse_measure_id, power_mean_ratio
 from .values import (
-    Value, as_float, exact_cmp, is_exact, scale, to_mpf, value_cmp, value_sum,
+    Root, Value, as_float, exact_cmp, is_exact, scale, to_mpf, value_cmp, value_sum,
 )
 
 ORDER_DPS = 40
@@ -167,6 +174,26 @@ with mp.workdps(ORDER_DPS):
     _FINE, _COARSE = ((w, to_mpf(w)) for w in (Fraction(4, 3), Fraction(-1, 3)))
 
 
+def _folded_weights(l: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``((j, u_j), ...), den``: the order-l estimate at step h is
+    ``sum(u_j * v_j) / (den * h**l)`` over the values ``v_j`` at
+    ``j*h/2``, with int ``u_j`` and ``den``.
+
+    The fine stencil's weights times ``2**l`` (its ``1/(h/2)**l``) and
+    Richardson's fine weight, plus the coarse stencil's weights at twice
+    the offsets times Richardson's coarse weight.
+    """
+    folded: dict[int, Fraction] = {}
+    for off, w in _STENCILS[l]:
+        folded[off] = folded.get(off, 0) + _FINE[0] * 2**l * w
+        folded[2 * off] = folded.get(2 * off, 0) + _COARSE[0] * w
+    den = lcm(*(q.denominator for q in folded.values()))
+    return tuple((j, int(q * den)) for j, q in sorted(folded.items())), den
+
+
+_FOLDED = {l: _folded_weights(l) for l in _STENCILS}
+
+
 @dataclass(frozen=True)
 class DerivativeProbe:
     """Largest |d^l M / d p_ab^l| estimate over the grid, for one l."""
@@ -220,8 +247,16 @@ def _weighted(v: Value, w: Fraction, w_mpf) -> Value:
     return w_mpf * v
 
 
+def _stage_sum(terms: list) -> Value:
+    """``value_sum(terms)`` at ORDER_DPS; terms that are all mpf go
+    straight to the ``mpmath.fsum`` it would call, with the same bits."""
+    if all(type(t) is mpf for t in terms):
+        return fsum(terms)
+    return value_sum(terms)
+
+
 def _richardson(coarse: Value, fine: Value) -> Value:
-    return value_sum([_weighted(fine, *_FINE), _weighted(coarse, *_COARSE)])
+    return _stage_sum([_weighted(fine, *_FINE), _weighted(coarse, *_COARSE)])
 
 
 def _rational_margin(x) -> Fraction:
@@ -253,24 +288,74 @@ def _stencil(desc, p_a: Fraction, p_b: Fraction):
     return h, at
 
 
+def _exact_estimate(terms, den: int, h: Fraction, l: int) -> float | None:
+    """``abs(sum(u * v) / (den * h**l))`` over the ``(u, v)`` of ``terms``,
+    summed on ints, when the values ``v`` are all rational, or all share
+    one radical with every rational ``v`` 0; ``None`` for any other
+    stencil."""
+    radical = None
+    nonzero_rational = False
+    parts = []
+    for u, v in terms:
+        kind = type(v)
+        if kind is Root:
+            if radical is None:
+                radical = (v.radicand, v.index)
+            elif (v.radicand, v.index) != radical:
+                return None
+            v = v.coeff
+        elif kind is Fraction or kind is int:
+            nonzero_rational = nonzero_rational or v != 0
+        else:
+            return None
+        parts.append((u * v.numerator, v.denominator))
+    if radical is not None and nonzero_rational:
+        return None
+    common = lcm(*(q for _, q in parts))
+    total = sum(p * (common // q) for p, q in parts)
+    coeff = Fraction(total * h.denominator**l, common * den * h.numerator**l)
+    if radical is None or total == 0:
+        return abs(as_float(coeff))
+    return abs(as_float(Root(coeff, *radical)))
+
+
 def _derivative_estimates(h: Fraction, at, orders: Sequence[int]) -> dict[int, float]:
     """Richardson-extrapolated |d^l M / d p_ab^l| per order l, at ORDER_DPS.
 
-    One order of operations for every value kind: weight each stencil
-    value, sum per stencil, scale each sum by its step, then extrapolate.
-    The mpf bits of the transcendental measures, and so the reported
-    noise, depend on that order.
+    An exact stencil, all rational or one shared radical with its
+    rational values 0, is summed on ints with the folded weights of
+    :data:`_FOLDED` (:func:`_exact_estimate`); the result is exact, so
+    it does not depend on the order of the sum.  Any other stencil keeps
+    the two-stage order of operations: weight each stencil value, sum
+    per stencil, scale each sum by its step, then extrapolate.  The mpf
+    bits of the transcendental measures, and so the reported noise,
+    depend on that order.
     """
     half = h / 2
     out: dict[int, float] = {}
     for l in orders:
+        folded, den = _FOLDED[l]
+        est = _exact_estimate([(u, at(j)) for j, u in folded], den, h, l)
+        if est is not None:
+            out[l] = est
+            continue
         weights = _WEIGHTS[l]
-        coarse = value_sum([_weighted(at(2 * off), w, wm) for off, w, wm in weights])
-        fine = value_sum([_weighted(at(off), w, wm) for off, w, wm in weights])
+        coarse = _stage_sum([_weighted(at(2 * off), w, wm) for off, w, wm in weights])
+        fine = _stage_sum([_weighted(at(off), w, wm) for off, w, wm in weights])
         coarse = scale(coarse, Fraction(1) / h**l)
         fine = scale(fine, Fraction(1) / half**l)
         out[l] = abs(as_float(_richardson(coarse, fine)))
     return out
+
+
+def _probe_order(l_max) -> int:
+    """``l_max`` as an int in 1..MAX_PROBE_ORDER; anything else raises
+    ``ValueError``."""
+    if isinstance(l_max, bool) or not isinstance(l_max, Integral):
+        raise ValueError(f"l_max must be an int, got {l_max!r}")
+    if not 1 <= l_max <= MAX_PROBE_ORDER:
+        raise ValueError(f"l_max must be in 1..{MAX_PROBE_ORDER}")
+    return int(l_max)
 
 
 def baseline_order(
@@ -284,7 +369,8 @@ def baseline_order(
     the baseline value is one constant across the grid and the
     derivative estimates of orders 2..k stay below ``DEFAULT_ZERO_TOL``
     at every grid point.  ``order`` is 0 when even the baseline is not constant.
-    Audit-only measures, and grid margins that are not rationals, raise
+    Audit-only measures, an ``l_max`` that is not an int in
+    1..MAX_PROBE_ORDER, and grid margins that are not rationals raise
     ``ValueError``.
     """
     desc = parse_measure_id(measure) if isinstance(measure, str) else measure
@@ -293,8 +379,7 @@ def baseline_order(
             f"{desc.measure_id} is audit-only: it is not scale-free, so it has "
             "no value on rates"
         )
-    if not 1 <= l_max <= MAX_PROBE_ORDER:
-        raise ValueError(f"l_max must be in 1..{MAX_PROBE_ORDER}")
+    l_max = _probe_order(l_max)
     if grid is None:
         grid = default_rate_grid()
     if not grid:
@@ -350,7 +435,9 @@ def baseline_order(
 
 
 def _margin_variance(p: Fraction) -> Fraction:
-    return p * (1 - p)
+    """``p * (1 - p)``, built as one Fraction from the ints of ``p``."""
+    n, d = p.numerator, p.denominator
+    return Fraction(n * (d - n), d * d)
 
 
 def _nonzero_int(r) -> int:

@@ -14,7 +14,8 @@
 * ``value_cmp``/``exact_cmp`` against the comparison by Fraction powers
   they replaced, kept here as a reference;
 * ``power_mean_ratio`` against the form that reduced its radicand as one
-  Fraction of two powers;
+  Fraction of two powers, on random inputs and on the abscissae of the
+  normalizer checks;
 * matrices built without validation (edits, enumerations, transposes,
   class permutations and labeling counts) against validated ones.
 """
@@ -66,6 +67,7 @@ from clfmeasures.values import (
     scale,
     to_mpf,
     value_cmp,
+    value_identical,
     value_str,
     value_sum,
     working_precision,
@@ -493,6 +495,30 @@ def test_power_mean_ratio_matches_reference():
         x, y = variance(), variance()
         got = power_mean_ratio(num, x, y, r)
         assert _fields(got) == _fields(reference_power_mean_ratio(num, x, y, r)), (num, x, y, r)
+
+
+def _normalizer_abscissae(N: int) -> list:
+    """The margin variances ``gm_normalizer`` takes at ``steps=N``: those of
+    k/N and of the finite-difference abscissae k/N +- 10**-7."""
+    delta = Fraction(1, 10**7)
+    margins = [Fraction(k, N) + d for k in range(1, N) for d in (-delta, 0, delta)]
+    return [p * (1 - p) for p in margins]
+
+
+@pytest.mark.parametrize("N", [4, 20])
+@pytest.mark.parametrize("r", [1, -1, 2, -2, 3, -3, 16, -16])
+def test_power_mean_ratio_at_normalizer_abscissae(r, N):
+    # Fractions as gm_normalizer passes them, the ints k(N-k) that
+    # generalized_means passes, and the two mixed.
+    xs = _normalizer_abscissae(N)
+    ys = [Fraction(l * (N - l), N * N) for l in range(1, N)]
+    ints = [k * (N - k) for k in range(1, N)]
+    pairs = [(1, x, y) for x in xs for y in ys]
+    pairs += [(x - 2 * y, x, y) for x in ints for y in ints]
+    pairs += [(N, x, y) for x in ints for y in ys[::3]] + [(-N, y, x) for x in ints for y in ys[::3]]
+    for num, x, y in pairs:
+        got = power_mean_ratio(num, x, y, r)
+        assert value_identical(got, reference_power_mean_ratio(num, x, y, r)), (num, x, y, r)
 
 
 def _margins(entries):

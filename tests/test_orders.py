@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from clfmeasures import confusion_matrix, evaluate, parse_measure_id
+from clfmeasures import confusion_matrix, evaluate, orders, parse_measure_id
 from clfmeasures.core import ConfusionMatrix
 from clfmeasures.measures import AUDIT_ONLY_IDS, SCHEMES
 from clfmeasures.orders import (
@@ -149,6 +149,11 @@ class TestBaselineOrder:
             baseline_order("cc", l_max=0)
         with pytest.raises(ValueError):
             baseline_order("cc", l_max=5)
+
+    @pytest.mark.parametrize("l_max", [True, False, 2.0, "2", None, Fraction(2)])
+    def test_l_max_must_be_an_int(self, l_max):
+        with pytest.raises(ValueError, match=re.escape(f"l_max must be an int, got {l_max!r}")):
+            baseline_order("cc", l_max=l_max, grid=default_rate_grid(4))
 
     def test_boundary_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -373,20 +378,44 @@ class TestStencilWeights:
         # in cd's second derivative, so its bits show the order of operations.
         "mpf_affine": lambda rng, j, h: mpmath.mpf(1) / 3 + mpmath.mpf(j) * to_mpf(h) / 7,
         "float": lambda rng, j, h: 0.25 + j * float(h) + rng.random() * 1e-12,
+        # Shaped like cc on the lattice: one radical, and exactly 0 at the
+        # product point.
+        "cc_shaped": lambda rng, j, h: Fraction(0) if j == 0 else Root(
+            j * h * Fraction(3, 14) + (j * h) ** 2 * rng.randint(1, 9), Fraction(6, 35), 2
+        ),
+        # A perfect-square radicand: root_value collapses it to a Fraction.
+        "collapsed": lambda rng, j, h: root_value(
+            Fraction(2, 7) + j * h + (j * h) ** 2 * rng.randint(1, 9),
+            Fraction(rng.randint(1, 99) ** 2, rng.randint(1, 99) ** 2), 2,
+        ),
     }
     MIXES = [
         ("fraction",), ("shared_root",), ("unlike_roots",), ("mpf",), ("mpf_affine",),
         ("fraction", "shared_root"), ("fraction", "mpf"), ("shared_root", "mpf"),
         ("fraction", "mpf_affine"), ("unlike_roots", "mpf", "float"), tuple(KINDS),
+        ("cc_shaped",), ("collapsed",), ("fraction", "collapsed"), ("cc_shaped", "fraction"),
+        ("cc_shaped", "shared_root"), ("cc_shaped", "mpf"),
     ]
+    #: Mixes whose stencils are exact with at most one radical, and whose
+    #: rational values are 0 beside a radical: summed on ints, they never
+    #: reach ``value_sum``.
+    FOLDED = {("fraction",), ("shared_root",), ("cc_shaped",), ("collapsed",), ("fraction", "collapsed")}
 
     @pytest.mark.parametrize("kinds", MIXES, ids="+".join)
     @pytest.mark.parametrize("seed", range(3))
-    def test_estimates_are_bit_identical(self, kinds, seed):
+    def test_estimates_are_bit_identical(self, kinds, seed, monkeypatch):
         rng = random.Random(seed)
         h = Fraction(rng.randint(1, 99), 10**rng.randint(4, 7))
+        if kinds in self.FOLDED:
+
+            def refuse(terms):
+                raise AssertionError("an exact stencil reached value_sum")
+
+            monkeypatch.setattr(orders, "value_sum", refuse)
         with mp.workdps(ORDER_DPS):
             stencil = {j: self.KINDS[rng.choice(kinds)](rng, j, h) for j in range(-4, 5)}
+            if kinds == ("collapsed",):
+                assert all(type(v) is Fraction for v in stencil.values())
             got = _derivative_estimates(h, stencil.__getitem__, (2, 3, 4))
             want = self.reference(h, stencil.__getitem__, (2, 3, 4))
         assert {l: v.hex() for l, v in got.items()} == {l: v.hex() for l, v in want.items()}
