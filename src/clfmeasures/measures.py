@@ -241,8 +241,9 @@ def power_mean_ratio(num, x, y, r: int) -> Value:
     coefficient is ``num / u`` and its radicand ``u**(s-1)``, both in
     lowest terms, for int and Fraction x and y alike, and s = 1 or a
     perfect-power radicand gives a Fraction.  Callers compare these
-    fields, not only the value.  u is built as one Fraction from the
-    integer numerators and denominators of x and y.
+    fields, not only the value.  u is ``top / bottom`` for ints ``top``
+    and ``bottom`` formed from the numerators and denominators of x and
+    y, so each of the two is one Fraction construction.
     """
     s = abs(r)
     xn, xd = x.numerator, x.denominator
@@ -250,14 +251,14 @@ def power_mean_ratio(num, x, y, r: int) -> Value:
     # x**s + y**s over their common denominator (xd*yd)**s.
     total = (xn * yd) ** s + (yn * xd) ** s
     if r > 0:
-        u = Fraction(total, 2 * (xd * yd) ** s)
+        top, bottom = total, 2 * (xd * yd) ** s
     else:
         # 2 x**s y**s / (x**s + y**s): the common denominator cancels.
-        u = Fraction(2 * (xn * yn) ** s, total)
-    coeff = Fraction(num * u.denominator, u.numerator)
+        top, bottom = 2 * (xn * yn) ** s, total
+    coeff = Fraction(num * bottom, top)
     if s == 1:
         return coeff
-    return root_value(coeff, u ** (s - 1), s)
+    return root_value(coeff, Fraction(top, bottom) ** (s - 1), s)
 
 
 def generalized_means(C: ConfusionMatrix, r) -> Value:
