@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from clfmeasures import confusion_matrix, evaluate, orders, parse_measure_id
+from clfmeasures import confusion_matrix, evaluate, parse_measure_id
 from clfmeasures.core import ConfusionMatrix
 from clfmeasures.measures import AUDIT_ONLY_IDS, SCHEMES
 from clfmeasures.orders import (
@@ -347,9 +347,10 @@ class TestDefaultGridOrderPinned:
 
 
 class TestStencilWeights:
-    """``_derivative_estimates``, whose weights are converted to mpf once,
-    against the estimate written out with ``scale`` and ``value_sum`` on
-    every product, on synthetic stencils of each value kind."""
+    """``_derivative_estimates``, which sums exact stencils on ints and
+    converts the weights of the others to mpf once, against the estimate
+    written out with ``scale`` and ``value_sum`` on every product, on
+    synthetic stencils of each value kind."""
 
     @staticmethod
     def reference(h, at, orders):
@@ -411,7 +412,7 @@ class TestStencilWeights:
             def refuse(terms):
                 raise AssertionError("an exact stencil reached value_sum")
 
-            monkeypatch.setattr(orders, "value_sum", refuse)
+            monkeypatch.setattr("clfmeasures.orders.value_sum", refuse)
         with mp.workdps(ORDER_DPS):
             stencil = {j: self.KINDS[rng.choice(kinds)](rng, j, h) for j in range(-4, 5)}
             if kinds == ("collapsed",):
