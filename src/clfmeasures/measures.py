@@ -30,10 +30,11 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 import mpmath
+from mpmath import mp
 
 from . import averaging
 from .core import ConfusionMatrix
-from .values import Root, Value, root_value, to_mpf, working_precision
+from .values import Root, Value, root_value, to_mpf, value_key, working_precision
 
 
 class MeasureArityError(ValueError):
@@ -182,16 +183,54 @@ def _cc_as_mpf(C: ConfusionMatrix) -> mpmath.mpf:
     return max(_MPF_MINUS_ONE, min(_MPF_ONE, x))
 
 
-def correlation_distance(C: ConfusionMatrix) -> mpmath.mpf:
-    """Angle between the labelings, scaled to [0, 1].  A dissimilarity."""
+#: Angles kept by :func:`_angle`.  A chance-level probe of ``cd`` reads
+#: about 320 distinct ``cc`` values, each seven or eight times; an entry
+#: holds a key of a few ints and one mpf, a few hundred bytes.
+_ANGLE_MEMO_SIZE = 1024
+_ANGLES: dict = {}
+
+
+def _angle(transform, C: ConfusionMatrix) -> mpmath.mpf:
+    """``transform(_cc_as_mpf(C))``, the transform of ``cc`` on C as an
+    mpf clamped to [-1, 1], at the working precision.
+
+    Memoized on ``(transform, value_key(cc), mp.prec)``, with ``mp.prec``
+    read inside :func:`working_precision`: the mpf of cc depends only on
+    its representation and the precision, so a hit has the bits a miss
+    would compute.  The memo keeps the last :data:`_ANGLE_MEMO_SIZE`
+    angles computed and drops the oldest first.
+    """
+    cc = matthews_cc(C)
     with working_precision():
-        return mpmath.acos(_cc_as_mpf(C)) / mpmath.pi
+        key = transform, value_key(cc), mp.prec
+        angle = _ANGLES.get(key)
+        if angle is None:
+            if len(_ANGLES) >= _ANGLE_MEMO_SIZE:
+                del _ANGLES[next(iter(_ANGLES))]
+            angle = _ANGLES[key] = transform(_cc_as_mpf(C))
+        return angle
+
+
+def _acos_over_pi(x: mpmath.mpf) -> mpmath.mpf:
+    return mpmath.acos(x) / mpmath.pi
+
+
+def _chord(x: mpmath.mpf) -> mpmath.mpf:
+    return mpmath.sqrt(2 * (1 - x))
+
+
+def correlation_distance(C: ConfusionMatrix) -> mpmath.mpf:
+    """Angle between the labelings, scaled to [0, 1].  A dissimilarity.
+
+    Computed once per ``cc`` representation and precision (:func:`_angle`)."""
+    return _angle(_acos_over_pi, C)
 
 
 def chordal_distance(C: ConfusionMatrix) -> mpmath.mpf:
-    """Chord-length transform sqrt(2 * (1 - correlation)), range [0, 2]."""
-    with working_precision():
-        return mpmath.sqrt(2 * (1 - _cc_as_mpf(C)))
+    """Chord-length transform sqrt(2 * (1 - correlation)), range [0, 2].
+
+    Computed once per ``cc`` representation and precision (:func:`_angle`)."""
+    return _angle(_chord, C)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +401,11 @@ class OrderKey(NamedTuple):
     property audit decides a comparison on the keys alone when their gap
     outruns the comparison tolerance (``_Eval.compare`` in
     :mod:`clfmeasures.properties`).
+
+    Identical keys give bit-identical values by construction for the
+    angle measures keyed on ``cc``: their kernels memoize each angle on
+    ``(value_key(cc), mp.prec)`` (:func:`_angle`), and a miss reads only
+    the key's representation and the precision.
     """
 
     measure: str

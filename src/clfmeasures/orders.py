@@ -47,6 +47,17 @@ Richardson extrapolation.  The mpf bits of the transcendental measures
 depend on that order.  The stencil and Richardson weights are converted
 to mpf once, at :data:`ORDER_DPS`, rather than on every product.
 
+Each distinct stencil is estimated once per probe.  An estimate depends
+only on the step ``h`` and on the values it reads, so a memo local to
+the call of :func:`baseline_order`, keyed on ``h`` and the
+:func:`clfmeasures.values.value_key` of each value read, serves every
+grid point with that stencil the same floats.  Swapped and complemented
+margins share a stencil: the 361 points of the default grid hold 55
+distinct stencils for ``cd``, ``cdprime`` and ``cc``.  Every value is
+still evaluated, as the key needs it; the angles of ``cd`` and
+``cdprime`` are computed once per ``cc`` value by the measures' own memo
+(:func:`clfmeasures.measures.correlation_distance`).
+
 :func:`check_gm_normalizer_conditions` verifies the six conditions on a
 normalizer s(p_a, p_b) under which s * (p_ab - p_a*p_b) retains the full
 chance-correction property set, instantiated for the power-mean
@@ -63,14 +74,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from numbers import Integral, Rational
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from mpmath import fsum, mp, mpf
 
 from .core import ConfusionMatrix, _with_margins
 from .measures import evaluate, parse_measure_id, power_mean_ratio
 from .values import (
-    Root, Value, as_float, exact_cmp, is_exact, scale, to_mpf, value_cmp, value_sum,
+    Root, Value, as_float, exact_cmp, is_exact, scale, to_mpf, value_cmp, value_key,
+    value_sum,
 )
 
 ORDER_DPS = 40
@@ -265,6 +277,18 @@ def _rational_margin(x) -> Fraction:
     raise ValueError(f"grid margin must be a rational (int or Fraction), got {x!r}")
 
 
+def _grid_pair(entry) -> RatePair:
+    """A grid entry as a pair of rational margins; anything else raises
+    ``ValueError`` naming the entry."""
+    try:
+        p_a, p_b = entry
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"grid entry must be a margin pair (p_a, p_b), got {entry!r}"
+        ) from None
+    return _rational_margin(p_a), _rational_margin(p_b)
+
+
 def _stencil(desc, p_a: Fraction, p_b: Fraction):
     """Step ``h`` and the evaluations at ``p_a*p_b + j*h/2``, j = -4..4,
     computed on first use on one integer lattice."""
@@ -330,6 +354,11 @@ def _derivative_estimates(h: Fraction, at, orders: Sequence[int]) -> dict[int, f
     per stencil, scale each sum by its step, then extrapolate.  The mpf
     bits of the transcendental measures, and so the reported noise,
     depend on that order.
+
+    The estimates read ``at`` only, at the abscissae of :data:`_FOLDED`,
+    so equal ``h`` and identical values give identical floats:
+    :func:`baseline_order` calls this once per distinct stencil, keyed on
+    ``h`` and the :func:`clfmeasures.values.value_key` of those values.
     """
     half = h / 2
     out: dict[int, float] = {}
@@ -361,7 +390,7 @@ def _probe_order(l_max) -> int:
 def baseline_order(
     measure,
     l_max: int = 3,
-    grid: Sequence[RatePair] | None = None,
+    grid: Iterable[RatePair] | None = None,
 ) -> BaselineOrderReport:
     """Probe the flatness of a binary measure at the independence point.
 
@@ -369,9 +398,10 @@ def baseline_order(
     the baseline value is one constant across the grid and the
     derivative estimates of orders 2..k stay below ``DEFAULT_ZERO_TOL``
     at every grid point.  ``order`` is 0 when even the baseline is not constant.
-    Audit-only measures, an ``l_max`` that is not an int in
-    1..MAX_PROBE_ORDER, and grid margins that are not rationals raise
-    ``ValueError``.
+    ``grid`` is any iterable of margin pairs, read once.  Audit-only
+    measures, an ``l_max`` that is not an int in 1..MAX_PROBE_ORDER, an
+    empty grid, a grid entry that is not a pair and grid margins that are
+    not rationals raise ``ValueError``.
     """
     desc = parse_measure_id(measure) if isinstance(measure, str) else measure
     if desc.audit_only:
@@ -382,13 +412,16 @@ def baseline_order(
     l_max = _probe_order(l_max)
     if grid is None:
         grid = default_rate_grid()
+    grid = [_grid_pair(entry) for entry in grid]
     if not grid:
         raise ValueError("empty rate grid")
-    grid = [tuple(map(_rational_margin, pair)) for pair in grid]
     for p_a, p_b in grid:
         if not (0 < p_a < 1 and 0 < p_b < 1):
             raise ValueError(f"grid margins must be interior, got ({p_a}, {p_b})")
     orders = range(2, l_max + 1)
+    # The abscissae the estimates of these orders read.
+    reads = sorted({j for l in orders for j, _ in _FOLDED[l][0]})
+    estimates: dict[tuple, dict[int, float]] = {}
     worst: dict[int, tuple[float, RatePair]] = {l: (-1.0, grid[0]) for l in orders}
     base_first: float | None = None
     base_spread = 0.0
@@ -399,7 +432,10 @@ def baseline_order(
             if base_first is None:
                 base_first = v0
             base_spread = max(base_spread, abs(v0 - base_first))
-            ests = _derivative_estimates(h, at, orders)
+            stencil = h, *(value_key(at(j)) for j in reads)
+            ests = estimates.get(stencil)
+            if ests is None:
+                ests = estimates[stencil] = _derivative_estimates(h, at, orders)
             for l, est in ests.items():
                 if est > worst[l][0]:
                     worst[l] = (est, (p_a, p_b))

@@ -133,8 +133,12 @@ floors, by the orbits and by the ``dist`` pairs (about 72 bytes per
 matrix on top of its entries, 92,377 matrices for the m = 3 edit walks
 up to n = 10); the row fills of the enumerator (``core._row_fills``); the
 chance-expectation tables of ``baselines._tables`` (at most
-``TABLE_MATRICES`` matrices); and the parsed descriptors of
-``measures.parse_measure_id``.
+``TABLE_MATRICES`` matrices); the parsed descriptors of
+``measures.parse_measure_id``; the angles of ``cd`` and ``cdprime``
+(``measures._ANGLES``, keyed on the transform, ``values.value_key`` of
+``cc`` and ``mp.prec``, at most ``_ANGLE_MEMO_SIZE`` of them, oldest
+dropped first); and the roots of ``values._root_mpf`` (an LRU cache
+keyed on radicand, index and ``mp.prec``).
 """
 
 from __future__ import annotations
@@ -422,9 +426,10 @@ class _Eval(Evaluator):
         ``(a_i, b_i, c_ii)`` and on ``(m, n, diagonal_sum)``, and
         relabeling the classes permutes the keys.  A native row is checked
         member by member, on the first call per level, and the answer is
-        kept with the row.  A keyed row checks its order keys: the value
-        is computed from the key's representation alone, so identical
-        keys give bit-identical values.
+        kept with the row.  A keyed row checks its order keys: the angle
+        is memoized on the key's representation and the precision
+        (:class:`clfmeasures.measures.OrderKey`), so identical keys give
+        bit-identical values.
         """
         if self.desc.scheme is not None:
             return True

@@ -373,6 +373,30 @@ def value_identical(a: Value, b: Value) -> bool:
     return a == b
 
 
+def value_key(v: Value) -> tuple:
+    """A hashable key of ``v``'s representation: its type, then the ints
+    ``(numerator, denominator)`` of a rational, the ints of a
+    :class:`Root`'s coefficient and radicand and its index, the ``_mpf_``
+    tuple of an mpf, or a float itself.
+
+    Two keys are equal exactly when :func:`value_identical` holds, with
+    one exception: a nan is not identical to itself, while the keys of two
+    mpf nans are equal (one ``_mpf_`` tuple) and those of one float nan
+    object are too.  So a memo keyed here serves every identical value
+    one result, and a kernel that reads only the representation gives the
+    same bits for it.
+    """
+    kind = type(v)
+    if kind is Fraction or kind is int:
+        return kind, v.numerator, v.denominator
+    if kind is Root:
+        c, r = v.coeff, v.radicand
+        return kind, c.numerator, c.denominator, r.numerator, r.denominator, v.index
+    if kind is mpmath.mpf:
+        return kind, v._mpf_
+    return kind, v
+
+
 def value_sum(terms) -> Value:
     """Sum of values, exact whenever the terms allow it.
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from clfmeasures import measures
 from clfmeasures.cli import main
 from clfmeasures.core import confusion_matrix, transpose
 from clfmeasures.measures import (
@@ -21,13 +23,17 @@ from clfmeasures.measures import (
     SIMILARITY,
     MeasureArityError,
     MeasureParseError,
+    _ANGLE_MEMO_SIZE,
     _cc_as_mpf,
     evaluate,
+    matthews_cc,
     oriented,
     parse_measure_id,
     with_scheme,
 )
-from clfmeasures.values import Root, root_value, to_mpf, value_str, values_equal
+from clfmeasures.values import (
+    Root, root_value, to_mpf, value_str, values_equal, working_precision,
+)
 
 REFERENCE = confusion_matrix([[4, 1], [2, 3]])  # c11=3 c10=2 c01=1 c00=4
 
@@ -114,6 +120,58 @@ class TestCorrelationClamp:
         with mp.workdps(30):
             assert ev("cd", C) == (0 if cc == 1 else 1)
             assert ev("cdprime", C) == (0 if cc == 1 else 2)
+
+
+class TestAngleMemo:
+    """``cd`` and ``cdprime``, whose angles are memoized on the ``cc``
+    value and the precision, against the formulas written out, bit for
+    bit: ``acos(x) / pi`` and ``sqrt(2 * (1 - x))`` for x the mpf of cc
+    clamped to [-1, 1], at the working precision."""
+
+    FORMULAS = {
+        "cd": lambda x: mpmath.acos(x) / mpmath.pi,
+        "cdprime": lambda x: mpmath.sqrt(2 * (1 - x)),
+    }
+
+    @classmethod
+    def reference(cls, mid, C):
+        with working_precision():
+            x = to_mpf(matthews_cc(C))
+            return cls.FORMULAS[mid](max(mpmath.mpf(-1), min(mpmath.mpf(1), x)))
+
+    @staticmethod
+    def matrices(rng, count):
+        """Random int and Fraction matrices at m = 2..4, with repeats."""
+        out = []
+        for _ in range(count):
+            m = rng.randint(2, 4)
+            rows = [[rng.randint(0, 5) for _ in range(m)] for _ in range(m)]
+            rows[0][0] += 1  # never all zero
+            if rng.random() < 0.3:
+                den = rng.randint(2, 7)
+                rows = [[Fraction(c, den) for c in row] for row in rows]
+            out.append(confusion_matrix(rows))
+        return out + rng.sample(out, count // 4)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_bit_identical_across_precisions_and_eviction(self, seed):
+        rng = random.Random(seed)
+        measures._ANGLES.clear()
+        # Enough distinct cc values, two transforms and three precisions
+        # to fill the memo past its bound, so early angles are dropped
+        # and computed again.
+        mats = self.matrices(rng, 300)
+        for C in mats + mats:
+            # Each matrix at every precision in a new order: an angle
+            # cached at one precision and served at another shows.
+            for dps in rng.sample((15, 40, 60), 3):
+                with mp.workdps(dps):
+                    for mid in self.FORMULAS:
+                        got = ev(mid, C)
+                        want = self.reference(mid, C)
+                        assert type(got) is mpmath.mpf
+                        assert got._mpf_ == want._mpf_, (mid, dps, C.entries)
+        assert len(measures._ANGLES) == _ANGLE_MEMO_SIZE
 
 
 class TestSingularities:

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from clfmeasures import confusion_matrix, evaluate, parse_measure_id
+from clfmeasures import confusion_matrix, evaluate, orders, parse_measure_id
 from clfmeasures.core import ConfusionMatrix
 from clfmeasures.measures import AUDIT_ONLY_IDS, SCHEMES
 from clfmeasures.orders import (
@@ -432,6 +432,106 @@ class TestStencilWeights:
                     assert value_identical(_weighted(v, w, wm), scale(v, w))
 
 
+class TestStencilMemo:
+    """``baseline_order``, which estimates each distinct stencil once per
+    call, against the grid loop written out with one estimate per point,
+    on grids that list a pair twice and both ``(p, q)`` and ``(q, p)``."""
+
+    @staticmethod
+    def reference(mid, l_max, grid):
+        desc = parse_measure_id(mid)
+        probed = range(2, l_max + 1)
+        worst = {l: (-1.0, grid[0]) for l in probed}
+        first, spread = None, 0.0
+        with mp.workdps(ORDER_DPS):
+            for p_a, p_b in grid:
+                h, at = orders._stencil(desc, p_a, p_b)
+                v0 = as_float(at(0))
+                first = v0 if first is None else first
+                spread = max(spread, abs(v0 - first))
+                for l, est in _derivative_estimates(h, at, probed).items():
+                    if est > worst[l][0]:
+                        worst[l] = (est, (p_a, p_b))
+        derivatives = [
+            {
+                "order": l,
+                "max_abs": worst[l][0],
+                "argmax": [str(worst[l][1][0]), str(worst[l][1][1])],
+                "vanishes": worst[l][0] < 1e-6,
+            }
+            for l in probed
+        ]
+        order, saturated = 0, False
+        if spread < 1e-6:
+            order = 1
+            for d in derivatives:
+                if not d["vanishes"]:
+                    break
+                order = d["order"]
+            else:
+                saturated = l_max > 1
+        return {
+            "measure": desc.measure_id,
+            "grid_points": len(grid),
+            "baseline_constant": spread < 1e-6,
+            "baseline_value": first,
+            "baseline_spread": spread,
+            "order": order,
+            "order_saturated": saturated,
+            "derivatives": derivatives,
+        }
+
+    IDS = (
+        "acc", "ba", "sba", "kappa", "cc", "ce", "cd", "cdprime",
+        "f:beta=1", "jaccard", "gm:r=1", "cc:macro", "kappa:weighted",
+    )
+    GRIDS = {
+        # (1/3, 1/5) twice, its swap, and the complements of both.
+        "repeats": [
+            (Fraction(1, 3), Fraction(1, 5)), (Fraction(1, 5), Fraction(1, 3)),
+            (Fraction(2, 3), Fraction(4, 5)), (Fraction(1, 3), Fraction(1, 5)),
+            (Fraction(4, 5), Fraction(2, 3)), (HALF, QUARTER),
+        ],
+        # Every pair of quarters and its swap, then the grid again.
+        "quarters": list(default_rate_grid(4)) * 2,
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("mid", IDS)
+    def test_reports_match_unmemoized_loop(self, mid, grid, monkeypatch):
+        points = self.GRIDS[grid]
+        calls = []
+        estimate = orders._derivative_estimates
+        monkeypatch.setattr(
+            orders, "_derivative_estimates", lambda *a: calls.append(a) or estimate(*a)
+        )
+        for l_max in range(1, 5):
+            calls.clear()
+            got = baseline_order(mid, l_max=l_max, grid=points).to_dict()
+            assert got == self.reference(mid, l_max, points), (mid, l_max)
+            assert len(calls) < len(points)
+
+    @pytest.mark.parametrize("bumped", range(-4, 5))
+    def test_every_abscissa_read_is_keyed(self, bumped, monkeypatch):
+        # Two points with one step whose synthetic stencils differ at one
+        # abscissa only: a key that left it out would serve the second
+        # point the first one's estimates.
+        second = (QUARTER, HALF)
+
+        def stencil(desc, p_a, p_b):
+            def at(j):
+                bump = j == bumped and (p_a, p_b) == second
+                return Fraction(j * j, 7) + Fraction(j, 3) + bump
+
+            return Fraction(1, 10**4), at
+
+        monkeypatch.setattr(orders, "_stencil", stencil)
+        points = [(HALF, QUARTER), second]
+        for l_max in range(1, 5):
+            got = baseline_order("cc", l_max=l_max, grid=points).to_dict()
+            assert got == self.reference("cc", l_max, points), (bumped, l_max)
+
+
 @st.composite
 def _grid_points(draw):
     """``(N, k, l)``: the margin pair (k/N, l/N) of an interior grid."""
@@ -528,6 +628,29 @@ class TestBaselineOrderInputs:
     )
     def test_float_margins_refused(self, grid, named):
         with pytest.raises(ValueError, match=re.escape(named)):
+            baseline_order("cc", l_max=3, grid=grid)
+
+    @pytest.mark.parametrize("l_max", [1, 3])
+    @pytest.mark.parametrize("grid", [[], (), "iterator"])
+    def test_empty_grid_refused(self, grid, l_max):
+        # An empty iterator is only seen to be empty once it is read.
+        grid = iter([]) if grid == "iterator" else grid
+        with pytest.raises(ValueError, match="empty rate grid"):
+            baseline_order("cc", l_max=l_max, grid=grid)
+
+    def test_grid_iterator_read_once(self):
+        grid = [(HALF, QUARTER), (QUARTER, Fraction(1, 3))]
+        assert (
+            baseline_order("cd", l_max=2, grid=iter(grid)).to_dict()
+            == baseline_order("cd", l_max=2, grid=grid).to_dict()
+        )
+
+    @pytest.mark.parametrize(
+        "entry", [(HALF,), HALF, (HALF, QUARTER, HALF), None], ids=repr
+    )
+    def test_entry_not_a_pair_refused(self, entry):
+        grid = [(QUARTER, HALF), entry]
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
             baseline_order("cc", l_max=3, grid=grid)
 
     @pytest.mark.parametrize(

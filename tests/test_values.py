@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -22,6 +22,8 @@ from clfmeasures.values import (
     scale,
     to_mpf,
     value_cmp,
+    value_identical,
+    value_key,
     value_str,
     value_sum,
     values_equal,
@@ -285,6 +287,51 @@ class TestRootMemo:
             to_mpf(Root(Fraction(1), radicand, 2))
             to_mpf(Root(Fraction(1), radicand, 3))
         assert len(calls) == 3
+
+
+@st.composite
+def _small_values(draw):
+    """An int, a Fraction, a :class:`Root` or an mpf quotient, from pools
+    small enough that identical and merely equal values both recur: the
+    Roots 2*sqrt(2) and sqrt(8) are equal with different radicands, and an
+    mpf quotient is drawn at 30 or 40 digits."""
+    kind = draw(st.sampled_from(("int", "fraction", "root", "mpf")))
+    p, q = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+    if kind == "int":
+        return p
+    if kind == "fraction":
+        return Fraction(p, q)
+    if kind == "root":
+        coeff, radicand = draw(st.sampled_from(((2, 2), (1, 8), (1, 2), (3, 2), (1, 3))))
+        return Root(Fraction(coeff, q), Fraction(radicand), 2)
+    with mp.workdps(draw(st.sampled_from((30, 40)))):
+        return mpmath.mpf(p) / q
+
+
+class TestValueKey:
+    @given(_small_values(), _small_values())
+    @example(1, Fraction(1))
+    @example(Root(Fraction(2), Fraction(2), 2), Root(Fraction(1), Fraction(8), 2))
+    @example(
+        Root(Fraction(1), Fraction(2), 2), Root(Fraction(2), Fraction(1, 2), 2)
+    )
+    def test_equal_exactly_when_identical(self, a, b):
+        assert (value_key(a) == value_key(b)) == value_identical(a, b)
+        if value_identical(a, b):
+            assert hash(value_key(a)) == hash(value_key(b))
+
+    def test_one_quotient_at_two_precisions(self):
+        with mp.workdps(30):
+            a = mpmath.mpf(1) / 3
+        with mp.workdps(40):
+            b = mpmath.mpf(1) / 3
+            c = mpmath.mpf(1) / 3
+        assert value_key(a) != value_key(b) and not value_identical(a, b)
+        assert value_key(b) == value_key(c) and value_identical(b, c)
+
+    def test_nan_is_the_exception(self):
+        a, b = mpmath.mpf("nan"), mpmath.mpf("nan")
+        assert value_key(a) == value_key(b) and not value_identical(a, b)
 
 
 class TestWorkingPrecision:
