@@ -17,9 +17,12 @@ of a billion triplets; the tests cross-validate it against a direct
 enumeration over labeling triplets at small n.  Witnesses are reported
 as concrete triplets.
 
-Every call that compares many matrices holds one
-:class:`clfmeasures.measures.Evaluator` per measure, so each matrix is
-evaluated at most once per measure and call, and
+Every relation is :meth:`clfmeasures.measures.Evaluator.compare`, the
+comparison the property audit makes: ``cd`` and ``cdprime`` are ranked
+on their exact ``cc`` values wherever those settle the relation, with
+the verdicts their angles give.  Every call that compares many matrices
+holds one :class:`clfmeasures.measures.Evaluator` per measure, so each
+matrix is evaluated (and keyed) at most once per measure and call, and
 :func:`indistinguishable_groups` builds each list of shared-margin
 matrices, and relates each matrix pair under each measure, once for all
 its measure pairs.  Values are not kept between
@@ -48,7 +51,7 @@ from .measures import (
     MeasureDescriptor,
     parse_measure_id,
 )
-from .values import DEFAULT_EPS, as_float, value_cmp, value_str
+from .values import DEFAULT_EPS, as_float, value_str
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -103,11 +106,6 @@ def _descriptor(measure) -> MeasureDescriptor:
     return parse_measure_id(measure) if isinstance(measure, str) else measure
 
 
-def _relation(ev: Evaluator, C1: ConfusionMatrix, C2: ConfusionMatrix, eps: float) -> int:
-    """-1/0/+1 as ``ev``'s measure ranks C1 below/equal to/above C2."""
-    return value_cmp(ev.oriented(C1), ev.oriented(C2), eps)
-
-
 def relation_sign(
     measure, C1: ConfusionMatrix, C2: ConfusionMatrix, eps: float = DEFAULT_EPS
 ) -> int:
@@ -116,7 +114,7 @@ def relation_sign(
     Dissimilarities are orientation-flipped first, so +1 always means
     "prefers the first prediction".
     """
-    return _relation(Evaluator(_descriptor(measure)), C1, C2, eps)
+    return Evaluator(_descriptor(measure)).compare(C1, C2, eps)
 
 
 def triplet_verdict(m1, m2, t: Triplet, eps: float = DEFAULT_EPS) -> str:
@@ -219,6 +217,8 @@ class _Walk:
     """
 
     def __init__(self, evs: Sequence[Evaluator], n: int, eps: float):
+        if n < 2:
+            raise ValueError("need n >= 2 for two-class labelings")
         self.evs = evs
         self.eps = eps
         self._more = margin_matrix_pairs(n)
@@ -228,7 +228,7 @@ class _Walk:
     def _relation(self, i: int, k: int) -> int:
         row = self.relations[i]
         if k == len(row):
-            row.append(_relation(self.evs[i], *self.pairs[k], self.eps))
+            row.append(self.evs[i].compare(*self.pairs[k], self.eps))
         return row[k]
 
     def _reached(self, k: int) -> bool:
@@ -487,7 +487,7 @@ def pairwise_inconsistency(
     }
     sensitive = dict.fromkeys(inconsistent, 0)
     for C1, C2 in comparisons:
-        rels = [tuple(_relation(ev, C1, C2, e) for e in eps_levels) for ev in evs]
+        rels = [tuple(ev.compare(C1, C2, e) for e in eps_levels) for ev in evs]
         for i, j in combinations(range(len(descs)), 2):
             key = (ids[i], ids[j])
             if rels[i][1] != rels[j][1]:
@@ -561,10 +561,7 @@ def rank_models(
     for measure in measures:
         ev = Evaluator(_descriptor(measure))
         values = [ev.oriented(C) for C in matrices]
-        ranks = [
-            1 + sum(value_cmp(other, v, eps) > 0 for other in values)
-            for v in values
-        ]
+        ranks = [1 + sum(ev.compare(D, C, eps) > 0 for D in matrices) for C in matrices]
         order = sorted(range(len(values)), key=lambda i: (ranks[i], i))
         out.append(
             MeasureRanking(

@@ -25,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import isfinite, isqrt
+from math import copysign, isfinite, isqrt, sqrt
 from operator import mul
 from typing import Callable, NamedTuple
 
 import mpmath
 from mpmath import mp
 
-from . import averaging
+from . import averaging, values
 from .core import ConfusionMatrix
 from .values import Root, Value, root_value, to_mpf, value_key, working_precision
 
@@ -397,10 +397,10 @@ class OrderKey(NamedTuple):
 
     ``measure`` is the key's measure id and ``decreasing`` says which way
     f runs.  ``slope`` is a bound g on 1/|f'| over the key's range, so
-    two keys k1, k2 have values at least ``|k1 - k2| / g`` apart: the
-    property audit decides a comparison on the keys alone when their gap
-    outruns the comparison tolerance (``_Eval.compare`` in
-    :mod:`clfmeasures.properties`).
+    two keys k1, k2 have values at least ``|k1 - k2| / g`` apart:
+    :meth:`Evaluator.compare`, which the audit and the order-consistency
+    commands share, decides a comparison on the keys alone when their gap
+    outruns the comparison tolerance.
 
     Identical keys give bit-identical values by construction for the
     angle measures keyed on ``cc``: their kernels memoize each angle on
@@ -614,8 +614,27 @@ def oriented(desc: MeasureDescriptor, value: Value) -> Value:
     return value
 
 
+#: Slack of the order-key decisions of :meth:`Evaluator.compare`, both in
+#: the key gap and as the least ``eps`` at which equal keys are a tie; see
+#: there for the error budget it covers.
+KEY_SLACK = 2.0**-40
+
+
+def _near_float(k) -> float:
+    """A float within 2**-51 of an order key k in [-1, 1]: a rational
+    rounded once, or a square root ``c * sqrt(r)`` (cc's only irrational
+    form) as the signed ``sqrt`` of its square rounded once; both
+    roundings are correct, so the error stays absolute near 0."""
+    if type(k) is Root:
+        c, r = k.coeff, k.radicand
+        square = c.numerator**2 * r.numerator / (c.denominator**2 * r.denominator)
+        return copysign(sqrt(square), c.numerator)
+    return k.numerator / k.denominator
+
+
 class Evaluator:
-    """One measure's values, memoized on the entries of the matrix.
+    """One measure's values, memoized on the entries of the matrix, and
+    the one comparison of two matrices under it.
 
     :meth:`value` is the value :func:`evaluate` gives, and :meth:`oriented`
     flips it as :func:`oriented` does.  A descriptor with a scheme also
@@ -623,9 +642,12 @@ class Evaluator:
     on the counts that fix each one-vs-all matrix ``(n, a_i, b_i, c_ii)``
     and the micro matrix ``(m, n, diagonal_sum)``: those recur across the
     matrices of a space, and a 2x2 matrix is built only on a miss.
-    Matrices with Fraction entries bypass that memo.  Nothing is shared
-    between instances: an evaluator lives as long as the computation that
-    holds it.
+    Matrices with Fraction entries bypass that memo.  A measure with an
+    :class:`OrderKey` (``cd`` and ``cdprime``, keyed on ``cc``) also keeps
+    a key memo: the exact key of each matrix with a float near it.
+    :meth:`compare` reads the keys first and a value only where they do
+    not settle the comparison.  Nothing is shared between instances: an
+    evaluator lives as long as the computation that holds it.
     """
 
     def __init__(self, desc: MeasureDescriptor):
@@ -634,6 +656,12 @@ class Evaluator:
         self._class_memo: dict = {}
         self._extend = _EXTENDERS.get(desc.scheme)  # the extender's name, or None
         self._flip = desc.orientation == DISSIMILARITY
+        self._order = order = desc.order_key
+        if order is not None:
+            self._key_desc = parse_measure_id(order.measure)
+            self._keys: dict = {}
+            # The sign of the oriented comparison when the first key is larger.
+            self._key_sign = 1 if order.decreasing == self._flip else -1
 
     def value(self, C: ConfusionMatrix) -> Value:
         v = self._memo.get(C.entries)
@@ -650,3 +678,64 @@ class Evaluator:
         if self._extend is None:
             return evaluate(self.desc, C)
         return getattr(averaging, self._extend)(self.desc.kernel, C, self._class_memo)
+
+    def key(self, C: ConfusionMatrix) -> tuple:
+        """``(k, x)``: C's order key k, the key measure's exact value, and
+        a float x within 2**-51 of it; kept per entries in the key memo."""
+        got = self._keys.get(C.entries)
+        if got is None:
+            k = evaluate(self._key_desc, C)
+            got = self._keys[C.entries] = k, _near_float(k)
+        return got
+
+    def compare(self, C1: ConfusionMatrix, C2: ConfusionMatrix, eps: float, value=None) -> int:
+        """``value_cmp(oriented(C1), oriented(C2), eps)``: -1/0/+1 as the
+        measure ranks C1 below/equal to/above C2.
+
+        ``value``, when given, reads the two values in place of the memo.
+        They are compared as they are, not negated (a negated mpf is
+        rounded to the ambient precision), in the order that gives the
+        oriented sign: ``value(C2)`` with ``value(C1)`` for a
+        dissimilarity.
+
+        A keyed measure reads the keys of C1 and C2 first, and the values
+        only when the keys leave the comparison open, so its answer is
+        the value comparison's at every ``eps >= 0`` (a negative or nan
+        ``eps`` falls outside the proof and is compared on the values):
+
+        * a key gap above ``g * eps * (1 + s) + s`` (g the key's slope
+          bound, s = :data:`KEY_SLACK`) is the comparison's sign;
+        * at ``eps >= s``, exactly equal keys are a tie.
+
+        The error budget, for keys in [-1, 1], angles computed at 30 or
+        more digits (unit roundoff u <= 2**-103) and an ambient precision
+        of 53 bits or more (mpmath's default), at which :meth:`oriented`
+        negates: the key floats are within 2**-51 of the keys, so their
+        difference is within 2**-49 of the true gap.  An angle's argument,
+        cc rounded to mpf, is within 8u of cc; acos and sqrt(2(1 - x))
+        move by at most 2 sqrt(h) and sqrt(2h) when x moves by h, so with
+        the roundings that follow, the negation included, each value is
+        within E = 2**-48 of its true value.  Keys d apart give true
+        values at least d / g apart, so the computed difference, rounded
+        once more, exceeds ``eps`` with the key's sign once d > g * eps *
+        (1 + 2**-101) + 2 g E + 2**-49; the threshold covers that, with
+        room for its own roundings, as g <= 4.  Equal keys give equal true
+        values, so computed values at most 2E (1 + u) < 2**-46 <= s apart.
+        """
+        # value_cmp is looked up at call time, so a wrapped one (tracing)
+        # sees every comparison.
+        order = self._order
+        if order is not None and eps >= 0:
+            (k1, x1), (k2, x2) = self.key(C1), self.key(C2)
+            gap, bound = x1 - x2, order.slope * eps * (1 + KEY_SLACK) + KEY_SLACK
+            if gap > bound:
+                return self._key_sign
+            if -gap > bound:
+                return -self._key_sign
+            if eps >= KEY_SLACK and values.value_cmp(k1, k2) == 0:
+                return 0
+        if value is None:
+            return values.value_cmp(self.oriented(C1), self.oriented(C2), eps)
+        if self._flip:
+            C1, C2 = C2, C1
+        return values.value_cmp(value(C1), value(C2), eps)

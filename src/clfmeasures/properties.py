@@ -89,7 +89,9 @@ compares only the representatives with their relabelings.  Binary ``f``
 and ``jaccard`` are the rows of the default grids whose orbits are not
 identical.
 
-Every comparison of two matrices goes through :meth:`_Eval.compare`.  A
+Every comparison of two matrices goes through
+:meth:`clfmeasures.measures.Evaluator.compare` at the row's ``eps``, the
+comparison that ``distinguish``, ``compare`` and ``rank`` make too.  A
 row whose measure has an order key (:class:`clfmeasures.measures.OrderKey`:
 ``cd`` and ``cdprime``, strictly decreasing functions of ``cc``) compares
 the exact ``cc`` values first.  A gap wider than the key's slope bound
@@ -173,7 +175,6 @@ from .measures import (
 )
 from .values import (
     DEFAULT_EPS,
-    Root,
     as_float,
     value_cmp,
     value_identical,
@@ -198,11 +199,6 @@ VIOLATED = "violated"
 
 #: Smallest sample size of the ``cb``/``acb`` margin grid.
 CB_N_MIN = 2
-
-#: Slack of the order-key decisions of :meth:`_Eval.compare`, both in the
-#: key gap and as the least ``eps`` at which equal keys are a tie; see
-#: there for the error budget it covers.
-KEY_SLACK = 2.0**-40
 
 #: Float slack of the ``dist`` screens (distance zero, triangle); every
 #: candidate violation is confirmed in exact or high-precision arithmetic.
@@ -325,20 +321,14 @@ def _fmt_matrix(C: ConfusionMatrix) -> list[list[str]]:
 
 
 class _Eval(Evaluator):
-    """Row evaluator: one measure's memoized values, with comparison,
-    budget and witnesses.
+    """Row evaluator: one measure's memoized values, with the comparison
+    tolerance, budget and witnesses.
 
     One instance serves every property audited for its measure (a row of
     the audit grid) and is dropped when the row is done, so no value
     outlives the audit or crosses a change of working precision.
     ``budget`` (None: unlimited) is charged as :func:`check_property` says.
-
-    A row whose measure has an order key (``cd`` and ``cdprime``, keyed on
-    ``cc``; see :class:`clfmeasures.measures.OrderKey`) also keeps a key
-    memo: the exact key of each matrix with a float near it.
-    :meth:`compare` reads the keys first and a value only where they do
-    not settle the comparison, so on such a row the angle is computed for
-    near-ties, witnesses, the ``dist`` screen and ``cb`` expectations.
+    Every comparison passes the row's ``eps`` to :meth:`compare`.
     """
 
     def __init__(self, desc: MeasureDescriptor, eps: float, budget: Budget | None):
@@ -348,72 +338,6 @@ class _Eval(Evaluator):
         self._identical_levels: dict = {}
         self._outcomes: dict = {}
         self._charges: list | None = None
-        # A negative or nan eps falls outside the proof of compare.
-        order = desc.order_key if eps >= 0 else None
-        self._order = order
-        if order is not None:
-            self._key_desc = parse_measure_id(order.measure)
-            self._keys: dict = {}
-            # The sign of the oriented comparison when the first key is larger.
-            self._key_sign = 1 if order.decreasing == self._flip else -1
-            self._key_gap = order.slope * eps * (1 + KEY_SLACK) + KEY_SLACK
-
-    def key(self, C: ConfusionMatrix) -> tuple:
-        """``(k, x)``: C's order key k, the key measure's exact value, and
-        a float x within 2**-51 of it; kept per entries in the row's key
-        memo."""
-        got = self._keys.get(C.entries)
-        if got is None:
-            k = evaluate(self._key_desc, C)
-            got = self._keys[C.entries] = k, _near_float(k)
-        return got
-
-    def compare(self, C1: ConfusionMatrix, C2: ConfusionMatrix, value=None) -> int:
-        """``value_cmp(oriented(C1), oriented(C2), eps)``.
-
-        ``value``, when given, reads the two values in place of the row's
-        memo.  They are compared as they are, not negated (a negated mpf
-        is rounded to the ambient precision), in the order that gives the
-        oriented sign: ``value(C2)`` with ``value(C1)`` for a
-        dissimilarity.
-
-        A keyed row reads the keys of C1 and C2 first, and the values
-        only when the keys leave the comparison open, so its answer is
-        the value comparison's at every ``eps >= 0``:
-
-        * a key gap above ``g * eps * (1 + s) + s`` (g the key's slope
-          bound, s = :data:`KEY_SLACK`) is the comparison's sign;
-        * at ``eps >= s``, exactly equal keys are a tie.
-
-        The error budget, for keys in [-1, 1], angles computed at 30 or
-        more digits (unit roundoff u <= 2**-103) and an ambient precision
-        of 53 bits or more (mpmath's default), at which :meth:`oriented`
-        negates: the key floats are within 2**-51 of the keys, so their
-        difference is within 2**-49 of the true gap.  An angle's argument,
-        cc rounded to mpf, is within 8u of cc; acos and sqrt(2(1 - x))
-        move by at most 2 sqrt(h) and sqrt(2h) when x moves by h, so with
-        the roundings that follow, the negation included, each value is
-        within E = 2**-48 of its true value.  Keys d apart give true
-        values at least d / g apart, so the computed difference, rounded
-        once more, exceeds ``eps`` with the key's sign once d > g * eps *
-        (1 + 2**-101) + 2 g E + 2**-49; the threshold covers that, with
-        room for its own roundings, as g <= 4.  Equal keys give equal true
-        values, so computed values at most 2E (1 + u) < 2**-46 <= s apart.
-        """
-        if self._order is not None:
-            (k1, x1), (k2, x2) = self.key(C1), self.key(C2)
-            gap = x1 - x2
-            if gap > self._key_gap:
-                return self._key_sign
-            if -gap > self._key_gap:
-                return -self._key_sign
-            if self.eps >= KEY_SLACK and value_cmp(k1, k2) == 0:
-                return 0
-        if value is None:
-            return value_cmp(self.oriented(C1), self.oriented(C2), self.eps)
-        if self._flip:
-            C1, C2 = C2, C1
-        return value_cmp(value(C1), value(C2), self.eps)
 
     def orbits_identical(self, level: _Level) -> bool:
         """Whether every orbit of ``level`` has one identical value on all
@@ -482,18 +406,6 @@ class _Eval(Evaluator):
             "value_floats": [as_float(v) for v in values],
             **extra,
         }
-
-
-def _near_float(k) -> float:
-    """A float within 2**-51 of an order key k in [-1, 1]: a rational
-    rounded once, or a square root ``c * sqrt(r)`` (cc's only irrational
-    form) as the signed ``math.sqrt`` of its square rounded once; both
-    roundings are correct, so the error stays absolute near 0."""
-    if type(k) is Root:
-        c, r = k.coeff, k.radicand
-        square = c.numerator**2 * r.numerator / (c.denominator**2 * r.denominator)
-        return math.copysign(math.sqrt(square), c.numerator)
-    return k.numerator / k.denominator
 
 
 class _Level:
@@ -653,7 +565,7 @@ def _scan(ev: _Eval, starts, moves, worse):
     for C, weight in starts:
         for Ct, kind, extra in moves(C):
             checked += weight
-            if worse(ev.compare(Ct, C)):
+            if worse(ev.compare(Ct, C, ev.eps)):
                 return VIOLATED, ev.witness(kind, [C, Ct], **extra), checked
     return SATISFIED, None, checked
 
@@ -825,7 +737,7 @@ def _check_acb(ev: _Eval, space: AuditSpace):
     value = cache(lambda lattice: _acb_value(ev.desc, lattice, *margins[lattice]))
 
     def differ(L1, L2) -> bool:
-        return ev.compare(L1, L2, value) != 0
+        return ev.compare(L1, L2, ev.eps, value) != 0
 
     return _check_constant_over_margins(ev, space, point, differ, value)
 

@@ -156,6 +156,12 @@ class TestGroups:
         assert indistinguishable_at("cc", "sba", 8)
         assert not indistinguishable_at("cc", "sba", 9)
 
+    @pytest.mark.parametrize("measures", [(), ("acc",), ("acc", "ba")])
+    def test_sample_size_checked_before_the_walk(self, measures):
+        # Fewer than two measures walk no pair, so n is checked up front.
+        with pytest.raises(ValueError, match="n >= 2"):
+            indistinguishable_groups(1, measures)
+
 
 class _RecordingBudget(Budget):
     """A budget that records every charge with the number of shared-margin
@@ -253,13 +259,13 @@ class TestSharedWalk:
 
     def test_each_relation_is_computed_once(self, monkeypatch):
         seen = []
-        relation = inconsistency._relation
+        compare = Evaluator.compare
 
-        def recording(ev, C1, C2, eps):
+        def recording(ev, C1, C2, eps, value=None):
             seen.append((ev.desc.measure_id, C1.entries, C2.entries))
-            return relation(ev, C1, C2, eps)
+            return compare(ev, C1, C2, eps, value)
 
-        monkeypatch.setattr(inconsistency, "_relation", recording)
+        monkeypatch.setattr(Evaluator, "compare", recording)
         for n in range(2, 10):
             seen.clear()
             indistinguishable_groups(n, WALK_IDS)

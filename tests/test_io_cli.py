@@ -581,6 +581,12 @@ class TestGoldenReports:
             "4225fc67505af6acd09dd5c420f2188acc74eca912935d6b1106417d801abab0",
         ("audit", "--measures", "cd,cdprime", "--n-max", "5", "--eps", "0.01"):
             "e4e2d005f6ea8ae54635a9c9f768ed015c93a1a14ad73a2dd323e8361fdebf1d",
+        # The same keyed comparison in the distinguish walk.
+        ("distinguish", "--n", "2:10", "--full", "--measures", "cd,cdprime,cc,ce,acc"):
+            "e2347490bf9291b8209486161a79236d683bc2bc2cbceb96ada60fdfcb22420e",
+        ("distinguish", "--n", "2:10", "--full", "--measures", "cd,cdprime,cc,ce,acc",
+         "--eps", "0.05"):
+            "6dfb552510d2d0b178a195de1f651e2dff3fa6054aa9e1f32db0fc7c09067773",
     }
 
     #: The same at the default windows, about 25 s together.
@@ -617,20 +623,23 @@ class TestGoldenReports:
     def test_full_window_json_bytes(self, capsys, argv):
         assert self.json_digest(capsys, argv) == self.FULL_WINDOW_DIGESTS[argv]
 
-    #: (command, classes, models, rows, seed) of generated labels files.
+    #: (command, classes, models, rows, seed, *options) of generated labels files.
     GENERATED = {
         ("compare", 3, 3, 3000, 11):
             "de733a36f3a3e961e7aac7b77fd208989f4b1e7f60f36eba84674b161f010fdf",
         ("rank", 2, 4, 3000, 12):
             "db9c836cc531fe5d6c5bd7f64dad143e7877cf5a0f6a5065bc4d82c852ad6308",
+        # Keyed rows, with ties and steps inside a wide eps window.
+        ("rank", 3, 5, 3000, 14, "--measures", "cd,cdprime,cc,ce", "--eps", "0.3"):
+            "e191137df4d83caa8383950a2357cf6a47d9c36b20c857d5efc1444527a5d7ec",
     }
 
     @pytest.mark.parametrize("case", list(GENERATED), ids=str)
     def test_generated_labels_json_bytes(self, capsys, tmp_path, case):
-        command, m, count, rows, seed = case
+        command, m, count, rows, seed, *options = case
         paths = generated_models(tmp_path, m, count, rows, seed)
         code, out, err = run_cli(
-            capsys, command, "--labels", *paths, "--output", "json", "--no-timestamp"
+            capsys, command, "--labels", *paths, *options, "--output", "json", "--no-timestamp"
         )
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == self.GENERATED[case]

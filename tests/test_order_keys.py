@@ -1,12 +1,14 @@
-"""Order keys: ``cd`` and ``cdprime`` rows compare on their ``cc`` key.
+"""Order keys: ``cd`` and ``cdprime`` compare on their ``cc`` key.
 
-``_Eval.compare`` is held to the comparison it replaces, written out
+``Evaluator.compare`` is held to the comparison it replaces, written out
 here: ``value_cmp`` of the two oriented values at the row's ``eps``.  It
 must agree on every pair of a level, on every move the audit makes
-(transposes, relabelings, mon/smon edits), on random matrices, and at
-every tolerance, including those where the keys leave most pairs to the
-values.  Key-decided orbit identity is held to member-by-member value
-identity.
+(transposes, relabelings, mon/smon edits), on the pairs ``distinguish``
+walks, on random matrices, and at every tolerance, including those where
+the keys leave most pairs to the values.  ``rank_models`` and
+``pairwise_inconsistency`` are held to rankings and counts written out
+from ``value_cmp``.  Key-decided orbit identity is held to
+member-by-member value identity.
 """
 
 import itertools
@@ -15,11 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfmeasures import properties
 from clfmeasures.core import ConfusionMatrix, permute_classes, transpose
-from clfmeasures.measures import Evaluator, parse_measure_id
+from clfmeasures.inconsistency import (
+    margin_matrices,
+    margin_matrix_pairs,
+    pairwise_inconsistency,
+    rank_models,
+)
+from clfmeasures.measures import Evaluator, evaluate, oriented, parse_measure_id
 from clfmeasures.properties import _edit, _Eval, _level
-from clfmeasures.values import is_exact, value_cmp, value_identical
+from clfmeasures.values import DEFAULT_EPS, is_exact, value_cmp, value_identical
 
 KEYED = ("cd", "cdprime")
 #: An averaged angle: the same values summed per class, and no key.
@@ -38,7 +45,8 @@ def _reference(ev, C1, C2) -> int:
 def _assert_like_reference(rows, pairs):
     for C1, C2 in pairs:
         for ev in rows:
-            assert ev.compare(C1, C2) == _reference(ev, C1, C2), (ev.eps, C1.entries, C2.entries)
+            assert ev.compare(C1, C2, ev.eps) == _reference(ev, C1, C2), (
+                ev.eps, C1.entries, C2.entries)
 
 
 def _moves(C):
@@ -96,6 +104,60 @@ def test_random_pairs(pair):
         _assert_like_reference(_rows(mid), [(C1, C2), (C2, C1), (C1, C1)])
 
 
+@pytest.mark.parametrize("mid", KEYED + (UNKEYED,))
+def test_distinguish_pairs(mid):
+    """The shared-margin pairs ``distinguish`` walks, in both orders."""
+    rows = _rows(mid)
+    for n in range(2, 11):
+        pairs = list(margin_matrix_pairs(n))
+        _assert_like_reference(rows, pairs + [(C2, C1) for C1, C2 in pairs])
+
+
+def _scaled(C, k):
+    return ConfusionMatrix(tuple(tuple(x * k for x in row) for row in C.entries))
+
+
+#: One cc value in unlike forms, C and a multiple of it, as labels files
+#: of different lengths give them.
+UNLIKE = [_scaled(ConfusionMatrix(((1, 1), (2, 5))), k) for k in (1, 5)] + [
+    _scaled(ConfusionMatrix(((1, 1), (2, 6))), k) for k in (1, 3)
+]
+RANKED_IDS = KEYED + (UNKEYED, "cc")
+_M3 = list(_level(3, 3, 1).matrices)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize(
+    "matrices",
+    [UNLIKE + margin_matrices(7, 3), _M3 + [_scaled(C, 2) for C in _M3[:5]]],
+    ids=["binary", "m3"],
+)
+def test_rank_and_inconsistency_like_reference(matrices, eps):
+    """Competition ranks and inconsistency counts from ``value_cmp`` of
+    the oriented values, one value per matrix and measure."""
+    by_id = {}
+    for mid in RANKED_IDS:
+        desc = parse_measure_id(mid)
+        by_id[mid] = [oriented(desc, evaluate(desc, C)) for C in matrices]
+    for ranking in rank_models(RANKED_IDS, matrices, eps=eps):
+        v = by_id[ranking.measure_id]
+        ranks = [1 + sum(value_cmp(u, w, eps) > 0 for u in v) for w in v]
+        assert [(e.name, e.rank) for e in ranking.entries] == [
+            (f"model_{i + 1}", ranks[i]) for i in sorted(range(len(v)), key=lambda i: (ranks[i], i))
+        ]
+    pairs = list(itertools.combinations(range(len(matrices)), 2))
+    levels = (eps / 10, eps, eps * 10)
+    relations = {
+        mid: [[value_cmp(v[i], v[j], e) for e in levels] for i, j in pairs]
+        for mid, v in by_id.items()
+    }
+    report = pairwise_inconsistency(RANKED_IDS, [(matrices[i], matrices[j]) for i, j in pairs], eps)
+    for p, q in itertools.combinations(RANKED_IDS, 2):
+        differ = [[a != b for a, b in zip(rp, rq)] for rp, rq in zip(relations[p], relations[q])]
+        assert report.inconsistent[p, q] == sum(d[1] for d in differ), (p, q)
+        assert report.eps_sensitive[p, q] == sum(d[0] != d[2] for d in differ), (p, q)
+
+
 @pytest.mark.parametrize("mid", KEYED)
 def test_keys_decide_and_values_settle_the_rest(monkeypatch, mid):
     """At the default eps the keys decide nearly every pair of a level; at
@@ -103,12 +165,12 @@ def test_keys_decide_and_values_settle_the_rest(monkeypatch, mid):
     angles, which the counts of float comparisons show."""
     float_cmps = []
 
-    def counting(a, b, eps=properties.DEFAULT_EPS):
+    def counting(a, b, eps=DEFAULT_EPS):
         if not (is_exact(a) and is_exact(b)):
             float_cmps.append(eps)
         return value_cmp(a, b, eps)
 
-    monkeypatch.setattr(properties, "value_cmp", counting)
+    monkeypatch.setattr("clfmeasures.values.value_cmp", counting)
     matrices = _level(2, 7, 0).matrices
     pairs = list(itertools.product(matrices, repeat=2))
     for eps in (1e-12, 0.05):
@@ -124,7 +186,7 @@ def test_keys_decide_and_values_settle_the_rest(monkeypatch, mid):
     # The angle is computed only where a value is read.
     ev = _Eval(parse_measure_id(mid), 1e-12, None)
     for C1, C2 in pairs:
-        ev.compare(C1, C2)
+        ev.compare(C1, C2, ev.eps)
     assert ev._memo == {}
 
 
@@ -157,7 +219,7 @@ def test_equal_keys_in_unlike_forms(mid, entries, scale):
     for ev in _rows(mid):
         # A dissimilarity: the oriented order is D's value against C's.
         want = value_cmp(ev.value(D), ev.value(C), ev.eps)
-        assert ev.compare(C, D, ev.value) == want
+        assert ev.compare(C, D, ev.eps, ev.value) == want
         assert (want != 0) == (ev.eps == 0)
         _assert_like_reference([ev], [(C, D), (D, C)])
 
@@ -165,4 +227,4 @@ def test_equal_keys_in_unlike_forms(mid, entries, scale):
 def test_negative_eps_is_compared_on_values():
     ev = _Eval(parse_measure_id("cd"), -1.0, None)
     C = _level(2, 3, 0).matrices
-    assert ev.compare(C[1], C[1]) == _reference(ev, C[1], C[1])
+    assert ev.compare(C[1], C[1], ev.eps) == _reference(ev, C[1], C[1])
