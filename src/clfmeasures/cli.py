@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="M",
         help="audit at M classes (default 2).  Default windows: n <= 8 at M = 2 "
         "(n <= 12 for ce's min/mon/smon); n <= 6 and edit walks to n <= 9 at "
-        "M = 3; n <= 4 from M = 4 on, with value spaces to n <= M",
+        "M = 3; n <= 5 at M = 4 (dist and cb n <= 4); n <= 4 from M = 5 on, with "
+        "value spaces to n <= M",
     )
     p.add_argument(
         "--n-max",

@@ -256,14 +256,20 @@ MULTICLASS_DEFAULT_SPACE = AuditSpace(
 def _generic_space(m: int) -> AuditSpace:
     """Default bounds at m classes.
 
-    From m = 4 on, the m = 4 preservation windows (n <= 4), except that a
-    value-comparison space needs n >= m to hold a diagonal matrix.
+    At m = 4, the value-comparison spaces and the edit walks reach n = 5:
+    the first level that holds a diagonal matrix is n = 4, and a one-level
+    space compares no two levels, so it cannot show the known ``kappa``/
+    ``min`` and ``cc``/``mon`` violations.  From m = 5 on, n <= 4, except
+    that a value-comparison space reaches n = m to hold a diagonal matrix
+    (an n = 6 level at m = 5 already holds about 594k matrices).
     """
     if m == 2:
         return BINARY_DEFAULT_SPACE
     if m == 3:
         return MULTICLASS_DEFAULT_SPACE
-    return AuditSpace(m=m, n_max=max(m, 4), mon_n_max=4, dist_n_max=4, cb_n_max=4)
+    if m == 4:
+        return AuditSpace(m=4, n_max=5, mon_n_max=5, dist_n_max=4, cb_n_max=4)
+    return AuditSpace(m=m, n_max=m, mon_n_max=4, dist_n_max=4, cb_n_max=4)
 
 
 def audit_space_policy(

@@ -194,7 +194,7 @@ MANIFEST = (
     Golden("audit --m 3 --properties dist", cli("audit", "--m", "3", "--properties", "dist"),
            "85d2eababdbbb5d6a3c8c62db422ccdc0d1e85036c895c10033aabd10ff6517c", tier="slow"),
     Golden("audit --m 4 --properties dist", cli("audit", "--m", "4", "--properties", "dist"),
-           "166b1427cf28209a202da977acd6a79a6357b25402902bfc41c8a66d90833718",
+           "50ef4e07e83d777f99a4c88a3b841c6b61b4103dc06354ca47bdc741090940f0",
            tier="slow", hashseed=True),
     Golden("audit --m 3 acc,ba,kappa,cc mon,smon,csym,max,min",
            cli("audit", "--m", "3", "--measures", "acc,ba,kappa,cc",

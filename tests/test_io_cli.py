@@ -421,7 +421,36 @@ class TestCliAudit:
         for cell in json.loads(out)["grid"]:
             assert cell["status"] == "satisfied"
             assert cell["space"]["m"] == 4
-            assert cell["space"]["n_max"] == cell["space"]["mon_n_max"] == 4
+            assert cell["space"]["n_max"] == cell["space"]["mon_n_max"] == 5
+            assert cell["space"]["dist_n_max"] == cell["space"]["cb_n"][1] == 4
+
+    def test_m4_default_windows_see_the_known_violations(self, capsys):
+        # A one-level value space (n = 4) and edit walks to n = 4 read all
+        # three cells as satisfied.
+        code, out, err = run_cli(
+            capsys,
+            "audit", "--m", "4", "--measures", "kappa,cc,cd", "--properties", "min,mon",
+            "--output", "json", "--no-timestamp",
+        )
+        assert code == 0, err
+        cells = {(c["measure"], c["property"]): c for c in json.loads(out)["grid"]}
+
+        def matrices(witness):
+            return [[[int(x) for x in row] for row in C] for C in witness["matrices"]]
+
+        kappa = cells["kappa", "min"]["witness"]
+        assert matrices(kappa) == [
+            [[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0]],
+            [[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 2, 0]],
+        ]
+        assert kappa["values"] == ["-1/3", "-8/17"]
+        for mid in ("cc", "cd"):
+            witness = cells[mid, "mon"]["witness"]
+            assert witness["kind"] == "improvement_penalized"
+            assert matrices(witness) == [
+                [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 4, 0, 0]],
+                [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 3, 0, 1]],
+            ]
 
     def test_markdown_grid(self, capsys):
         code, out, _ = run_cli(
