@@ -34,6 +34,7 @@ from clfmeasures.dataio import (
     read_matrix_json,
     write_matrix,
 )
+from golden import ENTRIES, sha256
 
 MATRIX = ConfusionMatrix(((4, 1), (2, 3)))
 
@@ -957,6 +958,39 @@ def test_python_dash_m(matrix_file):
     assert proc.returncode == 0, proc.stderr
     assert "# eval" in proc.stdout
     assert run("eval").returncode == 2
+
+
+#: The baseline report pinned in ``golden.py`` as "baseline json".
+GOLDEN_BASELINE = ("baseline", "--a", "3,3,2", "--b", "2,3,3", "--method", "both")
+
+
+class TestGoldenReports:
+    """The pinned baseline JSON as ``main`` writes it to the real stdout,
+    which ``golden.output`` replaces with a ``StringIO``."""
+
+    @pytest.mark.parametrize("argv", [GOLDEN_BASELINE], ids=" ".join)
+    def test_json_bytes(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--output", "json", "--no-timestamp")
+        assert code == 0, err
+        assert sha256(out) == ENTRIES["baseline json"].digest
+
+
+class TestGoldenRenderings:
+    """The pinned baseline JSON as the bytes ``python -m clfmeasures``
+    writes, with no newline translation."""
+
+    @pytest.mark.parametrize("output", ["json"], ids=["baseline-json"])
+    def test_bytes(self, output):
+        src = str(Path(clfmeasures.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clfmeasures", *GOLDEN_BASELINE,
+             "--output", output, "--no-timestamp"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert sha256(proc.stdout.decode()) == ENTRIES["baseline json"].digest
 
 
 def test_huge_exponent_exits_2_at_once(tmp_path):
