@@ -67,19 +67,22 @@ sorted, B ascending within each class block of A), screens every C at
 once and confirms every float hit in order.  ``checked`` and the budget
 still count every labeling pair and triple.
 
-The ``csym``, ``mon`` and ``smon`` scans run one sample size (level) at a
-time over the orbits of the level under relabeling the classes, each
-orbit represented by its first member in space order.  Their moves
-commute with relabeling, so the checks of every member of an orbit are
-the representative's checks relabeled.  A level is scanned one
-representative per orbit when, on the row, every orbit of the levels
-its moves reach carries one *identical* value
-(:func:`clfmeasures.values.value_identical`: the same type and the same
-representation, not merely equal within ``eps``); each comparison then
-comes out alike for every member, ties included, and each check of the
-representative counts orbit-size times in ``checked``.  Otherwise, and
-on a violation, the level is rescanned matrix by matrix in space order,
-so ``checked`` and the witness are always those of the scan of every
+The ``csym``, ``mon`` and ``smon`` scans (walks) run one sample size
+(level) at a time over the orbits of the level under relabeling the
+classes, each orbit represented by its first member in space order.
+Their moves commute with relabeling, so every member's checks are its
+representative's relabeled.  When, on the row, every orbit of the level
+and of the levels its moves reach carries one *identical* value
+(:func:`clfmeasures.values.value_identical`: the same type and
+representation, not merely equal within ``eps``), each comparison comes
+out alike for every member, ties included, and the level is scanned from
+its *plan* for the walk: each representative that may start a move, its
+orbit size (the weight of each of its checks in ``checked``) and the
+matrices its moves reach.  Otherwise, and on a violation, the level is
+rescanned matrix by matrix in space order, so ``checked`` and the
+witness are always those of the scan of every matrix.  Plan and rescan
+find each neighbour by position (the offset of its row sums' block in
+its level plus the mixed-radix rank of its rows), so no scan builds a
 matrix.  Averaged rows are identical by construction: micro, macro and
 weighted values depend only on the multiset of the one-vs-all class
 keys, which relabeling permutes, so their levels are taken as identical
@@ -126,21 +129,26 @@ An averaged measure's evaluator also keeps its binary class values,
 keyed on the counts that fix each one-vs-all matrix, so a class seen in
 one matrix of a space is not evaluated again in another.  The row
 evaluator adds only the comparison tolerance, the enumeration budget
-and witness rendering.  The memos are dropped with their row.  Kept for the life of the process are the binary
-verdicts that the preservation and impossibility checks read
-(``_default_verdicts``); the audit levels (the LRU cache ``_level``),
-each with the fields its scans read: matrices built over the blocks of
-``core._block``, margins set, one object per matrix shared by both row
-floors, by the orbits and by the ``dist`` pairs (about 72 bytes per
-matrix on top of its entries, 92,377 matrices for the m = 3 edit walks
-up to n = 10); the row fills of the enumerator (``core._row_fills``); the
-chance-expectation tables of ``baselines._tables`` (at most
-``TABLE_MATRICES`` matrices); the parsed descriptors of
-``measures.parse_measure_id``; the angles of ``cd`` and ``cdprime``
-(``measures._ANGLES``, keyed on the transform, ``values.value_key`` of
-``cc`` and ``mp.prec``, at most ``_ANGLE_MEMO_SIZE`` of them, oldest
-dropped first); and the roots of ``values._root_mpf`` (an LRU cache
-keyed on radicand, index and ``mp.prec``).
+and witness rendering.  The memos are dropped with their row.  Kept for
+the life of the process are the binary verdicts that the preservation
+and impossibility checks read (``_default_verdicts``); the audit levels
+(the LRU cache ``_level``), each with the fields its scans read:
+matrices built over the blocks of ``core._block``, margins set, one
+object per matrix shared by both row floors, by the orbits, the plans
+and the ``dist`` pairs (about 72 bytes per matrix on top of its entries,
+92,377 matrices for the m = 3 edit walks up to n = 10), and one plan per
+walk, about 110 bytes per representative and 8 per move (2.6 MB for the
+16,448 representatives and 96,005 moves of the m = 3 ``mon`` and
+``smon`` walks up to n = 9), built from levels already charged, charged
+nothing itself, dropped with its level and changing no report byte; the
+row fills of the enumerator (``core._row_fills``); the chance-expectation
+tables of ``baselines._tables`` (at most ``TABLE_MATRICES`` matrices);
+the parsed descriptors of ``measures.parse_measure_id``; the angles of
+``cd`` and ``cdprime`` (``measures._ANGLES``, keyed on the transform,
+``values.value_key`` of ``cc`` and ``mp.prec``, at most
+``_ANGLE_MEMO_SIZE`` of them, oldest dropped first); and the roots of
+``values._root_mpf`` (an LRU cache keyed on radicand, index and
+``mp.prec``).
 """
 
 from __future__ import annotations
@@ -160,7 +168,6 @@ from .core import (
     _with_margins,
     compositions,
     expected_matrix,
-    permute_classes,
     transpose,
 )
 from .measures import (
@@ -428,6 +435,7 @@ class _Level:
             math.prod(math.comb(a + m - 1, m - 1) for a in rows)
             for rows in compositions(n, m, min_part=min_row)
         )
+        self.plans: dict = {}  # walk -> (the orbits read, the plan built from them)
 
     @cached_property
     def matrices(self) -> tuple[ConfusionMatrix, ...]:
@@ -439,25 +447,54 @@ class _Level:
         return tuple(itertools.chain.from_iterable(map(_block, rows)))
 
     @cached_property
+    def blocks(self) -> dict:
+        """Each row-sum composition: the position of its block in
+        ``matrices`` and the mixed-radix weights of its rows' ranks."""
+        blocks, k, m = {}, 0, self.m
+        for a in compositions(self.n, m, min_part=self.min_row):
+            counts = [math.comb(t + m - 1, m - 1) for t in a]
+            blocks[a] = k, tuple(math.prod(counts[i + 1:]) for i in range(m))
+            k += math.prod(counts)
+        return blocks
+
+    def position(self, a: tuple, rows) -> int:
+        """The position in ``matrices`` of the matrix of row sums ``a`` and
+        rows ``rows``, as ``core._block`` orders them: its block's position
+        plus its rows' ranks (:func:`_ranks`) in mixed radix."""
+        k, weights = self.blocks[a]
+        return k + sum(map(operator.mul, map(_ranks(self.m, self.n).__getitem__, rows), weights))
+
+    @cached_property
     def orbits(self) -> tuple:
         """The orbits under relabeling the classes (simultaneous row and
         column permutation): tuples of the level's own matrices in space
         order, so the first member is the representative, ordered by
         representative."""
-        matrices = self.matrices
-        position = {C.entries: k for k, C in enumerate(matrices)}
+        matrices, position = self.matrices, self.position
         perms = list(itertools.permutations(range(self.m)))
         marked = [False] * len(matrices)
         orbits = []
         for k, C in enumerate(matrices):
             if marked[k]:
                 continue
-            e = C.entries
-            members = sorted({position[tuple(tuple(e[i][j] for j in p) for i in p)] for p in perms})
+            members = sorted({position(*_permuted(C, p)) for p in perms})
             for x in members:
                 marked[x] = True
             orbits.append(tuple(matrices[x] for x in members))
         return tuple(orbits)
+
+    def plan(self, walk: _Walk, levels: dict) -> tuple:
+        """``walk``'s starts on the level: ``(C, orbit size, targets)`` per
+        orbit representative C that the walk keeps, ``targets`` the matrices
+        of ``levels`` its moves reach.  Built on first read, and again when
+        ``orbits`` is not the object it was built from."""
+        orbits = self.orbits
+        kept = self.plans.get(walk)
+        if kept is None or kept[0] is not orbits:
+            starts = ((C, len(orbit)) for orbit in orbits if walk.keep(C := orbit[0]))
+            plan = tuple((C, weight, walk.targets(C, levels)) for C, weight in starts)
+            kept = self.plans[walk] = orbits, plan
+        return kept[1]
 
     @cached_property
     def pairs(self) -> tuple:
@@ -501,24 +538,26 @@ class _Level:
 _level = lru_cache(maxsize=4096)(_Level)
 
 
-def _edit(C: ConfusionMatrix, decrement=None, increment=None) -> ConfusionMatrix:
-    """C with one unit moved, removed or added.
+@cache
+def _ranks(m: int, n_max: int) -> dict:
+    """Each row of m cells summing to at most ``n_max``, with its rank among
+    the rows of its sum in ``compositions`` order."""
+    return {row: k for t in range(n_max + 1) for k, row in enumerate(compositions(t, m))}
 
-    Callers decrement only a positive cell of a matrix without a unary
-    margin, so the result is never empty and needs no validation.
-    """
-    cells = [list(row) for row in C.entries]
-    a, b = list(C.a), list(C.b)
-    n, diagonal_sum = C.n, C.diagonal_sum
-    for ij, unit in ((decrement, -1), (increment, 1)):
-        if ij is not None:
-            i, j = ij
-            cells[i][j] += unit
-            a[i] += unit
-            b[j] += unit
-            n += unit
-            diagonal_sum += unit * (i == j)
-    return _with_margins(tuple(map(tuple, cells)), tuple(a), tuple(b), n, diagonal_sum)
+
+def _permuted(C: ConfusionMatrix, p) -> tuple:
+    """The row sums and rows of ``permute_classes(C, p)``."""
+    e = C.entries
+    return tuple(map(C.a.__getitem__, p)), [tuple(map(e[i].__getitem__, p)) for i in p]
+
+
+def _edited(C: ConfusionMatrix, decrement, increment) -> tuple:
+    """The row sums and rows of C with a unit taken from cell ``decrement``
+    and added to cell ``increment`` (None: no cell)."""
+    a, rows = list(C.a), list(C.entries)
+    for (i, j), unit in [(ij, unit) for ij, unit in ((decrement, -1), (increment, 1)) if ij]:
+        a[i], rows[i] = a[i] + unit, rows[i][:j] + (rows[i][j] + unit,) + rows[i][j + 1:]
+    return tuple(a), rows
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +576,13 @@ def _check_extremal(ev: _Eval, space: AuditSpace, at_max: bool):
     if not targets:
         raise RuntimeError(f"audit space contains no {kind} matrix")
     ref = targets[0]
-    differ = [(C, f"{kind}_values_differ", {}) for C in targets[1:]]
-    status, witness, checked = _scan(ev, [(ref, 1)], lambda C: differ, bool)
+    differ = (f"{kind}_values_differ", {})
+    status, witness, checked = _scan(ev, [(ref, 1, targets[1:])], lambda C, k: differ, bool)
     if status == SATISFIED:
         which = "reaches_max_off_diagonal" if at_max else "reaches_min_off_zero_diagonal"
-        to_ref = [(ref, which, {})]
-        others = ((C, 1) for C in matrices if not target(C))
+        others = ((C, 1, (ref,)) for C in matrices if not target(C))
         worse = (lambda side: side <= 0) if at_max else (lambda side: side >= 0)
-        status, witness, sub = _scan(ev, others, lambda C: to_ref, worse)
+        status, witness, sub = _scan(ev, others, lambda C, k: (which, {}), worse)
         checked += sub
     return status, witness, checked + 1
 
@@ -557,55 +595,114 @@ _check_min = partial(_check_extremal, at_max=False)
 # neighbour properties: symmetry and monotonicity
 
 
-def _scan(ev: _Eval, starts, moves, worse):
+def _scan(ev: _Eval, starts, describe, worse):
     """Compare each start matrix C with its neighbours.
 
-    ``starts`` gives ``(C, weight)`` pairs, where C stands for ``weight``
-    matrices whose checks come out as C's do.  ``moves(C)`` gives C's
-    neighbours as ``(Ct, kind, extra)``.  Each counts ``weight`` checks;
-    the first with ``worse(compare(Ct, C))`` is the witness ``kind`` over
-    ``[C, Ct]`` with the ``extra`` fields.  sym and csym pass ``bool``:
-    any difference is a violation.
+    ``starts`` gives ``(C, weight, targets)``, where C stands for
+    ``weight`` matrices whose checks come out as C's do and ``targets``
+    are its neighbours.  Each counts ``weight`` checks; the first Ct with
+    ``worse(compare(Ct, C))``, C's k-th, is the witness over ``[C, Ct]``
+    of the kind and extra fields ``describe(C, k)`` gives.  sym and csym
+    pass ``bool``: any difference is a violation.
     """
-    checked = 0
-    for C, weight in starts:
-        for Ct, kind, extra in moves(C):
-            checked += weight
-            if worse(ev.compare(Ct, C, ev.eps)):
-                return VIOLATED, ev.witness(kind, [C, Ct], **extra), checked
+    checked, compare, eps = 0, ev.compare, ev.eps
+    for C, weight, targets in starts:
+        for k, Ct in enumerate(targets):
+            if worse(compare(Ct, C, eps)):
+                kind, extra = describe(C, k)
+                return VIOLATED, ev.witness(kind, [C, Ct], **extra), checked + (k + 1) * weight
+        checked += len(targets) * weight
     return SATISFIED, None, checked
 
 
-def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, moves, worse,
-                 reach=(0,)):
-    """:func:`_scan` over the levels ``n_lo..n_hi`` of starts passing
-    ``keep``, one representative per class-permutation orbit.
+class _Walk:
+    """The moves of the csym, mon or smon scan: from each start matrix of
+    level n (row floor ``min_row``, n from ``n_lo`` on) to the levels
+    n + d, d in ``reach``, each commuting with relabeling the classes.
+    ``worse(side)`` flags a violation, ``side`` ranking the target
+    against the start."""
 
-    ``moves`` must commute with relabeling the classes and lead from
-    level n to the levels ``n + d``, d in ``reach``.  Level n is scanned
-    reduced when its orbits and those of the levels it reaches each carry
-    one identical value on the row: then every member's checks come out
-    as its representative's, so the representative weighs the orbit size.
-    Otherwise, or on a violation, the level is rescanned matrix by matrix
-    in space order, so ``checked`` and the witness are those of the full
-    scan.  On entering level n, the door hands out every level up to
-    ``n + max(reach)`` the scan does not yet hold.  (smon never reads level
-    0: every matrix of level 1 has a unary margin, so it holds no start.)
+    def __init__(self, prop: str, min_row: int, n_lo: int, reach: tuple, worse):
+        self.prop, self.min_row, self.n_lo, self.reach = prop, min_row, n_lo, reach
+        self.worse = worse
+
+    def keep(self, C: ConfusionMatrix) -> bool:
+        # Empty classes are legal start matrices of the edit walks; only
+        # constant labelings are excluded, and only on the unedited side.
+        return self.prop == CSYM or (C.n not in C.a and C.n not in C.b)
+
+    def moves(self, C: ConfusionMatrix) -> list:
+        """C's moves in scan order: csym's class permutations but the
+        identity; mon's and smon's ``(decrement, increment)`` cells (None:
+        no cell), for smon an add unless C is diagonal and a removal unless
+        C is zero-diagonal."""
+        m, e = C.m, C.entries
+        if self.prop == CSYM:
+            return list(itertools.permutations(range(m)))[1:]
+        off_diagonal = [(i, j) for i, j in itertools.permutations(range(m), 2) if e[i][j]]
+        if self.prop == MON:
+            return [((i, j), (t, t)) for i, j in off_diagonal for t in (i, j)]
+        adds = [] if C.is_diagonal() else [(None, (i, i)) for i in range(m)]
+        return adds + ([] if C.is_zero_diagonal() else [(ij, None) for ij in off_diagonal])
+
+    def targets(self, C: ConfusionMatrix, levels: dict) -> tuple:
+        """The matrices of ``levels`` that C's moves reach, by position."""
+        if self.prop == CSYM:
+            level = levels[C.n]
+            return tuple(level.matrices[level.position(*_permuted(C, p))] for p in self.moves(C))
+        targets = []
+        for dec, inc in self.moves(C):
+            level = levels[C.n - (dec is not None) + (inc is not None)]
+            targets.append(level.matrices[level.position(*_edited(C, dec, inc))])
+        return tuple(targets)
+
+    def witness(self, C: ConfusionMatrix, k: int) -> tuple:
+        """The kind and extra fields of a witness at C's k-th move."""
+        move = self.moves(C)[k]
+        if self.prop == CSYM:
+            return "class_permutation_differs", {"permutation": list(move)}
+        dec, inc = move
+        kinds = {MON: "improvement_penalized", SMON: "extra_agreement_not_rewarded"}
+        kind = "removed_confusion_not_rewarded" if inc is None else kinds[self.prop]
+        cells = (("decrement", dec), ("increment", inc))
+        return kind, {"edit": {name: list(cell) for name, cell in cells if cell}}
+
+
+_WALKS = {
+    CSYM: _Walk(CSYM, 1, 1, (0,), bool),
+    MON: _Walk(MON, 0, 2, (0,), lambda side: side < 0),
+    SMON: _Walk(SMON, 0, 1, (-1, 0, 1), lambda side: side <= 0),
+}
+
+
+def _scan_orbits(ev: _Eval, space: AuditSpace, walk: _Walk):
+    """:func:`_scan` of ``walk`` over the levels of ``space``.
+
+    Level n is scanned from its plan (:meth:`_Level.plan`), one
+    representative per class-permutation orbit, when its orbits and
+    those of the levels it reaches each carry one identical value on the
+    row: then every member's checks come out as its representative's, so
+    the representative weighs the orbit size.  Otherwise, or on a
+    violation, the level is rescanned matrix by matrix in space order, so
+    ``checked`` and the witness are those of the full scan.  On entering
+    level n, the door hands out every level up to ``n + max(reach)`` the
+    scan does not yet hold.  (smon never reads level 0: every matrix of
+    level 1 has a unary margin, so it holds no start.)
     """
     checked = 0
     levels = {}  # the levels n_lo, n_lo + 1, ... the door has handed out
-    for n in range(n_lo, n_hi + 1):
-        for k in range(n_lo + len(levels), n + max(reach) + 1):
-            levels[k] = ev.level(m, k, min_row)
+    for n in range(walk.n_lo, (space.n_max if walk.prop == CSYM else space.edit_n_max) + 1):
+        for k in range(walk.n_lo + len(levels), n + max(walk.reach) + 1):
+            levels[k] = ev.level(space.m, k, walk.min_row)
         level = levels[n]
-        starts = [(C, len(orbit)) for orbit in level.orbits if keep(C := orbit[0])]
-        if starts and all(ev.orbits_identical(levels[n + d]) for d in reach):
-            status, _, sub = _scan(ev, starts, moves, worse)
+        plan = level.plan(walk, levels)
+        if plan and all(ev.orbits_identical(levels[n + d]) for d in walk.reach):
+            status, _, sub = _scan(ev, plan, walk.witness, walk.worse)
             if status == SATISFIED:
                 checked += sub
                 continue
-        full = ((C, 1) for C in level.matrices if keep(C))
-        status, witness, sub = _scan(ev, full, moves, worse)
+        full = ((C, 1, walk.targets(C, levels)) for C in level.matrices if walk.keep(C))
+        status, witness, sub = _scan(ev, full, walk.witness, walk.worse)
         checked += sub
         if status == VIOLATED:
             return status, witness, checked
@@ -613,70 +710,9 @@ def _scan_orbits(ev: _Eval, m: int, n_lo: int, n_hi: int, min_row: int, keep, mo
 
 
 def _check_sym(ev: _Eval, space: AuditSpace):
-    starts = ((C, 1) for n in range(1, space.n_max + 1) for C in ev.level(space.m, n, 1).matrices)
-    return _scan(ev, starts, lambda C: [(transpose(C), "transpose_differs", {})], bool)
-
-
-def _check_csym(ev: _Eval, space: AuditSpace):
-    perms = list(itertools.permutations(range(space.m)))[1:]  # all but the identity
-
-    def moves(C):
-        kind = "class_permutation_differs"
-        return [(permute_classes(C, p), kind, {"permutation": list(p)}) for p in perms]
-
-    return _scan_orbits(ev, space.m, 1, space.n_max, 1, lambda C: True, moves, bool)
-
-
-def _no_unary_margin(C: ConfusionMatrix) -> bool:
-    # Empty classes are legal start matrices of the edit walks; only
-    # constant labelings are excluded, and only on the unedited side.
-    return C.n not in C.a and C.n not in C.b
-
-
-def _edit_moves(kind: str, edits):
-    """Moves applying each ``(decrement, increment)`` edit whose
-    decremented cell of C is positive.
-
-    Witness fields are built once per check; a check reports at most one
-    witness.
-    """
-    table = [
-        (dec, inc, {"edit": {k: list(v) for k, v in (("decrement", dec), ("increment", inc)) if v}})
-        for dec, inc in edits
-    ]
-    return lambda C: [
-        (_edit(C, dec, inc), kind, extra)
-        for dec, inc, extra in table
-        if dec is None or C.entries[dec[0]][dec[1]] >= 1
-    ]
-
-
-def _check_mon(ev: _Eval, space: AuditSpace):
-    # Resolve one disagreement: move a unit of cell (i, j) to the
-    # diagonal cell of its row or of its column.
-    off_diagonal = itertools.permutations(range(space.m), 2)
-    moves = _edit_moves("improvement_penalized", [
-        ((i, j), (t, t)) for i, j in off_diagonal for t in (i, j)
-    ])
-    return _scan_orbits(
-        ev, space.m, 2, space.edit_n_max, 0, _no_unary_margin, moves, lambda side: side < 0
-    )
-
-
-def _check_smon(ev: _Eval, space: AuditSpace):
-    m = space.m
-    add = _edit_moves("extra_agreement_not_rewarded", [(None, (i, i)) for i in range(m)])
-    remove = _edit_moves("removed_confusion_not_rewarded", [
-        (ij, None) for ij in itertools.permutations(range(m), 2)
-    ])
-
-    def moves(C):
-        return ([] if C.is_diagonal() else add(C)) + ([] if C.is_zero_diagonal() else remove(C))
-
-    return _scan_orbits(
-        ev, m, 1, space.edit_n_max, 0, _no_unary_margin, moves, lambda side: side <= 0,
-        reach=(-1, 0, 1),
-    )
+    levels = (ev.level(space.m, n, 1) for n in range(1, space.n_max + 1))
+    starts = ((C, 1, (transpose(C),)) for level in levels for C in level.matrices)
+    return _scan(ev, starts, lambda C, k: ("transpose_differs", {}), bool)
 
 
 # ---------------------------------------------------------------------------
@@ -857,10 +893,10 @@ _CHECKS = {
     MAX: lambda ev, space: ev.outcome(MAX, space, _check_max),
     MIN: _check_min,
     SYM: lambda ev, space: ev.outcome(SYM, space, _check_sym),
-    CSYM: _check_csym,
+    CSYM: partial(_scan_orbits, walk=_WALKS[CSYM]),
     DIST: _check_dist,
-    MON: _check_mon,
-    SMON: _check_smon,
+    MON: partial(_scan_orbits, walk=_WALKS[MON]),
+    SMON: partial(_scan_orbits, walk=_WALKS[SMON]),
     CB: _check_cb,
     ACB: _check_acb,
 }

@@ -13,7 +13,7 @@ grid.
 """
 
 import hashlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 
@@ -23,8 +23,10 @@ from clfmeasures.core import Budget, EnumerationBudgetExceeded
 from clfmeasures.properties import (
     ALL_PROPERTIES,
     AuditSpace,
+    _Eval,
     _Level,
     _level,
+    _Walk,
     audit_grid,
     check_property,
 )
@@ -211,3 +213,71 @@ def test_no_dist_pairs_are_built_before_they_are_charged(monkeypatch):
     # With level 4 paid for, its pairs are built: the refusal is live.
     with pytest.raises(AssertionError, match="built level"):
         check_property("acc", "dist", space, budget=Budget(limit + 81))
+
+
+@pytest.mark.parametrize("prop", ["csym", "mon", "smon"])
+def test_no_plan_reads_a_level_the_door_did_not_charge(monkeypatch, prop):
+    """A walk's plan reads its targets only from levels the door has
+    charged, and with the level its moves reach unpaid it is not built."""
+    _level.cache_clear()
+    properties._block.cache_clear()
+    charged = set()
+    door = _Eval.level
+
+    def level(ev, m, n, min_row, states=None):
+        got = door(ev, m, n, min_row, states)
+        charged.add((m, n, min_row))
+        return got
+
+    def refuse(level):
+        key = level.m, level.n, level.min_row
+        assert key in charged, f"read level {key} before it was charged"
+
+    monkeypatch.setattr(_Eval, "level", level)
+    _hook_fields(monkeypatch, refuse, ("matrices", "orbits", "pairs"))
+    assert check_property("acc", prop, SMALL_M3, budget=Budget(10**9)).satisfied
+    min_row = LEVELS[prop][1]
+    assert all(_level(3, n, min_row).plans for n in range(LEVELS[prop][0], 4))
+    if prop == "smon":
+        # Level 3's plan reaches level 4, which this budget cannot pay.
+        _level.cache_clear()
+        charged.clear()
+        with pytest.raises(EnumerationBudgetExceeded):
+            check_property("acc", prop, SMALL_M3, budget=Budget(9 + 45 + 165))
+        assert not _level(3, 3, 0).plans
+
+
+def test_two_rows_share_each_levels_neighbours(monkeypatch):
+    """A two-row grid looks up the neighbours of each level's
+    representatives once, for the first row's plans, which the second row
+    reads; only the rescan of a violated level looks them up again."""
+    _level.cache_clear()
+    planning, calls = [], Counter()
+    plan, targets = _Level.plan, _Walk.targets
+
+    def counted_plan(level, walk, levels):
+        planning.append(level)
+        try:
+            return plan(level, walk, levels)
+        finally:
+            planning.pop()
+
+    def counted_targets(walk, C, levels):
+        calls[walk.prop, C.entries, bool(planning)] += 1
+        return targets(walk, C, levels)
+
+    monkeypatch.setattr(_Level, "plan", counted_plan)
+    monkeypatch.setattr(_Walk, "targets", counted_targets)
+    verdicts = audit_grid(["acc", "ba"], ["mon", "smon", "csym"], m=3, n_max=5)
+    assert [(v.measure_id, v.property) for v in verdicts if not v.satisfied] == [("ba", "smon")]
+    planned = {key: count for key, count in calls.items() if key[2]}
+    assert set(planned.values()) == {1}
+    plans = [
+        level.plans[walk][1]
+        for walk in properties._WALKS.values()
+        for level in (_level(3, n, walk.min_row) for n in range(1, 6))
+        if walk in level.plans
+    ]
+    assert len(planned) == sum(map(len, plans)) > 300
+    # ba's smon scan stops on a violation, rescanned matrix by matrix.
+    assert {prop for prop, _, in_plan in calls if not in_plan} == {"smon"}

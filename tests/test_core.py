@@ -278,11 +278,12 @@ def _built_by(constructor):
         yield LabelingPair(Labeling((0, 0), 2), Labeling((0, 0), 2), ("x", "y")).matrix()
     elif constructor == "margin_matrices":
         yield from (C for n in range(2, 7) for a1 in range(1, n) for C in margin_matrices(n, a1))
-    elif constructor == "_edit":
-        for C in properties._level(3, 3, 0).matrices:
-            for dec, inc in [((0, 1), (1, 1)), ((2, 2), None), (None, (0, 0)), (None, (2, 1))]:
-                if dec is None or C[dec] >= 1:
-                    yield properties._edit(C, dec, inc)
+    elif constructor == "_Walk.targets":
+        # The matrices the csym, mon and smon walks reach from level 3.
+        for walk in properties._WALKS.values():
+            levels = {n: properties._level(3, n, walk.min_row) for n in (2, 3, 4)}
+            for C in levels[3].matrices:
+                yield from walk.targets(C, levels)
 
 
 class TestPresetMargins:
@@ -320,7 +321,7 @@ class TestPresetMargins:
             "permute_classes", "one_vs_all", "micro_counts", "expected_matrix",
             "rate_matrix", "lattice_matrix", "enumerate_confusion_matrices",
             "table_matrices", "table_labelings", "LabelingPair.matrix",
-            "margin_matrices", "_edit",
+            "margin_matrices", "_Walk.targets",
         ],
     )
     def test_every_constructor_sets_the_margin_slots(self, constructor):

@@ -59,7 +59,6 @@ from clfmeasures.measures import (
     parse_measure_id,
     power_mean_ratio,
 )
-from clfmeasures.properties import AuditSpace, check_property
 from clfmeasures.values import (
     Root,
     exact_cmp,
@@ -537,22 +536,64 @@ def assert_like_validated(C):
     assert (C.n, C.a, C.b, C.diagonal_sum) == _margins(C.entries)
 
 
-def test_edited_matrices_are_valid(monkeypatch):
-    made = []
-    edit = properties._edit
+def _written_out_moves(prop, C):
+    """The entries of each of C's moves under ``prop``, in scan order, from
+    the definitions: csym relabels the classes (all but the identity); mon
+    moves a unit of a positive off-diagonal cell to the diagonal cell of its
+    row, then of its column; smon adds a diagonal unit unless C is diagonal,
+    then removes a positive off-diagonal one unless C is zero-diagonal."""
+    m, e = C.m, C.entries
+    cells = range(m)
 
-    def recording(C, decrement=None, increment=None):
-        made.append(edit(C, decrement, increment))
-        return made[-1]
+    def edited(*changes):
+        rows = [list(row) for row in e]
+        for i, j, unit in changes:
+            rows[i][j] += unit
+        return tuple(map(tuple, rows))
 
-    monkeypatch.setattr(properties, "_edit", recording)
-    space = AuditSpace(m=3, n_max=5, mon_n_max=5)
-    for prop in ("mon", "smon"):
-        # acc has both properties, so each walk makes every edit.
-        assert check_property("acc", prop, space).satisfied
-    assert len({C.entries for C in made}) > 500
-    for C in made:
-        assert_like_validated(C)
+    off = [(i, j) for i in cells for j in cells if i != j and e[i][j] > 0]
+    if prop == "csym":
+        # Row i of the relabeling by p is row p[i] of C, its columns in order p.
+        perms = [p for p in itertools.permutations(cells) if list(p) != sorted(p)]
+        return [tuple(tuple(map(e[pi].__getitem__, p)) for pi in p) for p in perms]
+    if prop == "mon":
+        return [edited((i, j, -1), (t, t, 1)) for i, j in off for t in (i, j)]
+    adds = [] if not off else [edited((i, i, 1)) for i in cells]
+    diagonal_sum = sum(e[i][i] for i in cells)
+    return adds + ([] if diagonal_sum == 0 else [edited((i, j, -1)) for i, j in off])
+
+
+def test_edited_matrices_are_valid():
+    """Every mon and smon edit and every class permutation of every matrix
+    of both row floors, for m = 2 with n <= 9, m = 3 with n <= 6 and m = 4
+    with n <= 5, as the walks find it by position, equals a validated
+    matrix of the written-out entries and is the target level's own
+    object.  Permutations stay in their start's floor; edits are found at
+    floor 0, which holds every floor-1 matrix and the edits that empty a
+    row."""
+    own, indexed = {}, set()  # {entries: the object of its level}, per (m, floor)
+    validated = set()
+    for m, n_max in ((2, 9), (3, 6), (4, 5)):
+        for min_row in (0, 1):
+            for n in range(1, n_max + 1):
+                for prop, walk in properties._WALKS.items():
+                    floor = min_row if prop == "csym" else 0
+                    levels = {k: properties._level(m, k, floor) for k in (n - 1, n, n + 1)}
+                    index = own.setdefault((m, floor), {})
+                    for k, level in levels.items():
+                        if (m, k, floor) not in indexed:
+                            indexed.add((m, k, floor))
+                            index.update((D.entries, D) for D in level.matrices)
+                    for C in properties._level(m, n, min_row).matrices:
+                        targets = walk.targets(C, levels)
+                        written = _written_out_moves(prop, C)
+                        assert len(targets) == len(written), (prop, C.entries)
+                        for Ct, entries in zip(targets, written):
+                            assert Ct is index[entries], (prop, C.entries, entries)
+                            if id(Ct) not in validated:
+                                validated.add(id(Ct))
+                                assert_like_validated(Ct)
+    assert len(validated) > 500
 
 
 def test_enumerated_and_transformed_matrices_are_valid():

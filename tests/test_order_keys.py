@@ -25,7 +25,7 @@ from clfmeasures.inconsistency import (
     rank_models,
 )
 from clfmeasures.measures import Evaluator, evaluate, oriented, parse_measure_id
-from clfmeasures.properties import _edit, _Eval, _level
+from clfmeasures.properties import _edited, _Eval, _level
 from clfmeasures.values import DEFAULT_EPS, is_exact, value_cmp, value_identical
 
 KEYED = ("cd", "cdprime")
@@ -47,6 +47,13 @@ def _assert_like_reference(rows, pairs):
         for ev in rows:
             assert ev.compare(C1, C2, ev.eps) == _reference(ev, C1, C2), (
                 ev.eps, C1.entries, C2.entries)
+
+
+def _edit(C, decrement=None, increment=None):
+    """The matrix of C edited, found by position in its level."""
+    a, rows = _edited(C, decrement, increment)
+    level = _level(C.m, sum(a), 0)
+    return level.matrices[level.position(a, rows)]
 
 
 def _moves(C):
