@@ -75,8 +75,9 @@ def canonical_labeling(sizes: Sequence[int]) -> Labeling:
 #: Most matrices the kept tables hold together.
 TABLE_MATRICES = 8192
 
-#: (a_sizes, b_sizes, method) -> (table, states charged per use), least
-#: recently used first; ``_held`` counts their matrices.
+#: (a_sizes, b_sizes, method) -> (table, states charged per use, number
+#: of labelings), least recently used first; ``_held`` counts their
+#: matrices.
 _tables: OrderedDict = OrderedDict()
 _held = 0
 
@@ -94,23 +95,25 @@ def _build_table(a_sizes, b_sizes, method, budget) -> tuple:
 
 
 def _table(a_sizes, b_sizes, method, budget) -> tuple:
-    """The ``(C, count)`` table of one margin pair and route."""
+    """The ``(C, count)`` table of one margin pair and route, and the
+    number of labelings with class sizes ``b_sizes``, the sum of its
+    counts."""
     global _held
     key = (a_sizes, b_sizes, method)
     if key in _tables:
         _tables.move_to_end(key)
-        table, states = _tables[key]
+        table, states, labelings = _tables[key]
         if budget is not None:
             budget.charge(states)
-        return table
+        return table, labelings
     table = _build_table(a_sizes, b_sizes, method, budget)
-    states = len(table) if method == "matrices" else multinomial(sum(a_sizes), b_sizes)
-    _tables[key] = table, states
+    labelings = multinomial(sum(a_sizes), b_sizes)
+    states = len(table) if method == "matrices" else labelings
+    _tables[key] = table, states, labelings
     _held += len(table)
     while _held > TABLE_MATRICES:
-        old, _ = _tables.popitem(last=False)[1]
-        _held -= len(old)
-    return table
+        _held -= len(_tables.popitem(last=False)[1][0])
+    return table, labelings
 
 
 def exact_baseline_expectation(
@@ -152,9 +155,8 @@ def _expectation(value_of, a_sizes: tuple, b_sizes: tuple, method: str, budget) 
     validated; the property audit passes its row evaluator's memoized
     value function.
     """
-    table = _table(a_sizes, b_sizes, method, budget)
+    table, labelings = _table(a_sizes, b_sizes, method, budget)
     weighted = [(value_of(C), count) for C, count in table]
-    labelings = multinomial(sum(a_sizes), b_sizes)
     mean = _rational_mean(*zip(*weighted), labelings)
     if mean is not None:
         return mean

@@ -146,9 +146,12 @@ tables of ``baselines._tables`` (at most ``TABLE_MATRICES`` matrices);
 the parsed descriptors of ``measures.parse_measure_id``; the angles of
 ``cd`` and ``cdprime`` (``measures._ANGLES``, keyed on the transform,
 ``values.value_key`` of ``cc`` and ``mp.prec``, at most
-``_ANGLE_MEMO_SIZE`` of them, oldest dropped first); and the roots of
-``values._root_mpf`` (an LRU cache keyed on radicand, index and
-``mp.prec``).
+``_ANGLE_MEMO_SIZE`` of them, oldest dropped first); the log terms and
+normalizers of ``ce`` (``measures._ce_term``, keyed on count, class mass
+and ``mp.prec``, and ``measures._ce_norm``, keyed on n, m and
+``mp.prec``); the ``acb`` lattice matrices (:func:`_lattice`, keyed on
+the margin pair); and the roots of ``values._root_mpf`` (an LRU cache
+keyed on radicand, index and ``mp.prec``).
 """
 
 from __future__ import annotations
@@ -210,6 +213,11 @@ CB_N_MIN = 2
 #: Float slack of the ``dist`` screens (distance zero, triangle); every
 #: candidate violation is confirmed in exact or high-precision arithmetic.
 DIST_TOL = 1e-9
+
+#: Bound, relative to a level's largest distance, on the rounding
+#: difference between the two float forms of a triangle slack (see
+#: :func:`_triangle_hits`): 2**-49, between 8 and 16 ulps.
+_SCREEN_ROUNDING = 2.0**-49
 
 
 def parse_property(name: str) -> str:
@@ -784,9 +792,16 @@ def _check_acb(ev: _Eval, space: AuditSpace):
     return _check_constant_over_margins(ev, space, point, differ, value)
 
 
+#: Lattices kept by :func:`_lattice`, about 600 bytes each with their key.
+#: Every ``acb`` row of a command reads the same margin grid: 196 pairs
+#: at the binary defaults, 1,346 at m = 3 and 1,465 at m = 4.
+_LATTICE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _lattice(a: tuple, b: tuple) -> ConfusionMatrix:
     """The int matrix ``(a_i * b_j)``, n times ``expected_matrix(a, b)``,
-    margins set."""
+    margins set; built once per margin pair and kept for every row."""
     n = sum(a)
     entries = tuple(tuple(ai * bj for bj in b) for ai in a)
     margins = tuple(ai * n for ai in a), tuple(bj * n for bj in b)
@@ -820,9 +835,53 @@ def _confirm_triangle(ev: _Eval, c_max, ac, ab, bc) -> bool:
     return value_cmp(lhs, rhs, DIST_TOL) > 0
 
 
+def _screen_limit(dist: list) -> float:
+    """The ``limit`` of :func:`_triangle_hits` for a level's distances:
+    DIST_TOL less :data:`_SCREEN_ROUNDING` times the largest of them (nan
+    when that maximum is, so no start is skipped)."""
+    return DIST_TOL - _SCREEN_ROUNDING * max(map(abs, dist))
+
+
+def _triangle_hits(Da: list, Db: list, dab: float, limit: float):
+    """Each C, in order, whose float slack ``Da[c] - (dab + Db[c])``,
+    d(A, C) - (d(A, B) + d(B, C)), exceeds DIST_TOL; a nan slack is none.
+
+    A first screen takes one subtraction per C: the start is skipped when
+    ``max(Da[c] - Db[c]) - dab`` lies below ``limit``
+    (:func:`_screen_limit`).  With every distance at most M in size, the
+    two forms differ by less than 11 u M (u = 2**-53): each is within
+    5 u M + 2 u**2 M of the exact slack.  ``limit`` leaves 16 u M, which
+    also covers its own rounding once M >= DIST_TOL / 5; below that, no
+    slack of three such distances reaches DIST_TOL.  So a skipped start
+    has no hit.  Otherwise, a nan maximum included, the two-map screen
+    and the scan of every C run as before, so no witness and no
+    ``checked`` count can move.
+    """
+    if max(map(operator.sub, Da, Db)) - dab < limit:
+        return
+
+    def slack():
+        return map(operator.sub, Da, map(operator.add, itertools.repeat(dab), Db))
+
+    # The two-map screen of every C (a nan slack never hits), then every
+    # hit in order.
+    if max(slack()) - DIST_TOL <= 0:
+        return
+    for c, s in enumerate(slack()):
+        if s - DIST_TOL > 0:
+            yield c
+
+
 def _check_dist(ev: _Eval, space: AuditSpace):
     """sym and max, read from the row when it already ran them, then the
-    distance-zero and triangle scans of the labeling triples."""
+    distance-zero and triangle scans of the labeling triples.
+
+    The triangle scan screens each start in floats
+    (:func:`_triangle_hits`): one subtraction per C first, skipping the
+    start only when that slack lies below DIST_TOL by more than
+    :data:`_SCREEN_ROUNDING` times the level's largest distance, the
+    bound on its rounding difference from the two-map slack.  Every hit
+    is confirmed exactly (:func:`_confirm_triangle`)."""
     checked = 0
     for prereq in (SYM, MAX):
         status, witness, sub = _CHECKS[prereq](ev, space)
@@ -857,19 +916,11 @@ def _check_dist(ev: _Eval, space: AuditSpace):
                 )
                 return VIOLATED, w, checked
 
-        def slack(a: int, b: int):
-            """d(A, C) - (d(A, B) + d(B, C)) in floats, for every C."""
-            Da = D[a]
-            return map(operator.sub, Da, map(operator.add, itertools.repeat(Da[b]), D[b]))
-
-        # The triangle inequality: a float screen of every C (a nan slack
-        # never hits), then every hit in order is confirmed.
+        # The triangle inequality: every float hit in order is confirmed.
+        limit = _screen_limit(dist)
         for a, b, _ in starts:
-            if max(slack(a, b)) - DIST_TOL <= 0:
-                continue
-            for c, s in enumerate(slack(a, b)):
-                if not s - DIST_TOL > 0:
-                    continue
+            Da = D[a]
+            for c in _triangle_hits(Da, D[b], Da[b], limit):
                 mats = [matrices[rows[x][y]] for x, y in ((a, c), (a, b), (b, c))]
                 if _confirm_triangle(ev, c_max, *mats):
                     w = ev.witness(

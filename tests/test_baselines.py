@@ -210,9 +210,14 @@ class TestSharedTables:
     def test_labelings_table_counts_labelings(self, no_tables):
         a, b = (2, 2, 1), (1, 2, 2)
         exact_baseline_expectation(parse_measure_id("acc"), a, b, "labelings")
-        table, states = baselines._tables[a, b, "labelings"]
-        assert states == sum(k for _, k in table) == multinomial(5, b)
+        table, states, labelings = baselines._tables[a, b, "labelings"]
+        assert states == labelings == sum(k for _, k in table) == multinomial(5, b)
         assert {C.entries: k for C, k in table} == dict(enumerate_entries(a, b))
+        # The matrices route charges one state per matrix but keeps the
+        # same number of labelings, the sum of its multiplicities.
+        exact_baseline_expectation(parse_measure_id("acc"), a, b, "matrices")
+        table, states, labelings = baselines._tables[a, b, "matrices"]
+        assert states == len(table) and labelings == sum(k for _, k in table) == multinomial(5, b)
 
     def test_bounded(self, no_tables, monkeypatch):
         monkeypatch.setattr(baselines, "TABLE_MATRICES", 20)
@@ -222,7 +227,7 @@ class TestSharedTables:
                 if not is_unary(b):
                     v = exact_baseline_expectation(desc, a, b)
                     assert v == 0
-                    held = sum(len(t) for t, _ in baselines._tables.values())
+                    held = sum(len(t) for t, _, _ in baselines._tables.values())
                     assert held == baselines._held <= 20
         assert baselines._tables  # the most recent tables are kept
 

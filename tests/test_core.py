@@ -271,7 +271,7 @@ def _built_by(constructor):
     elif constructor in ("table_matrices", "table_labelings"):
         method = constructor.split("_")[1]
         for a, b in margins:
-            yield from (C for C, _ in baselines._table(a, b, method, None))
+            yield from (C for C, _ in baselines._table(a, b, method, None)[0])
     elif constructor == "LabelingPair.matrix":
         truth, pred = Labeling((0, 1, 1, 2), 3), Labeling((2, 1, 0, 0), 3)
         yield LabelingPair(truth, pred, ("x", "y", "z")).matrix()

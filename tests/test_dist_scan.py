@@ -8,7 +8,9 @@ witness and ``checked`` must agree.
 """
 
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -173,3 +175,52 @@ def test_imports_and_audits_dist_with_mpmath_alone():
     )
     assert proc.returncode == 0, proc.stderr
     assert "dist" in proc.stdout
+
+
+def two_map_hits(Da, Db, dab):
+    """Each c whose slack ``Da[c] - (dab + Db[c])`` exceeds the tolerance,
+    the screen as the definition reads, with no first screen."""
+    return [c for c, (x, z) in enumerate(zip(Da, Db)) if x - (dab + z) - TOL > 0]
+
+
+# Distances of three labelings (A, B, C) whose slack d(A, C) - (d(A, B) +
+# d(B, C)) is less than an ulp of the distances above the tolerance in the
+# two-map form, while the one-subtraction form, (d(A, C) - d(B, C)) -
+# d(A, B), rounds to below it.
+_Y = float.fromhex("0x1.7cbc6ca11d458p-3")  # d(A, B)
+_Z = float.fromhex("0x1.fc2ea66e5019fp-1")  # d(B, C)
+_X = float.fromhex("0x1.2daee0cf9738ap+0")  # d(A, C)
+
+
+def test_screen_keeps_a_hit_the_one_subtraction_form_rounds_away():
+    assert _X - (_Y + _Z) - TOL > 0
+    assert (_X - _Z) - _Y < TOL
+    D = [[0.0, _Y, _X], [_Y, 0.0, _Z], [_X, _Z, 0.0]]
+    limit = properties._screen_limit([d for row in D for d in row])
+    assert list(properties._triangle_hits(D[0], D[1], D[0][1], limit)) == [2]
+    assert two_map_hits(D[0], D[1], D[0][1]) == [2]
+
+
+def test_screen_skips_only_starts_without_a_hit():
+    # Rows near the tolerance at several scales, with repeats, zeros,
+    # infinities and nans in every position: the screen's hits are the
+    # two-map hits of every start.
+    rng = random.Random(5)
+    specials = [0.0, math.inf, -math.inf, math.nan]
+    for _ in range(3000):
+        scale = 2.0 ** rng.randint(-40, 4)
+        L = rng.randint(1, 6)
+        y = rng.random() * scale
+        Db = [rng.random() * scale for _ in range(L)]
+        Da = [y + z + TOL * rng.choice((-1, 0, 1)) + rng.randint(-8, 8) * math.ulp(y + z)
+              for z in Db]
+        b = rng.randrange(L)
+        Da[b] = y
+        if rng.random() < 0.2:
+            row = rng.choice((Da, Db))
+            row[rng.randrange(L)] = rng.choice(specials)
+        dist = Da + Db
+        rng.shuffle(dist)
+        limit = properties._screen_limit(dist)
+        got = list(properties._triangle_hits(Da, Db, Da[b], limit))
+        assert got == two_map_hits(Da, Db, Da[b]), (Da, Db, b)

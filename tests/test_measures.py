@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from clfmeasures import measures
-from clfmeasures.core import confusion_matrix, transpose
+from clfmeasures.core import confusion_matrix, expected_matrix, transpose
 from clfmeasures.measures import (
     AUDIT_ONLY_IDS,
     CANONICAL_IDS,
@@ -21,6 +21,8 @@ from clfmeasures.measures import (
     MeasureArityError,
     MeasureParseError,
     _ANGLE_MEMO_SIZE,
+    _CE_NORM_CACHE_SIZE,
+    _CE_TERM_CACHE_SIZE,
     _cc_as_mpf,
     evaluate,
     matthews_cc,
@@ -29,7 +31,7 @@ from clfmeasures.measures import (
     with_scheme,
 )
 from clfmeasures.values import (
-    Root, root_value, to_mpf, value_str, values_equal, working_precision,
+    Root, root_value, to_mpf, value_key, value_str, values_equal, working_precision,
 )
 
 REFERENCE = confusion_matrix([[4, 1], [2, 3]])  # c11=3 c10=2 c01=1 c00=4
@@ -169,6 +171,82 @@ class TestAngleMemo:
                         assert type(got) is mpmath.mpf
                         assert got._mpf_ == want._mpf_, (mid, dps, C.entries)
         assert len(measures._ANGLES) == _ANGLE_MEMO_SIZE
+
+
+class TestEntropyMemo:
+    """``ce``, whose log terms and normalizer are memoized on their
+    numbers and the precision, against the definition written out with
+    no memo, bit for bit (``value_key``), at 30 and 40 digits."""
+
+    @staticmethod
+    def reference(C):
+        def mpf_of(q):
+            q = Fraction(q)
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        m, E = C.m, C.entries
+        with working_precision():
+            terms = []
+            for j in range(m):
+                mass = Fraction(sum(E[j])) + Fraction(sum(row[j] for row in E))
+                if mass == 0:
+                    continue
+                for i in range(m):
+                    if i == j:
+                        continue
+                    for c in (E[j][i], E[i][j]):
+                        if c:
+                            terms.append(mpf_of(c) * mpmath.log(mpf_of(Fraction(c) / mass)))
+            n = sum(map(sum, E))
+            return -mpmath.fsum(terms) / (2 * mpf_of(n) * mpmath.log(2 * m - 2))
+
+    @staticmethod
+    def matrices(rng, count, top):
+        """Int matrices and expected matrices (Fraction entries) at
+        m = 2..4, entries up to ``top``."""
+        out = []
+        for _ in range(count):
+            m = rng.randint(2, 4)
+            if rng.random() < 0.4:
+                a = [rng.randint(1, top) for _ in range(m)]
+                b = rng.sample(a, m)
+                b[0] += 1
+                a[-1] += 1
+                out.append(expected_matrix(a, b))
+            else:
+                rows = [[rng.randint(0, top) for _ in range(m)] for _ in range(m)]
+                rows[0][1] += 1  # some mass off the diagonal
+                out.append(confusion_matrix(rows))
+        return out
+
+    def check(self, rng, mats):
+        # Each matrix twice, each time at both precisions in a new order:
+        # a term cached at one precision and served at another shows.
+        for C in mats + rng.sample(mats, len(mats)):
+            for dps in rng.sample((15, 40), 2):  # 15 works at 30 digits
+                with mp.workdps(dps):
+                    got, want = ev("ce", C), self.reference(C)
+                    assert type(got) is mpmath.mpf
+                    assert value_key(got) == value_key(want), (dps, C.entries)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_bit_identical_across_precisions(self, seed):
+        measures._ce_term.cache_clear()
+        measures._ce_norm.cache_clear()
+        rng = random.Random(seed)
+        self.check(rng, self.matrices(rng, 150, 6))
+
+    def test_memos_stay_within_their_caps(self):
+        # Large counts make nearly every term and sample size distinct, so
+        # both memos fill past their caps and drop entries read again later.
+        measures._ce_term.cache_clear()
+        measures._ce_norm.cache_clear()
+        rng = random.Random(7)
+        self.check(rng, self.matrices(rng, 500, 10**4))
+        terms, norms = measures._ce_term.cache_info(), measures._ce_norm.cache_info()
+        assert terms.maxsize == _CE_TERM_CACHE_SIZE and norms.maxsize == _CE_NORM_CACHE_SIZE
+        assert terms.currsize == _CE_TERM_CACHE_SIZE
+        assert norms.currsize == _CE_NORM_CACHE_SIZE
 
 
 class TestSingularities:
