@@ -149,9 +149,10 @@ the parsed descriptors of ``measures.parse_measure_id``; the angles of
 ``_ANGLE_MEMO_SIZE`` of them, oldest dropped first); the log terms and
 normalizers of ``ce`` (``measures._ce_term``, keyed on count, class mass
 and ``mp.prec``, and ``measures._ce_norm``, keyed on n, m and
-``mp.prec``); the ``acb`` lattice matrices (:func:`_lattice`, keyed on
-the margin pair); and the roots of ``values._root_mpf`` (an LRU cache
-keyed on radicand, index and ``mp.prec``).
+``mp.prec``); the ``acb`` lattice matrices of the last two margin grids
+read (:func:`_grid_lattices`, keyed on the grid's bounds); and the roots
+of ``values._root_mpf`` (an LRU cache keyed on radicand, index and
+``mp.prec``).
 """
 
 from __future__ import annotations
@@ -776,11 +777,16 @@ def _check_acb(ev: _Eval, space: AuditSpace):
     """The point of a margin pair is its lattice matrix (:func:`_lattice`),
     compared through :meth:`_Eval.compare`, so a keyed row reads the
     lattice's key from its key memo; the value, :func:`_acb_value`, is
-    computed where that comparison or a witness reads it."""
+    computed where that comparison or a witness reads it.  The lattices
+    come from the grid's memo (:func:`_grid_lattices`), so every row of a
+    command builds each one once."""
+    lattices = _grid_lattices(space.m, space.cb_n_max, space.cb_min_col)
     margins = {}  # lattice -> its margin pair
 
     def point(a, b) -> ConfusionMatrix:
-        lattice = _lattice(a, b)
+        lattice = lattices.get((a, b))
+        if lattice is None:
+            lattice = lattices[a, b] = _lattice(a, b)
         margins[lattice] = a, b
         return lattice
 
@@ -792,16 +798,20 @@ def _check_acb(ev: _Eval, space: AuditSpace):
     return _check_constant_over_margins(ev, space, point, differ, value)
 
 
-#: Lattices kept by :func:`_lattice`, about 600 bytes each with their key.
-#: Every ``acb`` row of a command reads the same margin grid: 196 pairs
-#: at the binary defaults, 1,346 at m = 3 and 1,465 at m = 4.
-_LATTICE_CACHE_SIZE = 4096
+@lru_cache(maxsize=2)
+def _grid_lattices(m: int, n_max: int, min_col: int) -> dict:
+    """``(a, b) -> _lattice(a, b)`` for the pairs of one margin grid that
+    ``acb`` rows have read; the last two grids read are kept.
+
+    Every ``acb`` row of a command reads the same grid, and one row
+    already holds the lattices of the pairs it reads; the memo keeps them
+    past the row (a preservation cell reads two grids)."""
+    return {}
 
 
-@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _lattice(a: tuple, b: tuple) -> ConfusionMatrix:
     """The int matrix ``(a_i * b_j)``, n times ``expected_matrix(a, b)``,
-    margins set; built once per margin pair and kept for every row."""
+    margins set."""
     n = sum(a)
     entries = tuple(tuple(ai * bj for bj in b) for ai in a)
     margins = tuple(ai * n for ai in a), tuple(bj * n for bj in b)
@@ -853,21 +863,14 @@ def _triangle_hits(Da: list, Db: list, dab: float, limit: float):
     5 u M + 2 u**2 M of the exact slack.  ``limit`` leaves 16 u M, which
     also covers its own rounding once M >= DIST_TOL / 5; below that, no
     slack of three such distances reaches DIST_TOL.  So a skipped start
-    has no hit.  Otherwise, a nan maximum included, the two-map screen
-    and the scan of every C run as before, so no witness and no
-    ``checked`` count can move.
+    has no hit.  Otherwise, a nan maximum included, the two-map slack of
+    every C is tested as before, so no witness and no ``checked`` count
+    can move.
     """
     if max(map(operator.sub, Da, Db)) - dab < limit:
         return
-
-    def slack():
-        return map(operator.sub, Da, map(operator.add, itertools.repeat(dab), Db))
-
-    # The two-map screen of every C (a nan slack never hits), then every
-    # hit in order.
-    if max(slack()) - DIST_TOL <= 0:
-        return
-    for c, s in enumerate(slack()):
+    slack = map(operator.sub, Da, map(operator.add, itertools.repeat(dab), Db))
+    for c, s in enumerate(slack):
         if s - DIST_TOL > 0:
             yield c
 

@@ -128,6 +128,33 @@ class TestAcbLattice:
             _acb_value(parse_measure_id(mid), _lattice(a, b), a, b)
             assert seen == [expected_matrix(a, b).entries]
 
+    def test_rows_of_a_grid_share_its_lattices(self, monkeypatch):
+        built = Counter()
+
+        def counting(a, b):
+            built[a, b] += 1
+            return _lattice(a, b)
+
+        monkeypatch.setattr(properties, "_lattice", counting)
+        properties._grid_lattices.cache_clear()
+        grids = [AuditSpace(m=3, cb_n_max=4), AuditSpace(m=3, cb_n_max=4, cb_min_col=1),
+                 AuditSpace(m=2, cb_n_max=5)]
+
+        def scan(space):
+            built.clear()
+            checked = [check_property(mid, "acb", space).checked for mid in ("kappa", "ba", "cc")]
+            assert checked[0] == checked[1] == checked[2]  # every row reads the whole grid
+            return checked[0]
+
+        for space in grids:
+            pairs = scan(space)
+            assert len(built) == pairs and set(built.values()) == {1}
+        # The last two grids are kept; the first is built again.
+        assert properties._grid_lattices.cache_info().currsize == 2
+        assert scan(grids[2]) and not built
+        assert scan(grids[0]) == len(built)
+        properties._grid_lattices.cache_clear()
+
 
 # ---------------------------------------------------------------------------
 # dist reads sym and max from the row
